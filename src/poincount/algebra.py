@@ -503,9 +503,7 @@ class RationalFunction:
         """
         if factor.is_constant():
             raise UnsupportedArgument("factor must be non-constant")
-        return _poly_multiplicity(self.den, factor) - _poly_multiplicity(
-            self.num, factor
-        )
+        return split_factor(self.den, factor)[0] - split_factor(self.num, factor)[0]
 
     # -- display -----------------------------------------------------------
 
@@ -531,14 +529,16 @@ def _coerce_ratfun(value) -> RationalFunction | None:
     return None
 
 
-def _poly_multiplicity(poly: Polynomial, factor: Polynomial) -> int:
+def split_factor(poly: Polynomial, factor: Polynomial) -> tuple[int, Polynomial]:
+    """(m, residual) with poly = factor^m * residual and factor not dividing
+    residual; the zero polynomial gives (0, 0)."""
     if poly.is_zero():
-        return 0
+        return 0, poly
     count = 0
     while True:
         q, r = divmod(poly, factor)
         if not r.is_zero():
-            return count
+            return count, poly
         poly = q
         count += 1
 
@@ -590,11 +590,9 @@ def cyclotomic_factors(poly: Polynomial, skip_one: bool = True) -> list[tuple[in
         if _euler_phi(m) > deg:
             continue
         phi = cyclotomic(m)
-        mult = _poly_multiplicity(remaining, phi)
+        mult, remaining = split_factor(remaining, phi)
         if mult > 0:
             out.append((m, phi, mult))
-            for _ in range(mult):
-                remaining = remaining // phi
     return out
 
 

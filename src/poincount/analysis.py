@@ -19,7 +19,7 @@ from .algebra import (
     RationalFunction,
     binomial,
     cyclotomic_factors,
-    _poly_multiplicity,
+    split_factor,
 )
 
 
@@ -45,12 +45,8 @@ def analyze(f: RationalFunction) -> PoleReport:
     exact value of (1-z)^d f at z = 1.  Remaining denominator factors are
     matched against cyclotomic polynomials of degree up to deg(den).
     """
-    d = max(0, _poly_multiplicity(f.den, ONE_MINUS_Z))
-    cleared = f * RationalFunction(ONE_MINUS_Z**d)
-    sigma = cleared.evaluate(1)
-    residual = f.den
-    for _ in range(d):
-        residual = residual // ONE_MINUS_Z
+    d, residual = split_factor(f.den, ONE_MINUS_Z)
+    sigma = f.num.evaluate(1) / residual.evaluate(1)
     others = [(phi, mult) for _, phi, mult in cyclotomic_factors(residual)]
     conforms = residual.degree == 0 and f.den.coefficient(0) != 0
     return PoleReport(

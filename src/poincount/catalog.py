@@ -34,7 +34,7 @@ from .algebra import (
     binomial,
     binom_in_k,
     cyclotomic_factors,
-    _poly_multiplicity,
+    split_factor,
 )
 from .hilbert import HilbertSpec, equal_series, gf_from_hilbert
 
@@ -869,13 +869,10 @@ def verify_entry(entry_id: str, params: Mapping[str, int], k_max: int) -> Verifi
 
     if p.den.coefficient(0) == 0:
         problems["pole_at_origin"] = str(p.den)
-    d = max(0, _poly_multiplicity(p.den, ONE_MINUS_Z))
+    d, residual = split_factor(p.den, ONE_MINUS_Z)
     base = entry.base_dim(**clean)
     if d > base:
         problems["pole_order_exceeds_base_dim"] = {"d": d, "base_dim": base}
-    residual = p.den
-    for _ in range(d):
-        residual = residual // ONE_MINUS_Z
     pr_form = residual.degree == 0
     if not pr_form and OTHER_UNIT_POLES not in entry.flags:
         problems["unexpected_unit_poles"] = [

@@ -464,3 +464,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
 
 def main() -> None:  # pragma: no cover - console entry point
     sys.exit(run())
+
+
+if __name__ == "__main__":  # pragma: no cover
+    main()

@@ -209,4 +209,7 @@ def parse_rational_function(text: str):
             return RationalFunction.z()
         raise ExpressionError(f"unknown symbol {name!r}; only z is allowed")
 
-    return evaluate_node(node, RationalFunction.from_scalar, symbol)
+    try:
+        return evaluate_node(node, RationalFunction.from_scalar, symbol)
+    except ZeroDivisionError as exc:
+        raise ExpressionError(f"{exc} in {text!r}") from None

@@ -24,7 +24,7 @@ from .algebra import (
     RationalFunction,
     Scalar,
     binom_in_k,
-    _poly_multiplicity,
+    split_factor,
 )
 
 
@@ -244,10 +244,7 @@ def spec_from_gf(f: RationalFunction, k_confirm: int) -> HilbertSpec:
     against every coefficient up to k_confirm and must round-trip through
     gf_from_hilbert exactly, otherwise the horizon is deemed too short.
     """
-    d = _poly_multiplicity(f.den, ONE_MINUS_Z)
-    residual = f.den
-    for _ in range(d):
-        residual = residual // ONE_MINUS_Z
+    d, residual = split_factor(f.den, ONE_MINUS_Z)
     if residual.degree > 0:
         raise NotEventuallyPolynomial(
             f"denominator has a factor besides (1 - z)^d: {residual}"

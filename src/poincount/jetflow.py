@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from .algebra import Polynomial, RationalFunction
 from .exprs import ExpressionError, evaluate_node, parse_expression
 from .hilbert import HilbertSpec, gf_from_hilbert
-from .jetpoly import Poly, RationalPair, matrix_rank
+from .jetpoly import Poly, RationalPair, matrix_rank, rank_profile
 
 MultiIndex = tuple[int, ...]
 
@@ -158,14 +159,6 @@ class JetSpace:
 
     def coordinate_names(self) -> list[str]:
         return list(self._names)
-
-    def jet_items(self) -> list[tuple[int, MultiIndex, int]]:
-        """(alpha, sigma, var) for all jet coordinates in coordinate order."""
-        out = []
-        for var, info in enumerate(self._info):
-            if info[0] == "jet":
-                out.append((info[1], info[2], var))
-        return out
 
 
 def total_derivative(space: JetSpace, poly: Poly, direction: int) -> Poly:
@@ -691,14 +684,6 @@ def _rows_at_point(
     return rows, violations
 
 
-def _check_sentinels(violations: list[list[Fraction]]) -> None:
-    if violations:
-        raise ValueError(
-            "sentinel parameter acts nontrivially: cutoff too small "
-            "or base point away from the origin"
-        )
-
-
 def orbit_rank(
     scenario: Scenario,
     point_values: Mapping[str, Fraction],
@@ -711,20 +696,8 @@ def orbit_rank(
     generator, columns over all coordinates of J^k.  The sentinel
     parameters (degree cutoff + 1) must contribute zero rows.
     """
-    space = scenario.space(k)
-    cutoff = (
-        param_cutoff if param_cutoff is not None else k + scenario.lift_order + 1
-    )
-    fields, params = scenario.instantiate(space, cutoff)
-    prolonged = [prolong(space, f) for f in fields]
-    point = make_point(space, point_values)
-    rows, sentinel_rows = _rows_at_point(prolonged, params, point)
-    base_at_origin = all(
-        point[space.base_var(i)] == 0 for i in range(space.p)
-    )
-    if base_at_origin:
-        _check_sentinels(sentinel_rows)
-    return matrix_rank(rows)
+    engine = _StratumEngine(scenario, k, param_cutoff)
+    return matrix_rank(engine.rows(make_point(engine.space, point_values)))
 
 
 def sample_stratum_point(
@@ -775,18 +748,22 @@ def sample_stratum_point(
 
 
 class _StratumEngine:
-    """Shared prolongation/evaluation machinery for one scenario at one order."""
+    """The one route from a scenario to tangent rows and ranks at one order.
 
-    def __init__(self, scenario: Scenario, k_max: int):
+    Instantiation and prolongation happen once here; every stratum, sample
+    point and invariant check of the scenario at this order reuses them.
+    The engine holds no random state: each caller seeds its own generator.
+    """
+
+    def __init__(self, scenario: Scenario, k_max: int, param_cutoff: int | None = None):
         self.scenario = scenario
         self.k_max = k_max
         self.space = scenario.space(k_max)
-        cutoff = k_max + scenario.lift_order + 1
-        self.fields, self.params = scenario.instantiate(self.space, cutoff)
-        self.prolonged = [prolong(self.space, f) for f in self.fields]
-        self.positivity = [
-            scenario.parse_invariant(self.space, text) for text in scenario.positivity
-        ]
+        cutoff = (
+            param_cutoff if param_cutoff is not None else k_max + scenario.lift_order + 1
+        )
+        fields, self.params = scenario.instantiate(self.space, cutoff)
+        self.prolonged = [prolong(self.space, f) for f in fields]
         # column count of the order-k block (coordinates are sorted by order)
         self.cols_at = [
             self.space.p
@@ -794,14 +771,31 @@ class _StratumEngine:
             for k in range(k_max + 1)
         ]
 
-    def eq_columns(self, stratum: StratumCase) -> list[int]:
-        return [self.space.var_by_name(name) for name in stratum.equalities]
+    @cached_property
+    def positivity(self) -> list[RationalPair]:
+        """Parsed on first sampling, so orbit_rank never reads them."""
+        return [
+            self.scenario.parse_invariant(self.space, text)
+            for text in self.scenario.positivity
+        ]
+
+    def rows(self, point: Mapping[int, Fraction]) -> list[list[Fraction]]:
+        """Tangent rows at a point; with the base point at the origin the
+        sentinel parameters must act trivially (error otherwise)."""
+        rows, sentinel_rows = _rows_at_point(self.prolonged, self.params, point)
+        base_at_origin = all(
+            point[self.space.base_var(i)] == 0 for i in range(self.space.p)
+        )
+        if sentinel_rows and base_at_origin:
+            raise ValueError(
+                "sentinel parameter acts nontrivially: cutoff too small "
+                "or base point away from the origin"
+            )
+        return rows
 
     def ranks_for_point(self, values: Mapping[str, Fraction], stratum: StratumCase) -> list[int]:
-        point = make_point(self.space, values)
-        rows, sentinel_rows = _rows_at_point(self.prolonged, self.params, point)
-        _check_sentinels(sentinel_rows)
-        eq_cols = self.eq_columns(stratum)
+        rows = self.rows(make_point(self.space, values))
+        eq_cols = [self.space.var_by_name(name) for name in stratum.equalities]
         for row in rows:
             for col in eq_cols:
                 if row[col] != 0:
@@ -809,8 +803,7 @@ class _StratumEngine:
                         f"generator not tangent to stratum {stratum.label!r} "
                         f"at coordinate {self.space.name_of(col)!r}"
                     )
-        return [matrix_rank([row[: self.cols_at[k]] for row in rows])
-                for k in range(self.k_max + 1)]
+        return rank_profile(rows, self.cols_at)
 
     def stratum_dim(self, stratum: StratumCase, k: int) -> int:
         eq_orders = [
@@ -819,6 +812,31 @@ class _StratumEngine:
         ]
         active = sum(1 for order in eq_orders if order <= k)
         return self.cols_at[k] - active
+
+    def codim_sequence(
+        self, stratum: StratumCase | str, seed: int
+    ) -> tuple[list[int], list[int]]:
+        """(s_k, h_k) for one stratum; see stratum_codim_sequence."""
+        if isinstance(stratum, str):
+            stratum = self.scenario.stratum(stratum)
+        rng = random.Random(seed)
+        ranks: list[list[int]] | None = None
+        for _ in range(2):
+            trials = []
+            for _ in range(3):
+                values = sample_stratum_point(self.space, stratum, rng, self.positivity)
+                trials.append(self.ranks_for_point(values, stratum))
+            if all(t == trials[0] for t in trials):
+                ranks = trials
+                break
+        if ranks is None:
+            raise GenericityFailure(
+                f"ranks inconsistent across samples for stratum {stratum.label!r}"
+            )
+        rank_k = [max(t[k] for t in ranks) for k in range(self.k_max + 1)]
+        s = [self.stratum_dim(stratum, k) - rank_k[k] for k in range(self.k_max + 1)]
+        h = [s[0]] + [s[k] - s[k - 1] for k in range(1, self.k_max + 1)]
+        return s, h
 
 
 def stratum_codim_sequence(
@@ -834,29 +852,7 @@ def stratum_codim_sequence(
     are checked tangent to the stratum and sentinel rows checked zero at
     every sampled point.
     """
-    if isinstance(stratum, str):
-        stratum = scenario.stratum(stratum)
-    engine = _StratumEngine(scenario, k_max)
-    rng = random.Random(seed)
-    ranks: list[list[int]] | None = None
-    for _ in range(2):
-        trials = []
-        for _ in range(3):
-            values = sample_stratum_point(
-                engine.space, stratum, rng, engine.positivity
-            )
-            trials.append(engine.ranks_for_point(values, stratum))
-        if all(t == trials[0] for t in trials):
-            ranks = trials
-            break
-    if ranks is None:
-        raise GenericityFailure(
-            f"ranks inconsistent across samples for stratum {stratum.label!r}"
-        )
-    rank_k = [max(t[k] for t in ranks) for k in range(k_max + 1)]
-    s = [engine.stratum_dim(stratum, k) - rank_k[k] for k in range(k_max + 1)]
-    h = [s[0]] + [s[k] - s[k - 1] for k in range(1, k_max + 1)]
-    return s, h
+    return _StratumEngine(scenario, k_max).codim_sequence(stratum, seed)
 
 
 def annihilation_check(
@@ -904,8 +900,7 @@ def annihilation_check(
         if den_value == 0:
             continue
         num_value = pair.num.evaluate(point)
-        rows, sentinel_rows = _rows_at_point(engine.prolonged, engine.params, point)
-        _check_sentinels(sentinel_rows)
+        rows = engine.rows(point)
         dn = [p.evaluate(point) for p in d_num]
         dd = [p.evaluate(point) for p in d_den]
         for row in rows:
@@ -1051,10 +1046,10 @@ def lie_example_table(k_max: int = 7, seed: int = 2024) -> list[StratumRow]:
     infinite stratum, handled analytically (the residual action there is
     the three translations, leaving one new invariant per order).
     """
-    scenario = get_scenario("x-reparam")
+    engine = _StratumEngine(get_scenario("x-reparam"), k_max)
     rows = []
     for label in _SIGMA_CHAIN:
-        _, h = stratum_codim_sequence(scenario, label, k_max, seed)
+        _, h = engine.codim_sequence(label, seed)
         if all(v == 0 for v in h):
             spec = HilbertSpec({}, 0, Polynomial.zero())
         else:

@@ -326,15 +326,23 @@ def _coerce_pair(value) -> RationalPair | None:
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank of a matrix of rationals via fraction-free elimination.
+    """Exact rank of a matrix of rationals (the one-cut case of rank_profile)."""
+    return rank_profile(rows, [len(rows[0]) if rows else 0])[0]
 
-    Rows are scaled to integers (rank-preserving), then reduced by the
-    Bareiss one-step method, which keeps all intermediate entries integral
-    and of moderate size.
+
+def rank_profile(rows: Sequence[Sequence[Fraction]], cuts: Sequence[int]) -> list[int]:
+    """Exact ranks of the leading column blocks row[:cut], cuts ascending.
+
+    Rows are scaled to integers (rank-preserving), then reduced column by
+    column by the Bareiss one-step method, which keeps all intermediate
+    entries integral and of moderate size.  Row operations act on every
+    leading block alike, so the pivots found left of a cut are the rank of
+    that block: one pass gives the whole profile.
     """
+    width = cuts[-1] if cuts else 0
     mat: list[list[int]] = []
     for row in rows:
-        fracs = [Fraction(x) for x in row]
+        fracs = [Fraction(x) for x in row[:width]]
         if all(x == 0 for x in fracs):
             continue
         scale = 1
@@ -347,28 +355,23 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
         if g > 1:
             ints = [x // g for x in ints]
         mat.append(ints)
-    if not mat:
-        return 0
     n_rows = len(mat)
-    n_cols = len(mat[0])
     rank = 0
     prev = 1
-    for col in range(n_cols):
-        pivot_row = None
-        for r in range(rank, n_rows):
-            if mat[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        piv = mat[rank][col]
-        for r in range(rank + 1, n_rows):
-            for c in range(col + 1, n_cols):
-                mat[r][c] = (mat[r][c] * piv - mat[r][col] * mat[rank][c]) // prev
-            mat[r][col] = 0
-        prev = piv
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+    col = 0
+    profile = []
+    for cut in cuts:
+        while col < cut and rank < n_rows:
+            pivot_row = next((r for r in range(rank, n_rows) if mat[r][col] != 0), None)
+            if pivot_row is not None:
+                mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
+                piv = mat[rank][col]
+                for r in range(rank + 1, n_rows):
+                    for c in range(col + 1, width):
+                        mat[r][c] = (mat[r][c] * piv - mat[r][col] * mat[rank][c]) // prev
+                    mat[r][col] = 0
+                prev = piv
+                rank += 1
+            col += 1
+        profile.append(rank)
+    return profile

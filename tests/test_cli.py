@@ -1,6 +1,11 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import poincount
 from poincount.cli import run
 
 
@@ -77,6 +82,10 @@ def test_exit_codes_for_errors():
     assert code == 2
     code, out, err = capture(["analyze", "--expr", "2z"])  # implicit product
     assert code == 2
+    for expr in ("1/0", "(1-z)/(z-z)"):  # division by zero while parsing
+        code, out, err = capture(["analyze", "--expr", expr])
+        assert code == 2 and out == ""
+        assert err.startswith("poincount: error:") and err.count("\n") == 1
     code, out, err = capture(["no-such-command"])
     assert code == 2
 
@@ -173,3 +182,18 @@ def test_verify_alias_filters_family_samples():
     rows = payload["tables"][0]["rows"]
     assert len(rows) == 1
     assert "takens-bogdanov" in rows[0][1]
+
+
+def test_module_entry_points_match_run():
+    expected = io.StringIO()
+    assert run(["list"], stdout=expected) == 0
+    src = str(Path(poincount.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for module in ("poincount", "poincount.cli"):
+        done = subprocess.run(
+            [sys.executable, "-m", module, "list"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == expected.getvalue(), module

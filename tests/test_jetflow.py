@@ -26,7 +26,7 @@ from poincount.jetflow import (
     total_derivative,
     vertical_representative,
 )
-from poincount.jetpoly import Poly, matrix_rank
+from poincount.jetpoly import Poly, matrix_rank, rank_profile
 
 from oracles import rational_rank, xreparam_stratum_oracle
 
@@ -262,8 +262,17 @@ def test_genericity_failure_error_exists():
 # -- the full table ------------------------------------------------------------
 
 
-def test_lie_example_table_rows():
+def test_lie_example_table_rows(monkeypatch):
+    instantiations = []
+    instantiate = Scenario.instantiate
+
+    def counted(self, space, cutoff):
+        instantiations.append(self.id)
+        return instantiate(self, space, cutoff)
+
+    monkeypatch.setattr(Scenario, "instantiate", counted)
     rows = {row.label: row for row in lie_example_table(7, 2024)}
+    assert instantiations == ["x-reparam"]  # one engine serves all strata
     reference = {
         "sigma0": "0",
         "sigma1": "z/(1-z)",
@@ -349,6 +358,10 @@ def test_matrix_rank_against_plain_elimination():
             for _ in range(4)
         ]
         assert matrix_rank(rows) == rational_rank(rows)
+        cuts = range(6)
+        assert rank_profile(rows, cuts) == [
+            rational_rank([row[:cut] for row in rows]) for cut in cuts
+        ]
 
 
 def test_sentinel_rows_are_zero_at_origin():
