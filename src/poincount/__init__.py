@@ -67,10 +67,10 @@ from .jetflow import (
     BadPoint,
     BadSample,
     GenericityFailure,
+    InvariantViolation,
     JetSpace,
     OrderExceeded,
     ParamField,
-    ProlongedField,
     Scenario,
     StratumCase,
     annihilation_check,
@@ -81,8 +81,6 @@ from .jetflow import (
     orbit_rank,
     prolong,
     stratum_codim_sequence,
-    total_derivative,
-    vertical_representative,
 )
 
 __version__ = "0.1.0"

@@ -395,9 +395,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_polynomial(self) -> bool:
-        return self.den.is_constant()
-
     def __eq__(self, other) -> bool:
         other = _coerce_ratfun(other)
         if other is None:

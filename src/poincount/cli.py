@@ -15,7 +15,8 @@ POINCOUNT_FORMAT environment variable.  JSON payloads are exact: every
 non-integer rational is {"num": "...", "den": "..."} with decimal-digit
 strings, never floating point.  Output is byte-identical for identical
 argv and seed.  Exit codes: 0 success / all consistent, 1 mismatch
-findings present, 2 usage or validity errors.
+findings present, 2 usage or validity errors, 3 a broken jet-engine
+invariant (a sentinel parameter acted, or a generator left its stratum).
 
 EXPR grammar (integer coefficients over the single symbol z):
 
@@ -458,6 +459,9 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     ) as exc:
         print(f"poincount: error: {exc}", file=stderr)
         return 2
+    except jetflow.InvariantViolation as exc:
+        print(f"poincount: engine invariant violated: {exc}", file=stderr)
+        return 3
     stdout.write(_render(payload, args.format))
     return code
 

@@ -165,7 +165,10 @@ def parse_expression(text: str) -> Node:
     if not tokens:
         raise ExpressionError("empty expression")
     parser = _Parser(tokens)
-    node = parser.parse_expr()
+    try:
+        node = parser.parse_expr()
+    except RecursionError:
+        raise ExpressionError("expression is nested too deeply") from None
     if parser.peek() is not None:
         raise ExpressionError(f"trailing input from token {parser.peek()!r}")
     return node
@@ -213,3 +216,5 @@ def parse_rational_function(text: str):
         return evaluate_node(node, RationalFunction.from_scalar, symbol)
     except ZeroDivisionError as exc:
         raise ExpressionError(f"{exc} in {text!r}") from None
+    except RecursionError:
+        raise ExpressionError("expression is nested too deeply") from None

@@ -4,23 +4,27 @@ A Scenario describes a bundle R^p x R^q, a family of generating vector
 fields whose coefficients are polynomials in the base and order-0 fiber
 coordinates and linear in the Taylor coefficients of finitely many free
 functions of the base, and coordinate strata (equalities / inequations on
-jet coordinates).  The engine prolongs the generators to jet space by the
-standard recursion
+jet coordinates).  The engine measures orbit codimensions by exact rank of
+the prolonged generators at seeded random rational points of a stratum.
 
-    component on u_{sigma + e_i} = D_i(component on u_sigma)
-                                   - sum_j u_{sigma + e_j} * D_i(xi_j),
+Rows are evaluated, never built symbolically.  All sampling places the
+base point at the origin: the shipped pseudogroups contain the base
+translations, which act trivially on the fiber jet coordinates of the
+trivialized bundle, so orbit ranks are unchanged.  There the prolonged
+component on u_sigma,
 
-evaluates them at seeded random rational points of a stratum, and measures
-the orbit codimension by exact rank.  All sampling places the base point
-at the origin: the shipped pseudogroups contain the base translations,
-which act trivially on the fiber jet coordinates of the trivialized
-bundle, so orbit ranks are unchanged -- and Taylor parameters above the
-cutoff then contribute exactly zero rows, which is asserted through
-sentinel parameters.
+    D^sigma Q + sum_i xi_i u_{sigma + e_i},   Q = phi - sum_i xi_i u_{e_i},
+
+equals d^sigma of Q along any section with the sampled jet, so `prolong`
+substitutes the jet's Taylor polynomial u(x) and reads each entry off one
+coefficient of Q(x, u(x), du(x)).  Jets of order k + 1 cancel between the
+two terms and are taken as zero.
 
 Free-function truncation: order-k components involve jets of the free
 functions up to order k + lift_order, so functions are truncated at
-polynomial degree k + lift_order + 1 with a sentinel one degree higher.
+polynomial degree k + lift_order + 1 with a sentinel one degree higher;
+over the base origin the sentinel must contribute exactly zero rows, which
+is asserted at every sampled point.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from math import factorial, prod
+from typing import Mapping, Optional, Sequence
 
 from .algebra import Polynomial, RationalFunction
 from .exprs import ExpressionError, evaluate_node, parse_expression
@@ -40,7 +45,7 @@ MultiIndex = tuple[int, ...]
 
 
 class OrderExceeded(ValueError):
-    """A total derivative stepped past the jet space's order."""
+    """A jet order outside 0..9, or a coordinate past the space's order."""
 
 
 class BadPoint(ValueError):
@@ -49,6 +54,10 @@ class BadPoint(ValueError):
 
 class NonlinearParameters(ValueError):
     """An expression multiplied two parameter-carrying factors."""
+
+
+class InvariantViolation(RuntimeError):
+    """A sentinel parameter acted or a generator left its stratum."""
 
 
 class GenericityFailure(RuntimeError):
@@ -95,8 +104,8 @@ class JetSpace:
         base_names: Sequence[str],
         fiber_names: Sequence[str],
     ):
-        if order > 9:
-            raise OrderExceeded("jet orders beyond 9 are not supported")
+        if not 0 <= order <= 9:
+            raise OrderExceeded(f"jet order {order} is outside the supported range 0..9")
         if len(base_names) != p or len(fiber_names) != q:
             raise ValueError("name lists must match p and q")
         self.p = p
@@ -161,159 +170,24 @@ class JetSpace:
         return list(self._names)
 
 
-def total_derivative(space: JetSpace, poly: Poly, direction: int) -> Poly:
-    """D_i = d/dx_i + sum u^alpha_{sigma+e_i} d/du^alpha_sigma on jet polynomials."""
-    if not 0 <= direction < space.p:
-        raise ValueError(f"direction {direction} out of range")
-    out = poly.diff(space.base_var(direction))
-    for var in poly.variables():
-        info = space.info(var)
-        if info[0] != "jet":
-            continue
-        partial = poly.diff(var)
-        if partial.is_zero():
-            continue
-        _, alpha, sigma = info
-        target = space.jet_var(alpha, _add_index(sigma, direction))
-        out = out + Poly.variable(target) * partial
-    return out
-
-
-class LinExpr:
-    """Polynomial expression linear in parameters: {param or None: Poly}."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: Mapping[Optional[int], Poly] | None = None):
-        cleaned = {}
-        if parts:
-            for key, poly in parts.items():
-                if not poly.is_zero():
-                    cleaned[key] = poly
-        object.__setattr__(self, "parts", cleaned)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("LinExpr is immutable")
-
-    @classmethod
-    def constant(cls, value) -> "LinExpr":
-        return cls({None: Poly.constant(value)})
-
-    @classmethod
-    def from_poly(cls, poly: Poly) -> "LinExpr":
-        return cls({None: poly})
-
-    @classmethod
-    def parameter(cls, param: int, coeff: Poly | None = None) -> "LinExpr":
-        return cls({param: coeff if coeff is not None else Poly.constant(1)})
-
-    def is_zero(self) -> bool:
-        return not self.parts
-
-    def param_free(self) -> bool:
-        return set(self.parts) <= {None}
-
-    def __add__(self, other) -> "LinExpr":
-        other = _coerce_lin(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.parts)
-        for key, poly in other.parts.items():
-            acc = out.get(key, Poly.zero()) + poly
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        return LinExpr(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LinExpr":
-        return LinExpr({key: -poly for key, poly in self.parts.items()})
-
-    def __sub__(self, other) -> "LinExpr":
-        other = _coerce_lin(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "LinExpr":
-        other = _coerce_lin(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other) -> "LinExpr":
-        other = _coerce_lin(other)
-        if other is None:
-            return NotImplemented
-        if not self.param_free() and not other.param_free():
-            raise NonlinearParameters(
-                "product of two parameter-carrying expressions"
-            )
-        if self.param_free():
-            scalar = self.parts.get(None, Poly.zero())
-            carrier = other
-        else:
-            scalar = other.parts.get(None, Poly.zero())
-            carrier = self
-        return LinExpr({key: scalar * poly for key, poly in carrier.parts.items()})
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "LinExpr":
-        other = _coerce_lin(other)
-        if other is None:
-            return NotImplemented
-        if not other.param_free():
-            raise NonlinearParameters("division by a parameter-carrying expression")
-        divisor = other.parts.get(None, Poly.zero())
-        try:
-            c = divisor.constant_value()
-        except ValueError:
-            raise NonlinearParameters(
-                "division by a non-constant polynomial in a field component"
-            ) from None
-        if c == 0:
-            raise ZeroDivisionError("division by zero")
-        inv = Fraction(1) / c
-        return LinExpr({key: poly * inv for key, poly in self.parts.items()})
-
-    def __pow__(self, exponent: int) -> "LinExpr":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative int")
-        if exponent == 0:
-            return LinExpr.constant(1)
-        if exponent == 1:
-            return self
-        if not self.param_free():
-            raise NonlinearParameters("power of a parameter-carrying expression")
-        return LinExpr({None: self.parts.get(None, Poly.zero()) ** exponent})
-
-    def map_polys(self, fn: Callable[[Poly], Poly]) -> "LinExpr":
-        return LinExpr({key: fn(poly) for key, poly in self.parts.items()})
-
-    def evaluate(self, point: Mapping[int, Fraction]) -> dict[Optional[int], Fraction]:
-        return {key: poly.evaluate(point) for key, poly in self.parts.items()}
-
-
-def _coerce_lin(value) -> LinExpr | None:
-    if isinstance(value, LinExpr):
-        return value
-    if isinstance(value, Poly):
-        return LinExpr.from_poly(value)
-    if isinstance(value, (int, Fraction)):
-        return LinExpr.constant(value)
-    return None
-
-
 @dataclass(frozen=True)
 class ParamField:
-    """A generating field on the order-0 bundle, linear in its parameters."""
+    """A generating field on the order-0 bundle, linear in its parameters.
+
+    Components are Polys in the base coordinates (variable i), the order-0
+    fiber coordinates (variable p + alpha, as in JetSpace) and the jet
+    tokens of the free functions (variables from p + q on).  `tokens` lists
+    (variable, function, gamma) for each token, the derivative d^gamma of
+    its function; parameter `param` of `slices` (param, function, beta)
+    replaces that function by the monomial x^beta.  The token-free part is
+    a fixed generator.
+    """
 
     label: str
-    xi: tuple[LinExpr, ...]  # base components
-    phi: tuple[LinExpr, ...]  # fiber components
+    xi: tuple[Poly, ...]  # base components
+    phi: tuple[Poly, ...]  # fiber components
+    tokens: tuple[tuple[int, str, MultiIndex], ...]
+    slices: tuple[tuple[int, str, MultiIndex], ...]
 
 
 @dataclass(frozen=True)
@@ -324,85 +198,97 @@ class ParamInfo:
     sentinel: bool
 
 
-@dataclass(frozen=True)
-class ProlongedField:
-    """Components of a prolonged generator on a JetSpace."""
-
-    space: JetSpace
-    label: str
-    xi: tuple[LinExpr, ...]
-    components: dict[tuple[int, MultiIndex], LinExpr]
-
-    def component(self, alpha: int, sigma: MultiIndex) -> LinExpr:
-        return self.components[(alpha, sigma)]
+def _factorial(sigma: MultiIndex) -> int:
+    return prod(factorial(s) for s in sigma)
 
 
-def prolong(space: JetSpace, field: ParamField, order: int | None = None) -> ProlongedField:
-    """Geometric prolongation of a field to jet coordinates of the space.
-
-    Seeds with the order-0 fiber components and applies the recursion; each
-    order-m component involves jet coordinates of order at most m, so the
-    result is a genuine vector field on the finite jet space.
-    """
-    k = space.order if order is None else order
-    if k > space.order:
-        raise OrderExceeded(f"order {k} exceeds the space's order {space.order}")
-    dxi = [
-        [field.xi[j].map_polys(lambda poly, i=i: total_derivative(space, poly, i))
-         for j in range(space.p)]
-        for i in range(space.p)
-    ]
-    components: dict[tuple[int, MultiIndex], LinExpr] = {}
-    zero_sigma = (0,) * space.p
-    for alpha in range(space.q):
-        components[(alpha, zero_sigma)] = field.phi[alpha]
-    for m in range(1, k + 1):
-        for sigma in _multi_indices(space.p, m):
-            i = next(idx for idx, s in enumerate(sigma) if s > 0)
-            tau = sigma[:i] + (sigma[i] - 1,) + sigma[i + 1 :]
-            for alpha in range(space.q):
-                prev = components[(alpha, tau)]
-                acc = prev.map_polys(
-                    lambda poly: total_derivative(space, poly, i)
-                )
-                for j in range(space.p):
-                    shift = Poly.variable(space.jet_var(alpha, _add_index(tau, j)))
-                    acc = acc - dxi[i][j] * shift
-                components[(alpha, sigma)] = acc
-    return ProlongedField(space=space, label=field.label, xi=field.xi, components=components)
-
-
-def vertical_representative(
-    p: int,
-    q: int,
-    base_names: Sequence[str],
-    fiber_names: Sequence[str],
-    field: ParamField,
-    k: int,
-) -> dict[tuple[int, MultiIndex], LinExpr]:
-    """Evolutionary form: component on u^alpha_sigma is D^sigma(characteristic).
-
-    The characteristic is Q_alpha = phi_alpha - sum_i xi_i u^alpha_{e_i};
-    components of order k involve jet coordinates of order k + 1, so they
-    live in a one-order-larger space (returned expressions reference it).
-    """
-    space = JetSpace(p, q, k + 1, base_names, fiber_names)
-    out: dict[tuple[int, MultiIndex], LinExpr] = {}
-    zero_sigma = (0,) * p
-    for alpha in range(q):
-        q_char = field.phi[alpha]
-        for i in range(p):
-            e_i = _add_index(zero_sigma, i)
-            q_char = q_char - field.xi[i] * Poly.variable(space.jet_var(alpha, e_i))
-        out[(alpha, zero_sigma)] = q_char
-        for m in range(1, k + 1):
-            for sigma in _multi_indices(p, m):
-                i = next(idx for idx, s in enumerate(sigma) if s > 0)
-                tau = sigma[:i] + (sigma[i] - 1,) + sigma[i + 1 :]
-                out[(alpha, sigma)] = out[(alpha, tau)].map_polys(
-                    lambda poly: total_derivative(space, poly, i)
-                )
+def _by_token(poly: Poly, p: int) -> dict[Optional[int], dict[MultiIndex, Fraction]]:
+    """Split a Poly in base variables and (linear) tokens into
+    {token or None: {base exponents: coefficient}}."""
+    out: dict[Optional[int], dict[MultiIndex, Fraction]] = {}
+    for mono, coeff in poly.terms.items():
+        exps = [0] * p
+        token = None
+        for var, e in mono:
+            if var < p:
+                exps[var] = e
+            else:
+                token = var
+        out.setdefault(token, {})[tuple(exps)] = coeff
     return out
+
+
+def prolong(
+    space: JetSpace, field: ParamField, point: Mapping[int, Fraction]
+) -> dict[Optional[int], list[Fraction]]:
+    """Nonzero tangent rows of a prolonged generator at a jet point.
+
+    One row per parameter slice (keyed by parameter index) and one for the
+    fixed part (key None), over all coordinates of the space; the base
+    point must be the origin.  With u(x) the degree-k Taylor polynomial of
+    the point's jet and Q_alpha = phi_alpha - sum_i xi_i d_i u^alpha along
+    it, the entry on u^alpha_sigma is
+
+        sigma! [x^sigma] Q_alpha + sum_i xi_i(0) u^alpha_{sigma + e_i},
+
+    with jets of order k + 1 taken as zero.  A slice x^beta reads its
+    coefficients off those of the tokens, d^gamma x^beta =
+    beta!/(beta - gamma)! x^(beta - gamma).
+    """
+    p, k = space.p, space.order
+    if any(point[space.base_var(i)] for i in range(p)):
+        raise BadPoint("tangent rows are evaluated over the base origin only")
+    zero = (0,) * p
+    jets = [sigma for m in range(k + 1) for sigma in _multi_indices(p, m)]
+    section = {}
+    for alpha in range(space.q):
+        section[space.jet_var(alpha, zero)] = Poly({
+            tuple((i, e) for i, e in enumerate(sigma) if e):
+                point[space.jet_var(alpha, sigma)] / _factorial(sigma)
+            for sigma in jets
+        })
+    xi_polys = [c.substitute(section) for c in field.xi]
+    xi = [_by_token(c, p) for c in xi_polys]
+    characteristic = []
+    for alpha, phi in enumerate(field.phi):
+        u = section[space.jet_var(alpha, zero)]
+        q_alpha = phi.substitute(section)
+        for i in range(p):
+            q_alpha = q_alpha - xi_polys[i] * u.diff(i)
+        characteristic.append(_by_token(q_alpha, p))
+
+    specs: list[tuple[Optional[int], list]] = [(None, [(None, 1, zero)])]
+    for param, fname, beta in field.slices:
+        spec = []
+        for var, f, gamma in field.tokens:
+            if f == fname and all(g <= b for g, b in zip(gamma, beta)):
+                shift = tuple(b - g for b, g in zip(beta, gamma))
+                spec.append((var, _factorial(beta) // _factorial(shift), shift))
+        specs.append((param, spec))
+
+    rows = {}
+    for key, spec in specs:
+        row = [Fraction(0)] * space.dim
+        for i in range(p):
+            for var, c, shift in spec:
+                if shift == zero:
+                    row[i] += c * xi[i].get(var, {}).get(zero, 0)
+        for alpha, q_alpha in enumerate(characteristic):
+            for var, c, shift in spec:
+                for rho, coeff in q_alpha.get(var, {}).items():
+                    sigma = tuple(r + s for r, s in zip(rho, shift))
+                    if sum(sigma) <= k:
+                        row[space.jet_var(alpha, sigma)] += c * coeff * _factorial(sigma)
+            for i in range(p):
+                if row[i]:
+                    for sigma in jets:
+                        if sum(sigma) < k:
+                            row[space.jet_var(alpha, sigma)] += row[i] * point[
+                                space.jet_var(alpha, _add_index(sigma, i))
+                            ]
+        if any(row):
+            rows[key] = row
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -480,92 +366,99 @@ class Scenario:
 
     # -- generator instantiation ----------------------------------------
 
-    def instantiate(
-        self, space: JetSpace, cutoff: int
-    ) -> tuple[list[ParamField], list[ParamInfo]]:
-        """Truncate free functions at polynomial degree `cutoff`.
+    def instantiate(self, cutoff: int) -> tuple[list[ParamField], list[ParamInfo]]:
+        """Parse the generators once, truncating free functions at degree `cutoff`.
 
         Parameters are the monomial coefficients of each free function up
         to the cutoff, plus one sentinel coefficient of degree cutoff + 1
         per function, which must act trivially in every later evaluation.
         Each free function belongs to the one generator that mentions it.
+        Components may use known symbols only, must be linear in the jet
+        tokens and may divide by constants only.
         """
+        first_token = self.p + self.q
         params: list[ParamInfo] = []
         fields = []
         for g_idx, gen in enumerate(self.generators):
-            symbols = set()
-            for expr in list(gen["xi"]) + list(gen["phi"]):
-                symbols |= _expression_symbols(expr)
-            tokens: dict[str, LinExpr] = {}
+            tokens: dict[str, tuple[int, str, MultiIndex]] = {}
+
+            def resolve(name: str) -> RationalPair:
+                if name not in tokens:
+                    found = self._token(name)
+                    if found is not None:
+                        tokens[name] = (first_token + len(tokens),) + found
+                if name in tokens:
+                    var = tokens[name][0]
+                elif name in self.base:
+                    var = self.base.index(name)
+                elif name in self.fiber:
+                    var = self.p + self.fiber.index(name)
+                else:
+                    raise ExpressionError(
+                        f"unknown symbol {name!r} in a generator of scenario {self.id!r}"
+                    )
+                return RationalPair(Poly.variable(var))
+
+            def component(text: str) -> Poly:
+                pair = evaluate_node(parse_expression(text), RationalPair.constant, resolve)
+                try:
+                    divisor = pair.den.constant_value()
+                except ValueError:
+                    raise NonlinearParameters(
+                        "division by a non-constant polynomial in a field component"
+                    ) from None
+                poly = pair.num * (1 / divisor)
+                for mono in poly.terms:
+                    if sum(e for var, e in mono if var >= first_token) > 1:
+                        raise NonlinearParameters(
+                            "product of two parameter-carrying expressions"
+                        )
+                return poly
+
+            xi = tuple(component(text) for text in gen["xi"])
+            phi = tuple(component(text) for text in gen["phi"])
+            if len(xi) != self.p or len(phi) != self.q:
+                raise ValueError("generator component count must match p and q")
+            used = {fname for _, fname, _ in tokens.values()}
+            slices = []
             for fname in self.free_functions:
-                gammas = self._requested_gammas(fname, symbols)
-                if not gammas:
+                if fname not in used:
                     continue
-                degrees: list[tuple[MultiIndex, int]] = []
                 for total in range(cutoff + 1):
                     for beta in _multi_indices(self.p, total):
-                        degrees.append((beta, len(params)))
-                        params.append(
-                            ParamInfo(name=f"{fname}[{beta}]", sentinel=False)
-                        )
+                        slices.append((len(params), fname, beta))
+                        params.append(ParamInfo(name=f"{fname}[{beta}]", sentinel=False))
                 sentinel_beta = (cutoff + 1,) + (0,) * (self.p - 1)
-                degrees.append((sentinel_beta, len(params)))
+                slices.append((len(params), fname, sentinel_beta))
                 params.append(
                     ParamInfo(name=f"{fname}[{sentinel_beta}]#sentinel", sentinel=True)
                 )
-                for token, gamma in gammas.items():
-                    parts: dict[Optional[int], Poly] = {}
-                    for beta, param in degrees:
-                        poly = _monomial_derivative(space, beta, gamma)
-                        if not poly.is_zero():
-                            parts[param] = poly
-                    tokens[token] = LinExpr(parts)
-            resolver = self._symbol_resolver(space, tokens)
-            xi = tuple(_parse_component(expr, resolver) for expr in gen["xi"])
-            phi = tuple(_parse_component(expr, resolver) for expr in gen["phi"])
-            if len(xi) != self.p or len(phi) != self.q:
-                raise ValueError("generator component count must match p and q")
-            fields.append(ParamField(label=f"gen{g_idx}", xi=xi, phi=phi))
+            fields.append(
+                ParamField(
+                    label=f"gen{g_idx}",
+                    xi=xi,
+                    phi=phi,
+                    tokens=tuple(tokens.values()),
+                    slices=tuple(slices),
+                )
+            )
         return fields, params
 
-    def _requested_gammas(self, fname: str, symbols: set) -> dict[str, MultiIndex]:
-        """Map of jet tokens of one free function used in the expressions."""
-        out: dict[str, MultiIndex] = {}
-        for sym in symbols:
-            if sym == fname:
-                out[sym] = (0,) * self.p
-            elif sym.startswith(fname + "_"):
-                suffix = sym[len(fname) + 1 :]
+    def _token(self, name: str) -> tuple[str, MultiIndex] | None:
+        """(function, gamma) of a free-function jet token f, f_x, f_xy, ..."""
+        for fname in self.free_functions:
+            if name == fname:
+                return fname, (0,) * self.p
+            if name.startswith(fname + "_"):
                 gamma = [0] * self.p
-                for ch in suffix:
+                for ch in name[len(fname) + 1 :]:
                     if ch not in self.base:
                         raise ExpressionError(
-                            f"bad derivative suffix {sym!r}: {ch!r} is not a base variable"
+                            f"bad derivative suffix {name!r}: {ch!r} is not a base variable"
                         )
                     gamma[self.base.index(ch)] += 1
-                out[sym] = tuple(gamma)
-        return out
-
-    def _symbol_resolver(self, space: JetSpace, tokens: dict[str, LinExpr]):
-        zero_sigma = (0,) * self.p
-
-        def resolve(name: str) -> LinExpr:
-            if name in tokens:
-                return tokens[name]
-            if name in self.base:
-                return LinExpr.from_poly(
-                    Poly.variable(space.base_var(self.base.index(name)))
-                )
-            if name in self.fiber:
-                alpha = self.fiber.index(name)
-                return LinExpr.from_poly(
-                    Poly.variable(space.jet_var(alpha, zero_sigma))
-                )
-            raise ExpressionError(
-                f"unknown symbol {name!r} in a generator of scenario {self.id!r}"
-            )
-
-        return resolve
+                return fname, tuple(gamma)
+        return None
 
     # -- invariant parsing -------------------------------------------------
 
@@ -575,48 +468,6 @@ class Scenario:
 
         node = parse_expression(text)
         return evaluate_node(node, RationalPair.constant, resolve)
-
-
-def _expression_symbols(text: str) -> set[str]:
-    from .exprs import Sym, Neg, BinOp, Pow, parse_expression as _parse
-
-    node = _parse(text)
-    out: set[str] = set()
-
-    def walk(n):
-        if isinstance(n, Sym):
-            out.add(n.name)
-        elif isinstance(n, Neg):
-            walk(n.operand)
-        elif isinstance(n, BinOp):
-            walk(n.left)
-            walk(n.right)
-        elif isinstance(n, Pow):
-            walk(n.base)
-
-    walk(node)
-    return out
-
-
-def _parse_component(text: str, resolver) -> LinExpr:
-    node = parse_expression(text)
-    return evaluate_node(node, LinExpr.constant, resolver)
-
-
-def _monomial_derivative(space: JetSpace, beta: MultiIndex, gamma: MultiIndex) -> Poly:
-    """d^gamma (x^beta) as a polynomial in the base variables."""
-    coeff = 1
-    exps = []
-    for i in range(len(beta)):
-        if gamma[i] > beta[i]:
-            return Poly.zero()
-        for step in range(gamma[i]):
-            coeff *= beta[i] - step
-        exps.append(beta[i] - gamma[i])
-    mono = tuple(
-        (space.base_var(i), e) for i, e in enumerate(exps) if e > 0
-    )
-    return Poly({mono: Fraction(coeff)})
 
 
 # ---------------------------------------------------------------------------
@@ -639,49 +490,6 @@ def make_point(space: JetSpace, values: Mapping[str, Fraction]) -> dict[int, Fra
         else:
             raise BadPoint(f"missing value for coordinate {space.name_of(var)!r}")
     return point
-
-
-def _rows_at_point(
-    prolonged: Sequence[ProlongedField],
-    params: Sequence[ParamInfo],
-    point: Mapping[int, Fraction],
-) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
-    """Tangent rows (one per parameter / per fixed generator) and the
-    sentinel violations (sentinel parameters with any nonzero entry)."""
-    if not prolonged:
-        return [], []
-    space = prolonged[0].space
-    coords = list(space.coordinates())
-    n = len(coords)
-    rows: list[list[Fraction]] = []
-    violations: list[list[Fraction]] = []
-    zero = Fraction(0)
-    for field in prolonged:
-        per_key: dict[Optional[int], list[Fraction]] = {}
-
-        def bump(key, col, value):
-            if value == 0:
-                return
-            row = per_key.get(key)
-            if row is None:
-                row = [zero] * n
-                per_key[key] = row
-            row[col] = value
-
-        for col, var in enumerate(coords):
-            info = space.info(var)
-            if info[0] == "base":
-                expr = field.xi[info[1]]
-            else:
-                expr = field.components[(info[1], info[2])]
-            for key, value in expr.evaluate(point).items():
-                bump(key, col, value)
-        for key, row in per_key.items():
-            if key is not None and params[key].sentinel:
-                violations.append(row)
-            else:
-                rows.append(row)
-    return rows, violations
 
 
 def orbit_rank(
@@ -750,8 +558,9 @@ def sample_stratum_point(
 class _StratumEngine:
     """The one route from a scenario to tangent rows and ranks at one order.
 
-    Instantiation and prolongation happen once here; every stratum, sample
-    point and invariant check of the scenario at this order reuses them.
+    The generators are instantiated once here; every stratum, sample point
+    and invariant check of the scenario at this order reuses them, and
+    `prolong` evaluates their rows at each point.
     The engine holds no random state: each caller seeds its own generator.
     """
 
@@ -762,8 +571,7 @@ class _StratumEngine:
         cutoff = (
             param_cutoff if param_cutoff is not None else k_max + scenario.lift_order + 1
         )
-        fields, self.params = scenario.instantiate(self.space, cutoff)
-        self.prolonged = [prolong(self.space, f) for f in fields]
+        self.fields, self.params = scenario.instantiate(cutoff)
         # column count of the order-k block (coordinates are sorted by order)
         self.cols_at = [
             self.space.p
@@ -780,17 +588,16 @@ class _StratumEngine:
         ]
 
     def rows(self, point: Mapping[int, Fraction]) -> list[list[Fraction]]:
-        """Tangent rows at a point; with the base point at the origin the
-        sentinel parameters must act trivially (error otherwise)."""
-        rows, sentinel_rows = _rows_at_point(self.prolonged, self.params, point)
-        base_at_origin = all(
-            point[self.space.base_var(i)] == 0 for i in range(self.space.p)
-        )
-        if sentinel_rows and base_at_origin:
-            raise ValueError(
-                "sentinel parameter acts nontrivially: cutoff too small "
-                "or base point away from the origin"
-            )
+        """Nonzero tangent rows at a point over the base origin; the
+        sentinel parameters must act trivially (InvariantViolation)."""
+        rows = []
+        for field in self.fields:
+            for key, row in prolong(self.space, field, point).items():
+                if key is not None and self.params[key].sentinel:
+                    raise InvariantViolation(
+                        "sentinel parameter acts nontrivially: cutoff too small"
+                    )
+                rows.append(row)
         return rows
 
     def ranks_for_point(self, values: Mapping[str, Fraction], stratum: StratumCase) -> list[int]:
@@ -799,7 +606,7 @@ class _StratumEngine:
         for row in rows:
             for col in eq_cols:
                 if row[col] != 0:
-                    raise ValueError(
+                    raise InvariantViolation(
                         f"generator not tangent to stratum {stratum.label!r} "
                         f"at coordinate {self.space.name_of(col)!r}"
                     )
@@ -1077,10 +884,10 @@ def lie_example_table(k_max: int = 7, seed: int = 2024) -> list[StratumRow]:
 def metric2d_case(k_max: int, seed: int = 2024) -> list[int]:
     """h_k of plane metrics under diffeomorphisms, by direct rank counting.
 
-    Cost-guarded to k_max <= 4 (the prolonged expressions grow quickly).
+    Cost-guarded to k_max <= 6: rows and ranks grow steeply with the order.
     """
-    if k_max > 4:
-        raise ValueError("metric2d_case is cost-guarded to k_max <= 4")
+    if k_max > 6:
+        raise ValueError("metric2d_case is cost-guarded to k_max <= 6")
     scenario = get_scenario("metric2d")
     _, h = stratum_codim_sequence(scenario, "generic", k_max, seed)
     return h

@@ -173,30 +173,16 @@ class Poly:
             total += term
         return total
 
-    def substitute(self, values: Mapping[int, Fraction]) -> "Poly":
-        """Partially evaluate the given variables, keeping the rest symbolic."""
-        out: dict[Monomial, Fraction] = {}
+    def substitute(self, values: Mapping[int, "Poly"]) -> "Poly":
+        """Replace the given variables by polynomials, keeping the rest."""
+        out = Poly.zero()
         for mono, coeff in self.terms.items():
-            kept = []
-            c = coeff
+            term = _wrap({tuple((v, e) for v, e in mono if v not in values): coeff})
             for var, exp in mono:
                 if var in values:
-                    v = values[var]
-                    if v == 0:
-                        c = _ZERO
-                        break
-                    c *= v**exp
-                else:
-                    kept.append((var, exp))
-            if not c:
-                continue
-            key = tuple(kept)
-            acc = out.get(key, _ZERO) + c
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        return _wrap(out)
+                    term = term * values[var] ** exp
+            out = out + term
+        return out
 
     def __repr__(self) -> str:
         if not self.terms:

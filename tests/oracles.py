@@ -136,3 +136,120 @@ def xreparam_stratum_oracle(index, k_max, seed):
         best = s if best is None else [max(a, b) for a, b in zip(best, s)]
     h = [best[0]] + [best[k] - best[k - 1] for k in range(1, k_max + 1)]
     return best, h
+
+
+# -- symbolic prolongation oracle ----------------------------------------------
+#
+# The textbook route, independent of the engine's section evaluation: put a
+# concrete polynomial for each free function (a Taylor monomial x^beta), prolong
+# the resulting field symbolically by the recursion
+#
+#     phi^sigma = D_i phi^tau - sum_j u_{tau + e_j} D_i xi_j    (sigma = tau + e_i)
+#
+# on plain jet polynomials, and evaluate it at the point.
+
+
+def total_derivative(space, poly, direction):
+    """D_i = d/dx_i + sum u^alpha_{sigma+e_i} d/du^alpha_sigma on jet polynomials."""
+    from poincount.jetpoly import Poly
+
+    out = poly.diff(space.base_var(direction))
+    for var in poly.variables():
+        info = space.info(var)
+        if info[0] != "jet":
+            continue
+        _, alpha, sigma = info
+        up = sigma[:direction] + (sigma[direction] + 1,) + sigma[direction + 1 :]
+        out = out + Poly.variable(space.jet_var(alpha, up)) * poly.diff(var)
+    return out
+
+
+def _concrete_component(scenario, space, text, functions):
+    """A generator component with free function f replaced by functions[f]
+    (a Poly in the base variables; absent functions are zero)."""
+    from poincount.exprs import evaluate_node, parse_expression
+    from poincount.jetpoly import Poly, RationalPair
+
+    def resolve(name):
+        if name in scenario.base:
+            return RationalPair(Poly.variable(space.base_var(scenario.base.index(name))))
+        if name in scenario.fiber:
+            zero = (0,) * scenario.p
+            return RationalPair(Poly.variable(space.jet_var(scenario.fiber.index(name), zero)))
+        fname, _, suffix = name.partition("_")
+        if fname not in scenario.free_functions:
+            raise KeyError(name)
+        poly = functions.get(fname, Poly.zero())
+        for ch in suffix:
+            poly = poly.diff(space.base_var(scenario.base.index(ch)))
+        return RationalPair(poly)
+
+    pair = evaluate_node(parse_expression(text), RationalPair.constant, resolve)
+    return pair.num * (1 / pair.den.constant_value())
+
+
+def _prolonged_row(space, xi, phi, point):
+    """Row of the prolonged field (xi, phi) over all coordinates at the point."""
+    from poincount.jetpoly import Poly
+
+    p = space.p
+    components = {(alpha, (0,) * p): phi[alpha] for alpha in range(space.q)}
+    dxi = [[total_derivative(space, xi[j], i) for j in range(p)] for i in range(p)]
+    for m in range(1, space.order + 1):
+        for var in space.coordinates():
+            info = space.info(var)
+            if info[0] != "jet" or sum(info[2]) != m:
+                continue
+            _, alpha, sigma = info
+            i = next(idx for idx, s in enumerate(sigma) if s > 0)
+            tau = sigma[:i] + (sigma[i] - 1,) + sigma[i + 1 :]
+            comp = total_derivative(space, components[(alpha, tau)], i)
+            for j in range(p):
+                up = tau[:j] + (tau[j] + 1,) + tau[j + 1 :]
+                comp = comp - Poly.variable(space.jet_var(alpha, up)) * dxi[i][j]
+            components[(alpha, sigma)] = comp
+    row = []
+    for var in space.coordinates():
+        info = space.info(var)
+        poly = xi[info[1]] if info[0] == "base" else components[(info[1], info[2])]
+        row.append(poly.evaluate(point))
+    return row
+
+
+def prolonged_rows_oracle(scenario, k, cutoff, point):
+    """Nonzero tangent rows at a jet point: for each generator its
+    function-free part, and the difference made by setting one free function
+    to x^beta (|beta| <= cutoff), the others to zero."""
+    from poincount.jetpoly import Poly
+
+    space = scenario.space(k)
+    monomials = [
+        beta
+        for total in range(cutoff + 1)
+        for beta in product(range(total + 1), repeat=scenario.p)
+        if sum(beta) == total
+    ]
+    rows = []
+    for gen in scenario.generators:
+
+        def field(functions):
+            return (
+                [_concrete_component(scenario, space, t, functions) for t in gen["xi"]],
+                [_concrete_component(scenario, space, t, functions) for t in gen["phi"]],
+            )
+
+        xi0, phi0 = field({})
+        slices = [(xi0, phi0)]
+        for fname in scenario.free_functions:
+            for beta in monomials:
+                exps = tuple((space.base_var(i), e) for i, e in enumerate(beta) if e)
+                x_beta = Poly({exps: Fraction(1)})
+                xi, phi = field({fname: x_beta})
+                slices.append(
+                    ([a - b for a, b in zip(xi, xi0)], [a - b for a, b in zip(phi, phi0)])
+                )
+        for xi, phi in slices:
+            row = _prolonged_row(space, xi, phi, point)
+            if any(row):
+                rows.append(row)
+    return rows

@@ -82,12 +82,30 @@ def test_exit_codes_for_errors():
     assert code == 2
     code, out, err = capture(["analyze", "--expr", "2z"])  # implicit product
     assert code == 2
-    for expr in ("1/0", "(1-z)/(z-z)"):  # division by zero while parsing
-        code, out, err = capture(["analyze", "--expr", expr])
-        assert code == 2 and out == ""
+    for argv in (
+        ["analyze", "--expr", "1/0"],  # division by zero while parsing
+        ["analyze", "--expr", "(1-z)/(z-z)"],
+        ["analyze", "--expr", "(" * 3000 + "z" + ")" * 3000],  # deep nesting
+        ["analyze", "--expr", "z" + "+z" * 3000],  # deep left-leaning sum
+        ["strata-demo", "--kmax", "-1"],  # negative jet order
+    ):
+        code, out, err = capture(argv)
+        assert code == 2 and out == "", argv[:2]
         assert err.startswith("poincount: error:") and err.count("\n") == 1
     code, out, err = capture(["no-such-command"])
     assert code == 2
+
+
+def test_engine_invariant_violation_exits_three(monkeypatch):
+    from poincount import jetflow
+
+    def broken(self, point):
+        raise jetflow.InvariantViolation("sentinel parameter acts nontrivially")
+
+    monkeypatch.setattr(jetflow._StratumEngine, "rows", broken)
+    code, out, err = capture(["metric2d", "--kmax", "1"])
+    assert code == 3 and out == ""
+    assert err.startswith("poincount: engine invariant violated:") and err.count("\n") == 1
 
 
 def test_rederive_match_exit_zero():

@@ -7,12 +7,13 @@ from poincount.exprs import ExpressionError, parse_rational_function
 from poincount.jetflow import (
     BadPoint,
     BadSample,
-    JetSpace,
+    InvariantViolation,
     NonlinearParameters,
     OrderExceeded,
     Scenario,
     StratumCase,
     UnknownScenario,
+    X_REPARAM,
     annihilation_check,
     distribution_example,
     get_scenario,
@@ -23,12 +24,17 @@ from poincount.jetflow import (
     prolong,
     sample_stratum_point,
     stratum_codim_sequence,
-    total_derivative,
-    vertical_representative,
+    _StratumEngine,
 )
+from poincount.catalog import hilbert_spec
 from poincount.jetpoly import Poly, matrix_rank, rank_profile
 
-from oracles import rational_rank, xreparam_stratum_oracle
+from oracles import (
+    prolonged_rows_oracle,
+    rational_rank,
+    total_derivative,
+    xreparam_stratum_oracle,
+)
 
 SC = get_scenario("x-reparam")
 
@@ -60,43 +66,31 @@ def test_total_derivative_order_overflow():
 # -- prolongation ------------------------------------------------------------
 
 
-def _xreparam_fields(space, cutoff):
-    return SC.instantiate(space, cutoff)
+def _generic_point(space, seed):
+    return make_point(space, _generic_point_values(space, random.Random(seed)))
 
 
 def test_prolong_fiber_translation_is_unchanged():
     space = SC.space(3)
-    fields, _ = _xreparam_fields(space, 4)
-    du = prolong(space, fields[2])  # d/du
-    zero = (0, 0)
-    assert du.components[(0, zero)].parts[None] == Poly.constant(1)
-    for (alpha, sigma), comp in du.components.items():
-        if sigma != zero:
-            assert comp.is_zero()
+    fields, _ = SC.instantiate(4)
+    rows = prolong(space, fields[2], _generic_point(space, 3))  # d/du
+    unit = [Fraction(0)] * space.dim
+    unit[space.jet_var(0, (0, 0))] = Fraction(1)
+    assert rows == {None: unit}
 
 
 def test_prolong_constant_translation_geometric_vs_vertical():
     # geometric prolongation of the constant-f generator slice: the constant
-    # parameter produces a pure base translation with no fiber components;
-    # the vertical representative of the same slice is the shift field
-    # -sum u_{sigma+e_x} d/du_sigma.
+    # parameter produces a pure base translation with no fiber components
     space = SC.space(3)
-    fields, params = _xreparam_fields(space, 4)
-    f_family = fields[0]
+    fields, params = SC.instantiate(4)
     const_param = next(
         i for i, info in enumerate(params) if info.name == "f[(0, 0)]"
     )
-    geo = prolong(space, f_family)
-    for (alpha, sigma), comp in geo.components.items():
-        assert const_param not in comp.parts, "translation has no fiber components"
-    assert f_family.xi[0].parts[const_param] == Poly.constant(1)
-
-    vert = vertical_representative(2, 1, SC.base, SC.fiber, f_family, 2)
-    big = JetSpace(2, 1, 3, SC.base, SC.fiber)
-    for (alpha, sigma), comp in vert.items():
-        got = comp.parts.get(const_param, Poly.zero())
-        e_x = (sigma[0] + 1, sigma[1])
-        assert got == -Poly.variable(big.jet_var(alpha, e_x))
+    rows = prolong(space, fields[0], _generic_point(space, 4))
+    unit = [Fraction(0)] * space.dim
+    unit[space.base_var(0)] = Fraction(1)
+    assert rows[const_param] == unit
 
 
 def test_prolong_order2_components_match_closed_form():
@@ -104,11 +98,10 @@ def test_prolong_order2_components_match_closed_form():
     # -(i f_{i-1,j} u20 + j f_{i,j-1} u11), with f_{a,b} the value of the
     # (a,b) partial at the origin
     space = SC.space(2)
-    fields, params = _xreparam_fields(space, 3)
-    geo = prolong(space, fields[0])
-    u10 = space.jet_var(0, (1, 0))
-    u20 = Poly.variable(space.jet_var(0, (2, 0)))
-    u11 = Poly.variable(space.jet_var(0, (1, 1)))
+    fields, params = SC.instantiate(3)
+    values = _generic_point_values(space, random.Random(6))
+    values["u10"] = Fraction(0)
+    rows = prolong(space, fields[0], make_point(space, values))
 
     def monomial_partial_at_origin(beta, gamma):
         # d^gamma(x^beta)(0) is nonzero only for gamma = beta, value beta!
@@ -120,32 +113,33 @@ def test_prolong_order2_components_match_closed_form():
                 out *= step
         return out
 
-    base_origin = {space.base_var(0): Fraction(0), space.base_var(1): Fraction(0)}
-    for (i, j) in [(2, 0), (1, 1), (0, 2)]:
-        comp = geo.components[(0, (i, j))]
-        for pid, poly in comp.parts.items():
-            restricted = poly.substitute({u10: Fraction(0)}).substitute(base_origin)
-            beta = eval(params[pid].name.split("[")[1].split("#")[0].rstrip("]"))
-            expected = Poly.zero()
+    for pid, info in enumerate(params):
+        row = rows.get(pid, [0] * space.dim)
+        beta = eval(info.name.split("[")[1].split("#")[0].rstrip("]"))
+        for (i, j) in [(2, 0), (1, 1), (0, 2)]:
             c1 = monomial_partial_at_origin(beta, (i - 1, j)) if i else 0
             c2 = monomial_partial_at_origin(beta, (i, j - 1)) if j else 0
-            if c1:
-                expected = expected - i * c1 * u20
-            if c2:
-                expected = expected - j * c2 * u11
-            assert restricted == expected, ((i, j), params[pid].name)
+            expected = -(i * c1 * values["u20"] + j * c2 * values["u11"])
+            assert row[space.jet_var(0, (i, j))] == expected, ((i, j), info.name)
+
+
+def _projected_rows_match(scenario, k, j, cutoff, seed):
+    # engine(k) rows cut to the order-j columns equal engine(j) rows at the
+    # same jet (coordinates are sorted by order, so J^j is a prefix of J^k)
+    big = _StratumEngine(scenario, k, cutoff)
+    small = _StratumEngine(scenario, j, cutoff)
+    values = _generic_point_values(big.space, random.Random(seed))
+    low_names = set(small.space.coordinate_names())
+    low_values = {name: v for name, v in values.items() if name in low_names}
+    width = big.cols_at[j]
+    cut = [row[:width] for row in big.rows(make_point(big.space, values))]
+    low = small.rows(make_point(small.space, low_values))
+    assert sorted(row for row in cut if any(row)) == sorted(low), (k, j)
 
 
 def test_prolong_projection_consistency():
-    big = SC.space(7)
-    fields, _ = SC.instantiate(big, 8)
-    top = prolong(big, fields[0])
-    for k in range(7):
-        small = SC.space(k)
-        small_fields, _ = SC.instantiate(small, 8)
-        low = prolong(small, small_fields[0])
-        for (alpha, sigma), comp in low.components.items():
-            assert top.components[(alpha, sigma)].parts == comp.parts
+    for j in range(7):
+        _projected_rows_match(SC, 7, j, 8, seed=40 + j)
 
 
 # -- orbit ranks -------------------------------------------------------------
@@ -200,6 +194,10 @@ def test_orbit_rank_bad_point():
     values = _generic_point_values(space, random.Random(2))
     values["nonsense"] = Fraction(1)
     with pytest.raises(BadPoint):
+        orbit_rank(SC, values, 1)
+    values = _generic_point_values(space, random.Random(2))
+    values["x"] = Fraction(1)  # rows are evaluated over the base origin only
+    with pytest.raises(BadPoint, match="origin"):
         orbit_rank(SC, values, 1)
 
 
@@ -266,9 +264,9 @@ def test_lie_example_table_rows(monkeypatch):
     instantiations = []
     instantiate = Scenario.instantiate
 
-    def counted(self, space, cutoff):
+    def counted(self, cutoff):
         instantiations.append(self.id)
-        return instantiate(self, space, cutoff)
+        return instantiate(self, cutoff)
 
     monkeypatch.setattr(Scenario, "instantiate", counted)
     rows = {row.label: row for row in lie_example_table(7, 2024)}
@@ -327,9 +325,13 @@ def test_metric2d_order_four():
     assert metric2d_case(4, seed=9) == [0, 0, 1, 1, 3]
 
 
+def test_metric2d_order_six_matches_catalog():
+    assert metric2d_case(6, seed=9) == hilbert_spec("riemannian", n=2).values(6)
+
+
 def test_metric2d_cost_guard():
     with pytest.raises(ValueError):
-        metric2d_case(5)
+        metric2d_case(7)
 
 
 # -- distribution sub-example ------------------------------------------------------
@@ -366,14 +368,15 @@ def test_matrix_rank_against_plain_elimination():
 
 def test_sentinel_rows_are_zero_at_origin():
     space = SC.space(4)
-    fields, params = SC.instantiate(space, 5)
-    from poincount.jetflow import _rows_at_point, prolong as _prolong
-
-    prolonged = [_prolong(space, f) for f in fields]
-    values = _generic_point_values(space, random.Random(17))
-    point = make_point(space, values)
+    fields, params = SC.instantiate(5)
+    point = _generic_point(space, 17)
     assert any(info.sentinel for info in params)
-    _, violations = _rows_at_point(prolonged, params, point)
+    violations = [
+        row
+        for field in fields
+        for key, row in prolong(space, field, point).items()
+        if key is not None and params[key].sentinel and any(row)
+    ]
     assert violations == []  # the sentinel acts trivially at base-origin points
 
 
@@ -382,7 +385,7 @@ def test_sentinel_violation_detected_when_cutoff_too_small():
     # the degree-2 sentinel act nontrivially and must be caught
     space = SC.space(3)
     values = _generic_point_values(space, random.Random(18))
-    with pytest.raises(ValueError, match="sentinel"):
+    with pytest.raises(InvariantViolation, match="sentinel"):
         orbit_rank(SC, values, 3, param_cutoff=1)
 
 
@@ -403,7 +406,7 @@ def test_scenario_errors():
         }
     )
     with pytest.raises(ExpressionError):
-        bad.instantiate(bad.space(1), 2)
+        bad.instantiate(2)
     nonlinear = Scenario(
         {
             "id": "nonlinear",
@@ -415,7 +418,7 @@ def test_scenario_errors():
         }
     )
     with pytest.raises(NonlinearParameters):
-        nonlinear.instantiate(nonlinear.space(1), 2)
+        nonlinear.instantiate(2)
 
 
 def test_jet_space_shape():
@@ -437,24 +440,23 @@ def test_sample_respects_stratum():
             assert abs(v.numerator) <= 20 * v.denominator or v == 0
 
 
+# affine reparametrizations of the line plus fiber scaling
+LINE_AFFINE = {
+    "id": "line-affine-scale",
+    "base": ["x"],
+    "fiber": ["u"],
+    "generators": [
+        {"xi": ["1"], "phi": ["0"]},
+        {"xi": ["x"], "phi": ["0"]},
+        {"xi": ["0"], "phi": ["u"]},
+    ],
+    "strata": [{"label": "generic", "equalities": [], "inequations": ["u1", "u"]}],
+}
+
+
 def test_new_scenario_from_dict_without_code_changes():
-    # affine reparametrizations of the line plus fiber scaling: the classic
-    # first nontrivial invariant u * u2 / u1^2 appears at order 2
-    scenario = Scenario(
-        {
-            "id": "line-affine-scale",
-            "base": ["x"],
-            "fiber": ["u"],
-            "generators": [
-                {"xi": ["1"], "phi": ["0"]},
-                {"xi": ["x"], "phi": ["0"]},
-                {"xi": ["0"], "phi": ["u"]},
-            ],
-            "strata": [
-                {"label": "generic", "equalities": [], "inequations": ["u1", "u"]}
-            ],
-        }
-    )
+    # the classic first nontrivial invariant u * u2 / u1^2 appears at order 2
+    scenario = Scenario(LINE_AFFINE)
     s, h = stratum_codim_sequence(scenario, "generic", 3, seed=5)
     assert s == [0, 0, 1, 2]
     assert h == [0, 0, 1, 1]
@@ -463,33 +465,37 @@ def test_new_scenario_from_dict_without_code_changes():
 
 
 def test_projection_consistency_all_generators():
+    # per generator: each one's rows must project on its own
     for gen_index in range(3):
-        big = SC.space(7)
-        fields, _ = SC.instantiate(big, 8)
-        top = prolong(big, fields[gen_index])
-        small = SC.space(4)
-        small_fields, _ = SC.instantiate(small, 8)
-        low = prolong(small, small_fields[gen_index])
-        for key, comp in low.components.items():
-            assert top.components[key].parts == comp.parts
+        single = Scenario(dict(X_REPARAM, generators=[X_REPARAM["generators"][gen_index]]))
+        _projected_rows_match(single, 7, 4, 8, seed=50 + gen_index)
 
 
 def test_projection_consistency_metric_lift():
-    mc = get_scenario("metric2d")
-    big = mc.space(3)
-    fields, _ = mc.instantiate(big, 5)
-    top = prolong(big, fields[0])
-    small = mc.space(2)
-    small_fields, _ = mc.instantiate(small, 5)
-    low = prolong(small, small_fields[0])
-    for key, comp in low.components.items():
-        assert top.components[key].parts == comp.parts
+    _projected_rows_match(get_scenario("metric2d"), 3, 2, 5, seed=60)
+
+
+def test_rows_match_symbolic_prolongation_oracle():
+    # the engine's section evaluation against the textbook recursion, as
+    # multisets of nonzero rows at seeded stratum points
+    cases = [(SC, label, 6) for label in SC.strata]
+    cases += [(get_scenario("metric2d"), "generic", 4), (Scenario(LINE_AFFINE), "generic", 4)]
+    for scenario, label, k in cases:
+        engine = _StratumEngine(scenario, k)
+        cutoff = k + scenario.lift_order + 1
+        rng = random.Random(70 + k)
+        values = sample_stratum_point(
+            engine.space, scenario.stratum(label), rng, engine.positivity
+        )
+        point = make_point(engine.space, values)
+        expected = prolonged_rows_oracle(scenario, k, cutoff, point)
+        assert sorted(engine.rows(point)) == sorted(expected), (scenario.id, label)
 
 
 def test_non_invariant_stratum_fails_tangency():
     # u01 = 0 is not preserved by the action: the tangency assertion fires
     bogus = StratumCase("bogus", equalities=("u01",), inequations=("u10",))
-    with pytest.raises(ValueError, match="not tangent"):
+    with pytest.raises(InvariantViolation, match="not tangent"):
         stratum_codim_sequence(SC, bogus, 2, seed=4)
 
 
