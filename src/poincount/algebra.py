@@ -12,7 +12,10 @@ Canonical form of a rational function num/den:
 
 With that convention two rational functions are equal iff their (num, den)
 coefficient tuples are equal, and Taylor coefficients at 0 fall out of a
-direct linear recurrence whenever den(0) != 0.
+direct linear recurrence whenever den(0) != 0.  The constructor reduces by
+`poly_gcd`; the private `RationalFunction._canonical` skips that step and
+is used only where the result is canonical by construction (as in
+`hilbert.gf_from_hilbert`).
 """
 
 from __future__ import annotations
@@ -286,11 +289,54 @@ def _coerce_poly(value) -> Polynomial | None:
     return None
 
 
+def _primitive(coeffs: Sequence[Fraction]) -> list[int]:
+    """The integer polynomial with content 1 that is a rational multiple of
+    the nonzero polynomial `coeffs`."""
+    # Lists, not generators, under *: a generator is packed into resized
+    # tuples that pile up in the interpreter's tuple free lists.
+    scale = math.lcm(*[c.denominator for c in coeffs])
+    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    content = math.gcd(*ints)
+    return [c // content for c in ints]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A nonzero integer multiple of a mod b, for len(a) >= len(b) >= 2."""
+    a = list(a)
+    lead_b = b[-1]
+    while len(a) >= len(b):
+        g = math.gcd(a[-1], lead_b)
+        scale_a, scale_b = lead_b // g, a[-1] // g
+        shift = len(a) - len(b)
+        a = [scale_a * c for c in a]
+        for j, c in enumerate(b):
+            a[shift + j] -= scale_b * c
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd over the rationals (Euclid); gcd(0, 0) = 0."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    """Monic gcd over the rationals; gcd(0, 0) = 0.
+
+    A primitive remainder sequence over the integers: both inputs are
+    scaled to integer polynomials with content 1, and each pseudo-remainder
+    is divided by its content, so no Fraction arithmetic runs and the
+    coefficients stay small.  The last nonzero remainder is made monic.
+    """
+    if b.is_zero():
+        return a.monic()
+    if a.is_zero():
+        return b.monic()
+    u, v = _primitive(a.coeffs), _primitive(b.coeffs)
+    if len(u) < len(v):
+        u, v = v, u
+    while v:
+        if len(v) == 1:
+            return Polynomial.one()
+        r = _pseudo_remainder(u, v)
+        u, v = v, (_primitive(r) if r else [])
+    return Polynomial(u).monic()
 
 
 def binom_in_k(shift: int, r: int) -> Polynomial:
@@ -373,6 +419,15 @@ class RationalFunction:
         raise AttributeError("RationalFunction is immutable")
 
     # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def _canonical(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """Trusted constructor that takes no gcd: (num, den) must already be
+        in canonical form."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        return self
 
     @classmethod
     def zero(cls) -> "RationalFunction":
@@ -472,18 +527,30 @@ class RationalFunction:
         return self.num.evaluate(x) / d
 
     def series(self, order: int) -> PowerSeries:
-        """Taylor coefficients 0..order at z = 0, by the den * series = num recurrence."""
+        """Taylor coefficients 0..order at z = 0, by the den * series = num recurrence.
+
+        Canonical form gives den(0) = 1 whenever there is no pole at 0, so the
+        recurrence divides by nothing.  Integral coefficients enter it as
+        ints, which mix exactly with the Fractions of any other coefficient.
+        """
         if order < 0:
             raise UnsupportedArgument("series order must be >= 0")
-        d0 = self.den.coefficient(0)
-        if d0 == 0:
+        if self.den.coefficient(0) == 0:
             raise PoleAtOrigin("pole at z = 0")
+        num = [c.numerator if c.denominator == 1 else c for c in self.num.coeffs]
+        taps = [
+            (j, c.numerator if c.denominator == 1 else c)
+            for j, c in enumerate(self.den.coeffs)
+            if j and c
+        ]
         out = []
         for k in range(order + 1):
-            acc = self.num.coefficient(k)
-            for j in range(1, min(k, self.den.degree) + 1):
-                acc -= self.den.coefficient(j) * out[k - j]
-            out.append(acc / d0)
+            acc = num[k] if k < len(num) else 0
+            for j, c in taps:
+                if j > k:
+                    break
+                acc -= c * out[k - j]
+            out.append(acc)
         return PowerSeries(out, order)
 
     def coefficient(self, k: int) -> Fraction:

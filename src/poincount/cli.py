@@ -37,7 +37,7 @@ import sys
 from fractions import Fraction
 
 from . import analysis, catalog, jetflow
-from .algebra import RationalFunction
+from .algebra import RationalFunction, UnsupportedArgument
 from .counting import SHIPPED_PLANS, assemble_hilbert, shipped_plan
 from .exprs import ExpressionError, parse_rational_function
 from .hilbert import gf_from_hilbert
@@ -345,6 +345,8 @@ def cmd_metric2d(args) -> tuple[int, dict]:
 
 
 def cmd_rederive(args) -> tuple[int, dict]:
+    if args.kmax < 0:
+        raise UnsupportedArgument("series order must be >= 0")
     plan = shipped_plan(args.id, args.n)
     derived = assemble_hilbert(plan, args.kmax + 8)
     target = catalog.hilbert_spec(args.id, n=args.n)

@@ -14,6 +14,7 @@ differ from zero), so equality of specs is plain structural equality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Tuple
@@ -171,31 +172,22 @@ class MatchReport:
 
 
 def gf_from_hilbert(spec: HilbertSpec) -> RationalFunction:
-    """The exact rational function sum_k h(k) z^k.
+    """The exact rational function sum_k h(k) z^k, built in canonical form.
 
-    The tail polynomial is decomposed in a binomial basis through its finite
-    differences at the tail onset; each basis element sums to an explicit
-    power of 1/(1-z), and the exceptional values contribute a polynomial.
+    With D = deg(tail) + 1, the D-th differences of the tail vanish, so
+    N(z) = (1-z)^D sum_k h(k) z^k is a polynomial of degree below
+    tail_start + D with the integer coefficients
+    N_i = sum_{j <= min(i, D)} (-1)^j C(D, j) h(i - j).  The result is
+    N / (1-z)^D with no gcd taken: N(1) = (D-1)! lead(tail) is nonzero, so
+    the quotient is reduced, and the denominator has constant term 1.
     """
-    poly_part = Polynomial(
-        [spec.h(k) for k in range(spec.tail_start)]
-    )
-    result = RationalFunction(poly_part)
-    tail = spec.tail
-    if not tail.is_zero():
-        k0 = spec.tail_start
-        samples = [tail.evaluate(k0 + i) for i in range(tail.degree + 1)]
-        total = RationalFunction.zero()
-        for j in range(tail.degree + 1):
-            d_j = finite_differences(samples, j)[0]
-            if d_j == 0:
-                continue
-            # sum_{k >= k0} C(k - k0, j) z^k = z^(k0 + j) / (1 - z)^(j + 1)
-            total = total + RationalFunction(
-                Polynomial.monomial(k0 + j, d_j), ONE_MINUS_Z ** (j + 1)
-            )
-        result = result + total
-    return result
+    D = spec.tail.degree + 1
+    h = [spec.h(k) for k in range(spec.tail_start + D)]
+    den = [(-1) ** j * math.comb(D, j) for j in range(D + 1)]
+    num = [
+        sum(den[j] * h[i - j] for j in range(min(i, D) + 1)) for i in range(len(h))
+    ]
+    return RationalFunction._canonical(Polynomial(num), Polynomial(den))
 
 
 def hilbert_values_spec(values: Sequence[int]) -> HilbertSpec:

@@ -400,7 +400,14 @@ class Scenario:
                 return RationalPair(Poly.variable(var))
 
             def component(text: str) -> Poly:
-                pair = evaluate_node(parse_expression(text), RationalPair.constant, resolve)
+                try:
+                    pair = evaluate_node(
+                        parse_expression(text), RationalPair.constant, resolve
+                    )
+                except ZeroDivisionError as exc:
+                    raise ExpressionError(
+                        f"{exc} in a generator of scenario {self.id!r}"
+                    ) from None
                 try:
                     divisor = pair.den.constant_value()
                 except ValueError:

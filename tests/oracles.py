@@ -253,3 +253,52 @@ def prolonged_rows_oracle(scenario, k, cutoff, point):
             if any(row):
                 rows.append(row)
     return rows
+
+
+# -- the rational-function core on Fraction arithmetic -------------------------
+#
+# The term-by-term generating-function builder, the Euclid gcd and the
+# dividing series recurrence that the integer core replaced; the tests
+# compare the core with them.
+
+
+def euclid_gcd(a, b):
+    """Monic gcd over the rationals by Fraction Euclid; gcd(0, 0) = 0."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+def fraction_series(num, den, order):
+    """Coefficients 0..order of num/den (coefficient lists, den[0] != 0) from
+    den * series = num, dividing by den[0] at every step."""
+    out = []
+    for k in range(order + 1):
+        acc = Fraction(num[k]) if k < len(num) else Fraction(0)
+        for j in range(1, min(k, len(den) - 1) + 1):
+            acc -= den[j] * out[k - j]
+        out.append(acc / den[0])
+    return out
+
+
+def gf_from_hilbert_termwise(spec):
+    """sum_k h(k) z^k as the polynomial of the values below the tail onset k0
+    plus, for each binomial-basis coefficient d_j of the tail at k0,
+    d_j z^(k0+j) / (1-z)^(j+1) = sum_{k >= k0} d_j C(k - k0, j) z^k, each sum
+    canonicalized by the RationalFunction constructor."""
+    from poincount.algebra import ONE_MINUS_Z, Polynomial, RationalFunction
+    from poincount.hilbert import finite_differences
+
+    result = RationalFunction(Polynomial([spec.h(k) for k in range(spec.tail_start)]))
+    tail = spec.tail
+    if tail.is_zero():
+        return result
+    k0 = spec.tail_start
+    samples = [tail.evaluate(k0 + i) for i in range(tail.degree + 1)]
+    for j in range(tail.degree + 1):
+        d_j = finite_differences(samples, j)[0]
+        if d_j != 0:
+            result = result + RationalFunction(
+                Polynomial.monomial(k0 + j, d_j), ONE_MINUS_Z ** (j + 1)
+            )
+    return result

@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poincount.algebra import (
     ONE_MINUS_Z,
@@ -18,7 +21,12 @@ from poincount.algebra import (
     poly_gcd,
 )
 
-from oracles import geometric_series_power, truncated_product_series
+from oracles import (
+    euclid_gcd,
+    fraction_series,
+    geometric_series_power,
+    truncated_product_series,
+)
 
 P = Polynomial
 RF = RationalFunction
@@ -226,3 +234,55 @@ def test_arithmetic_round_trip_500_cases():
         if not f.is_zero():
             assert f / f == RF.one()
         assert f * RF.one() == f
+
+
+PROPERTY = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+_Z = sympy.Symbol("z")
+
+
+_integers = st.integers(-20, 20)
+_fractions = st.fractions(-20, 20, max_denominator=7)
+
+
+def _sympy_monic_gcd(a, b):
+    g = sympy.gcd(
+        sympy.Poly(list(reversed(a.coeffs)) or [0], _Z, domain="QQ"),
+        sympy.Poly(list(reversed(b.coeffs)) or [0], _Z, domain="QQ"),
+    )
+    if g.is_zero:
+        return ()
+    return tuple(Fraction(int(c.p), int(c.q)) for c in reversed(g.monic().all_coeffs()))
+
+
+@PROPERTY
+@given(
+    st.lists(_fractions, max_size=6),
+    st.lists(_fractions, max_size=6),
+    st.lists(_integers, max_size=4),
+)
+@example([], [], [])  # gcd(0, 0) = 0
+@example([1, 1], [1, -1], [1])  # coprime: gcd 1
+@example([Fraction(1, 2)], [0, 0, 3], [])  # nonzero constant: gcd 1
+@example([3, Fraction(-3, 4)], [], [2, 5])  # gcd(a, 0) = monic a
+def test_poly_gcd_matches_sympy_and_euclid(a, b, c):
+    a, b = P(a) * P(c), P(b) * P(c)
+    g = poly_gcd(a, b)
+    assert g.coeffs == _sympy_monic_gcd(a, b)
+    assert g == euclid_gcd(a, b)
+
+
+@PROPERTY
+@given(
+    st.one_of(
+        st.tuples(st.lists(_integers, max_size=8), st.lists(_integers, max_size=6)),
+        st.tuples(st.lists(_fractions, max_size=8), st.lists(_fractions, max_size=6)),
+    ),
+    st.integers(-20, 20).filter(bool),
+)
+@example(([1], [1, -3, 3, -1]), 10)
+@example(([Fraction(1, 3), 2], [5, 0, -2]), 10)  # den(0) = 5 before canonicalization
+def test_series_matches_fraction_recurrence(num_den, d0):
+    num, den = num_den
+    den = [d0] + den  # den(0) != 0: no pole at the origin
+    f = RF(P(num), P(den))
+    assert list(f.series(15)) == fraction_series(num, [Fraction(c) for c in den], 15)

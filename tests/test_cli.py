@@ -88,10 +88,18 @@ def test_exit_codes_for_errors():
         ["analyze", "--expr", "(" * 3000 + "z" + ")" * 3000],  # deep nesting
         ["analyze", "--expr", "z" + "+z" * 3000],  # deep left-leaning sum
         ["strata-demo", "--kmax", "-1"],  # negative jet order
+        ["rederive", "--id", "einstein", "--n", "4", "--kmax", "-3"],
     ):
         code, out, err = capture(argv)
         assert code == 2 and out == "", argv[:2]
         assert err.startswith("poincount: error:") and err.count("\n") == 1
+    for argv in (  # a negative --kmax is named the same way by every series command
+        ["show", "riemannian", "--n", "2", "--kmax", "-3"],
+        ["verify", "--id", "riemannian", "--kmax", "-3"],
+        ["analyze", "--expr", "z", "--kmax", "-3"],
+        ["rederive", "--id", "einstein", "--n", "4", "--kmax", "-3"],
+    ):
+        assert capture(argv)[2] == "poincount: error: series order must be >= 0\n", argv[0]
     code, out, err = capture(["no-such-command"])
     assert code == 2
 

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poincount import catalog
 from poincount.algebra import ONE_MINUS_Z, Polynomial, RationalFunction, binom_in_k
@@ -15,6 +17,8 @@ from poincount.hilbert import (
     poly_shift_arg,
     spec_from_gf,
 )
+
+from oracles import gf_from_hilbert_termwise
 
 P = Polynomial
 RF = RationalFunction
@@ -169,3 +173,31 @@ def test_finite_differences_and_shift_helpers():
     p = P((0, 0, 1))  # k^2
     q = poly_shift_arg(p, 2)  # (k+2)^2
     assert [q.evaluate(k) for k in range(4)] == [4, 9, 16, 25]
+
+
+@st.composite
+def hilbert_specs(draw):
+    """Specs with up to 8 exceptional values (zeros allowed), any onset from 0,
+    and a tail of degree -1 (zero) to 8 with nonnegative binomial-basis
+    coefficients at the onset, so every tail value is a nonnegative integer."""
+    tail_start = draw(st.integers(0, 8))
+    values = draw(st.lists(st.integers(0, 50), min_size=tail_start, max_size=tail_start))
+    basis = draw(st.lists(st.integers(0, 30), max_size=9))
+    tail = P.zero()
+    for j, c in enumerate(basis):
+        tail = tail + binom_in_k(-tail_start, j) * c
+    return HilbertSpec(dict(enumerate(values)), tail_start, tail)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(hilbert_specs())
+@example(HilbertSpec({}, 0, 0))
+@example(HilbertSpec({0: 3, 2: 1}, 4, 0))  # zero tail: a polynomial
+@example(HilbertSpec({}, 0, binom_in_k(0, 8)))  # onset 0, degree 8
+@example(HilbertSpec({1: 7}, 3, 2 * binom_in_k(-3, 8) + 1))
+def test_gf_from_hilbert_matches_termwise_oracle_and_is_canonical(spec):
+    gf = gf_from_hilbert(spec)
+    oracle = gf_from_hilbert_termwise(spec)
+    assert (gf.num.coeffs, gf.den.coeffs) == (oracle.num.coeffs, oracle.den.coeffs)
+    again = RF(gf.num, gf.den)
+    assert (again.num.coeffs, again.den.coeffs) == (gf.num.coeffs, gf.den.coeffs)

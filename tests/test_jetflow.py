@@ -407,6 +407,17 @@ def test_scenario_errors():
     )
     with pytest.raises(ExpressionError):
         bad.instantiate(2)
+    zero_divisor = Scenario(
+        {
+            "id": "zero-divisor",
+            "base": ["x"],
+            "fiber": ["u"],
+            "generators": [{"xi": ["x/0"], "phi": ["0"]}],
+            "strata": [],
+        }
+    )
+    with pytest.raises(ExpressionError, match="zero-divisor"):
+        zero_divisor.instantiate(2)
     nonlinear = Scenario(
         {
             "id": "nonlinear",
