@@ -6,6 +6,9 @@ coordinates and linear in the Taylor coefficients of finitely many free
 functions of the base, and coordinate strata (equalities / inequations on
 jet coordinates).  The engine measures orbit codimensions by exact rank of
 the prolonged generators at seeded random rational points of a stratum.
+The base may be empty (p = 0): the fields then act on R^q alone, every
+jet space is the fiber itself, and there are no free functions.  The 3D
+distribution sub-example is such a scenario, run through the same engine.
 
 Rows are evaluated, never built symbolically.  All sampling places the
 base point at the origin: the shipped pseudogroups contain the base
@@ -74,8 +77,8 @@ class UnknownScenario(ValueError):
 
 def _multi_indices(p: int, total: int) -> list[MultiIndex]:
     """All multi-indices of given total order, descending lexicographic."""
-    if p == 1:
-        return [(total,)]
+    if p == 0:
+        return [()] if total == 0 else []
     out = []
     for first in range(total, -1, -1):
         for rest in _multi_indices(p - 1, total - first):
@@ -352,6 +355,10 @@ class Scenario:
         for name in self.base:
             if len(name) != 1:
                 raise ValueError("base variable names must be single letters")
+        if self.free_functions and not self.base:
+            raise ValueError(
+                f"scenario {self.id!r} has free functions but an empty base"
+            )
 
     def space(self, order: int) -> JetSpace:
         return JetSpace(self.p, self.q, order, self.base, self.fiber)
@@ -627,12 +634,9 @@ class _StratumEngine:
         active = sum(1 for order in eq_orders if order <= k)
         return self.cols_at[k] - active
 
-    def codim_sequence(
-        self, stratum: StratumCase | str, seed: int
-    ) -> tuple[list[int], list[int]]:
-        """(s_k, h_k) for one stratum; see stratum_codim_sequence."""
-        if isinstance(stratum, str):
-            stratum = self.scenario.stratum(stratum)
+    def sampled_ranks(self, stratum: StratumCase, seed: int) -> list[int]:
+        """Orbit rank at each order 0..k_max, agreed on by one seeded round
+        of three stratum points (one retry round, then GenericityFailure)."""
         rng = random.Random(seed)
         ranks: list[list[int]] | None = None
         for _ in range(2):
@@ -647,10 +651,58 @@ class _StratumEngine:
             raise GenericityFailure(
                 f"ranks inconsistent across samples for stratum {stratum.label!r}"
             )
-        rank_k = [max(t[k] for t in ranks) for k in range(self.k_max + 1)]
+        return [max(t[k] for t in ranks) for k in range(self.k_max + 1)]
+
+    def codim_sequence(
+        self, stratum: StratumCase | str, seed: int
+    ) -> tuple[list[int], list[int]]:
+        """(s_k, h_k) for one stratum; see stratum_codim_sequence."""
+        if isinstance(stratum, str):
+            stratum = self.scenario.stratum(stratum)
+        rank_k = self.sampled_ranks(stratum, seed)
         s = [self.stratum_dim(stratum, k) - rank_k[k] for k in range(self.k_max + 1)]
         h = [s[0]] + [s[k] - s[k - 1] for k in range(1, self.k_max + 1)]
         return s, h
+
+    def annihilates(
+        self, invariant: str, stratum: StratumCase, seed: int, n_points: int
+    ) -> bool:
+        """True iff the derivative of the invariant N/D along every tangent
+        row, row . (D grad N - N grad D), vanishes at n_points seeded stratum
+        points; points where D vanishes are resampled (BadSample after
+        3 * n_points tries)."""
+        pair = self.scenario.parse_invariant(self.space, invariant)
+        coords = self.space.coordinates()
+        d_num = [pair.num.diff(var) for var in coords]
+        d_den = [pair.den.diff(var) for var in coords]
+        rng = random.Random(seed)
+        checked = 0
+        attempts = 0
+        while checked < n_points:
+            attempts += 1
+            if attempts > 3 * n_points:
+                raise BadSample(
+                    f"invariant denominator vanishes on stratum {stratum.label!r}"
+                )
+            point = make_point(
+                self.space, sample_stratum_point(self.space, stratum, rng, self.positivity)
+            )
+            den_value = pair.den.evaluate(point)
+            if den_value == 0:
+                continue
+            num_value = pair.num.evaluate(point)
+            dn = [p.evaluate(point) for p in d_num]
+            dd = [p.evaluate(point) for p in d_den]
+            for row in self.rows(point):
+                derivative = sum(
+                    row[c] * (dn[c] * den_value - num_value * dd[c])
+                    for c in coords
+                    if row[c] != 0
+                )
+                if derivative != 0:
+                    return False
+            checked += 1
+        return True
 
 
 def stratum_codim_sequence(
@@ -693,40 +745,7 @@ def annihilation_check(
             info = probe_space.info(var)
             if info[0] == "jet":
                 order = max(order, sum(info[2]))
-    engine = _StratumEngine(scenario, order)
-    space = engine.space
-    pair = scenario.parse_invariant(space, invariant)
-    coords = list(space.coordinates())
-    d_num = [pair.num.diff(var) for var in coords]
-    d_den = [pair.den.diff(var) for var in coords]
-    rng = random.Random(seed)
-    checked = 0
-    attempts = 0
-    while checked < n_points:
-        attempts += 1
-        if attempts > 3 * n_points:
-            raise BadSample(
-                f"invariant denominator vanishes on stratum {stratum.label!r}"
-            )
-        values = sample_stratum_point(space, stratum, rng, engine.positivity)
-        point = make_point(space, values)
-        den_value = pair.den.evaluate(point)
-        if den_value == 0:
-            continue
-        num_value = pair.num.evaluate(point)
-        rows = engine.rows(point)
-        dn = [p.evaluate(point) for p in d_num]
-        dd = [p.evaluate(point) for p in d_den]
-        for row in rows:
-            derivative = sum(
-                row[c] * (dn[c] * den_value - num_value * dd[c])
-                for c in range(len(coords))
-                if row[c] != 0
-            )
-            if derivative != 0:
-                return False
-        checked += 1
-    return True
+    return _StratumEngine(scenario, order).annihilates(invariant, stratum, seed, n_points)
 
 
 # ---------------------------------------------------------------------------
@@ -812,9 +831,27 @@ METRIC2D = {
     "positivity": ["g11", "g11*g22 - g12^2"],
 }
 
+#: the involutive pair X = 2r d/dr + s d/ds, Y = r d/ds + 2s d/dt on
+#: (r, s, t), as fields on a bundle over a point (empty base)
+DISTRIBUTION3D = {
+    "id": "distribution3d",
+    "base": [],
+    "fiber": ["r", "s", "t"],
+    "generators": [
+        {"xi": [], "phi": ["2*r", "s", "0"]},
+        {"xi": [], "phi": ["0", "r", "2*s"]},
+    ],
+    "strata": [
+        {"label": "r != 0", "equalities": [], "inequations": ["r"]},
+        {"label": "r = 0, s != 0", "equalities": ["r"], "inequations": ["s"]},
+        {"label": "r = s = 0", "equalities": ["r", "s"], "inequations": []},
+    ],
+}
+
 BUILTIN_SCENARIOS = {
     "x-reparam": X_REPARAM,
     "metric2d": METRIC2D,
+    "distribution3d": DISTRIBUTION3D,
 }
 
 
@@ -915,90 +952,23 @@ class DistributionReport:
 def distribution_example(seed: int = 77, n_points: int = 20) -> list[DistributionReport]:
     """Rank and invariant checks for the 3D involutive pair on (r, s, t).
 
-    The vector fields are X = 2r d/dr + s d/ds and Y = r d/ds + 2s d/dt.
-    On the open stratum r != 0 the candidate invariant t - s^2/r is
-    annihilated by both fields while the commonly quoted variant t - s^2/t
-    is not; both outcomes are reported, nothing is silently corrected.
+    The vector fields X = 2r d/dr + s d/ds and Y = r d/ds + 2s d/dt form
+    the built-in empty-base scenario `distribution3d`, run at jet order 0
+    on one engine like every other scenario.  On the open stratum r != 0 the
+    candidate invariant t - s^2/r is annihilated by both fields while the
+    commonly quoted variant t - s^2/t is not; both outcomes are reported,
+    nothing is silently corrected.
     """
-    r, s, t = Poly.variable(0), Poly.variable(1), Poly.variable(2)
-    fields = {
-        "X": [2 * r, s, Poly.zero()],
-        "Y": [Poly.zero(), r, 2 * s],
-    }
-
-    def derivative_along(name: str, pair: RationalPair, point) -> Fraction:
-        num_v = pair.num.evaluate(point)
-        den_v = pair.den.evaluate(point)
-        if den_v == 0:
-            raise BadSample("denominator vanished at a sample point")
-        total = Fraction(0)
-        for var in (0, 1, 2):
-            comp = fields[name][var].evaluate(point)
-            if comp == 0:
-                continue
-            total += comp * (
-                pair.num.diff(var).evaluate(point) * den_v
-                - num_v * pair.den.diff(var).evaluate(point)
-            )
-        return total
-
-    def annihilated(pair: RationalPair, sampler) -> bool:
-        rng = random.Random(seed)
-        for _ in range(n_points):
-            point = sampler(rng)
-            for name in ("X", "Y"):
-                if derivative_along(name, pair, point) != 0:
-                    return False
-        return True
-
-    def rank_at(sampler) -> int:
-        rng = random.Random(seed + 1)
-        best = 0
-        for _ in range(3):
-            point = sampler(rng)
-            rows = [
-                [fields[name][var].evaluate(point) for var in (0, 1, 2)]
-                for name in ("X", "Y")
-            ]
-            best = max(best, matrix_rank(rows))
-        return best
-
-    def frac(rng, nonzero=False):
-        num = rng.randint(-20, 20)
-        while nonzero and num == 0:
-            num = rng.randint(-20, 20)
-        return Fraction(num, rng.randint(1, 20))
-
-    def open_sampler(rng):
-        return {0: frac(rng, nonzero=True), 1: frac(rng), 2: frac(rng, nonzero=True)}
-
-    def r_zero_sampler(rng):
-        return {0: Fraction(0), 1: frac(rng, nonzero=True), 2: frac(rng)}
-
-    def line_sampler(rng):
-        return {0: Fraction(0), 1: Fraction(0), 2: frac(rng)}
-
-    candidate = RationalPair(t * r - s * s, r)  # t - s^2/r
-    printed = RationalPair(t * t - s * s, t)  # t - s^2/t as printed
-    plain_t = RationalPair(t)
-
+    engine = _StratumEngine(get_scenario("distribution3d"), 0)
+    candidates = {"r != 0": ("t - s^2/r", "t - s^2/t"), "r = s = 0": ("t",)}
     return [
         DistributionReport(
-            stratum="r != 0",
-            rank=rank_at(open_sampler),
-            checks=(
-                ("t - s^2/r annihilated", annihilated(candidate, open_sampler)),
-                ("t - s^2/t annihilated", annihilated(printed, open_sampler)),
+            stratum=label,
+            rank=engine.sampled_ranks(stratum, seed + 1)[0],
+            checks=tuple(
+                (f"{text} annihilated", engine.annihilates(text, stratum, seed, n_points))
+                for text in candidates.get(label, ())
             ),
-        ),
-        DistributionReport(
-            stratum="r = 0, s != 0",
-            rank=rank_at(r_zero_sampler),
-            checks=(),
-        ),
-        DistributionReport(
-            stratum="r = s = 0",
-            rank=rank_at(line_sampler),
-            checks=(("t annihilated", annihilated(plain_t, line_sampler)),),
-        ),
+        )
+        for label, stratum in engine.scenario.strata.items()
     ]

@@ -10,8 +10,9 @@ dozen jet coordinates and stay small.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Mapping, Sequence
+
+from .algebra import _primitive
 
 Monomial = tuple[tuple[int, int], ...]
 
@@ -319,28 +320,19 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
 def rank_profile(rows: Sequence[Sequence[Fraction]], cuts: Sequence[int]) -> list[int]:
     """Exact ranks of the leading column blocks row[:cut], cuts ascending.
 
-    Rows are scaled to integers (rank-preserving), then reduced column by
-    column by the Bareiss one-step method, which keeps all intermediate
-    entries integral and of moderate size.  Row operations act on every
-    leading block alike, so the pivots found left of a cut are the rank of
-    that block: one pass gives the whole profile.
+    Rows are scaled to content-1 integer rows by `algebra._primitive`
+    (rank-preserving), then reduced column by column by the Bareiss
+    one-step method, which keeps all intermediate entries integral and of
+    moderate size.  Row operations act on every leading block alike, so
+    the pivots found left of a cut are the rank of that block: one pass
+    gives the whole profile.
     """
     width = cuts[-1] if cuts else 0
     mat: list[list[int]] = []
     for row in rows:
         fracs = [Fraction(x) for x in row[:width]]
-        if all(x == 0 for x in fracs):
-            continue
-        scale = 1
-        for x in fracs:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-        ints = [int(x * scale) for x in fracs]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        if g > 1:
-            ints = [x // g for x in ints]
-        mat.append(ints)
+        if any(fracs):
+            mat.append(_primitive(fracs))
     n_rows = len(mat)
     rank = 0
     prev = 1

@@ -349,6 +349,18 @@ def test_distribution_example():
     assert dict(reports["r = s = 0"].checks) == {"t annihilated": True}
 
 
+def test_empty_base_scenario():
+    scenario = get_scenario("distribution3d")
+    for k in range(10):
+        assert scenario.space(k).coordinate_names() == ["r", "s", "t"]
+    s_by_stratum = {
+        label: stratum_codim_sequence(scenario, label, 0, seed=3)[0]
+        for label in scenario.strata
+    }
+    # t - s^2/r off r = 0; no invariant on r = 0, s != 0; t on the line
+    assert s_by_stratum == {"r != 0": [1], "r = 0, s != 0": [0], "r = s = 0": [1]}
+
+
 # -- machinery edges ---------------------------------------------------------------
 
 
@@ -430,6 +442,17 @@ def test_scenario_errors():
     )
     with pytest.raises(NonlinearParameters):
         nonlinear.instantiate(2)
+    with pytest.raises(ValueError, match="pointwise"):
+        Scenario(
+            {
+                "id": "pointwise",
+                "base": [],
+                "fiber": ["u"],
+                "free_functions": ["f"],
+                "generators": [{"xi": [], "phi": ["f"]}],
+                "strata": [],
+            }
+        )
 
 
 def test_jet_space_shape():
