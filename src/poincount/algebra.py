@@ -225,14 +225,6 @@ class Polynomial:
         _, r = divmod(self, other)
         return r
 
-    def shift(self, k: int) -> "Polynomial":
-        """Multiply by z^k (k >= 0)."""
-        if k < 0:
-            raise UnsupportedArgument("shift must be nonnegative")
-        if self.is_zero():
-            return self
-        return Polynomial((0,) * k + self.coeffs)
-
     def monic(self) -> "Polynomial":
         if self.is_zero():
             return self
@@ -245,9 +237,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def __call__(self, x: Scalar) -> Fraction:
-        return self.evaluate(x)
 
     # -- display --------------------------------------------------------
 

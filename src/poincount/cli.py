@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from . import analysis, catalog, jetflow
 from .algebra import RationalFunction, UnsupportedArgument
-from .counting import SHIPPED_PLANS, assemble_hilbert, shipped_plan
+from .counting import SHIPPED_PLANS, plan_values, shipped_plan
 from .exprs import ExpressionError, parse_rational_function
 from .hilbert import gf_from_hilbert
 
@@ -347,11 +347,8 @@ def cmd_metric2d(args) -> tuple[int, dict]:
 def cmd_rederive(args) -> tuple[int, dict]:
     if args.kmax < 0:
         raise UnsupportedArgument("series order must be >= 0")
-    plan = shipped_plan(args.id, args.n)
-    derived = assemble_hilbert(plan, args.kmax + 8)
-    target = catalog.hilbert_spec(args.id, n=args.n)
-    got = derived.values(args.kmax)
-    want = target.values(args.kmax)
+    got = plan_values(shipped_plan(args.id, args.n), args.kmax)
+    want = catalog.hilbert_spec(args.id, n=args.n).values(args.kmax)
     first_mismatch = next((k for k in range(args.kmax + 1) if got[k] != want[k]), None)
     rows = [[k, got[k], want[k]] for k in range(args.kmax + 1)]
     payload = _payload(

@@ -10,7 +10,8 @@ dimensions at generic jets.  A CountingPlan packages one structure's rows:
 
 with explicit overrides for the finitely many low orders where the generic
 row does not apply (stab(-1) = 0 by convention: no group of order zero
-fixes a point).  assemble_hilbert evaluates the rows and fits the
+fixes a point).  plan_values evaluates the rows, which the CLI's rederive
+compares with the catalog order by order; assemble_hilbert also fits the
 eventually-polynomial tail, giving an independent cross-check of the
 closed-form catalog sequences.
 """
@@ -147,15 +148,20 @@ class CountingPlan:
         )
 
 
-def assemble_hilbert(plan: CountingPlan, k_max: int = 48) -> HilbertSpec:
-    """Evaluate plan rows for k = 0..k_max and fit the eventually-polynomial spec."""
+def plan_values(plan: CountingPlan, k_max: int) -> list[int]:
+    """Plan rows h(k) for k = 0..k_max; a negative row is an InconsistentPlan."""
     values = []
     for k in range(k_max + 1):
         v = plan.row(k)
         if v < 0:
             raise InconsistentPlan(f"assembled h({k}) = {v} < 0")
         values.append(v)
-    return hilbert_values_spec(values)
+    return values
+
+
+def assemble_hilbert(plan: CountingPlan, k_max: int = 48) -> HilbertSpec:
+    """Evaluate plan rows for k = 0..k_max and fit the eventually-polynomial spec."""
+    return hilbert_values_spec(plan_values(plan, k_max))
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,11 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+def symbol_names(text: str) -> set[str]:
+    """The symbols an expression names, read off its tokens without parsing."""
+    return {tok for tok in _tokenize(text) if tok[0] in _SYMBOL_START}
+
+
 class _Parser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens

@@ -40,9 +40,9 @@ from math import factorial, prod
 from typing import Mapping, Optional, Sequence
 
 from .algebra import Polynomial, RationalFunction
-from .exprs import ExpressionError, evaluate_node, parse_expression
+from .exprs import ExpressionError, Node, evaluate_node, parse_expression, symbol_names
 from .hilbert import HilbertSpec, gf_from_hilbert
-from .jetpoly import Poly, RationalPair, matrix_rank, rank_profile
+from .jetpoly import NonConstantDivisor, Poly, matrix_rank, rank_profile
 
 MultiIndex = tuple[int, ...]
 
@@ -323,11 +323,15 @@ class Scenario:
          "generators": [{"xi": [exprs], "phi": [exprs]}, ...],
          "strata": [{"label": ..., "equalities": [...], "inequations": [...]}],
          "invariants": {label: [rational exprs]},          # optional
-         "positivity": [polynomial exprs required > 0]}    # optional
+         "positivity": [rational exprs required > 0]}      # optional
 
     Generator expressions use base names, order-0 fiber names, and
     free-function jet tokens f, f_x, f_xy, ... (suffix letters are base
     names); each free function belongs to the single generator using it.
+    They are parsed into polynomials and may divide by constants only.
+    Invariants and positivity conditions are rational expressions in jet
+    coordinates, evaluated exactly at each sampled point; a sample where
+    one of them divides by zero is redrawn.
     """
 
     def __init__(self, data: Mapping):
@@ -389,7 +393,7 @@ class Scenario:
         for g_idx, gen in enumerate(self.generators):
             tokens: dict[str, tuple[int, str, MultiIndex]] = {}
 
-            def resolve(name: str) -> RationalPair:
+            def resolve(name: str) -> Poly:
                 if name not in tokens:
                     found = self._token(name)
                     if found is not None:
@@ -404,24 +408,19 @@ class Scenario:
                     raise ExpressionError(
                         f"unknown symbol {name!r} in a generator of scenario {self.id!r}"
                     )
-                return RationalPair(Poly.variable(var))
+                return Poly.variable(var)
 
             def component(text: str) -> Poly:
                 try:
-                    pair = evaluate_node(
-                        parse_expression(text), RationalPair.constant, resolve
-                    )
+                    poly = evaluate_node(parse_expression(text), Poly.constant, resolve)
                 except ZeroDivisionError as exc:
                     raise ExpressionError(
                         f"{exc} in a generator of scenario {self.id!r}"
                     ) from None
-                try:
-                    divisor = pair.den.constant_value()
-                except ValueError:
+                except NonConstantDivisor:
                     raise NonlinearParameters(
                         "division by a non-constant polynomial in a field component"
                     ) from None
-                poly = pair.num * (1 / divisor)
                 for mono in poly.terms:
                     if sum(e for var, e in mono if var >= first_token) > 1:
                         raise NonlinearParameters(
@@ -474,15 +473,6 @@ class Scenario:
                 return fname, tuple(gamma)
         return None
 
-    # -- invariant parsing -------------------------------------------------
-
-    def parse_invariant(self, space: JetSpace, text: str) -> RationalPair:
-        def resolve(name: str) -> RationalPair:
-            return RationalPair(Poly.variable(space.var_by_name(name)))
-
-        node = parse_expression(text)
-        return evaluate_node(node, RationalPair.constant, resolve)
-
 
 # ---------------------------------------------------------------------------
 # Points, rows, ranks
@@ -526,14 +516,15 @@ def sample_stratum_point(
     space: JetSpace,
     stratum: StratumCase,
     rng: random.Random,
-    positivity: Sequence[RationalPair] = (),
+    positivity: Sequence[Node] = (),
     max_tries: int = 60,
 ) -> dict[str, Fraction]:
     """Seeded random rational stratum point: base at origin, fibers in [-20, 20].
 
     Equality coordinates are 0, inequation coordinates nonzero, everything
-    else a reduced random fraction; optional positivity expressions must
-    evaluate positive (resampled until they do).
+    else a reduced random fraction; optional parsed positivity expressions
+    must evaluate positive at the point (resampled until they do, and
+    wherever one divides by zero).
     """
     eq = set(stratum.equalities)
     ineq = set(stratum.inequations)
@@ -554,19 +545,64 @@ def sample_stratum_point(
             values[name] = Fraction(num, rng.randint(1, 20))
         if positivity:
             point = make_point(space, values)
-            ok = True
-            for expr in positivity:
-                den = expr.den.evaluate(point)
-                if den == 0 or expr.num.evaluate(point) / den <= 0:
-                    ok = False
-                    break
-            if not ok:
+            value = lambda name: point[space.var_by_name(name)]
+            try:
+                if not all(evaluate_node(e, Fraction, value) > 0 for e in positivity):
+                    continue
+            except ZeroDivisionError:
                 continue
         return values
     raise BadSample(
         f"could not sample a point of stratum {stratum.label!r} "
         f"after {max_tries} tries"
     )
+
+
+class _Dual:
+    """A value at a point with its gradient {var: derivative}: forward-mode
+    differentiation, so an invariant is differentiated where it is evaluated.
+    Both operands of every operation are _Duals (literals embed as _Dual)."""
+
+    __slots__ = ("value", "grad")
+
+    def __init__(self, value, grad: dict[int, Fraction] | None = None):
+        self.value = Fraction(value)
+        self.grad = grad or {}
+
+    def _combine(self, a: Fraction, other: "_Dual", b: Fraction) -> dict[int, Fraction]:
+        """a * grad(self) + b * grad(other)."""
+        out = {var: a * d for var, d in self.grad.items()}
+        for var, d in other.grad.items():
+            out[var] = out.get(var, 0) + b * d
+        return out
+
+    def __add__(self, other: "_Dual") -> "_Dual":
+        return _Dual(self.value + other.value, self._combine(1, other, 1))
+
+    def __neg__(self) -> "_Dual":
+        return _Dual(-self.value, {var: -d for var, d in self.grad.items()})
+
+    def __sub__(self, other: "_Dual") -> "_Dual":
+        return self + -other
+
+    def __mul__(self, other: "_Dual") -> "_Dual":
+        grad = self._combine(other.value, other, self.value)
+        return _Dual(self.value * other.value, grad)
+
+    def __truediv__(self, other: "_Dual") -> "_Dual":
+        """The quotient rule: d(f/g) = (df - (f/g) dg) / g."""
+        if not other.value:
+            raise ZeroDivisionError("division by zero at the point")
+        q = self.value / other.value
+        return _Dual(q, self._combine(1 / other.value, other, -q / other.value))
+
+    def __pow__(self, exponent: int) -> "_Dual":
+        if exponent < 0:
+            return _Dual(1) / self**-exponent
+        if exponent == 0:
+            return _Dual(1)
+        scale = exponent * self.value ** (exponent - 1)
+        return _Dual(self.value**exponent, {var: scale * d for var, d in self.grad.items()})
 
 
 class _StratumEngine:
@@ -594,12 +630,9 @@ class _StratumEngine:
         ]
 
     @cached_property
-    def positivity(self) -> list[RationalPair]:
+    def positivity(self) -> list[Node]:
         """Parsed on first sampling, so orbit_rank never reads them."""
-        return [
-            self.scenario.parse_invariant(self.space, text)
-            for text in self.scenario.positivity
-        ]
+        return [parse_expression(text) for text in self.scenario.positivity]
 
     def rows(self, point: Mapping[int, Fraction]) -> list[list[Fraction]]:
         """Nonzero tangent rows at a point over the base origin; the
@@ -667,14 +700,12 @@ class _StratumEngine:
     def annihilates(
         self, invariant: str, stratum: StratumCase, seed: int, n_points: int
     ) -> bool:
-        """True iff the derivative of the invariant N/D along every tangent
-        row, row . (D grad N - N grad D), vanishes at n_points seeded stratum
-        points; points where D vanishes are resampled (BadSample after
+        """True iff the derivative of the invariant along every tangent row,
+        row . grad, vanishes at n_points seeded stratum points.  The invariant
+        is parsed once and evaluated with its gradient at each point; points
+        where it divides by zero are resampled (BadSample after
         3 * n_points tries)."""
-        pair = self.scenario.parse_invariant(self.space, invariant)
-        coords = self.space.coordinates()
-        d_num = [pair.num.diff(var) for var in coords]
-        d_den = [pair.den.diff(var) for var in coords]
+        node = parse_expression(invariant)
         rng = random.Random(seed)
         checked = 0
         attempts = 0
@@ -687,19 +718,17 @@ class _StratumEngine:
             point = make_point(
                 self.space, sample_stratum_point(self.space, stratum, rng, self.positivity)
             )
-            den_value = pair.den.evaluate(point)
-            if den_value == 0:
+
+            def coordinate(name: str) -> _Dual:
+                var = self.space.var_by_name(name)
+                return _Dual(point[var], {var: 1})
+
+            try:
+                grad = evaluate_node(node, _Dual, coordinate).grad
+            except ZeroDivisionError:
                 continue
-            num_value = pair.num.evaluate(point)
-            dn = [p.evaluate(point) for p in d_num]
-            dd = [p.evaluate(point) for p in d_den]
             for row in self.rows(point):
-                derivative = sum(
-                    row[c] * (dn[c] * den_value - num_value * dd[c])
-                    for c in coords
-                    if row[c] != 0
-                )
-                if derivative != 0:
+                if sum(row[c] * d for c, d in grad.items()):
                     return False
             checked += 1
         return True
@@ -731,20 +760,18 @@ def annihilation_check(
     """True iff the invariant's derivative along every generator row vanishes
     at n_points seeded random stratum points.
 
-    The invariant is a rational expression in jet coordinates; its
-    denominator must be nonzero at the sampled points (resampled when it
-    vanishes, error if that keeps failing).
+    The invariant is a rational expression in jet coordinates, of the
+    order of the highest jet it names; a sampled point where it divides by
+    zero is resampled (error if that keeps failing).
     """
     if isinstance(stratum, str):
         stratum = scenario.stratum(stratum)
     probe_space = scenario.space(9)
-    pair_probe = scenario.parse_invariant(probe_space, invariant)
     order = 0
-    for poly in (pair_probe.num, pair_probe.den):
-        for var in poly.variables():
-            info = probe_space.info(var)
-            if info[0] == "jet":
-                order = max(order, sum(info[2]))
+    for name in symbol_names(invariant):
+        info = probe_space.info(probe_space.var_by_name(name))
+        if info[0] == "jet":
+            order = max(order, sum(info[2]))
     return _StratumEngine(scenario, order).annihilates(invariant, stratum, seed, n_points)
 
 
@@ -864,9 +891,6 @@ def get_scenario(scenario_id: str) -> Scenario:
         ) from None
 
 
-_SIGMA_CHAIN = ("sigma0", "sigma1", "sigma2", "sigma3", "sigma4", "sigma5", "sigma6")
-
-
 @dataclass(frozen=True)
 class StratumRow:
     label: str
@@ -899,8 +923,8 @@ def lie_example_table(k_max: int = 7, seed: int = 2024) -> list[StratumRow]:
     """
     engine = _StratumEngine(get_scenario("x-reparam"), k_max)
     rows = []
-    for label in _SIGMA_CHAIN:
-        _, h = engine.codim_sequence(label, seed)
+    for label, stratum in engine.scenario.strata.items():
+        _, h = engine.codim_sequence(stratum, seed)
         if all(v == 0 for v in h):
             spec = HilbertSpec({}, 0, Polynomial.zero())
         else:

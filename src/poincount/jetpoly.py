@@ -2,9 +2,12 @@
 
 A polynomial maps monomials to Fraction coefficients; a monomial is a
 sorted tuple of (variable index, exponent) pairs, so the variable universe
-can grow without rewriting keys.  Everything is exact; these are the
-workhorses of the jet-prolongation engine, where expressions live in a few
-dozen jet coordinates and stay small.
+can grow without rewriting keys.  `Poly` is the one polynomial class of the
+jet leg; it divides by nonzero constants only (a negative power is one over
+the positive power, under the same rule), so parsing a generator component
+into it rejects any non-constant divisor.  Everything is exact; these are
+the workhorses of the jet-prolongation engine, where expressions live in a
+few dozen jet coordinates and stay small.
 """
 
 from __future__ import annotations
@@ -17,6 +20,10 @@ from .algebra import _primitive
 Monomial = tuple[tuple[int, int], ...]
 
 _ZERO = Fraction(0)
+
+
+class NonConstantDivisor(ValueError):
+    """A polynomial was divided by a non-constant polynomial."""
 
 
 class Poly:
@@ -49,14 +56,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def constant_value(self) -> Fraction:
-        """The value if the polynomial is constant; error otherwise."""
-        if not self.terms:
-            return _ZERO
-        if len(self.terms) == 1 and () in self.terms:
-            return self.terms[()]
-        raise ValueError("polynomial is not constant")
 
     def variables(self) -> set[int]:
         seen: set[int] = set()
@@ -129,9 +128,22 @@ class Poly:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other) -> "Poly":
+        """Division by a nonzero constant; other divisors are refused."""
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        if not other.terms:
+            raise ZeroDivisionError("division by zero expression")
+        if other.variables():
+            raise NonConstantDivisor("division by a non-constant polynomial")
+        return self * (1 / other.terms[()])
+
     def __pow__(self, exponent: int) -> "Poly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial exponent must be a nonnegative int")
+        if not isinstance(exponent, int):
+            raise ValueError("polynomial exponent must be an int")
+        if exponent < 0:
+            return Poly.constant(1) / self**-exponent
         result = Poly.constant(1)
         base = self
         e = exponent
@@ -219,97 +231,6 @@ def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
     for var, exp in b:
         merged[var] = merged.get(var, 0) + exp
     return tuple(sorted(merged.items()))
-
-
-class RationalPair:
-    """num/den pair of Polys for parsing rational jet expressions.
-
-    No gcd reduction is attempted (evaluation-based use only); the exact
-    value at a point is num(pt)/den(pt) with the caller checking den != 0.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly | None = None):
-        if den is None:
-            den = Poly.constant(1)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("RationalPair is immutable")
-
-    @classmethod
-    def constant(cls, value) -> "RationalPair":
-        return cls(Poly.constant(value))
-
-    def __add__(self, other) -> "RationalPair":
-        other = _coerce_pair(other)
-        if other is None:
-            return NotImplemented
-        return RationalPair(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalPair":
-        return RationalPair(-self.num, self.den)
-
-    def __sub__(self, other) -> "RationalPair":
-        other = _coerce_pair(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "RationalPair":
-        other = _coerce_pair(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other) -> "RationalPair":
-        other = _coerce_pair(other)
-        if other is None:
-            return NotImplemented
-        return RationalPair(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalPair":
-        other = _coerce_pair(other)
-        if other is None:
-            return NotImplemented
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero expression")
-        return RationalPair(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other) -> "RationalPair":
-        other = _coerce_pair(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, exponent: int) -> "RationalPair":
-        if not isinstance(exponent, int):
-            raise ValueError("exponent must be an int")
-        if exponent < 0:
-            if self.num.is_zero():
-                raise ZeroDivisionError("negative power of zero")
-            return RationalPair(self.den ** (-exponent), self.num ** (-exponent))
-        return RationalPair(self.num**exponent, self.den**exponent)
-
-
-def _coerce_pair(value) -> RationalPair | None:
-    if isinstance(value, RationalPair):
-        return value
-    if isinstance(value, Poly):
-        return RationalPair(value)
-    if isinstance(value, (int, Fraction)):
-        return RationalPair.constant(value)
-    return None
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:

@@ -168,24 +168,23 @@ def _concrete_component(scenario, space, text, functions):
     """A generator component with free function f replaced by functions[f]
     (a Poly in the base variables; absent functions are zero)."""
     from poincount.exprs import evaluate_node, parse_expression
-    from poincount.jetpoly import Poly, RationalPair
+    from poincount.jetpoly import Poly
 
     def resolve(name):
         if name in scenario.base:
-            return RationalPair(Poly.variable(space.base_var(scenario.base.index(name))))
+            return Poly.variable(space.base_var(scenario.base.index(name)))
         if name in scenario.fiber:
             zero = (0,) * scenario.p
-            return RationalPair(Poly.variable(space.jet_var(scenario.fiber.index(name), zero)))
+            return Poly.variable(space.jet_var(scenario.fiber.index(name), zero))
         fname, _, suffix = name.partition("_")
         if fname not in scenario.free_functions:
             raise KeyError(name)
         poly = functions.get(fname, Poly.zero())
         for ch in suffix:
             poly = poly.diff(space.base_var(scenario.base.index(ch)))
-        return RationalPair(poly)
+        return poly
 
-    pair = evaluate_node(parse_expression(text), RationalPair.constant, resolve)
-    return pair.num * (1 / pair.den.constant_value())
+    return evaluate_node(parse_expression(text), Poly.constant, resolve)
 
 
 def _prolonged_row(space, xi, phi, point):

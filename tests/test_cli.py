@@ -117,9 +117,15 @@ def test_engine_invariant_violation_exits_three(monkeypatch):
 
 
 def test_rederive_match_exit_zero():
-    code, payload = run_json(["rederive", "--id", "einstein", "--n", "4", "--kmax", "12"])
-    assert code == 0
-    assert payload["fields"]["match"] is True
+    # short horizons included: the plan rows are compared order by order
+    for argv in (
+        ["--id", "einstein", "--n", "4", "--kmax", "12"],
+        ["--id", "almost-complex", "--n", "5", "--kmax", "12"],
+        ["--id", "einstein", "--n", "4", "--kmax", "2"],
+    ):
+        code, payload = run_json(["rederive"] + argv)
+        assert code == 0, argv
+        assert payload["fields"]["match"] is True
 
 
 def test_metric2d_output():

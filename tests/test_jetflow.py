@@ -442,6 +442,20 @@ def test_scenario_errors():
     )
     with pytest.raises(NonlinearParameters):
         nonlinear.instantiate(2)
+
+    def first_xi(text):
+        generators = [{"xi": [text], "phi": ["0"]}]
+        line = {"id": "divisors", "base": ["x"], "fiber": ["u"], "generators": generators}
+        fields, _ = Scenario(line).instantiate(2)
+        return fields[0].xi[0]
+
+    for text in ("x/u", "x^-1"):
+        with pytest.raises(NonlinearParameters):
+            first_xi(text)
+    assert first_xi("x*2^-1") == first_xi("x/2") == Poly.variable(0) * Fraction(1, 2)
+    positive = Scenario(dict(X_REPARAM, id="positive", positivity=["1/u10"]))
+    with pytest.raises(BadSample):
+        stratum_codim_sequence(positive, "sigma1", 1, seed=1)
     with pytest.raises(ValueError, match="pointwise"):
         Scenario(
             {
