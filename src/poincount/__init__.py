@@ -77,7 +77,6 @@ from .jetflow import (
     distribution_example,
     get_scenario,
     lie_example_table,
-    metric2d_case,
     orbit_rank,
     prolong,
     stratum_codim_sequence,

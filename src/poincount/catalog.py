@@ -34,8 +34,8 @@ from .algebra import (
     binomial,
     binom_in_k,
     cyclotomic_factors,
-    split_factor,
 )
+from .analysis import analyze
 from .hilbert import HilbertSpec, equal_series, gf_from_hilbert
 
 CATALOG_VERSION = 1
@@ -850,10 +850,6 @@ def base_dimension(entry_id: str, **params) -> int:
     return entry.base_dim(**clean)
 
 
-def _unit_pole_factors(den: Polynomial) -> list[tuple[Polynomial, int]]:
-    return [(phi, mult) for _, phi, mult in cyclotomic_factors(den, skip_one=False)]
-
-
 def verify_entry(entry_id: str, params: Mapping[str, int], k_max: int) -> VerificationReport:
     """Exact consistency check of one entry at one parameter point.
 
@@ -869,21 +865,20 @@ def verify_entry(entry_id: str, params: Mapping[str, int], k_max: int) -> Verifi
 
     if p.den.coefficient(0) == 0:
         problems["pole_at_origin"] = str(p.den)
-    d, residual = split_factor(p.den, ONE_MINUS_Z)
+    poles = analyze(p)
     base = entry.base_dim(**clean)
-    if d > base:
-        problems["pole_order_exceeds_base_dim"] = {"d": d, "base_dim": base}
-    pr_form = residual.degree == 0
-    if not pr_form and OTHER_UNIT_POLES not in entry.flags:
-        problems["unexpected_unit_poles"] = [
-            (f.format(), mult) for f, mult in _unit_pole_factors(residual)
-        ]
+    if poles.d > base:
+        problems["pole_order_exceeds_base_dim"] = {"d": poles.d, "base_dim": base}
+    if not poles.conforms_to_pr and OTHER_UNIT_POLES not in entry.flags:
+        problems["unexpected_unit_poles"] = poles.pole_factor_names()
 
     if entry.hilbert is None:
         detail = {
             "reason": "no-hilbert-data",
-            "pole_order": d,
-            "pole_factors": [(f.format(), m) for f, m in _unit_pole_factors(p.den)],
+            "pole_order": poles.d,
+            "pole_factors": [
+                (phi.format(), m) for _, phi, m in cyclotomic_factors(p.den, skip_one=False)
+            ],
         }
         if problems:
             detail["problems"] = problems

@@ -328,7 +328,8 @@ def cmd_strata_demo(args) -> tuple[int, dict]:
 
 
 def cmd_metric2d(args) -> tuple[int, dict]:
-    h = jetflow.metric2d_case(args.kmax, args.seed)
+    scenario = jetflow.get_scenario("metric2d")
+    _, h = jetflow.stratum_codim_sequence(scenario, "generic", args.kmax, args.seed)
     payload = _payload(
         "metric2d",
         {"kmax": args.kmax, "seed": args.seed},

@@ -190,22 +190,24 @@ def gf_from_hilbert(spec: HilbertSpec) -> RationalFunction:
     return RationalFunction._canonical(Polynomial(num), Polynomial(den))
 
 
-def hilbert_values_spec(values: Sequence[int]) -> HilbertSpec:
+def hilbert_values_spec(values: Sequence[int], confirm: int = 3) -> HilbertSpec:
     """Fit an eventually-polynomial spec to explicit sequence values.
 
     Finds the smallest difference order d whose d-th differences vanish on a
-    suffix of length at least d + 3, interpolates the degree <= d-1 tail from
-    the onset, and canonicalizes.  Raises HorizonTooShort when no order
-    stabilizes within the data.
+    suffix of length at least d + confirm, interpolates the degree <= d-1
+    tail from the onset, and canonicalizes.  The default confirm = 3 serves
+    catalog and plan data; confirm = 1 accepts a constant tail once three
+    equal trailing values show it, the rule of the jet strata table.
+    Raises HorizonTooShort when no order stabilizes within the data.
     """
     n = len(values)
     d = 0
-    while n - d >= d + 3:
+    while n - d >= d + confirm:
         diffs = finite_differences(values, d)
         j = len(diffs)
         while j > 0 and diffs[j - 1] == 0:
             j -= 1
-        if len(diffs) - j >= d + 3:
+        if len(diffs) - j >= d + confirm:
             onset = j
             if d == 0:
                 tail = Polynomial.zero()
@@ -223,7 +225,7 @@ def hilbert_values_spec(values: Sequence[int]) -> HilbertSpec:
             return spec
         d += 1
     raise HorizonTooShort(
-        f"no difference order stabilizes within {n} values"
+        f"no difference order stabilizes within {n} values; extend k_max"
     )
 
 

@@ -39,9 +39,9 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Mapping, Optional, Sequence
 
-from .algebra import Polynomial, RationalFunction
+from .algebra import RationalFunction
 from .exprs import ExpressionError, Node, evaluate_node, parse_expression, symbol_names
-from .hilbert import HilbertSpec, gf_from_hilbert
+from .hilbert import HilbertSpec, gf_from_hilbert, hilbert_values_spec
 from .jetpoly import NonConstantDivisor, Poly, matrix_rank, rank_profile
 
 MultiIndex = tuple[int, ...]
@@ -64,7 +64,8 @@ class InvariantViolation(RuntimeError):
 
 
 class GenericityFailure(RuntimeError):
-    """Sampled ranks stayed inconsistent after retries."""
+    """The ranks at a round's sampled stratum points disagreed, also after
+    the retry round."""
 
 
 class BadSample(RuntimeError):
@@ -622,6 +623,7 @@ class _StratumEngine:
             param_cutoff if param_cutoff is not None else k_max + scenario.lift_order + 1
         )
         self.fields, self.params = scenario.instantiate(cutoff)
+        self._eq_cols: dict[StratumCase, list[int]] = {}
         # column count of the order-k block (coordinates are sorted by order)
         self.cols_at = [
             self.space.p
@@ -647,9 +649,25 @@ class _StratumEngine:
                 rows.append(row)
         return rows
 
+    def equality_columns(self, stratum: StratumCase) -> list[int]:
+        """Columns of the stratum's vanishing coordinates, resolved once;
+        OrderExceeded names a coordinate outside this jet order."""
+        if stratum not in self._eq_cols:
+            cols = []
+            for name in stratum.equalities:
+                try:
+                    cols.append(self.space.var_by_name(name))
+                except BadPoint:
+                    raise OrderExceeded(
+                        f"stratum {stratum.label!r} sets {name!r} to zero, "
+                        f"which is not a coordinate of jet order {self.k_max}"
+                    ) from None
+            self._eq_cols[stratum] = cols
+        return self._eq_cols[stratum]
+
     def ranks_for_point(self, values: Mapping[str, Fraction], stratum: StratumCase) -> list[int]:
         rows = self.rows(make_point(self.space, values))
-        eq_cols = [self.space.var_by_name(name) for name in stratum.equalities]
+        eq_cols = self.equality_columns(stratum)
         for row in rows:
             for col in eq_cols:
                 if row[col] != 0:
@@ -660,12 +678,8 @@ class _StratumEngine:
         return rank_profile(rows, self.cols_at)
 
     def stratum_dim(self, stratum: StratumCase, k: int) -> int:
-        eq_orders = [
-            sum(self.space.info(self.space.var_by_name(name))[2])
-            for name in stratum.equalities
-        ]
-        active = sum(1 for order in eq_orders if order <= k)
-        return self.cols_at[k] - active
+        cut = self.cols_at[k]
+        return cut - sum(1 for col in self.equality_columns(stratum) if col < cut)
 
     def sampled_ranks(self, stratum: StratumCase, seed: int) -> list[int]:
         """Orbit rank at each order 0..k_max, agreed on by one seeded round
@@ -899,25 +913,14 @@ class StratumRow:
     note: str
 
 
-def _fit_constant_tail(h: Sequence[int]) -> HilbertSpec:
-    """Fit an eventually-constant spec; needs 3 equal trailing values."""
-    if len(h) < 3 or not (h[-1] == h[-2] == h[-3]):
-        raise GenericityFailure(
-            f"no constant tail visible in {list(h)}; extend k_max"
-        )
-    c = h[-1]
-    onset = len(h) - 1
-    while onset > 0 and h[onset - 1] == c:
-        onset -= 1
-    exceptions = {k: h[k] for k in range(onset) if h[k] != 0}
-    return HilbertSpec(exceptions, onset, Polynomial.constant(c))
-
-
 def lie_example_table(k_max: int = 7, seed: int = 2024) -> list[StratumRow]:
     """Orbit-codimension table of the x-reparametrization pseudogroup.
 
     Runs the rank engine over the singular strata sigma0..sigma6 up to
-    k_max and fits each row's counting function; the final row is the
+    k_max and fits each row's counting function by hilbert_values_spec with
+    confirm = 1: the d-th differences must vanish on the last d + 1 values
+    (three equal ones for a constant tail), and a row that shows no such
+    tail raises HorizonTooShort.  The final row is the
     infinite stratum, handled analytically (the residual action there is
     the three translations, leaving one new invariant per order).
     """
@@ -925,19 +928,15 @@ def lie_example_table(k_max: int = 7, seed: int = 2024) -> list[StratumRow]:
     rows = []
     for label, stratum in engine.scenario.strata.items():
         _, h = engine.codim_sequence(stratum, seed)
-        if all(v == 0 for v in h):
-            spec = HilbertSpec({}, 0, Polynomial.zero())
-        else:
-            spec = _fit_constant_tail(h)
         rows.append(
             StratumRow(
                 label=label,
                 h=tuple(h),
-                counting_function=gf_from_hilbert(spec),
+                counting_function=gf_from_hilbert(hilbert_values_spec(h, confirm=1)),
                 note=f"fit verified to k_max={k_max} only",
             )
         )
-    inf_spec = HilbertSpec({}, 1, Polynomial.constant(1))
+    inf_spec = HilbertSpec({}, 1, 1)
     rows.append(
         StratumRow(
             label="sigma-infinity",
@@ -947,18 +946,6 @@ def lie_example_table(k_max: int = 7, seed: int = 2024) -> list[StratumRow]:
         )
     )
     return rows
-
-
-def metric2d_case(k_max: int, seed: int = 2024) -> list[int]:
-    """h_k of plane metrics under diffeomorphisms, by direct rank counting.
-
-    Cost-guarded to k_max <= 6: rows and ranks grow steeply with the order.
-    """
-    if k_max > 6:
-        raise ValueError("metric2d_case is cost-guarded to k_max <= 6")
-    scenario = get_scenario("metric2d")
-    _, h = stratum_codim_sequence(scenario, "generic", k_max, seed)
-    return h
 
 
 # ---------------------------------------------------------------------------

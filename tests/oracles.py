@@ -301,3 +301,23 @@ def gf_from_hilbert_termwise(spec):
                 Polynomial.monomial(k0 + j, d_j), ONE_MINUS_Z ** (j + 1)
             )
     return result
+
+
+# -- the constant-tail fit -------------------------------------------------------
+#
+# The rule the strata table used before hilbert_values_spec took a
+# confirmation count: a constant tail is read off three equal trailing values.
+
+
+def fit_constant_tail(h):
+    """Eventually-constant spec of a row whose last three values are equal
+    (ValueError otherwise): the tail starts where the trailing run of the
+    last value does, and every earlier nonzero value is an exception."""
+    from poincount.hilbert import HilbertSpec
+
+    if len(h) < 3 or not (h[-1] == h[-2] == h[-3]):
+        raise ValueError(f"no constant tail visible in {list(h)}")
+    onset = len(h) - 1
+    while onset > 0 and h[onset - 1] == h[-1]:
+        onset -= 1
+    return HilbertSpec({k: h[k] for k in range(onset) if h[k] != 0}, onset, h[-1])

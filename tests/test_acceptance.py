@@ -27,7 +27,7 @@ from poincount.jetflow import (
     annihilation_check,
     get_scenario,
     lie_example_table,
-    metric2d_case,
+    stratum_codim_sequence,
 )
 
 from oracles import xreparam_stratum_oracle
@@ -204,7 +204,7 @@ def test_criterion_6_invariant_annihilation():
 
 
 def test_criterion_7_metric_lift_cross_module():
-    h = metric2d_case(4, seed=20240815)
+    h = stratum_codim_sequence(get_scenario("metric2d"), "generic", 4, 20240815)[1]
     assert h == [0, 0, 1, 1, 3]
     assert h == catalog.hilbert_spec("riemannian", n=2).values(4)
     _announce(

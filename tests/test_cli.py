@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -88,11 +89,14 @@ def test_exit_codes_for_errors():
         ["analyze", "--expr", "(" * 3000 + "z" + ")" * 3000],  # deep nesting
         ["analyze", "--expr", "z" + "+z" * 3000],  # deep left-leaning sum
         ["strata-demo", "--kmax", "-1"],  # negative jet order
+        ["strata-demo", "--kmax", "0"],  # a stratum condition above the jet order
         ["rederive", "--id", "einstein", "--n", "4", "--kmax", "-3"],
     ):
         code, out, err = capture(argv)
         assert code == 2 and out == "", argv[:2]
         assert err.startswith("poincount: error:") and err.count("\n") == 1
+    err = capture(["strata-demo", "--kmax", "0"])[2]
+    assert "'sigma1'" in err and "'u10'" in err and "jet order 0" in err
     for argv in (  # a negative --kmax is named the same way by every series command
         ["show", "riemannian", "--n", "2", "--kmax", "-3"],
         ["verify", "--id", "riemannian", "--kmax", "-3"],
@@ -142,6 +146,27 @@ def test_strata_demo_deterministic_bytes():
     assert first == second
     assert first[0] == 0
     assert "sigma3" in first[1]
+
+
+#: sha256 of stdout recorded at commit 835e013; every later change to the
+#: engine, the fitting rule or the pole analysis must leave these bytes alone
+PINNED_STDOUT = {
+    ("markdown", "strata-demo", "--kmax", "7", "--seed", "2024"):
+        "0f1b91265413ceb9657b95b1119b12e0c4f66e5b080f23c40a1721af60fac07e",
+    ("json", "strata-demo", "--kmax", "7", "--seed", "2024"):
+        "03eee9392728bff5131f652aac2e70ec21daa06518d0afe3f7a9f8f16860535a",
+    ("json", "metric2d", "--kmax", "4"):
+        "2b2e5392b44c31a47462f60aece5a4ef9ae4cb4a34eba7e25420aa5655e4f219",
+    ("json", "verify", "--kmax", "50", "--nmax", "8"):
+        "c542367342c9028192ad3868b5eb5a3e7b9e2443b578b83324b0c5d8e30ccf2b",
+}
+
+
+def test_pinned_stdout_bytes():
+    for (fmt, *argv), digest in PINNED_STDOUT.items():
+        code, out, err = capture(["--format", fmt] + argv)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (fmt, argv[0])
 
 
 def test_strata_demo_short_horizon_is_a_clean_error():

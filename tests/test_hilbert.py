@@ -18,7 +18,7 @@ from poincount.hilbert import (
     spec_from_gf,
 )
 
-from oracles import gf_from_hilbert_termwise
+from oracles import fit_constant_tail, gf_from_hilbert_termwise
 
 P = Polynomial
 RF = RationalFunction
@@ -201,3 +201,58 @@ def test_gf_from_hilbert_matches_termwise_oracle_and_is_canonical(spec):
     assert (gf.num.coeffs, gf.den.coeffs) == (oracle.num.coeffs, oracle.den.coeffs)
     again = RF(gf.num, gf.den)
     assert (again.num.coeffs, again.den.coeffs) == (gf.num.coeffs, gf.den.coeffs)
+
+
+# -- one tail-fitting rule: confirm = 1 is the strata table's constant-tail fit --
+
+#: the x-reparam engine rows sigma0..sigma6 at k_max = 9, seed 2024; the rows at
+#: k_max = 6..8 are their prefixes
+XREPARAM_ROWS = [
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 1, 1, 1, 1, 1, 1, 1, 1, 1],
+    [0, 1, 0, 1, 1, 1, 1, 1, 1, 1],
+    [0, 1, 1, 2, 2, 2, 2, 2, 2, 2],
+    [0, 1, 1, 1, 2, 2, 2, 2, 2, 2],
+    [0, 1, 1, 0, 2, 2, 2, 2, 2, 2],
+    [0, 1, 1, 1, 3, 3, 3, 3, 3, 3],
+]
+
+
+def _assert_fits_like_oracle(row):
+    spec = hilbert_values_spec(row, confirm=1)
+    assert spec == fit_constant_tail(row), row
+    assert gf_from_hilbert(spec) == gf_from_hilbert(fit_constant_tail(row)), row
+
+
+@pytest.mark.parametrize("k_max", [6, 7, 8, 9])
+def test_confirm_one_fits_the_xreparam_rows_like_the_constant_tail_oracle(k_max):
+    for row in XREPARAM_ROWS:
+        _assert_fits_like_oracle(row[: k_max + 1])
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(st.integers(0, 6), max_size=8),
+    st.integers(0, 6),
+    st.integers(3, 6),
+)
+@example([], 0, 3)
+@example([0, 1, 1, 0], 2, 3)
+def test_confirm_one_matches_constant_tail_oracle(head, c, repeats):
+    _assert_fits_like_oracle(head + [c] * repeats)
+
+
+@pytest.mark.parametrize("row", [[0, 1, 0, 1, 1], [0, 1, 1, 1, 2, 2]])
+def test_confirm_one_short_horizon(row):
+    with pytest.raises(ValueError):
+        fit_constant_tail(row)
+    with pytest.raises(HorizonTooShort, match="extend k_max"):
+        hilbert_values_spec(row, confirm=1)
+
+
+def test_default_confirm_is_three():
+    row = [0, 1, 1, 0, 2, 2, 2, 2]  # the sigma5 row at k_max = 7
+    assert hilbert_values_spec(row, confirm=1) == HilbertSpec({1: 1, 2: 1}, 4, 2)
+    with pytest.raises(HorizonTooShort):
+        hilbert_values_spec(row)  # a constant tail needs d + 3 = 4 zero differences
+    assert hilbert_values_spec(row + [2]) == HilbertSpec({1: 1, 2: 1}, 4, 2)

@@ -1,3 +1,4 @@
+import io
 import random
 from fractions import Fraction
 
@@ -19,7 +20,6 @@ from poincount.jetflow import (
     get_scenario,
     lie_example_table,
     make_point,
-    metric2d_case,
     orbit_rank,
     prolong,
     sample_stratum_point,
@@ -27,6 +27,7 @@ from poincount.jetflow import (
     _StratumEngine,
 )
 from poincount.catalog import hilbert_spec
+from poincount.cli import run
 from poincount.jetpoly import Poly, matrix_rank, rank_profile
 
 from oracles import (
@@ -316,22 +317,38 @@ def test_annihilation_bad_sample():
 # -- metric lift -----------------------------------------------------------------
 
 
+def metric2d_h(k_max, seed):
+    return stratum_codim_sequence(get_scenario("metric2d"), "generic", k_max, seed)[1]
+
+
 def test_metric2d_low_orders():
-    assert metric2d_case(1, seed=9) == [0, 0]
-    assert metric2d_case(3, seed=9) == [0, 0, 1, 1]
+    assert metric2d_h(1, seed=9) == [0, 0]
+    assert metric2d_h(3, seed=9) == [0, 0, 1, 1]
 
 
 def test_metric2d_order_four():
-    assert metric2d_case(4, seed=9) == [0, 0, 1, 1, 3]
+    assert metric2d_h(4, seed=9) == [0, 0, 1, 1, 3]
 
 
-def test_metric2d_order_six_matches_catalog():
-    assert metric2d_case(6, seed=9) == hilbert_spec("riemannian", n=2).values(6)
+def test_metric2d_order_seven_matches_catalog():
+    assert metric2d_h(7, seed=9) == hilbert_spec("riemannian", n=2).values(7)
 
 
 def test_metric2d_cost_guard():
-    with pytest.raises(ValueError):
-        metric2d_case(7)
+    # the jet order range 0..9 is the one bound, for metric2d as for every scenario
+    with pytest.raises(OrderExceeded):
+        metric2d_h(10, seed=9)
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["metric2d", "--kmax", "10"], stdout=out, stderr=err) == 2
+    assert out.getvalue() == ""
+    assert err.getvalue() == "poincount: error: jet order 10 is outside the supported range 0..9\n"
+
+
+def test_stratum_condition_above_the_jet_order():
+    with pytest.raises(OrderExceeded, match="'sigma3'.*'u20'.*jet order 1"):
+        stratum_codim_sequence(SC, "sigma3", 1, seed=4)
+    with pytest.raises(OrderExceeded, match="'sigma1'.*'u10'.*jet order 0"):
+        lie_example_table(0, 2024)
 
 
 # -- distribution sub-example ------------------------------------------------------
@@ -548,5 +565,5 @@ def test_non_invariant_stratum_fails_tangency():
 
 
 def test_metric2d_seed_independent():
-    results = {tuple(metric2d_case(3, seed=s)) for s in (5, 6, 7)}
+    results = {tuple(metric2d_h(3, seed=s)) for s in (5, 6, 7)}
     assert results == {(0, 0, 1, 1)}
