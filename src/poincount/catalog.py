@@ -33,7 +33,7 @@ from .algebra import (
     RationalFunction,
     binomial,
     binom_in_k,
-    cyclotomic_factors,
+    cyclotomic,
 )
 from .analysis import analyze
 from .hilbert import HilbertSpec, equal_series, gf_from_hilbert
@@ -873,13 +873,10 @@ def verify_entry(entry_id: str, params: Mapping[str, int], k_max: int) -> Verifi
         problems["unexpected_unit_poles"] = poles.pole_factor_names()
 
     if entry.hilbert is None:
-        detail = {
-            "reason": "no-hilbert-data",
-            "pole_order": poles.d,
-            "pole_factors": [
-                (phi.format(), m) for _, phi, m in cyclotomic_factors(p.den, skip_one=False)
-            ],
-        }
+        factors = poles.pole_factor_names()
+        if poles.d:
+            factors.insert(0, (cyclotomic(1).format(), poles.d))
+        detail = {"reason": "no-hilbert-data", "pole_order": poles.d, "pole_factors": factors}
         if problems:
             detail["problems"] = problems
             return VerificationReport(entry.id, clean, "mismatch", detail)

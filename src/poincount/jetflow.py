@@ -97,7 +97,9 @@ class JetSpace:
     Variable ids are assigned deterministically: base variables first, then
     jet coordinates by total order, fiber index, and descending
     lexicographic multi-index (u10 before u01).  The order-0 jet coordinate
-    prints as the bare fiber name.
+    prints as the bare fiber name.  `multi_indices` lists the multi-indices
+    of orders 0..order in that order, and `cols_at[m]` is the column count
+    of the order-m block J^m, a prefix of the columns.
     """
 
     def __init__(
@@ -120,16 +122,21 @@ class JetSpace:
         self._names: list[str] = []
         self._jet_of: dict[tuple[int, MultiIndex], int] = {}
         self._info: list[tuple] = []
+        self.multi_indices: list[MultiIndex] = []
+        self.cols_at: list[int] = []
         for i, name in enumerate(self.base_names):
             self._names.append(name)
             self._info.append(("base", i))
         for m in range(order + 1):
+            block = _multi_indices(p, m)
+            self.multi_indices += block
             for alpha in range(q):
-                for sigma in _multi_indices(p, m):
+                for sigma in block:
                     var = len(self._names)
                     self._jet_of[(alpha, sigma)] = var
                     self._names.append(self._jet_name(alpha, sigma))
                     self._info.append(("jet", alpha, sigma))
+            self.cols_at.append(len(self._names))
         self._by_name = {name: var for var, name in enumerate(self._names)}
 
     def _jet_name(self, alpha: int, sigma: MultiIndex) -> str:
@@ -139,6 +146,19 @@ class JetSpace:
         digits = "".join(str(s) for s in sigma)
         sep = "_" if base[-1].isdigit() else ""
         return f"{base}{sep}{digits}"
+
+    def _jet_index(self, name: str) -> tuple[int, MultiIndex] | None:
+        """(fiber index, multi-index) of a jet name at any order, or None if
+        no jet coordinate has that name: the inverse of _jet_name."""
+        digits = name[len(name) - self.p :]  # the multi-index; empty when p = 0
+        sigmas = [(0,) * self.p]
+        if digits.isdecimal():
+            sigmas.append(tuple(map(int, digits)))
+        for alpha in range(self.q):
+            for sigma in sigmas:
+                if self._jet_name(alpha, sigma) == name:
+                    return alpha, sigma
+        return None
 
     @property
     def dim(self) -> int:
@@ -180,18 +200,17 @@ class ParamField:
 
     Components are Polys in the base coordinates (variable i), the order-0
     fiber coordinates (variable p + alpha, as in JetSpace) and the jet
-    tokens of the free functions (variables from p + q on).  `tokens` lists
-    (variable, function, gamma) for each token, the derivative d^gamma of
-    its function; parameter `param` of `slices` (param, function, beta)
-    replaces that function by the monomial x^beta.  The token-free part is
-    a fixed generator.
+    tokens of the free functions (variables from p + q on).  A parameter
+    replaces its function by x^beta, so that each token d^gamma reads
+    beta!/(beta - gamma)! x^(beta - gamma); `specs` holds, per parameter,
+    (parameter, ((token variable, beta!/(beta - gamma)!, beta - gamma), ...)),
+    compiled by Scenario.instantiate.  The token-free part is a fixed generator.
     """
 
     label: str
     xi: tuple[Poly, ...]  # base components
     phi: tuple[Poly, ...]  # fiber components
-    tokens: tuple[tuple[int, str, MultiIndex], ...]
-    slices: tuple[tuple[int, str, MultiIndex], ...]
+    specs: tuple[tuple[int, tuple[tuple[int, int, MultiIndex], ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -243,13 +262,12 @@ def prolong(
     if any(point[space.base_var(i)] for i in range(p)):
         raise BadPoint("tangent rows are evaluated over the base origin only")
     zero = (0,) * p
-    jets = [sigma for m in range(k + 1) for sigma in _multi_indices(p, m)]
     section = {}
     for alpha in range(space.q):
         section[space.jet_var(alpha, zero)] = Poly({
             tuple((i, e) for i, e in enumerate(sigma) if e):
                 point[space.jet_var(alpha, sigma)] / _factorial(sigma)
-            for sigma in jets
+            for sigma in space.multi_indices
         })
     xi_polys = [c.substitute(section) for c in field.xi]
     xi = [_by_token(c, p) for c in xi_polys]
@@ -261,17 +279,8 @@ def prolong(
             q_alpha = q_alpha - xi_polys[i] * u.diff(i)
         characteristic.append(_by_token(q_alpha, p))
 
-    specs: list[tuple[Optional[int], list]] = [(None, [(None, 1, zero)])]
-    for param, fname, beta in field.slices:
-        spec = []
-        for var, f, gamma in field.tokens:
-            if f == fname and all(g <= b for g, b in zip(gamma, beta)):
-                shift = tuple(b - g for b, g in zip(beta, gamma))
-                spec.append((var, _factorial(beta) // _factorial(shift), shift))
-        specs.append((param, spec))
-
     rows = {}
-    for key, spec in specs:
+    for key, spec in [(None, ((None, 1, zero),)), *field.specs]:
         row = [Fraction(0)] * space.dim
         for i in range(p):
             for var, c, shift in spec:
@@ -285,7 +294,7 @@ def prolong(
                         row[space.jet_var(alpha, sigma)] += c * coeff * _factorial(sigma)
             for i in range(p):
                 if row[i]:
-                    for sigma in jets:
+                    for sigma in space.multi_indices:
                         if sum(sigma) < k:
                             row[space.jet_var(alpha, sigma)] += row[i] * point[
                                 space.jet_var(alpha, _add_index(sigma, i))
@@ -434,28 +443,22 @@ class Scenario:
             if len(xi) != self.p or len(phi) != self.q:
                 raise ValueError("generator component count must match p and q")
             used = {fname for _, fname, _ in tokens.values()}
-            slices = []
+            specs = []
             for fname in self.free_functions:
                 if fname not in used:
                     continue
-                for total in range(cutoff + 1):
-                    for beta in _multi_indices(self.p, total):
-                        slices.append((len(params), fname, beta))
-                        params.append(ParamInfo(name=f"{fname}[{beta}]", sentinel=False))
-                sentinel_beta = (cutoff + 1,) + (0,) * (self.p - 1)
-                slices.append((len(params), fname, sentinel_beta))
-                params.append(
-                    ParamInfo(name=f"{fname}[{sentinel_beta}]#sentinel", sentinel=True)
-                )
-            fields.append(
-                ParamField(
-                    label=f"gen{g_idx}",
-                    xi=xi,
-                    phi=phi,
-                    tokens=tuple(tokens.values()),
-                    slices=tuple(slices),
-                )
-            )
+                betas = [b for m in range(cutoff + 1) for b in _multi_indices(self.p, m)]
+                for beta in betas + [(cutoff + 1,) + (0,) * (self.p - 1)]:  # and the sentinel
+                    spec = []
+                    for var, f, gamma in tokens.values():
+                        if f == fname and all(g <= b for g, b in zip(gamma, beta)):
+                            shift = tuple(b - g for b, g in zip(beta, gamma))
+                            spec.append((var, _factorial(beta) // _factorial(shift), shift))
+                    specs.append((len(params), tuple(spec)))
+                    sentinel = sum(beta) > cutoff
+                    name = f"{fname}[{beta}]" + ("#sentinel" if sentinel else "")
+                    params.append(ParamInfo(name=name, sentinel=sentinel))
+            fields.append(ParamField(f"gen{g_idx}", xi, phi, tuple(specs)))
         return fields, params
 
     def _token(self, name: str) -> tuple[str, MultiIndex] | None:
@@ -513,46 +516,63 @@ def orbit_rank(
     return matrix_rank(engine.rows(make_point(engine.space, point_values)))
 
 
+def stratum_columns(space: JetSpace, stratum: StratumCase) -> tuple[list[int], list[int]]:
+    """(vanishing columns, nonvanishing columns) of a coordinate stratum.
+
+    Every name the stratum uses must be a jet coordinate of the space's
+    fibers at some order (BadPoint names the stratum and the name).  A
+    condition above the space's order is dropped: the stratum projects
+    onto J^order as the conditions it sets up to that order.
+    """
+    zeros: list[int] = []
+    nonzeros: list[int] = []
+    for names, cols in ((stratum.equalities, zeros), (stratum.inequations, nonzeros)):
+        for name in names:
+            found = space._jet_index(name)
+            if found is None:
+                raise BadPoint(
+                    f"stratum {stratum.label!r} names {name!r}, "
+                    "which is not a jet coordinate"
+                )
+            if sum(found[1]) <= space.order:
+                cols.append(space.jet_var(*found))
+    return zeros, nonzeros
+
+
 def sample_stratum_point(
     space: JetSpace,
     stratum: StratumCase,
     rng: random.Random,
     positivity: Sequence[Node] = (),
     max_tries: int = 60,
-) -> dict[str, Fraction]:
-    """Seeded random rational stratum point: base at origin, fibers in [-20, 20].
+) -> dict[int, Fraction]:
+    """Seeded random rational stratum point {column: value}: base at the
+    origin, jet columns drawn in column order in [-20, 20].
 
-    Equality coordinates are 0, inequation coordinates nonzero, everything
-    else a reduced random fraction; optional parsed positivity expressions
-    must evaluate positive at the point (resampled until they do, and
-    wherever one divides by zero).
+    Vanishing stratum_columns are 0, nonvanishing ones nonzero, the rest
+    reduced random fractions; optional parsed positivity expressions must
+    evaluate positive at the point (resampled until they do, and wherever
+    one divides by zero).
     """
-    eq = set(stratum.equalities)
-    ineq = set(stratum.inequations)
-    names = []
-    for var in space.coordinates():
-        if space.info(var)[0] == "jet":
-            names.append(space.name_of(var))
+    zeros, nonzeros = map(set, stratum_columns(space, stratum))
     for _ in range(max_tries):
-        values: dict[str, Fraction] = {}
-        for name in names:
-            if name in eq:
-                values[name] = Fraction(0)
+        point = {space.base_var(i): Fraction(0) for i in range(space.p)}
+        for var in range(space.p, space.dim):
+            if var in zeros:
+                point[var] = Fraction(0)
                 continue
             num = rng.randint(-20, 20)
-            if name in ineq:
+            if var in nonzeros:
                 while num == 0:
                     num = rng.randint(-20, 20)
-            values[name] = Fraction(num, rng.randint(1, 20))
-        if positivity:
-            point = make_point(space, values)
-            value = lambda name: point[space.var_by_name(name)]
-            try:
-                if not all(evaluate_node(e, Fraction, value) > 0 for e in positivity):
-                    continue
-            except ZeroDivisionError:
+            point[var] = Fraction(num, rng.randint(1, 20))
+        value = lambda name: point[space.var_by_name(name)]
+        try:
+            if not all(evaluate_node(e, Fraction, value) > 0 for e in positivity):
                 continue
-        return values
+        except ZeroDivisionError:
+            continue
+        return point
     raise BadSample(
         f"could not sample a point of stratum {stratum.label!r} "
         f"after {max_tries} tries"
@@ -611,7 +631,8 @@ class _StratumEngine:
 
     The generators are instantiated once here; every stratum, sample point
     and invariant check of the scenario at this order reuses them, and
-    `prolong` evaluates their rows at each point.
+    `prolong` evaluates their rows at each {column: value} point, and
+    stratum_columns gives each stratum's columns.
     The engine holds no random state: each caller seeds its own generator.
     """
 
@@ -623,13 +644,7 @@ class _StratumEngine:
             param_cutoff if param_cutoff is not None else k_max + scenario.lift_order + 1
         )
         self.fields, self.params = scenario.instantiate(cutoff)
-        self._eq_cols: dict[StratumCase, list[int]] = {}
-        # column count of the order-k block (coordinates are sorted by order)
-        self.cols_at = [
-            self.space.p
-            + self.space.q * sum(len(_multi_indices(self.space.p, m)) for m in range(k + 1))
-            for k in range(k_max + 1)
-        ]
+        self.cols_at = self.space.cols_at
 
     @cached_property
     def positivity(self) -> list[Node]:
@@ -649,37 +664,16 @@ class _StratumEngine:
                 rows.append(row)
         return rows
 
-    def equality_columns(self, stratum: StratumCase) -> list[int]:
-        """Columns of the stratum's vanishing coordinates, resolved once;
-        OrderExceeded names a coordinate outside this jet order."""
-        if stratum not in self._eq_cols:
-            cols = []
-            for name in stratum.equalities:
-                try:
-                    cols.append(self.space.var_by_name(name))
-                except BadPoint:
-                    raise OrderExceeded(
-                        f"stratum {stratum.label!r} sets {name!r} to zero, "
-                        f"which is not a coordinate of jet order {self.k_max}"
-                    ) from None
-            self._eq_cols[stratum] = cols
-        return self._eq_cols[stratum]
-
-    def ranks_for_point(self, values: Mapping[str, Fraction], stratum: StratumCase) -> list[int]:
-        rows = self.rows(make_point(self.space, values))
-        eq_cols = self.equality_columns(stratum)
-        for row in rows:
-            for col in eq_cols:
-                if row[col] != 0:
-                    raise InvariantViolation(
-                        f"generator not tangent to stratum {stratum.label!r} "
-                        f"at coordinate {self.space.name_of(col)!r}"
-                    )
+    def ranks_for_point(self, point: Mapping[int, Fraction], stratum: StratumCase) -> list[int]:
+        rows = self.rows(point)
+        zeros, _ = stratum_columns(self.space, stratum)
+        for col in zeros:
+            if any(row[col] for row in rows):
+                raise InvariantViolation(
+                    f"generator not tangent to stratum {stratum.label!r} "
+                    f"at coordinate {self.space.name_of(col)!r}"
+                )
         return rank_profile(rows, self.cols_at)
-
-    def stratum_dim(self, stratum: StratumCase, k: int) -> int:
-        cut = self.cols_at[k]
-        return cut - sum(1 for col in self.equality_columns(stratum) if col < cut)
 
     def sampled_ranks(self, stratum: StratumCase, seed: int) -> list[int]:
         """Orbit rank at each order 0..k_max, agreed on by one seeded round
@@ -689,8 +683,8 @@ class _StratumEngine:
         for _ in range(2):
             trials = []
             for _ in range(3):
-                values = sample_stratum_point(self.space, stratum, rng, self.positivity)
-                trials.append(self.ranks_for_point(values, stratum))
+                point = sample_stratum_point(self.space, stratum, rng, self.positivity)
+                trials.append(self.ranks_for_point(point, stratum))
             if all(t == trials[0] for t in trials):
                 ranks = trials
                 break
@@ -706,8 +700,16 @@ class _StratumEngine:
         """(s_k, h_k) for one stratum; see stratum_codim_sequence."""
         if isinstance(stratum, str):
             stratum = self.scenario.stratum(stratum)
+        zeros, _ = stratum_columns(self.space, stratum)  # every name is a jet
+        for name in stratum.equalities:
+            if sum(self.space._jet_index(name)[1]) > self.k_max:
+                raise OrderExceeded(
+                    f"stratum {stratum.label!r} sets {name!r} to zero, "
+                    f"which is not a coordinate of jet order {self.k_max}"
+                )
         rank_k = self.sampled_ranks(stratum, seed)
-        s = [self.stratum_dim(stratum, k) - rank_k[k] for k in range(self.k_max + 1)]
+        dims = [cut - sum(col < cut for col in zeros) for cut in self.cols_at]
+        s = [dim - rank for dim, rank in zip(dims, rank_k)]
         h = [s[0]] + [s[k] - s[k - 1] for k in range(1, self.k_max + 1)]
         return s, h
 
@@ -729,9 +731,7 @@ class _StratumEngine:
                 raise BadSample(
                     f"invariant denominator vanishes on stratum {stratum.label!r}"
                 )
-            point = make_point(
-                self.space, sample_stratum_point(self.space, stratum, rng, self.positivity)
-            )
+            point = sample_stratum_point(self.space, stratum, rng, self.positivity)
 
             def coordinate(name: str) -> _Dual:
                 var = self.space.var_by_name(name)
@@ -759,7 +759,7 @@ def stratum_codim_sequence(
     Three seeded sample points per round; the per-order ranks must agree
     across the round (one retry round, then genericity-failure).  Generators
     are checked tangent to the stratum and sentinel rows checked zero at
-    every sampled point.
+    every sampled point.  A vanishing condition above k_max raises OrderExceeded.
     """
     return _StratumEngine(scenario, k_max).codim_sequence(stratum, seed)
 
@@ -774,18 +774,16 @@ def annihilation_check(
     """True iff the invariant's derivative along every generator row vanishes
     at n_points seeded random stratum points.
 
-    The invariant is a rational expression in jet coordinates, of the
-    order of the highest jet it names; a sampled point where it divides by
-    zero is resampled (error if that keeps failing).
+    The invariant is a rational expression in jet coordinates, checked at
+    the order of the highest jet it names, where stratum_columns drops the
+    stratum's conditions above that order; a sampled point where it divides
+    by zero is resampled (error if that keeps failing).
     """
     if isinstance(stratum, str):
         stratum = scenario.stratum(stratum)
-    probe_space = scenario.space(9)
-    order = 0
-    for name in symbol_names(invariant):
-        info = probe_space.info(probe_space.var_by_name(name))
-        if info[0] == "jet":
-            order = max(order, sum(info[2]))
+    space = scenario.space(0)
+    jets = [space._jet_index(name) for name in symbol_names(invariant)]
+    order = max((sum(found[1]) for found in jets if found), default=0)
     return _StratumEngine(scenario, order).annihilates(invariant, stratum, seed, n_points)
 
 

@@ -241,19 +241,19 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
 def rank_profile(rows: Sequence[Sequence[Fraction]], cuts: Sequence[int]) -> list[int]:
     """Exact ranks of the leading column blocks row[:cut], cuts ascending.
 
-    Rows are scaled to content-1 integer rows by `algebra._primitive`
-    (rank-preserving), then reduced column by column by the Bareiss
-    one-step method, which keeps all intermediate entries integral and of
-    moderate size.  Row operations act on every leading block alike, so
+    Rows of ints or Fractions, taken as given, are scaled to content-1
+    integer rows by `algebra._primitive` (rank-preserving), then reduced
+    column by column by the Bareiss one-step method, which keeps all
+    intermediate entries integral and of moderate size.  Row operations act on every leading block alike, so
     the pivots found left of a cut are the rank of that block: one pass
     gives the whole profile.
     """
     width = cuts[-1] if cuts else 0
     mat: list[list[int]] = []
     for row in rows:
-        fracs = [Fraction(x) for x in row[:width]]
-        if any(fracs):
-            mat.append(_primitive(fracs))
+        row = row[:width]
+        if any(row):
+            mat.append(_primitive(row))
     n_rows = len(mat)
     rank = 0
     prev = 1

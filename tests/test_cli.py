@@ -148,8 +148,10 @@ def test_strata_demo_deterministic_bytes():
     assert "sigma3" in first[1]
 
 
-#: sha256 of stdout recorded at commit 835e013; every later change to the
-#: engine, the fitting rule or the pole analysis must leave these bytes alone
+#: sha256 of stdout recorded at commit 835e013 (the last two at 65fd952);
+#: every later change to the engine, the fitting rule or the pole analysis
+#: must leave these bytes alone.  metric2d samples under `positivity`, so
+#: its digest also pins the redraw order of rejected samples.
 PINNED_STDOUT = {
     ("markdown", "strata-demo", "--kmax", "7", "--seed", "2024"):
         "0f1b91265413ceb9657b95b1119b12e0c4f66e5b080f23c40a1721af60fac07e",
@@ -159,6 +161,10 @@ PINNED_STDOUT = {
         "2b2e5392b44c31a47462f60aece5a4ef9ae4cb4a34eba7e25420aa5655e4f219",
     ("json", "verify", "--kmax", "50", "--nmax", "8"):
         "c542367342c9028192ad3868b5eb5a3e7b9e2443b578b83324b0c5d8e30ccf2b",
+    ("csv", "strata-demo", "--kmax", "7", "--seed", "7"):
+        "5319941f43fd797d90e97d566d939d5dc851e8432cd4b875aadc380620062b96",
+    ("markdown", "metric2d", "--kmax", "6"):
+        "aac38547c9711bfb245c20cb99ec8191857bb94b21e3977deb6b3c6305d7ca17",
 }
 
 

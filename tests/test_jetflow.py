@@ -349,6 +349,13 @@ def test_stratum_condition_above_the_jet_order():
         stratum_codim_sequence(SC, "sigma3", 1, seed=4)
     with pytest.raises(OrderExceeded, match="'sigma1'.*'u10'.*jet order 0"):
         lie_example_table(0, 2024)
+    # a name that is no jet coordinate is an error, not a dropped condition
+    with pytest.raises(BadPoint, match="'typo'.*'u1O'"):
+        stratum_codim_sequence(SC, StratumCase("typo", (), ("u1O",)), 3, seed=1)
+    with pytest.raises(BadPoint, match="'typo'.*'u2O'"):
+        annihilation_check(SC, "u01", StratumCase("typo", ("u2O",), ("u10",)), seed=1)
+    # an open condition above the order is dropped: sigma1's u20 != 0 at k = 1
+    assert stratum_codim_sequence(SC, "sigma1", 1, seed=3)[1] == [0, 1]
 
 
 # -- distribution sub-example ------------------------------------------------------
@@ -388,11 +395,13 @@ def test_matrix_rank_against_plain_elimination():
             [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(5)]
             for _ in range(4)
         ]
-        assert matrix_rank(rows) == rational_rank(rows)
-        cuts = range(6)
-        assert rank_profile(rows, cuts) == [
-            rational_rank([row[:cut] for row in rows]) for cut in cuts
-        ]
+        ints = [[x.numerator for x in row] for row in rows]
+        for matrix in (rows, ints):
+            assert matrix_rank(matrix) == rational_rank(matrix)
+            cuts = range(6)
+            assert rank_profile(matrix, cuts) == [
+                rational_rank([row[:cut] for row in matrix]) for cut in cuts
+            ]
 
 
 def test_sentinel_rows_are_zero_at_origin():
@@ -498,10 +507,11 @@ def test_sample_respects_stratum():
     space = SC.space(3)
     rng = random.Random(0)
     for _ in range(10):
-        values = sample_stratum_point(space, SC.stratum("sigma2"), rng)
-        assert values["u10"] == 0 and values["u20"] == 0
-        assert values["u11"] != 0
-        for v in values.values():
+        point = sample_stratum_point(space, SC.stratum("sigma2"), rng)
+        value = lambda name: point[space.var_by_name(name)]
+        assert value("u10") == 0 and value("u20") == 0
+        assert value("u11") != 0
+        for v in point.values():
             assert abs(v.numerator) <= 20 * v.denominator or v == 0
 
 
@@ -549,10 +559,9 @@ def test_rows_match_symbolic_prolongation_oracle():
         engine = _StratumEngine(scenario, k)
         cutoff = k + scenario.lift_order + 1
         rng = random.Random(70 + k)
-        values = sample_stratum_point(
+        point = sample_stratum_point(
             engine.space, scenario.stratum(label), rng, engine.positivity
         )
-        point = make_point(engine.space, values)
         expected = prolonged_rows_oracle(scenario, k, cutoff, point)
         assert sorted(engine.rows(point)) == sorted(expected), (scenario.id, label)
 
