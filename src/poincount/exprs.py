@@ -10,6 +10,7 @@ Grammar (EBNF):
     symbol  := letter { letter | digit | "_" }
 
 Only integer literals; no implicit multiplication (write 2*z, not 2z).
+An exponent's magnitude is at most MAX_EXPONENT, checked before any work.
 Parsing builds an AST; evaluation plugs in any value algebra supporting
 +, -, *, /, ** and a symbol resolver, so the same grammar serves the CLI's
 rational functions in z and the jet-coordinate expressions of scenarios.
@@ -23,6 +24,11 @@ from typing import Callable, Union
 
 class ExpressionError(ValueError):
     """Malformed expression text."""
+
+
+#: Largest |exponent| accepted by `^`; the catalog's closed forms stay
+#: below 100 even at n = 40.
+MAX_EXPONENT = 10_000
 
 
 @dataclass(frozen=True)
@@ -148,6 +154,8 @@ class _Parser:
             tok = self.take()
             if not tok.isdigit():
                 raise ExpressionError(f"exponent must be an integer, got {tok!r}")
+            if len(tok.lstrip("0")) > len(str(MAX_EXPONENT)) or int(tok) > MAX_EXPONENT:
+                raise ExpressionError(f"exponent magnitude is above the limit {MAX_EXPONENT}")
             exp = -int(tok) if neg else int(tok)
             return Pow(base, exp)
         return base

@@ -257,6 +257,11 @@ def prolong(
     with jets of order k + 1 taken as zero.  A slice x^beta reads its
     coefficients off those of the tokens, d^gamma x^beta =
     beta!/(beta - gamma)! x^(beta - gamma).
+
+    Only [x^rho] Q_alpha with |rho| <= k and the degree-0 part of xi are
+    read, and no product lowers the degree in x, so the substitution and
+    the products xi_i d_i u are truncated at degree k in the base
+    variables: the rows are those of the full substitution.
     """
     p, k = space.p, space.order
     if any(point[space.base_var(i)] for i in range(p)):
@@ -269,14 +274,14 @@ def prolong(
                 point[space.jet_var(alpha, sigma)] / _factorial(sigma)
             for sigma in space.multi_indices
         })
-    xi_polys = [c.substitute(section) for c in field.xi]
+    xi_polys = [c.substitute(section, p, k) for c in field.xi]
     xi = [_by_token(c, p) for c in xi_polys]
     characteristic = []
     for alpha, phi in enumerate(field.phi):
         u = section[space.jet_var(alpha, zero)]
-        q_alpha = phi.substitute(section)
+        q_alpha = phi.substitute(section, p, k)
         for i in range(p):
-            q_alpha = q_alpha - xi_polys[i] * u.diff(i)
+            q_alpha = q_alpha - xi_polys[i].truncated_mul(u.diff(i), p, k)
         characteristic.append(_by_token(q_alpha, p))
 
     rows = {}

@@ -5,13 +5,23 @@ sorted tuple of (variable index, exponent) pairs, so the variable universe
 can grow without rewriting keys.  `Poly` is the one polynomial class of the
 jet leg; it divides by nonzero constants only (a negative power is one over
 the positive power, under the same rule), so parsing a generator component
-into it rejects any non-constant divisor.  Everything is exact; these are
-the workhorses of the jet-prolongation engine, where expressions live in a
-few dozen jet coordinates and stay small.
+into it rejects any non-constant divisor.  Products and substitution can
+drop every monomial above a degree in the leading (base) variables, which
+is all the jet engine reads.
+
+Rank is a sparse integer echelon: rows become content-1 {column: int}
+dicts and are inserted one at a time, each reduced against the pivots
+already held, so zero entries cost nothing and no rational arithmetic is
+done.  The number of pivots leading left of a column cut is the rank of
+that leading block.  Everything is exact; these are the workhorses of the
+jet-prolongation engine, where expressions live in a few dozen jet
+coordinates and stay small.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -82,12 +92,7 @@ class Poly:
         if other is None:
             return NotImplemented
         out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = out.get(mono, _ZERO) + coeff
-            if acc:
-                out[mono] = acc
-            else:
-                out.pop(mono, None)
+        _accumulate(out, other.terms)
         return _wrap(out)
 
     __radd__ = __add__
@@ -115,9 +120,20 @@ class Poly:
             return _wrap({mono: c * coeff for mono, coeff in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
+        return self.truncated_mul(other, 0, 0)
+
+    __rmul__ = __mul__
+
+    def truncated_mul(self, other: "Poly", base: int, degree: int) -> "Poly":
+        """self * other without the monomials whose degree in the variables
+        below `base` exceeds `degree` (base 0 drops nothing)."""
+        right = [(m, c, _base_degree(m, base)) for m, c in other.terms.items()]
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+            room = degree - _base_degree(m1, base)
+            for m2, c2, d2 in right:
+                if d2 > room:
+                    continue
                 mono = _mul_monomials(m1, m2)
                 acc = out.get(mono, _ZERO) + c1 * c2
                 if acc:
@@ -125,8 +141,6 @@ class Poly:
                 else:
                     out.pop(mono, None)
         return _wrap(out)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Poly":
         """Division by a nonzero constant; other divisors are refused."""
@@ -186,16 +200,29 @@ class Poly:
             total += term
         return total
 
-    def substitute(self, values: Mapping[int, "Poly"]) -> "Poly":
-        """Replace the given variables by polynomials, keeping the rest."""
-        out = Poly.zero()
+    def substitute(self, values: Mapping[int, "Poly"], base: int, degree: int) -> "Poly":
+        """Replace the given variables by polynomials, keeping the rest, up to
+        degree `degree` in the variables below `base`.
+
+        Exponents are nonnegative, so no product lowers that degree: each
+        multiplication drops the monomials above it, and the result is the
+        full substitution with exactly those monomials removed.
+        """
+        powers = {var: [Poly.constant(1)] for var in values}
+        out: dict[Monomial, Fraction] = {}
         for mono, coeff in self.terms.items():
-            term = _wrap({tuple((v, e) for v, e in mono if v not in values): coeff})
+            kept = tuple((v, e) for v, e in mono if v not in values)
+            if _base_degree(kept, base) > degree:
+                continue
+            term = _wrap({kept: coeff})
             for var, exp in mono:
                 if var in values:
-                    term = term * values[var] ** exp
-            out = out + term
-        return out
+                    cached = powers[var]
+                    while len(cached) <= exp:
+                        cached.append(cached[-1].truncated_mul(values[var], base, degree))
+                    term = term.truncated_mul(cached[exp], base, degree)
+            _accumulate(out, term.terms)
+        return _wrap(out)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -222,6 +249,20 @@ def _coerce(value) -> Poly | None:
     return None
 
 
+def _accumulate(out: dict[Monomial, Fraction], terms: Mapping[Monomial, Fraction]) -> None:
+    """Add `terms` into `out` in place, dropping the coefficients that cancel."""
+    for mono, coeff in terms.items():
+        acc = out.get(mono, _ZERO) + coeff
+        if acc:
+            out[mono] = acc
+        else:
+            out.pop(mono, None)
+
+
+def _base_degree(mono: Monomial, base: int) -> int:
+    return sum(e for v, e in mono if v < base)
+
+
 def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
     if not a:
         return b
@@ -241,36 +282,49 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
 def rank_profile(rows: Sequence[Sequence[Fraction]], cuts: Sequence[int]) -> list[int]:
     """Exact ranks of the leading column blocks row[:cut], cuts ascending.
 
-    Rows of ints or Fractions, taken as given, are scaled to content-1
-    integer rows by `algebra._primitive` (rank-preserving), then reduced
-    column by column by the Bareiss one-step method, which keeps all
-    intermediate entries integral and of moderate size.  Row operations act on every leading block alike, so
-    the pivots found left of a cut are the rank of that block: one pass
-    gives the whole profile.
+    `_echelon` gives pivot rows that span the row space of row[:cuts[-1]]
+    and lead in distinct columns.  The pivots leading left of a cut are
+    independent on the block row[:cut] and the others vanish on it, so the
+    number of pivot columns below each cut is the rank of that block: one
+    pass gives the whole profile.
     """
-    width = cuts[-1] if cuts else 0
-    mat: list[list[int]] = []
+    leads = sorted(_echelon(rows, cuts[-1] if cuts else 0))
+    return [bisect_left(leads, cut) for cut in cuts]
+
+
+def _echelon(rows: Sequence[Sequence[Fraction]], width: int) -> dict[int, dict[int, int]]:
+    """Row-insertion echelon of row[:width]: {leading column: pivot row}.
+
+    Each nonzero row of ints or Fractions becomes a content-1
+    {column: int} dict by `algebra._primitive` (rank-preserving).  While a
+    pivot leads in the row's leading column, both are scaled to the same
+    entry there (by lcm/gcd) and subtracted, which clears that column and
+    may fill in columns right of it, and the content is divided out.
+    Otherwise the row is stored as the pivot of its leading column; a row
+    reduced to nothing was dependent.  Exact integers throughout.
+    """
+    pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         row = row[:width]
-        if any(row):
-            mat.append(_primitive(row))
-    n_rows = len(mat)
-    rank = 0
-    prev = 1
-    col = 0
-    profile = []
-    for cut in cuts:
-        while col < cut and rank < n_rows:
-            pivot_row = next((r for r in range(rank, n_rows) if mat[r][col] != 0), None)
-            if pivot_row is not None:
-                mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-                piv = mat[rank][col]
-                for r in range(rank + 1, n_rows):
-                    for c in range(col + 1, width):
-                        mat[r][c] = (mat[r][c] * piv - mat[r][col] * mat[rank][c]) // prev
-                    mat[r][col] = 0
-                prev = piv
-                rank += 1
-            col += 1
-        profile.append(rank)
-    return profile
+        if not any(row):
+            continue
+        reduced = {col: c for col, c in enumerate(_primitive(row)) if c}
+        while reduced:
+            lead = min(reduced)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = reduced
+                break
+            g = math.gcd(reduced[lead], pivot[lead])
+            scale, pivot_scale = pivot[lead] // g, reduced[lead] // g
+            reduced = {col: scale * c for col, c in reduced.items()}
+            for col, c in pivot.items():
+                acc = reduced.get(col, 0) - pivot_scale * c
+                if acc:
+                    reduced[col] = acc
+                else:
+                    del reduced[col]
+            content = math.gcd(*reduced.values())
+            if content > 1:
+                reduced = {col: c // content for col, c in reduced.items()}
+    return pivots

@@ -45,7 +45,7 @@ def count_monomials(n_vars, degree):
 
 
 def rational_rank(rows):
-    """Plain fraction Gaussian elimination (no Bareiss), for cross-checking."""
+    """Plain fraction Gaussian elimination (dense, pivoting by column), for cross-checking."""
     rows = [list(map(Fraction, r)) for r in rows if any(x != 0 for x in r)]
     rank = 0
     ncols = len(rows[0]) if rows else 0

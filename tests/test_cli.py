@@ -88,6 +88,7 @@ def test_exit_codes_for_errors():
         ["analyze", "--expr", "(1-z)/(z-z)"],
         ["analyze", "--expr", "(" * 3000 + "z" + ")" * 3000],  # deep nesting
         ["analyze", "--expr", "z" + "+z" * 3000],  # deep left-leaning sum
+        ["analyze", "--expr", "z^100000000"],  # exponent above exprs.MAX_EXPONENT
         ["strata-demo", "--kmax", "-1"],  # negative jet order
         ["strata-demo", "--kmax", "0"],  # a stratum condition above the jet order
         ["rederive", "--id", "einstein", "--n", "4", "--kmax", "-3"],
@@ -165,6 +166,8 @@ PINNED_STDOUT = {
         "5319941f43fd797d90e97d566d939d5dc851e8432cd4b875aadc380620062b96",
     ("markdown", "metric2d", "--kmax", "6"):
         "aac38547c9711bfb245c20cb99ec8191857bb94b21e3977deb6b3c6305d7ca17",
+    ("json", "metric2d", "--kmax", "9"):
+        "7666d963584ab65c6262e324861a5e80ddb16c70fece3cb84ed4cde54abad0b8",
 }
 
 

@@ -1,8 +1,11 @@
 import io
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poincount.exprs import ExpressionError, parse_rational_function
 from poincount.jetflow import (
@@ -28,7 +31,7 @@ from poincount.jetflow import (
 )
 from poincount.catalog import hilbert_spec
 from poincount.cli import run
-from poincount.jetpoly import Poly, matrix_rank, rank_profile
+from poincount.jetpoly import Poly, _echelon, matrix_rank, rank_profile
 
 from oracles import (
     prolonged_rows_oracle,
@@ -334,6 +337,11 @@ def test_metric2d_order_seven_matches_catalog():
     assert metric2d_h(7, seed=9) == hilbert_spec("riemannian", n=2).values(7)
 
 
+def test_metric2d_orders_eight_and_nine_match_catalog():
+    for k in (8, 9):
+        assert metric2d_h(k, seed=9) == hilbert_spec("riemannian", n=2).values(k)
+
+
 def test_metric2d_cost_guard():
     # the jet order range 0..9 is the one bound, for metric2d as for every scenario
     with pytest.raises(OrderExceeded):
@@ -402,6 +410,96 @@ def test_matrix_rank_against_plain_elimination():
             assert rank_profile(matrix, cuts) == [
                 rational_rank([row[:cut] for row in matrix]) for cut in cuts
             ]
+
+
+@st.composite
+def _rank_cases(draw):
+    """(int rows, column count, one denominator per row).  Rows are drawn
+    over a fixed set of all-zero columns; a row is free, all zero, or an
+    integer combination of earlier rows."""
+    n_cols = draw(st.integers(0, 7))
+    zero_cols = draw(st.sets(st.integers(0, 6), max_size=3))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["free", "free", "zero", "combination"]))
+        if kind == "combination" and rows:
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+            row = [sum(c * r[col] for c, r in zip(coeffs, rows)) for col in range(n_cols)]
+        elif kind == "zero":
+            row = [0] * n_cols
+        else:
+            row = [0 if col in zero_cols else draw(st.integers(-4, 4)) for col in range(n_cols)]
+        rows.append(row)
+    dens = draw(st.lists(st.integers(1, 6), min_size=len(rows), max_size=len(rows)))
+    return rows, n_cols, dens
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_rank_cases())
+@example(([], 0, []))  # no rows, one cut of 0
+@example(([], 4, []))  # no rows, several cuts
+@example(([[0, 2, -3]], 3, [4]))  # one row
+@example(([[0, 0], [0, 0]], 2, [1, 1]))  # zero rows
+@example(([[1, 1, 0], [1, 0, 0]], 3, [1, 3]))  # reducing the second row fills in column 1
+@example(([[2, 0, 4, 6], [3, 5, 0, 0], [1, 5, -4, -6]], 4, [1, 2, 1]))  # dependent via fill-in
+def test_rank_profile_parity(case):
+    # every prefix rank equals plain fraction elimination, on int rows and
+    # on the same rows scaled by 1/d; the pivots lead where they are keyed
+    # and have content 1
+    rows, n_cols, dens = case
+    scaled = [[Fraction(x, d) for x in row] for row, d in zip(rows, dens)]
+    cuts = list(range(n_cols + 1))
+    for matrix in (rows, scaled):
+        assert rank_profile(matrix, cuts) == [
+            rational_rank([row[:cut] for row in matrix]) for cut in cuts
+        ]
+        assert rank_profile(matrix, [0]) == [0]
+        assert rank_profile(matrix, [0, n_cols]) == [0, rational_rank(matrix)]
+        for lead, pivot in _echelon(matrix, n_cols).items():
+            assert min(pivot) == lead and all(pivot.values())
+            assert math.gcd(*pivot.values()) == 1
+
+
+@st.composite
+def _substitution_cases(draw):
+    """(poly, values, base, degree) over variables 0..5, the first `base`
+    of them base variables."""
+    base = draw(st.integers(0, 3))
+    coeff = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+
+    def poly(max_terms):
+        monos = st.dictionaries(st.integers(0, 5), st.integers(1, 3), max_size=3)
+        terms = draw(st.lists(st.tuples(monos, coeff), max_size=max_terms))
+        return Poly({tuple(sorted(mono.items())): c for mono, c in terms})
+
+    substituted = draw(st.sets(st.integers(0, 5), max_size=3))
+    values = {var: poly(4) for var in substituted}
+    return poly(6), values, base, draw(st.integers(0, 5))
+
+
+def _base_truncation(poly, base, degree):
+    return Poly({
+        mono: c for mono, c in poly.terms.items()
+        if sum(e for v, e in mono if v < base) <= degree
+    })
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_substitution_cases())
+def test_truncated_substitution_drops_only_high_base_degrees(case):
+    poly, values, base, degree = case
+    full = Poly.zero()
+    for mono, c in poly.terms.items():
+        term = Poly({tuple((v, e) for v, e in mono if v not in values): c})
+        for v, e in mono:
+            if v in values:
+                term = term * values[v] ** e
+        full = full + term
+    assert poly.substitute(values, base, degree) == _base_truncation(full, base, degree)
+    for value in values.values():
+        assert poly.truncated_mul(value, base, degree) == _base_truncation(
+            poly * value, base, degree
+        )
 
 
 def test_sentinel_rows_are_zero_at_origin():
