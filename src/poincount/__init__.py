@@ -40,6 +40,7 @@ from .catalog import (
     verify_all,
     verify_entry,
 )
+from .errors import UsageError
 from .counting import (
     CountingPlan,
     InconsistentPlan,

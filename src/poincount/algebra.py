@@ -25,11 +25,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
+from .errors import UsageError
+
 Rational = Fraction
 Scalar = Union[int, Fraction]
 
 
-class UnsupportedArgument(ValueError):
+class UnsupportedArgument(UsageError):
     """Argument outside the supported domain of an operation."""
 
 

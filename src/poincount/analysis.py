@@ -21,9 +21,10 @@ from .algebra import (
     cyclotomic_factors,
     split_factor,
 )
+from .errors import UsageError
 
 
-class NotPRForm(ValueError):
+class NotPRForm(UsageError):
     """The function is not of the single-pole R(z)/(1-z)^d shape."""
 
 

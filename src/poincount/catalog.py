@@ -36,6 +36,7 @@ from .algebra import (
     cyclotomic,
 )
 from .analysis import analyze
+from .errors import UsageError
 from .hilbert import HilbertSpec, equal_series, gf_from_hilbert
 
 CATALOG_VERSION = 1
@@ -43,15 +44,15 @@ CATALOG_VERSION = 1
 OTHER_UNIT_POLES = "other-unit-circle-poles"
 
 
-class UnknownEntry(ValueError):
+class UnknownEntry(UsageError):
     """No catalog entry with that id."""
 
 
-class OutOfValidity(ValueError):
+class OutOfValidity(UsageError):
     """Parameters outside the entry's validity range."""
 
 
-class NoHilbertData(ValueError):
+class NoHilbertData(UsageError):
     """The entry ships only a closed-form P(z), no independent h(k) data."""
 
 

@@ -39,7 +39,8 @@ from fractions import Fraction
 from . import analysis, catalog, jetflow
 from .algebra import RationalFunction, UnsupportedArgument
 from .counting import SHIPPED_PLANS, plan_values, shipped_plan
-from .exprs import ExpressionError, parse_rational_function
+from .errors import UsageError
+from .exprs import parse_rational_function
 from .hilbert import gf_from_hilbert
 
 SCHEMA = "poincount.output/1"
@@ -447,16 +448,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         code, payload = args.func(args)
-    except (
-        catalog.UnknownEntry,
-        catalog.OutOfValidity,
-        catalog.NoHilbertData,
-        ExpressionError,
-        jetflow.UnknownScenario,
-        jetflow.GenericityFailure,
-        jetflow.BadSample,
-        ValueError,
-    ) as exc:
+    except (UsageError, jetflow.GenericityFailure, jetflow.BadSample) as exc:
         print(f"poincount: error: {exc}", file=stderr)
         return 2
     except jetflow.InvariantViolation as exc:

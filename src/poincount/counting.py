@@ -22,10 +22,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 from .algebra import UnsupportedArgument, binomial
+from .errors import UsageError
 from .hilbert import HilbertSpec, hilbert_values_spec
 
 
-class UnknownSymbol(ValueError):
+class UnknownSymbol(UsageError):
     """No prolongation profile with that name is shipped."""
 
 

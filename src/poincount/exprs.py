@@ -21,8 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Union
 
+from .errors import UsageError
 
-class ExpressionError(ValueError):
+
+class ExpressionError(UsageError):
     """Malformed expression text."""
 
 

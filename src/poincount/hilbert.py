@@ -27,13 +27,14 @@ from .algebra import (
     binom_in_k,
     split_factor,
 )
+from .errors import UsageError
 
 
-class NotEventuallyPolynomial(ValueError):
+class NotEventuallyPolynomial(UsageError):
     """The generating function has a unit-circle pole away from z = 1."""
 
 
-class HorizonTooShort(ValueError):
+class HorizonTooShort(UsageError):
     """Tail stabilization was not observed within the confirmation horizon."""
 
 

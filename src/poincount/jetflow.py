@@ -23,6 +23,14 @@ substitutes the jet's Taylor polynomial u(x) and reads each entry off one
 coefficient of Q(x, u(x), du(x)).  Jets of order k + 1 cancel between the
 two terms and are taken as zero.
 
+Rows are sparse and integral: `prolong` clears the denominators once per
+(field, point), with one positive integer `scale`, and returns each row
+as {column: int} with the zero entries left out, the true row being
+row / scale.  Its slice loop reads each Q_alpha grouped by degree in x and
+visits only the coefficients that land in J^k.  The rank, tangency,
+sentinel and annihilation checks all read these rows as they are, since a
+positive multiple of a row leaves each of them unchanged.
+
 Free-function truncation: order-k components involve jets of the free
 functions up to order k + lift_order, so functions are truncated at
 polynomial degree k + lift_order + 1 with a sentinel one degree higher;
@@ -34,28 +42,30 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
+from operator import add
 from typing import Mapping, Optional, Sequence
 
 from .algebra import RationalFunction
+from .errors import UsageError
 from .exprs import ExpressionError, Node, evaluate_node, parse_expression, symbol_names
 from .hilbert import HilbertSpec, gf_from_hilbert, hilbert_values_spec
-from .jetpoly import NonConstantDivisor, Poly, matrix_rank, rank_profile
+from .jetpoly import Monomial, NonConstantDivisor, Poly, matrix_rank, rank_profile
 
 MultiIndex = tuple[int, ...]
 
 
-class OrderExceeded(ValueError):
+class OrderExceeded(UsageError):
     """A jet order outside 0..9, or a coordinate past the space's order."""
 
 
-class BadPoint(ValueError):
+class BadPoint(UsageError):
     """Point coordinates do not match the jet space."""
 
 
-class NonlinearParameters(ValueError):
+class NonlinearParameters(UsageError):
     """An expression multiplied two parameter-carrying factors."""
 
 
@@ -72,7 +82,7 @@ class BadSample(RuntimeError):
     """Could not sample a point satisfying the open conditions."""
 
 
-class UnknownScenario(ValueError):
+class UnknownScenario(UsageError):
     """No built-in scenario with that id."""
 
 
@@ -221,36 +231,35 @@ class ParamInfo:
     sentinel: bool
 
 
+@cache
 def _factorial(sigma: MultiIndex) -> int:
     return prod(factorial(s) for s in sigma)
 
 
-def _by_token(poly: Poly, p: int) -> dict[Optional[int], dict[MultiIndex, Fraction]]:
-    """Split a Poly in base variables and (linear) tokens into
-    {token or None: {base exponents: coefficient}}."""
-    out: dict[Optional[int], dict[MultiIndex, Fraction]] = {}
-    for mono, coeff in poly.terms.items():
-        exps = [0] * p
-        token = None
-        for var, e in mono:
-            if var < p:
-                exps[var] = e
-            else:
-                token = var
-        out.setdefault(token, {})[tuple(exps)] = coeff
-    return out
+def _split(mono: Monomial, p: int) -> tuple[Optional[int], MultiIndex]:
+    """(token or None, base exponents) of a monomial in base variables and
+    at most one (linear) token."""
+    rho = [0] * p
+    token = None
+    for var, e in mono:
+        if var < p:
+            rho[var] = e
+        else:
+            token = var
+    return token, tuple(rho)
 
 
 def prolong(
     space: JetSpace, field: ParamField, point: Mapping[int, Fraction]
-) -> dict[Optional[int], list[Fraction]]:
-    """Nonzero tangent rows of a prolonged generator at a jet point.
+) -> tuple[int, dict[Optional[int], dict[int, int]]]:
+    """Nonzero tangent rows of a prolonged generator at a jet point, as
+    (scale, {key: {column: int}}): the true row is row / scale.
 
     One row per parameter slice (keyed by parameter index) and one for the
-    fixed part (key None), over all coordinates of the space; the base
-    point must be the origin.  With u(x) the degree-k Taylor polynomial of
-    the point's jet and Q_alpha = phi_alpha - sum_i xi_i d_i u^alpha along
-    it, the entry on u^alpha_sigma is
+    fixed part (key None), over all coordinates of the space, with the
+    zero entries left out; the base point must be the origin.  With u(x)
+    the degree-k Taylor polynomial of the point's jet and Q_alpha =
+    phi_alpha - sum_i xi_i d_i u^alpha along it, the entry on u^alpha_sigma is
 
         sigma! [x^sigma] Q_alpha + sum_i xi_i(0) u^alpha_{sigma + e_i},
 
@@ -261,7 +270,13 @@ def prolong(
     Only [x^rho] Q_alpha with |rho| <= k and the degree-0 part of xi are
     read, and no product lowers the degree in x, so the substitution and
     the products xi_i d_i u are truncated at degree k in the base
-    variables: the rows are those of the full substitution.
+    variables: the rows are those of the full substitution.  The positive
+    integer `scale` is the lcm of the denominators of the Q_alpha and
+    degree-0 xi coefficients times that of the point's jet values, so
+    every entry, transport term included, is an integer sum of integer
+    products.  Each Q_alpha[token] is grouped by |rho|, and a slice entry
+    with shift beta - gamma visits only the groups with
+    |rho| <= k - |beta - gamma|: those whose sigma = rho + shift lies in J^k.
     """
     p, k = space.p, space.order
     if any(point[space.base_var(i)] for i in range(p)):
@@ -275,38 +290,75 @@ def prolong(
             for sigma in space.multi_indices
         })
     xi_polys = [c.substitute(section, p, k) for c in field.xi]
-    xi = [_by_token(c, p) for c in xi_polys]
+    xi0 = []  # {token or None: coefficient} of the degree-0 part of each xi_i
+    for x in xi_polys:
+        parts = {}
+        for mono, c in x.terms.items():
+            token, rho = _split(mono, p)
+            if rho == zero:
+                parts[token] = c
+        xi0.append(parts)
     characteristic = []
     for alpha, phi in enumerate(field.phi):
         u = section[space.jet_var(alpha, zero)]
         q_alpha = phi.substitute(section, p, k)
         for i in range(p):
             q_alpha = q_alpha - xi_polys[i].truncated_mul(u.diff(i), p, k)
-        characteristic.append(_by_token(q_alpha, p))
+        characteristic.append(q_alpha)
+
+    jet_scale = lcm(*[point[var].denominator for var in range(p, space.dim)])
+    coeffs = [c for q in characteristic for c in q.terms.values()]
+    coeffs += [c for x in xi0 for c in x.values()]
+    lead = lcm(*[c.denominator for c in coeffs])
+    scale = lead * jet_scale
+    # per alpha: {token: [[(rho, coefficient * scale) with |rho| = d] for d in 0..k]}
+    buckets: list[dict[Optional[int], list[list[tuple[MultiIndex, int]]]]] = []
+    for q_alpha in characteristic:
+        by_token: dict[Optional[int], list[list[tuple[MultiIndex, int]]]] = {}
+        for mono, c in q_alpha.terms.items():
+            token, rho = _split(mono, p)
+            groups = by_token.setdefault(token, [[] for _ in range(k + 1)])
+            groups[sum(rho)].append((rho, c.numerator * (scale // c.denominator)))
+        buckets.append(by_token)
+    xi_int = [{token: c.numerator * (lead // c.denominator) for token, c in x.items()} for x in xi0]
+    jet_of = space._jet_of
+    # per (alpha, i): (column of u^alpha_sigma, u^alpha_{sigma + e_i} * jet_scale)
+    # for |sigma| < k where that jet value is nonzero
+    transport = {}
+    for alpha in range(space.q):
+        for i in range(p):
+            terms = transport[alpha, i] = []
+            for sigma in space.multi_indices:
+                if sum(sigma) < k:
+                    value = point[jet_of[(alpha, _add_index(sigma, i))]]
+                    if value:
+                        terms.append(
+                            (jet_of[(alpha, sigma)], value.numerator * (jet_scale // value.denominator))
+                        )
 
     rows = {}
     for key, spec in [(None, ((None, 1, zero),)), *field.specs]:
-        row = [Fraction(0)] * space.dim
-        for i in range(p):
+        # xi_i(0) of the slice, times lead; its base column is this times jet_scale
+        base = [sum(c * x.get(var, 0) for var, c, shift in spec if shift == zero) for x in xi_int]
+        row = {i: b * jet_scale for i, b in enumerate(base) if b}
+        for alpha, by_token in enumerate(buckets):
             for var, c, shift in spec:
-                if shift == zero:
-                    row[i] += c * xi[i].get(var, {}).get(zero, 0)
-        for alpha, q_alpha in enumerate(characteristic):
-            for var, c, shift in spec:
-                for rho, coeff in q_alpha.get(var, {}).items():
-                    sigma = tuple(r + s for r, s in zip(rho, shift))
-                    if sum(sigma) <= k:
-                        row[space.jet_var(alpha, sigma)] += c * coeff * _factorial(sigma)
-            for i in range(p):
-                if row[i]:
-                    for sigma in space.multi_indices:
-                        if sum(sigma) < k:
-                            row[space.jet_var(alpha, sigma)] += row[i] * point[
-                                space.jet_var(alpha, _add_index(sigma, i))
-                            ]
-        if any(row):
+                groups = by_token.get(var)
+                if groups is None:
+                    continue
+                for group in groups[: max(0, k + 1 - sum(shift))]:
+                    for rho, coeff in group:
+                        sigma = tuple(map(add, rho, shift))
+                        col = jet_of[(alpha, sigma)]
+                        row[col] = row.get(col, 0) + c * coeff * _factorial(sigma)
+            for i, b in enumerate(base):
+                if b:
+                    for col, value in transport[alpha, i]:
+                        row[col] = row.get(col, 0) + b * value
+        row = {col: c for col, c in row.items() if c}
+        if row:
             rows[key] = row
-    return rows
+    return scale, rows
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +570,7 @@ def orbit_rank(
     parameters (degree cutoff + 1) must contribute zero rows.
     """
     engine = _StratumEngine(scenario, k, param_cutoff)
-    return matrix_rank(engine.rows(make_point(engine.space, point_values)))
+    return matrix_rank(engine.rows(make_point(engine.space, point_values)), engine.space.dim)
 
 
 def stratum_columns(space: JetSpace, stratum: StratumCase) -> tuple[list[int], list[int]]:
@@ -656,12 +708,14 @@ class _StratumEngine:
         """Parsed on first sampling, so orbit_rank never reads them."""
         return [parse_expression(text) for text in self.scenario.positivity]
 
-    def rows(self, point: Mapping[int, Fraction]) -> list[list[Fraction]]:
-        """Nonzero tangent rows at a point over the base origin; the
-        sentinel parameters must act trivially (InvariantViolation)."""
+    def rows(self, point: Mapping[int, Fraction]) -> list[dict[int, int]]:
+        """Nonzero tangent rows at a point over the base origin, as the
+        integer {column: int} rows of `prolong` (each a positive multiple of
+        the true row, which leaves ranks, tangency and annihilation as they
+        are); the sentinel parameters must act trivially (InvariantViolation)."""
         rows = []
         for field in self.fields:
-            for key, row in prolong(self.space, field, point).items():
+            for key, row in prolong(self.space, field, point)[1].items():
                 if key is not None and self.params[key].sentinel:
                     raise InvariantViolation(
                         "sentinel parameter acts nontrivially: cutoff too small"
@@ -673,7 +727,7 @@ class _StratumEngine:
         rows = self.rows(point)
         zeros, _ = stratum_columns(self.space, stratum)
         for col in zeros:
-            if any(row[col] for row in rows):
+            if any(col in row for row in rows):
                 raise InvariantViolation(
                     f"generator not tangent to stratum {stratum.label!r} "
                     f"at coordinate {self.space.name_of(col)!r}"
@@ -747,7 +801,7 @@ class _StratumEngine:
             except ZeroDivisionError:
                 continue
             for row in self.rows(point):
-                if sum(row[c] * d for c, d in grad.items()):
+                if sum(row.get(c, 0) * d for c, d in grad.items()):
                     return False
             checked += 1
         return True

@@ -9,10 +9,10 @@ into it rejects any non-constant divisor.  Products and substitution can
 drop every monomial above a degree in the leading (base) variables, which
 is all the jet engine reads.
 
-Rank is a sparse integer echelon: rows become content-1 {column: int}
-dicts and are inserted one at a time, each reduced against the pivots
-already held, so zero entries cost nothing and no rational arithmetic is
-done.  The number of pivots leading left of a column cut is the rank of
+Rank is a sparse integer echelon over {column: int} rows, the format the
+jet engine's `prolong` emits: each row is made content 1 and inserted,
+reduced against the pivots already held, so zero entries cost nothing
+and no rational arithmetic is done.  The number of pivots leading left of a column cut is the rank of
 that leading block.  Everything is exact; these are the workhorses of the
 jet-prolongation engine, where expressions live in a few dozen jet
 coordinates and stay small.
@@ -23,9 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Mapping, Sequence
-
-from .algebra import _primitive
+from typing import Iterable, Mapping, Sequence
 
 Monomial = tuple[tuple[int, int], ...]
 
@@ -274,29 +272,33 @@ def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(merged.items()))
 
 
-def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank of a matrix of rationals (the one-cut case of rank_profile)."""
-    return rank_profile(rows, [len(rows[0]) if rows else 0])[0]
+def matrix_rank(rows: Iterable[Mapping[int, int]], width: int) -> int:
+    """Exact rank of the sparse integer rows over columns 0..width-1 (the
+    one-cut case of rank_profile)."""
+    return rank_profile(rows, [width])[0]
 
 
-def rank_profile(rows: Sequence[Sequence[Fraction]], cuts: Sequence[int]) -> list[int]:
-    """Exact ranks of the leading column blocks row[:cut], cuts ascending.
+def rank_profile(rows: Iterable[Mapping[int, int]], cuts: Sequence[int]) -> list[int]:
+    """Exact ranks of the leading column blocks of {column: int} rows, the
+    columns below each cut, cuts ascending.
 
-    `_echelon` gives pivot rows that span the row space of row[:cuts[-1]]
-    and lead in distinct columns.  The pivots leading left of a cut are
-    independent on the block row[:cut] and the others vanish on it, so the
-    number of pivot columns below each cut is the rank of that block: one
-    pass gives the whole profile.
+    `_echelon` gives pivot rows that span the row space of the block below
+    cuts[-1] and lead in distinct columns.  The pivots leading left of a
+    cut are independent on the block below it and the others vanish on
+    it, so the number of pivot columns below each cut is the rank of that
+    block: one pass gives the whole profile.
     """
     leads = sorted(_echelon(rows, cuts[-1] if cuts else 0))
     return [bisect_left(leads, cut) for cut in cuts]
 
 
-def _echelon(rows: Sequence[Sequence[Fraction]], width: int) -> dict[int, dict[int, int]]:
-    """Row-insertion echelon of row[:width]: {leading column: pivot row}.
+def _echelon(rows: Iterable[Mapping[int, int]], width: int) -> dict[int, dict[int, int]]:
+    """Row-insertion echelon of sparse integer rows cut to the columns
+    below `width`: {leading column: pivot row}.
 
-    Each nonzero row of ints or Fractions becomes a content-1
-    {column: int} dict by `algebra._primitive` (rank-preserving).  While a
+    Each row is a {column: int} dict with no zero entries; scaling a row
+    leaves the rank as it is, so the caller may hand any integer multiple
+    of a rational row.  The cut row's content is divided out.  While a
     pivot leads in the row's leading column, both are scaled to the same
     entry there (by lcm/gcd) and subtracted, which clears that column and
     may fill in columns right of it, and the content is divided out.
@@ -305,10 +307,12 @@ def _echelon(rows: Sequence[Sequence[Fraction]], width: int) -> dict[int, dict[i
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        row = row[:width]
-        if not any(row):
+        reduced = {col: c for col, c in row.items() if col < width}
+        if not reduced:
             continue
-        reduced = {col: c for col, c in enumerate(_primitive(row)) if c}
+        content = math.gcd(*reduced.values())
+        if content > 1:
+            reduced = {col: c // content for col, c in reduced.items()}
         while reduced:
             lead = min(reduced)
             pivot = pivots.get(lead)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import poincount
 from poincount.cli import run
 
@@ -107,6 +109,36 @@ def test_exit_codes_for_errors():
         assert capture(argv)[2] == "poincount: error: series order must be >= 0\n", argv[0]
     code, out, err = capture(["no-such-command"])
     assert code == 2
+
+
+def test_usage_errors_exit_two_and_internal_errors_propagate(monkeypatch):
+    from poincount import jetflow
+
+    # metric2d with a misspelled stratum name (letter O for zero)
+    misspelled = dict(
+        jetflow.METRIC2D, strata=[{"label": "generic", "equalities": ["g11_1O"]}]
+    )
+    monkeypatch.setattr(jetflow, "get_scenario", lambda _: jetflow.Scenario(misspelled))
+    for argv, text in (
+        (["strata-demo", "--kmax", "-1"], "outside the supported range"),  # a bad --kmax
+        (["show", "nonsense"], "unknown catalog entry 'nonsense'"),
+        (["analyze", "--expr", "1/0"], "division by the zero rational function"),
+        (["analyze", "--expr", "z^100000000"], "above the limit 10000"),
+        (["metric2d", "--kmax", "10"], "jet order 10 is outside"),
+        (["metric2d", "--kmax", "1"], "names 'g11_1O', which is not a jet coordinate"),
+    ):
+        code, out, err = capture(argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("poincount: error:") and err.count("\n") == 1, argv
+        assert text in err, argv
+    # a ValueError that is not a UsageError is a fault of the program, and
+    # run() does not report it as a usage error
+    def internal(*args):
+        raise ValueError("tail(3) = -1 is not a nonnegative integer")
+
+    monkeypatch.setattr(jetflow, "stratum_codim_sequence", internal)
+    with pytest.raises(ValueError, match="tail"):
+        capture(["metric2d", "--kmax", "1"])
 
 
 def test_engine_invariant_violation_exits_three(monkeypatch):

@@ -74,10 +74,44 @@ def _generic_point(space, seed):
     return make_point(space, _generic_point_values(space, random.Random(seed)))
 
 
+def _dense(row, dim):
+    out = [Fraction(0)] * dim
+    for col, c in row.items():
+        out[col] = c
+    return out
+
+
+def _exact_rows(space, field, point):
+    """prolong's rows as dense exact rows {key: [Fraction] * dim}: each
+    integer entry over the scale; the integer rows hold no zero entry."""
+    scale, rows = prolong(space, field, point)
+    assert isinstance(scale, int) and scale > 0
+    assert all(row and all(isinstance(c, int) and c for c in row.values()) for row in rows.values())
+    return {
+        key: _dense({col: Fraction(c, scale) for col, c in row.items()}, space.dim)
+        for key, row in rows.items()
+    }
+
+
+def _engine_rows(engine, point):
+    """engine.rows at the point as dense exact rows: engine.rows hands each
+    field's integer rows from prolong in order, and each is divided by that
+    field's scale."""
+    handed = iter(engine.rows(point))
+    rows = []
+    for field in engine.fields:
+        _, sparse = prolong(engine.space, field, point)
+        for row in sparse.values():
+            assert next(handed) == row
+        rows += _exact_rows(engine.space, field, point).values()
+    assert next(handed, None) is None
+    return rows
+
+
 def test_prolong_fiber_translation_is_unchanged():
     space = SC.space(3)
     fields, _ = SC.instantiate(4)
-    rows = prolong(space, fields[2], _generic_point(space, 3))  # d/du
+    rows = _exact_rows(space, fields[2], _generic_point(space, 3))  # d/du
     unit = [Fraction(0)] * space.dim
     unit[space.jet_var(0, (0, 0))] = Fraction(1)
     assert rows == {None: unit}
@@ -91,7 +125,7 @@ def test_prolong_constant_translation_geometric_vs_vertical():
     const_param = next(
         i for i, info in enumerate(params) if info.name == "f[(0, 0)]"
     )
-    rows = prolong(space, fields[0], _generic_point(space, 4))
+    rows = _exact_rows(space, fields[0], _generic_point(space, 4))
     unit = [Fraction(0)] * space.dim
     unit[space.base_var(0)] = Fraction(1)
     assert rows[const_param] == unit
@@ -105,7 +139,7 @@ def test_prolong_order2_components_match_closed_form():
     fields, params = SC.instantiate(3)
     values = _generic_point_values(space, random.Random(6))
     values["u10"] = Fraction(0)
-    rows = prolong(space, fields[0], make_point(space, values))
+    rows = _exact_rows(space, fields[0], make_point(space, values))
 
     def monomial_partial_at_origin(beta, gamma):
         # d^gamma(x^beta)(0) is nonzero only for gamma = beta, value beta!
@@ -136,8 +170,8 @@ def _projected_rows_match(scenario, k, j, cutoff, seed):
     low_names = set(small.space.coordinate_names())
     low_values = {name: v for name, v in values.items() if name in low_names}
     width = big.cols_at[j]
-    cut = [row[:width] for row in big.rows(make_point(big.space, values))]
-    low = small.rows(make_point(small.space, low_values))
+    cut = [row[:width] for row in _engine_rows(big, make_point(big.space, values))]
+    low = _engine_rows(small, make_point(small.space, low_values))
     assert sorted(row for row in cut if any(row)) == sorted(low), (k, j)
 
 
@@ -396,6 +430,16 @@ def test_empty_base_scenario():
 # -- machinery edges ---------------------------------------------------------------
 
 
+def _sparse(matrix):
+    """Dense int or Fraction rows as {column: int} rows: each row times the
+    lcm of its denominators (which leaves every rank as it is), zeros left out."""
+    out = []
+    for row in matrix:
+        scale = math.lcm(*[Fraction(x).denominator for x in row])
+        out.append({col: int(x * scale) for col, x in enumerate(row) if x})
+    return out
+
+
 def test_matrix_rank_against_plain_elimination():
     rng = random.Random(8)
     for _ in range(60):
@@ -405,9 +449,9 @@ def test_matrix_rank_against_plain_elimination():
         ]
         ints = [[x.numerator for x in row] for row in rows]
         for matrix in (rows, ints):
-            assert matrix_rank(matrix) == rational_rank(matrix)
+            assert matrix_rank(_sparse(matrix), 5) == rational_rank(matrix)
             cuts = range(6)
-            assert rank_profile(matrix, cuts) == [
+            assert rank_profile(_sparse(matrix), cuts) == [
                 rational_rank([row[:cut] for row in matrix]) for cut in cuts
             ]
 
@@ -450,12 +494,14 @@ def test_rank_profile_parity(case):
     scaled = [[Fraction(x, d) for x in row] for row, d in zip(rows, dens)]
     cuts = list(range(n_cols + 1))
     for matrix in (rows, scaled):
-        assert rank_profile(matrix, cuts) == [
+        sparse = _sparse(matrix)
+        assert rank_profile(sparse, cuts) == [
             rational_rank([row[:cut] for row in matrix]) for cut in cuts
         ]
-        assert rank_profile(matrix, [0]) == [0]
-        assert rank_profile(matrix, [0, n_cols]) == [0, rational_rank(matrix)]
-        for lead, pivot in _echelon(matrix, n_cols).items():
+        assert rank_profile(sparse, [0]) == [0]
+        assert rank_profile(sparse, [0, n_cols]) == [0, rational_rank(matrix)]
+        assert matrix_rank(sparse, n_cols) == rational_rank(matrix)
+        for lead, pivot in _echelon(sparse, n_cols).items():
             assert min(pivot) == lead and all(pivot.values())
             assert math.gcd(*pivot.values()) == 1
 
@@ -510,8 +556,8 @@ def test_sentinel_rows_are_zero_at_origin():
     violations = [
         row
         for field in fields
-        for key, row in prolong(space, field, point).items()
-        if key is not None and params[key].sentinel and any(row)
+        for key, row in prolong(space, field, point)[1].items()
+        if key is not None and params[key].sentinel and row
     ]
     assert violations == []  # the sentinel acts trivially at base-origin points
 
@@ -661,7 +707,30 @@ def test_rows_match_symbolic_prolongation_oracle():
             engine.space, scenario.stratum(label), rng, engine.positivity
         )
         expected = prolonged_rows_oracle(scenario, k, cutoff, point)
-        assert sorted(engine.rows(point)) == sorted(expected), (scenario.id, label)
+        assert sorted(_engine_rows(engine, point)) == sorted(expected), (scenario.id, label)
+
+
+PARITY_CASES = (
+    [("x-reparam", label, 5) for label in SC.strata]
+    # lift order 1: slice shifts reach |beta - gamma| = k + 3, past J^k
+    + [("metric2d", "generic", k) for k in range(2, 6)]
+    + [("line-affine", "generic", 3)]
+    + [("distribution3d", label, 0) for label in ("r != 0", "r = 0, s != 0", "r = s = 0")]
+)
+
+
+@pytest.mark.parametrize("name, label, k", PARITY_CASES)
+def test_prolong_parity_with_oracle(name, label, k):
+    # prolong's integer rows over its scale, field by field, equal the
+    # symbolic prolongation exactly at a seeded stratum point
+    scenario = Scenario(LINE_AFFINE) if name == "line-affine" else get_scenario(name)
+    engine = _StratumEngine(scenario, k)
+    seed = 1000 + PARITY_CASES.index((name, label, k))
+    point = sample_stratum_point(
+        engine.space, scenario.stratum(label), random.Random(seed), engine.positivity
+    )
+    expected = prolonged_rows_oracle(scenario, k, k + scenario.lift_order + 1, point)
+    assert sorted(_engine_rows(engine, point)) == sorted(expected)
 
 
 def test_non_invariant_stratum_fails_tangency():
