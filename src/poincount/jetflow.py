@@ -249,6 +249,11 @@ def _split(mono: Monomial, p: int) -> tuple[Optional[int], MultiIndex]:
     return token, tuple(rho)
 
 
+def _times(value: Fraction, multiple: int) -> int:
+    """value * multiple, for a multiple of value's denominator."""
+    return value.numerator * (multiple // value.denominator)
+
+
 def prolong(
     space: JetSpace, field: ParamField, point: Mapping[int, Fraction]
 ) -> tuple[int, dict[Optional[int], dict[int, int]]]:
@@ -314,13 +319,13 @@ def prolong(
     # per alpha: {token: [[(rho, coefficient * scale) with |rho| = d] for d in 0..k]}
     buckets: list[dict[Optional[int], list[list[tuple[MultiIndex, int]]]]] = []
     for q_alpha in characteristic:
-        by_token: dict[Optional[int], list[list[tuple[MultiIndex, int]]]] = {}
+        by_token = {}
         for mono, c in q_alpha.terms.items():
             token, rho = _split(mono, p)
             groups = by_token.setdefault(token, [[] for _ in range(k + 1)])
-            groups[sum(rho)].append((rho, c.numerator * (scale // c.denominator)))
+            groups[sum(rho)].append((rho, _times(c, scale)))
         buckets.append(by_token)
-    xi_int = [{token: c.numerator * (lead // c.denominator) for token, c in x.items()} for x in xi0]
+    xi_int = [{token: _times(c, lead) for token, c in x.items()} for x in xi0]
     jet_of = space._jet_of
     # per (alpha, i): (column of u^alpha_sigma, u^alpha_{sigma + e_i} * jet_scale)
     # for |sigma| < k where that jet value is nonzero
@@ -332,9 +337,7 @@ def prolong(
                 if sum(sigma) < k:
                     value = point[jet_of[(alpha, _add_index(sigma, i))]]
                     if value:
-                        terms.append(
-                            (jet_of[(alpha, sigma)], value.numerator * (jet_scale // value.denominator))
-                        )
+                        terms.append((jet_of[(alpha, sigma)], _times(value, jet_scale)))
 
     rows = {}
     for key, spec in [(None, ((None, 1, zero),)), *field.specs]:
