@@ -296,9 +296,10 @@ def _echelon(rows: Iterable[Mapping[int, int]], width: int) -> dict[int, dict[in
     """Row-insertion echelon of sparse integer rows cut to the columns
     below `width`: {leading column: pivot row}.
 
-    Each row is a {column: int} dict with no zero entries; scaling a row
-    leaves the rank as it is, so the caller may hand any integer multiple
-    of a rational row.  The cut row's content is divided out.  While a
+    Each row is a {column: int} dict; its zero entries are dropped with
+    its columns at or beyond `width`.  Scaling a row leaves the rank as it
+    is, so the caller may hand any integer multiple of a rational row.
+    The cut row's content is divided out.  While a
     pivot leads in the row's leading column, both are scaled to the same
     entry there (by lcm/gcd) and subtracted, which clears that column and
     may fill in columns right of it, and the content is divided out.
@@ -307,7 +308,7 @@ def _echelon(rows: Iterable[Mapping[int, int]], width: int) -> dict[int, dict[in
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        reduced = {col: c for col, c in row.items() if col < width}
+        reduced = {col: c for col, c in row.items() if col < width and c}
         if not reduced:
             continue
         content = math.gcd(*reduced.values())

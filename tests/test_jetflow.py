@@ -504,6 +504,18 @@ def test_rank_profile_parity(case):
         for lead, pivot in _echelon(sparse, n_cols).items():
             assert min(pivot) == lead and all(pivot.values())
             assert math.gcd(*pivot.values()) == 1
+        # explicit zero entries change nothing
+        padded = [{col: row.get(col, 0) for col in range(n_cols)} for row in sparse]
+        assert rank_profile(padded, cuts) == rank_profile(sparse, cuts)
+        assert _echelon(padded, n_cols) == _echelon(sparse, n_cols)
+
+
+def test_echelon_drops_explicit_zeros():
+    # a zero at the leading column neither becomes a pivot lead nor meets
+    # a pivot there (which would scale the pivot by 0 and never reduce)
+    assert rank_profile([{0: 0, 1: 3}], [1, 2]) == [0, 1]
+    assert _echelon([{0: 2, 1: 1}, {0: 0, 1: 4, 2: 0}], 3) == {0: {0: 2, 1: 1}, 1: {1: 1}}
+    assert matrix_rank([{0: 0}, {}], 1) == 0
 
 
 @st.composite

@@ -1,17 +1,18 @@
 """Paired parent/change benchmark runs, written to one BENCH_<pr>.json.
 
     python3 tools/bench_pairs.py --parent REV --out BENCH_10.json \\
-        --workload metric-rank --pairs 10 [--workload strata-demo --pairs 3] \\
-        [--seconds 8] [--seed 501]
+        [--workload W ...] [--pairs 10] [--seed 501]
 
 The parent is exported with ``git archive REV`` into a temporary directory;
 the change is this checkout's working tree.  Each pair runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once in
-each tree, one process at a time, with the same seed (the first seed is
---seed, then one more per pair) and the order alternating from pair to
-pair (parent first in even pairs), so a drift of the host's speed falls on
-both sides alike.  The i-th --pairs gives the pair count of the i-th
---workload (5 when it has none).
+each tree, one process at a time, with T the ``run_seconds`` of
+BENCHMARK.json, the same seed on both sides (the first seed is --seed,
+then one more per pair) and the order alternating from pair to pair
+(parent first in even pairs), so a drift of the host's speed falls on
+both sides alike.  Every workload gets --pairs pairs (at least 10, the
+fewest that can back a claim); without --workload, every workload of
+BENCHMARK.json is run.
 
 The output holds, per workload and end-to-end metric of BENCHMARK.json,
 the medians of both sides, the parent's interquartile range and the number
@@ -113,37 +114,42 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--out", required=True, type=Path, help="output file, e.g. BENCH_10.json")
-    parser.add_argument("--workload", action="append", required=True)
-    parser.add_argument("--pairs", action="append", type=int, default=[],
-                        help="pair count of the workload in the same position (default 5)")
-    parser.add_argument("--seconds", type=float, default=8.0)
+    parser.add_argument("--workload", action="append",
+                        help="workload to run (repeatable; default: all of BENCHMARK.json)")
+    parser.add_argument("--pairs", type=int, default=10, help="pairs per workload (at least 10)")
     parser.add_argument("--seed", type=int, default=501, help="seed of the first pair")
     args = parser.parse_args(argv)
-    if len(args.pairs) > len(args.workload):
-        parser.error("more --pairs than --workload")
-    pairs = args.pairs + [5] * (len(args.workload) - len(args.pairs))
-    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    if args.pairs < 10:
+        parser.error("--pairs must be at least 10")
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    end_to_end, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
+    workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
 
     out: dict = {
         "command": " ".join(["python3", "tools/bench_pairs.py", *(argv or sys.argv[1:])]),
-        "seconds": args.seconds,
+        "seconds": seconds,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_tree = Path(tmp)
         out["parent"] = export(args.parent, parent_tree)
-        out["change"] = "working tree at " + subprocess.run(
+        head = subprocess.run(
             ["git", "rev-parse", "HEAD"], cwd=ROOT, check=True, capture_output=True, text=True
         ).stdout.strip()
-        for workload, n_pairs in zip(args.workload, pairs):
+        dirty = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
+            cwd=ROOT, check=True, capture_output=True, text=True,
+        ).stdout.strip()
+        out["change"] = f"working tree at {head}" + (" with uncommitted changes" if dirty else "")
+        for workload in workloads:
             runs = []
-            for i in range(n_pairs):
+            for i in range(args.pairs):
                 seed = args.seed + i
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair = {"seed": seed, "order": list(order)}
                 for side in order:
                     tree = parent_tree if side == "parent" else ROOT
-                    pair[side] = bench(tree, workload, seed, args.seconds)
+                    pair[side] = bench(tree, workload, seed, seconds)
                     print(f"bench_pairs: {workload} seed={seed} {side} "
                           f"wall_s={pair[side]['metrics']['wall_s']:.4f}", file=sys.stderr)
                 runs.append(pair)
