@@ -486,10 +486,11 @@ def _rank_cases(draw):
 @example(([[0, 0], [0, 0]], 2, [1, 1]))  # zero rows
 @example(([[1, 1, 0], [1, 0, 0]], 3, [1, 3]))  # reducing the second row fills in column 1
 @example(([[2, 0, 4, 6], [3, 5, 0, 0], [1, 5, -4, -6]], 4, [1, 2, 1]))  # dependent via fill-in
+@example(([[0, 3], [2, 1]], 2, [1, 1]))  # padded, a zero leads the first row
 def test_rank_profile_parity(case):
     # every prefix rank equals plain fraction elimination, on int rows and
     # on the same rows scaled by 1/d; the pivots lead where they are keyed
-    # and have content 1
+    # and have content 1; explicit zero entries change nothing
     rows, n_cols, dens = case
     scaled = [[Fraction(x, d) for x in row] for row, d in zip(rows, dens)]
     cuts = list(range(n_cols + 1))
@@ -504,18 +505,9 @@ def test_rank_profile_parity(case):
         for lead, pivot in _echelon(sparse, n_cols).items():
             assert min(pivot) == lead and all(pivot.values())
             assert math.gcd(*pivot.values()) == 1
-        # explicit zero entries change nothing
         padded = [{col: row.get(col, 0) for col in range(n_cols)} for row in sparse]
         assert rank_profile(padded, cuts) == rank_profile(sparse, cuts)
         assert _echelon(padded, n_cols) == _echelon(sparse, n_cols)
-
-
-def test_echelon_drops_explicit_zeros():
-    # a zero at the leading column neither becomes a pivot lead nor meets
-    # a pivot there (which would scale the pivot by 0 and never reduce)
-    assert rank_profile([{0: 0, 1: 3}], [1, 2]) == [0, 1]
-    assert _echelon([{0: 2, 1: 1}, {0: 0, 1: 4, 2: 0}], 3) == {0: {0: 2, 1: 1}, 1: {1: 1}}
-    assert matrix_rank([{0: 0}, {}], 1) == 0
 
 
 @st.composite
