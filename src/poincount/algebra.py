@@ -556,8 +556,6 @@ class RationalFunction:
         `factor` must be non-constant (callers supply irreducible factors such
         as 1 - z, 1 + z, 1 + z + z^2).
         """
-        if factor.is_constant():
-            raise UnsupportedArgument("factor must be non-constant")
         return split_factor(self.den, factor)[0] - split_factor(self.num, factor)[0]
 
     # -- display -----------------------------------------------------------
@@ -584,18 +582,51 @@ def _coerce_ratfun(value) -> RationalFunction | None:
     return None
 
 
+def _exact_quotient(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b over the integers when b (primitive) divides a, else None.
+
+    By Gauss's lemma a primitive b divides a over the rationals exactly when
+    every quotient coefficient is an integer, so the first step whose leading
+    term does not divide exactly decides.
+    """
+    rem = a[:]
+    db, lead = len(b) - 1, b[-1]
+    lower = list(enumerate(b[:db]))  # the leading term cancels by construction
+    quot = [0] * (len(a) - db)
+    for i in range(len(quot) - 1, -1, -1):
+        c, r = divmod(rem[i + db], lead)
+        if r:
+            return None
+        if c:
+            quot[i] = c
+            for j, x in lower:
+                rem[i + j] -= c * x
+    return None if any(rem[:db]) else quot
+
+
 def split_factor(poly: Polynomial, factor: Polynomial) -> tuple[int, Polynomial]:
     """(m, residual) with poly = factor^m * residual and factor not dividing
-    residual; the zero polynomial gives (0, 0)."""
+    residual; the zero polynomial gives (0, 0).
+
+    `poly` is scaled to integers once and divided by the primitive part of
+    `factor` over the integers; the residual is scaled back once at the end.
+    """
+    if factor.is_constant():
+        raise UnsupportedArgument("factor must be non-constant")
     if poly.is_zero():
         return 0, poly
+    scale = math.lcm(*[c.denominator for c in poly.coeffs])
+    ints = [c.numerator * (scale // c.denominator) for c in poly.coeffs]
+    prim = _primitive(factor.coeffs)
     count = 0
-    while True:
-        q, r = divmod(poly, factor)
-        if not r.is_zero():
-            return count, poly
-        poly = q
+    while (q := _exact_quotient(ints, prim)) is not None:
+        ints = q
         count += 1
+    if not count:
+        return 0, poly
+    # factor = unit * prim, so poly = factor^count * ints / (scale * unit^count)
+    den = scale * (factor.leading() / prim[-1]) ** count
+    return count, Polynomial([c / den for c in ints])
 
 
 @lru_cache(maxsize=None)

@@ -30,11 +30,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
 import sys
 from fractions import Fraction
+from itertools import accumulate
 
 from . import analysis, catalog, jetflow
 from .algebra import RationalFunction, UnsupportedArgument
@@ -54,6 +56,8 @@ FORMATS = ("markdown", "csv", "json")
 
 def _rat(value) -> dict | int:
     """Exact JSON encoding: integers stay integers, rationals become digit strings."""
+    if isinstance(value, int):
+        return value
     f = Fraction(value)
     if f.denominator == 1:
         return int(f)
@@ -138,6 +142,18 @@ def _gf_fields(p: RationalFunction) -> dict:
     }
 
 
+def _series_rows(p: RationalFunction, kmax: int) -> list:
+    """[k, h_k, s_k] for k = 0..kmax: one series, s_k its running sum.
+
+    Integral coefficients are summed as ints, the common case by far.
+    """
+    series = [c.numerator if c.denominator == 1 else c for c in p.series(kmax)]
+    return [
+        [k, _rat(h), _rat(s)]
+        for k, (h, s) in enumerate(zip(series, accumulate(series)))
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -200,11 +216,7 @@ def cmd_show(args) -> tuple[int, dict]:
         "kmax": args.kmax,
     }
     fields.update(_gf_fields(p))
-    series = p.series(args.kmax)
-    s_values = analysis.s_sequence(p, args.kmax)
-    rows = [
-        [k, _rat(series[k]), _rat(s_values[k])] for k in range(args.kmax + 1)
-    ]
+    rows = _series_rows(p, args.kmax)
     notes = []
     try:
         spec = catalog.hilbert_spec(args.id, **params)
@@ -281,16 +293,11 @@ def cmd_analyze(args) -> tuple[int, dict]:
     fields.update(_gf_fields(f))
     tables = []
     if f.den.coefficient(0) != 0:
-        series = f.series(args.kmax)
-        s_values = analysis.s_sequence(f, args.kmax)
         tables.append(
             {
                 "title": "coefficients",
                 "columns": ["k", "h_k", "s_k"],
-                "rows": [
-                    [k, _rat(series[k]), _rat(s_values[k])]
-                    for k in range(args.kmax + 1)
-                ],
+                "rows": _series_rows(f, args.kmax),
             }
         )
     payload = _payload("analyze", fields, tables, [])
@@ -388,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format",
         choices=FORMATS,
-        default=os.environ.get("POINCOUNT_FORMAT", "markdown"),
         help="output format (default: markdown, or POINCOUNT_FORMAT)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -438,12 +444,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first run() so that
+    importing stays cheap; it holds no per-call state."""
+    return build_parser()
+
+
 def run(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
@@ -454,7 +466,8 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     except jetflow.InvariantViolation as exc:
         print(f"poincount: engine invariant violated: {exc}", file=stderr)
         return 3
-    stdout.write(_render(payload, args.format))
+    fmt = args.format or os.environ.get("POINCOUNT_FORMAT", "markdown")
+    stdout.write(_render(payload, fmt))
     return code
 
 

@@ -216,19 +216,97 @@ def evaluate_node(node: Node, const: Callable, symbol: Callable):
     raise ExpressionError(f"bad AST node {node!r}")  # pragma: no cover
 
 
+def _int_add(a: list[int], b: list[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = a[:]
+    for i, c in enumerate(b):
+        out[i] += c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _int_mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _int_pow(a: list[int], e: int) -> list[int]:
+    result, base = [1], a
+    while e:
+        if e & 1:
+            result = _int_mul(result, base)
+        e >>= 1
+        if e:
+            base = _int_mul(base, base)
+    return result
+
+
+class _IntQuotient:
+    """num/den as integer coefficient lists (lowest degree first, no trailing
+    zeros), left unreduced: the one canonicalization happens when the parse
+    builds its RationalFunction."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: list[int], den: list[int]):
+        self.num, self.den = num, den
+
+    def __neg__(self):
+        return _IntQuotient([-c for c in self.num], self.den)
+
+    def __add__(self, other):
+        if self.den == other.den:
+            return _IntQuotient(_int_add(self.num, other.num), self.den)
+        return _IntQuotient(
+            _int_add(_int_mul(self.num, other.den), _int_mul(other.num, self.den)),
+            _int_mul(self.den, other.den),
+        )
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        return _IntQuotient(_int_mul(self.num, other.num), _int_mul(self.den, other.den))
+
+    def __truediv__(self, other):
+        if not other.num:
+            raise ZeroDivisionError("division by the zero rational function")
+        return _IntQuotient(_int_mul(self.num, other.den), _int_mul(self.den, other.num))
+
+    def __pow__(self, exponent: int):
+        if exponent < 0:
+            if not self.num:
+                raise ZeroDivisionError("negative power of zero")
+            return _IntQuotient(_int_pow(self.den, -exponent), _int_pow(self.num, -exponent))
+        return _IntQuotient(_int_pow(self.num, exponent), _int_pow(self.den, exponent))
+
+
 def parse_rational_function(text: str):
-    """Parse a closed-form expression in the single symbol z."""
-    from .algebra import RationalFunction
+    """Parse a closed-form expression in the single symbol z.
+
+    The AST is evaluated over unreduced integer quotients, so the gcd is
+    taken once, by the RationalFunction built from the final quotient.
+    """
+    from .algebra import Polynomial, RationalFunction
 
     node = parse_expression(text)
 
     def symbol(name: str):
         if name == "z":
-            return RationalFunction.z()
+            return _IntQuotient([0, 1], [1])
         raise ExpressionError(f"unknown symbol {name!r}; only z is allowed")
 
     try:
-        return evaluate_node(node, RationalFunction.from_scalar, symbol)
+        value = evaluate_node(node, lambda n: _IntQuotient([n] if n else [], [1]), symbol)
+        return RationalFunction(Polynomial(value.num), Polynomial(value.den))
     except ZeroDivisionError as exc:
         raise ExpressionError(f"{exc} in {text!r}") from None
     except RecursionError:

@@ -321,3 +321,45 @@ def fit_constant_tail(h):
     while onset > 0 and h[onset - 1] == h[-1]:
         onset -= 1
     return HilbertSpec({k: h[k] for k in range(onset) if h[k] != 0}, onset, h[-1])
+
+
+# -- the parse and the pole split on Fraction arithmetic -------------------------
+#
+# The evaluator that built a reduced RationalFunction at every AST node, and
+# the divmod loop that split off a factor one Fraction division at a time;
+# the integer parse and split are compared with them.
+
+
+def ratfun_parse(text):
+    """parse_rational_function as a node-by-node RationalFunction evaluation,
+    with the same errors."""
+    from poincount.algebra import RationalFunction
+    from poincount.exprs import ExpressionError, evaluate_node, parse_expression
+
+    node = parse_expression(text)
+
+    def symbol(name):
+        if name == "z":
+            return RationalFunction.z()
+        raise ExpressionError(f"unknown symbol {name!r}; only z is allowed")
+
+    try:
+        return evaluate_node(node, RationalFunction.from_scalar, symbol)
+    except ZeroDivisionError as exc:
+        raise ExpressionError(f"{exc} in {text!r}") from None
+    except RecursionError:
+        raise ExpressionError("expression is nested too deeply") from None
+
+
+def divmod_split_factor(poly, factor):
+    """(m, residual) with poly = factor^m * residual, by repeated Fraction
+    divmod; the zero polynomial gives (0, 0)."""
+    if poly.is_zero():
+        return 0, poly
+    count = 0
+    while True:
+        q, r = divmod(poly, factor)
+        if not r.is_zero():
+            return count, poly
+        poly = q
+        count += 1

@@ -19,9 +19,11 @@ from poincount.algebra import (
     cyclotomic,
     cyclotomic_factors,
     poly_gcd,
+    split_factor,
 )
 
 from oracles import (
+    divmod_split_factor,
     euclid_gcd,
     fraction_series,
     geometric_series_power,
@@ -286,3 +288,31 @@ def test_series_matches_fraction_recurrence(num_den, d0):
     den = [d0] + den  # den(0) != 0: no pole at the origin
     f = RF(P(num), P(den))
     assert list(f.series(15)) == fraction_series(num, [Fraction(c) for c in den], 15)
+
+
+_SPLIT_FACTORS = [
+    ONE_MINUS_Z,
+    cyclotomic(2),
+    cyclotomic(3),
+    cyclotomic(6),
+    P((2, -1)),  # non-monic
+    P((2, -2)),  # not primitive
+    P((Fraction(1, 2), 0, Fraction(-3, 4))),  # Fraction coefficients
+]
+
+
+@PROPERTY
+@given(
+    st.lists(_fractions, max_size=6),
+    st.sampled_from(_SPLIT_FACTORS),
+    st.integers(0, 4),
+    st.sampled_from(_SPLIT_FACTORS),
+    st.integers(0, 2),
+)
+@example([], ONE_MINUS_Z, 0, ONE_MINUS_Z, 0)  # the zero polynomial
+@example([1, Fraction(-1, 2)], P((2, -1)), 0, ONE_MINUS_Z, 0)  # den of 1/(2-z)
+@example([1, Fraction(-1, 2)], ONE_MINUS_Z, 3, P((2, -1)), 1)
+@example([Fraction(3, 7)], cyclotomic(3), 2, cyclotomic(6), 2)
+def test_split_factor_matches_divmod_loop(base, factor, m, other, n):
+    poly = P(base) * factor**m * other**n
+    assert split_factor(poly, factor) == divmod_split_factor(poly, factor)

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+from math import comb
 import subprocess
 import sys
 from pathlib import Path
@@ -243,6 +244,33 @@ def test_env_var_default_format(monkeypatch):
     code = run(["list"], stdout=out)
     assert code == 0
     json.loads(out.getvalue())
+
+
+def test_env_var_read_at_every_run(monkeypatch):
+    from poincount import cli as cli_mod
+
+    monkeypatch.setenv("POINCOUNT_FORMAT", "json")
+    json.loads(capture(["list"])[1])
+    monkeypatch.setenv("POINCOUNT_FORMAT", "csv")
+    assert capture(["list"])[1].startswith("command,list\n")
+    assert capture(["--format", "json", "list"])[1].startswith("{")  # the flag wins
+    monkeypatch.setenv("POINCOUNT_FORMAT", "yaml")  # not a format: markdown
+    assert capture(["list"])[1].startswith("## poincount list\n")
+    monkeypatch.delenv("POINCOUNT_FORMAT")
+    assert capture(["list"])[1].startswith("## poincount list\n")
+    assert cli_mod._parser.cache_info().misses == 1  # one parser served every call
+
+
+def test_analyze_high_pole_order_exactly():
+    code, payload = run_json(["analyze", "--expr", "1/(1-z)^1000", "--kmax", "5"])
+    assert code == 0
+    fields = payload["fields"]
+    assert fields["functional_dimension_d"] == 1000
+    assert fields["functional_rank_sigma"] == 1
+    assert fields["single_pole_form"] is True
+    rows = payload["tables"][0]["rows"]
+    assert [row[1] for row in rows] == [comb(k + 999, 999) for k in range(6)]
+    assert [row[2] for row in rows] == [comb(k + 1000, 1000) for k in range(6)]
 
 
 def test_show_hilbert_flag_and_notes():
