@@ -239,14 +239,21 @@ def _int_mul(a: list[int], b: list[int]) -> list[int]:
 
 
 def _int_pow(a: list[int], e: int) -> list[int]:
-    result, base = [1], a
-    while e:
-        if e & 1:
-            result = _int_mul(result, base)
-        e >>= 1
-        if e:
-            base = _int_mul(base, base)
-    return result
+    """a^e for e >= 0, by the recurrence k a_0 q_k = sum_{j>=1} ((e+1)j - k) a_j q_(k-j)
+    that q = a^e satisfies (from a q' = e a' q): each division is exact, and
+    the cost is deg(q) times the number of terms of a."""
+    if not e:
+        return [1]
+    if not a:
+        return []
+    shift = next(i for i, c in enumerate(a) if c)  # a = z^shift * (a_0 + ...)
+    a = a[shift:]
+    taps = [(j, c) for j, c in enumerate(a) if j and c]
+    q = [a[0] ** e]
+    for k in range(1, (len(a) - 1) * e + 1):
+        acc = sum(((e + 1) * j - k) * c * q[k - j] for j, c in taps if j <= k)
+        q.append(acc // (k * a[0]))
+    return [0] * (shift * e) + q
 
 
 class _IntQuotient:

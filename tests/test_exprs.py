@@ -78,6 +78,7 @@ def _outcome(parse, text):
 @example("0^-1")
 @example("+".join(["1/(1+z)+1/(1-z)"] * 60))
 @example("(1/(1-z) + 1/(1-z^2)) / (z/(1+z) - 2/(1-z)^2) - (1+z)^-2")
+@example("(2*z - 3*z^2 + z^4)^9 / (6 - 4*z^3)^12 + (z^2)^-3 * (3*z^3 - z^5)^4")
 def test_parse_matches_node_by_node_evaluation(text):
     assert _outcome(parse_rational_function, text) == _outcome(ratfun_parse, text)
 
