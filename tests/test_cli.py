@@ -2,9 +2,9 @@ import hashlib
 import io
 import json
 import os
-from math import comb
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest

