@@ -1,9 +1,12 @@
 """Exact univariate polynomial and rational-function arithmetic over the rationals.
 
-Everything here is pure and exact: coefficients are `fractions.Fraction`,
-equality means identity of canonical forms, and no floating point is used
-anywhere.  This module is the substrate for the generating-function work in
-the rest of the package.
+Everything here is pure and exact: an integral coefficient is stored as an
+`int` and any other as a `fractions.Fraction`, equality means identity of
+canonical forms, and no floating point is used anywhere (every division
+goes through `_div`).  Since `Fraction(3) == 3` with equal hashes and equal
+`str`, the int form changes no comparison and no printed output; only
+`repr` shows the ints.  This module is the substrate for the
+generating-function work in the rest of the package.
 
 Canonical form of a rational function num/den:
 
@@ -56,25 +59,37 @@ def binomial(m: int, k: int) -> int:
     return math.comb(m, k)
 
 
-def _as_fraction(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
+def _scalar(value: Scalar) -> Scalar:
+    """`value` as an int when it is integral, else as a Fraction."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-class Polynomial:
-    """Dense univariate polynomial with Fraction coefficients.
+def _div(a: Scalar, b: Scalar) -> Scalar:
+    """Exact a / b; two ints never meet the float division."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
 
-    Immutable.  The zero polynomial has an empty coefficient tuple and
-    degree -1; otherwise the leading coefficient is nonzero.
+
+class Polynomial:
+    """Dense univariate polynomial with rational coefficients.
+
+    Immutable.  Each coefficient is an int when it is integral and a
+    Fraction otherwise.  The zero polynomial has an empty coefficient tuple
+    and degree -1; otherwise the leading coefficient is nonzero.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else _scalar(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -118,15 +133,15 @@ class Polynomial:
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
 
-    def leading(self) -> Fraction:
+    def leading(self) -> Scalar:
         if not self.coeffs:
             raise UnsupportedArgument("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coefficient(self, k: int) -> Fraction:
+    def coefficient(self, k: int) -> Scalar:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return Fraction(0)
+        return 0
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -171,13 +186,12 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return Polynomial(c * a for a in self.coeffs)
+            return Polynomial([other * a for a in self.coeffs])
         if not isinstance(other, Polynomial):
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Polynomial.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -209,10 +223,10 @@ class Polynomial:
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
             return Polynomial.zero(), self
-        quot = [Fraction(0)] * (dq + 1)
+        quot = [0] * (dq + 1)
         lead = other.leading()
         for i in range(dq, -1, -1):
-            c = rem[i + other.degree] / lead
+            c = _div(rem[i + other.degree], lead)
             if c != 0:
                 quot[i] = c
                 for j, b in enumerate(other.coeffs):
@@ -231,14 +245,14 @@ class Polynomial:
         if self.is_zero():
             return self
         lead = self.leading()
-        return Polynomial(c / lead for c in self.coeffs)
+        return Polynomial([_div(c, lead) for c in self.coeffs])
 
     def evaluate(self, x: Scalar) -> Fraction:
-        x = _as_fraction(x)
-        acc = Fraction(0)
+        x = _scalar(x)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
+        return Fraction(acc)
 
     # -- display --------------------------------------------------------
 
@@ -345,12 +359,13 @@ def binom_in_k(shift: int, r: int) -> Polynomial:
 
 
 class PowerSeries:
-    """Truncated Taylor series: coefficients for z^0 .. z^K, exactly K+1 of them."""
+    """Truncated Taylor series: coefficients for z^0 .. z^K, exactly K+1 of them,
+    ints where integral and Fractions otherwise, as in Polynomial."""
 
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs: Sequence[Scalar], order: int):
-        cs = tuple(_as_fraction(c) for c in coeffs)
+        cs = tuple([c if type(c) is int else _scalar(c) for c in coeffs])
         if len(cs) != order + 1:
             raise ValueError(f"need {order + 1} coefficients, got {len(cs)}")
         object.__setattr__(self, "coeffs", cs)
@@ -373,7 +388,7 @@ class PowerSeries:
     def __len__(self) -> int:
         return len(self.coeffs)
 
-    def __getitem__(self, k: int) -> Fraction:
+    def __getitem__(self, k: int) -> Scalar:
         return self.coeffs[k]
 
     def __repr__(self) -> str:
@@ -401,8 +416,9 @@ class RationalFunction:
             c = den.coefficient(0)
             if c == 0:
                 c = den.leading()
-            num = num * (1 / c)
-            den = den * (1 / c)
+            if c != 1:
+                inverse = _div(1, c)
+                num, den = num * inverse, den * inverse
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -511,7 +527,6 @@ class RationalFunction:
     # -- analysis ---------------------------------------------------------
 
     def evaluate(self, x: Scalar) -> Fraction:
-        x = _as_fraction(x)
         d = self.den.evaluate(x)
         if d == 0:
             raise PoleAtPoint(f"pole at z = {x}")
@@ -521,19 +536,15 @@ class RationalFunction:
         """Taylor coefficients 0..order at z = 0, by the den * series = num recurrence.
 
         Canonical form gives den(0) = 1 whenever there is no pole at 0, so the
-        recurrence divides by nothing.  Integral coefficients enter it as
-        ints, which mix exactly with the Fractions of any other coefficient.
+        recurrence divides by nothing, and it runs on ints wherever the
+        coefficients are integral.
         """
         if order < 0:
             raise UnsupportedArgument("series order must be >= 0")
         if self.den.coefficient(0) == 0:
             raise PoleAtOrigin("pole at z = 0")
-        num = [c.numerator if c.denominator == 1 else c for c in self.num.coeffs]
-        taps = [
-            (j, c.numerator if c.denominator == 1 else c)
-            for j, c in enumerate(self.den.coeffs)
-            if j and c
-        ]
+        num = self.num.coeffs
+        taps = [(j, c) for j, c in enumerate(self.den.coeffs) if j and c]
         out = []
         for k in range(order + 1):
             acc = num[k] if k < len(num) else 0
@@ -544,7 +555,7 @@ class RationalFunction:
             out.append(acc)
         return PowerSeries(out, order)
 
-    def coefficient(self, k: int) -> Fraction:
+    def coefficient(self, k: int) -> Scalar:
         """The z^k Taylor coefficient at 0 (k >= 0)."""
         if k < 0:
             raise UnsupportedArgument("coefficient index must be >= 0")
@@ -625,8 +636,8 @@ def split_factor(poly: Polynomial, factor: Polynomial) -> tuple[int, Polynomial]
     if not count:
         return 0, poly
     # factor = unit * prim, so poly = factor^count * ints / (scale * unit^count)
-    den = scale * (factor.leading() / prim[-1]) ** count
-    return count, Polynomial([c / den for c in ints])
+    den = scale * _div(factor.leading(), prim[-1]) ** count
+    return count, Polynomial(ints if den == 1 else [_div(c, den) for c in ints])
 
 
 @lru_cache(maxsize=None)

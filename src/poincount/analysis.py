@@ -43,11 +43,13 @@ def analyze(f: RationalFunction) -> PoleReport:
     """Pole order and leading constant at z = 1, plus other unit-circle poles.
 
     d = multiplicity of (1-z) in the denominator (0 if none); sigma is the
-    exact value of (1-z)^d f at z = 1.  Remaining denominator factors are
-    matched against cyclotomic polynomials of degree up to deg(den).
+    exact value of (1-z)^d f at z = 1, the quotient of the coefficient sums
+    of the numerator and of the residual denominator.  Remaining denominator
+    factors are matched against cyclotomic polynomials of degree up to
+    deg(den).
     """
     d, residual = split_factor(f.den, ONE_MINUS_Z)
-    sigma = f.num.evaluate(1) / residual.evaluate(1)
+    sigma = Fraction(sum(f.num.coeffs)) / sum(residual.coeffs)
     others = [(phi, mult) for _, phi, mult in cyclotomic_factors(residual)]
     conforms = residual.degree == 0 and f.den.coefficient(0) != 0
     return PoleReport(

@@ -521,8 +521,14 @@ def _p_poincare_dulac(case: str, m=None, p=None, q=None) -> RationalFunction:
 # ---------------------------------------------------------------------------
 
 
-def _n_samples(n_min: int):
-    return lambda nmax: [{"n": n} for n in range(n_min, nmax + 1)]
+@dataclass(frozen=True)
+class _NSamples:
+    """The samples n = n_min..nmax of an entry with the one parameter n."""
+
+    n_min: int
+
+    def __call__(self, nmax: int) -> list[dict]:
+        return [{"n": n} for n in range(self.n_min, nmax + 1)]
 
 
 def _fixed_samples(values: list[dict]):
@@ -569,7 +575,7 @@ CATALOG: tuple[CatalogEntry, ...] = (
         base_dim=lambda n: n,
         hilbert=_h_riemannian,
         claimed_p=_p_riemannian,
-        samples=_n_samples(2),
+        samples=_NSamples(2),
         note="signature does not affect the count",
     ),
     CatalogEntry(
@@ -581,7 +587,7 @@ CATALOG: tuple[CatalogEntry, ...] = (
         base_dim=lambda n: n,
         hilbert=_h_einstein,
         claimed_p=_p_einstein,
-        samples=_n_samples(4),
+        samples=_NSamples(4),
         note="nontrivial moduli only for n >= 4",
     ),
     CatalogEntry(
@@ -604,7 +610,7 @@ CATALOG: tuple[CatalogEntry, ...] = (
         base_dim=lambda n: 2 * n,
         hilbert=_h_kaehler,
         claimed_p=_p_kaehler,
-        samples=_n_samples(1),
+        samples=_NSamples(1),
         note="n = 1 coincides with 2D Riemannian metrics",
     ),
     CatalogEntry(
@@ -616,7 +622,7 @@ CATALOG: tuple[CatalogEntry, ...] = (
         base_dim=lambda n: 4 * n,
         hilbert=_h_hyper_kaehler,
         claimed_p=_p_hyper_kaehler,
-        samples=_n_samples(1),
+        samples=_NSamples(1),
     ),
     CatalogEntry(
         id="linear-connections",
@@ -627,7 +633,7 @@ CATALOG: tuple[CatalogEntry, ...] = (
         base_dim=lambda n: n,
         hilbert=_h_linear_connections,
         claimed_p=_p_linear_connections,
-        samples=_n_samples(2),
+        samples=_NSamples(2),
     ),
     CatalogEntry(
         id="symmetric-connections",
@@ -638,7 +644,7 @@ CATALOG: tuple[CatalogEntry, ...] = (
         base_dim=lambda n: n,
         hilbert=_h_symmetric_connections,
         claimed_p=_p_symmetric_connections,
-        samples=_n_samples(2),
+        samples=_NSamples(2),
     ),
     CatalogEntry(
         id="metric-connections",
@@ -649,7 +655,7 @@ CATALOG: tuple[CatalogEntry, ...] = (
         base_dim=lambda n: n,
         hilbert=_h_metric_connections,
         claimed_p=_p_metric_connections,
-        samples=_n_samples(2),
+        samples=_NSamples(2),
     ),
     CatalogEntry(
         id="metric-connections-skew-torsion",
@@ -659,7 +665,7 @@ CATALOG: tuple[CatalogEntry, ...] = (
         validity=lambda n: n >= 3,
         base_dim=lambda n: n,
         claimed_p=_p_skew_torsion,
-        samples=_n_samples(3),
+        samples=_NSamples(3),
         note="closed form only; the generic 3-form stabilizer sequence is 3, 3, 2, 0, ...",
     ),
     CatalogEntry(
@@ -671,7 +677,7 @@ CATALOG: tuple[CatalogEntry, ...] = (
         base_dim=lambda n: n,
         hilbert=_h_metrizable,
         claimed_p=_p_metrizable,
-        samples=_n_samples(2),
+        samples=_NSamples(2),
         note="count equals the metric count shifted one order down (P/z)",
     ),
     CatalogEntry(
@@ -683,7 +689,7 @@ CATALOG: tuple[CatalogEntry, ...] = (
         base_dim=lambda n: 2 * n,
         hilbert=_h_fedosov,
         claimed_p=_p_fedosov,
-        samples=_n_samples(1),
+        samples=_NSamples(1),
     ),
     CatalogEntry(
         id="projective-connections",
@@ -694,7 +700,7 @@ CATALOG: tuple[CatalogEntry, ...] = (
         base_dim=lambda n: n,
         hilbert=_h_projective,
         claimed_p=_p_projective,
-        samples=_n_samples(2),
+        samples=_NSamples(2),
         note="n = 2 coincides with cubic 2nd-order ODEs",
     ),
     CatalogEntry(
@@ -706,7 +712,7 @@ CATALOG: tuple[CatalogEntry, ...] = (
         base_dim=lambda n: n,
         hilbert=_h_conformal,
         claimed_p=_p_conformal,
-        samples=_n_samples(3),
+        samples=_NSamples(3),
     ),
     CatalogEntry(
         id="weyl",
@@ -717,7 +723,7 @@ CATALOG: tuple[CatalogEntry, ...] = (
         base_dim=lambda n: n,
         hilbert=_h_weyl,
         claimed_p=_p_weyl,
-        samples=_n_samples(2),
+        samples=_NSamples(2),
     ),
     CatalogEntry(
         id="einstein-weyl",
@@ -728,7 +734,7 @@ CATALOG: tuple[CatalogEntry, ...] = (
         base_dim=lambda n: n,
         hilbert=_h_einstein_weyl,
         claimed_p=_p_einstein_weyl,
-        samples=_n_samples(3),
+        samples=_NSamples(3),
     ),
     CatalogEntry(
         id="self-dual-conformal",
@@ -750,7 +756,7 @@ CATALOG: tuple[CatalogEntry, ...] = (
         base_dim=lambda n: 2 * n,
         hilbert=_h_almost_complex,
         claimed_p=_p_almost_complex,
-        samples=_n_samples(2),
+        samples=_NSamples(2),
         note="infinite-type structure; first nontrivial such count",
     ),
     CatalogEntry(
@@ -762,7 +768,7 @@ CATALOG: tuple[CatalogEntry, ...] = (
         base_dim=lambda n: 2 * n,
         claimed_p=_p_hamiltonian_critical,
         flags=frozenset({OTHER_UNIT_POLES}),
-        samples=_n_samples(1),
+        samples=_NSamples(1),
         note="closed form only; poles at both z = 1 and z = -1",
     ),
     CatalogEntry(
@@ -827,6 +833,22 @@ def _prepare(entry_id: str, params: Mapping[str, int]) -> tuple[CatalogEntry, di
     entry, implied = resolve(entry_id)
     merged = {**implied, **dict(params)}
     return entry, entry.check_params(merged)
+
+
+def select_samples(entry_id: str, nmax: int) -> tuple[CatalogEntry, list[dict]]:
+    """The entry's samples with n <= nmax that carry the parameters an alias
+    implies.  An empty selection would check nothing, so it raises
+    UsageError naming the smallest n that selects a sample."""
+    entry, implied = resolve(entry_id)
+    samples = [
+        s for s in entry.samples(nmax) if all(s.get(k) == v for k, v in implied.items())
+    ]
+    if not samples:
+        hint = ""
+        if isinstance(entry.samples, _NSamples):
+            hint = f"; the smallest valid n is {entry.samples.n_min}"
+        raise UsageError(f"{entry_id} has no sample with n <= {nmax}{hint}")
+    return entry, samples
 
 
 def hilbert_spec(entry_id: str, **params) -> HilbertSpec:

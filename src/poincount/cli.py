@@ -15,8 +15,9 @@ POINCOUNT_FORMAT environment variable.  JSON payloads are exact: every
 non-integer rational is {"num": "...", "den": "..."} with decimal-digit
 strings, never floating point.  Output is byte-identical for identical
 argv and seed.  Exit codes: 0 success / all consistent, 1 mismatch
-findings present, 2 usage or validity errors, 3 a broken jet-engine
-invariant (a sentinel parameter acted, or a generator left its stratum).
+findings present, 2 usage or validity errors (a verify that selects no
+sample is one: it would check nothing), 3 a broken jet-engine invariant (a
+sentinel parameter acted, or a generator left its stratum).
 
 EXPR grammar (integer coefficients over the single symbol z):
 
@@ -145,9 +146,9 @@ def _gf_fields(p: RationalFunction) -> dict:
 def _series_rows(p: RationalFunction, kmax: int) -> list:
     """[k, h_k, s_k] for k = 0..kmax: one series, s_k its running sum.
 
-    Integral coefficients are summed as ints, the common case by far.
+    Integral coefficients are ints, so the common case sums ints.
     """
-    series = [c.numerator if c.denominator == 1 else c for c in p.series(kmax)]
+    series = p.series(kmax).coeffs
     return [
         [k, _rat(h), _rat(s)]
         for k, (h, s) in enumerate(zip(series, accumulate(series)))
@@ -238,18 +239,18 @@ def cmd_show(args) -> tuple[int, dict]:
 
 
 def cmd_verify(args) -> tuple[int, dict]:
+    # Exit 0 means "all consistent", so a run that checks nothing is refused.
+    if args.nmax < 0:
+        raise UsageError(f"--nmax must be >= 0, got {args.nmax}")
     if args.id:
-        entry, implied = catalog.resolve(args.id)
-        samples = [
-            s
-            for s in entry.samples(args.nmax)
-            if all(s.get(k) == v for k, v in implied.items())
-        ]
+        entry, samples = catalog.select_samples(args.id, args.nmax)
         reports = [
             catalog.verify_entry(entry.id, sample, args.kmax) for sample in samples
         ]
     else:
         reports = catalog.verify_all(args.kmax, args.nmax)
+    if not reports:
+        raise UsageError(f"verify --nmax {args.nmax} selects no catalog sample")
     rows = []
     mismatches = 0
     for rep in reports:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -61,9 +60,14 @@ class HilbertSpec:
     h(k) = exceptions[k] if present, else 0 for k < tail_start, else tail(k).
     Construction canonicalizes: tail_start is pulled down as far as the values
     allow and exceptions store only nonzero values below it.
+
+    The tail is also kept in Newton form, the integers
+    c_j = Delta^j tail(tail_start) for j = 0..deg (a zero tail keeps
+    c_0 = 0), so that tail(k) = sum_j c_j C(k - tail_start, j) and
+    `values` rolls the difference row forward by integer additions alone.
     """
 
-    __slots__ = ("exceptions", "tail_start", "tail")
+    __slots__ = ("exceptions", "tail_start", "tail", "_newton")
 
     def __init__(
         self,
@@ -81,28 +85,33 @@ class HilbertSpec:
                 raise ValueError(f"exceptional index {k} must lie in [0, tail_start)")
             if not isinstance(v, int) or v < 0:
                 raise ValueError(f"h({k}) = {v!r} is not a nonnegative integer")
+        probes = []
         for k in range(tail_start, tail_start + tail.degree + 3):
             value = tail.evaluate(k)
             if value.denominator != 1 or value < 0:
                 raise ValueError(f"tail({k}) = {value} is not a nonnegative integer")
+            probes.append(value.numerator)
+        # Integer values at deg + 1 consecutive points make the tail
+        # integer-valued everywhere, with these differences as Newton form.
+        newton = [finite_differences(probes, j)[0] for j in range(tail.degree + 1)] or [0]
 
         # Canonicalize: extend the tail downwards over matching values, then
-        # record only the nonzero leftovers as exceptions.
-        def raw(k: int) -> int:
-            if k in exc:
-                return exc[k]
-            if k < tail_start:
-                return 0
-            return int(tail.evaluate(k))
-
+        # record only the nonzero leftovers as exceptions.  One step down
+        # maps c_j to c_j - Delta^(j+1) tail(start - 1), highest j first.
         start = tail_start
-        while start > 0 and Fraction(raw(start - 1)) == tail.evaluate(start - 1):
-            start -= 1
-        cleaned = {k: raw(k) for k in range(start) if raw(k) != 0}
+        while start > 0:
+            below = newton[:]
+            for j in range(len(below) - 2, -1, -1):
+                below[j] -= below[j + 1]
+            if exc.get(start - 1, 0) != below[0]:
+                break
+            start, newton = start - 1, below
+        cleaned = {k: exc[k] for k in range(start) if exc.get(k, 0) != 0}
 
         object.__setattr__(self, "exceptions", cleaned)
         object.__setattr__(self, "tail_start", start)
         object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "_newton", tuple(newton))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("HilbertSpec is immutable")
@@ -115,23 +124,36 @@ class HilbertSpec:
             return self.exceptions[k]
         if k < self.tail_start:
             return 0
-        value = self.tail.evaluate(k)
-        if value.denominator != 1 or value < 0:
+        m = k - self.tail_start
+        value = sum(c * math.comb(m, j) for j, c in enumerate(self._newton))
+        if value < 0:
             raise ValueError(f"tail({k}) = {value} is not a nonnegative integer")
-        return int(value)
+        return value
 
     def values(self, k_max: int) -> list[int]:
-        return [self.h(k) for k in range(k_max + 1)]
+        """h(0), ..., h(k_max)."""
+        return list(self._iter_values(k_max))
+
+    def _iter_values(self, k_max: int):
+        """h(0), ..., h(k_max) one at a time, so that a caller comparing them
+        in order meets an earlier difference before a later negative value."""
+        for k in range(min(k_max + 1, self.tail_start)):
+            yield self.exceptions.get(k, 0)
+        row = list(self._newton)
+        last = len(row) - 1
+        for k in range(self.tail_start, k_max + 1):
+            value = row[0]
+            if value < 0:
+                raise ValueError(f"tail({k}) = {value} is not a nonnegative integer")
+            yield value
+            for j in range(last):
+                row[j] += row[j + 1]
 
     def shift_down(self, m: int = 1) -> "HilbertSpec":
         """The spec of k -> h(k + m)."""
         if m < 0:
             raise ValueError("shift must be >= 0")
-        exc = {}
-        for k in range(self.tail_start):
-            v = self.h(k)
-            if k - m >= 0 and v != 0:
-                exc[k - m] = v
+        exc = {k - m: v for k, v in self.exceptions.items() if k >= m}
         return HilbertSpec(exc, max(self.tail_start - m, 0), poly_shift_arg(self.tail, m))
 
     def __eq__(self, other) -> bool:
@@ -165,7 +187,7 @@ class MatchReport:
     """Outcome of comparing a generating function against a spec up to order K."""
 
     matched_up_to: int
-    first_mismatch: Optional[Tuple[int, int, Fraction]] = None
+    first_mismatch: Optional[Tuple[int, int, Scalar]] = None
 
     @property
     def full_match(self) -> bool:
@@ -183,7 +205,7 @@ def gf_from_hilbert(spec: HilbertSpec) -> RationalFunction:
     the quotient is reduced, and the denominator has constant term 1.
     """
     D = spec.tail.degree + 1
-    h = [spec.h(k) for k in range(spec.tail_start + D)]
+    h = spec.values(spec.tail_start + D - 1)
     den = [(-1) ** j * math.comb(D, j) for j in range(D + 1)]
     num = [
         sum(den[j] * h[i - j] for j in range(min(i, D) + 1)) for i in range(len(h))
@@ -220,9 +242,8 @@ def hilbert_values_spec(values: Sequence[int], confirm: int = 3) -> HilbertSpec:
                     tail = tail + binom_in_k(-onset, jj) * d_jj
             exc = {k: values[k] for k in range(onset) if values[k] != 0}
             spec = HilbertSpec(exc, onset, tail)
-            for k in range(n):
-                if spec.h(k) != values[k]:  # pragma: no cover - fit is exact
-                    raise HorizonTooShort("tail fit fails to reproduce the data")
+            if spec.values(n - 1) != list(values):  # pragma: no cover - fit is exact
+                raise HorizonTooShort("tail fit fails to reproduce the data")
             return spec
         d += 1
     raise HorizonTooShort(
@@ -261,9 +282,7 @@ def spec_from_gf(f: RationalFunction, k_confirm: int) -> HilbertSpec:
 def equal_series(f: RationalFunction, spec: HilbertSpec, k_max: int) -> MatchReport:
     """Compare Taylor coefficients of f with spec values for k = 0..k_max."""
     series = f.series(k_max)
-    for k in range(k_max + 1):
-        expected = spec.h(k)
-        got = series[k]
+    for k, (got, expected) in enumerate(zip(series, spec._iter_values(k_max))):
         if got != expected:
             return MatchReport(matched_up_to=k - 1, first_mismatch=(k, expected, got))
     return MatchReport(matched_up_to=k_max)

@@ -363,3 +363,27 @@ def divmod_split_factor(poly, factor):
             return count, poly
         poly = q
         count += 1
+
+
+# -- the tail by Fraction Horner -------------------------------------------------
+#
+# HilbertSpec.h before the tail was kept in Newton form: every value comes
+# from evaluating the tail polynomial afresh in Fraction arithmetic.
+
+
+def horner_h(spec, k):
+    """h(k) of a HilbertSpec with the tail evaluated by Fraction Horner at k,
+    raising the spec's ValueError for a tail value that is not a nonnegative
+    integer."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if k in spec.exceptions:
+        return spec.exceptions[k]
+    if k < spec.tail_start:
+        return 0
+    value = Fraction(0)
+    for c in reversed(spec.tail.coeffs):
+        value = value * k + Fraction(c)
+    if value.denominator != 1 or value < 0:
+        raise ValueError(f"tail({k}) = {value} is not a nonnegative integer")
+    return int(value)

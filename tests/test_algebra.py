@@ -316,3 +316,75 @@ _SPLIT_FACTORS = [
 def test_split_factor_matches_divmod_loop(base, factor, m, other, n):
     poly = P(base) * factor**m * other**n
     assert split_factor(poly, factor) == divmod_split_factor(poly, factor)
+
+
+# -- ints where integral: the representation equals the all-Fraction one -------
+
+
+def _assert_normal(coeffs):
+    """Every coefficient is an int or a Fraction that is not integral."""
+    for c in coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+def _fractions_of(poly):
+    return tuple(Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs()))
+
+
+def _sympy_canonical(num, den):
+    """Canonical (num, den) of num/den, two sympy Polys over QQ, as
+    all-Fraction tuples: reduced, with den(0) = 1, or den monic when
+    den(0) = 0."""
+    g = num.gcd(den)
+    num, den = num.quo(g), den.quo(g)
+    c = den.coeff_monomial(1) or den.LC()
+    num, den = num.quo_ground(c), den.quo_ground(c)
+    return (() if num.is_zero else _fractions_of(num)), _fractions_of(den)
+
+
+def _sympy_poly(poly):
+    return sympy.Poly(list(reversed(poly.coeffs)) or [0], _Z, domain="QQ")
+
+
+@PROPERTY
+@given(
+    st.lists(_fractions, max_size=5),
+    st.lists(_fractions, max_size=4),
+    st.integers(-20, 20).filter(bool),
+    st.integers(0, 3),
+)
+@example([], [], 1, 0)
+@example([3, 6], [Fraction(3, 2)], 2, 2)  # integral after the scale by 1/den(0)
+@example([Fraction(1, 2), Fraction(-1, 2)], [-1], 1, 1)  # cancels to 1/2
+@example([1], [Fraction(-1, 2)], 2, 0)  # 1/(2 - z/2)
+def test_coefficients_are_ints_or_proper_fractions(num, den, d0, e):
+    a, b = P(num), P([d0] + den)
+    pole = RF(1, ONE_MINUS_Z**e)
+    polys = [a, b, a + b, a - b, a * b, 3 * a, a * Fraction(1, 3), b**2, b.monic(), a.monic()]
+    polys += list(divmod(a, b)) + [split_factor(a * ONE_MINUS_Z**e, ONE_MINUS_Z)[1]]
+    for poly in polys:
+        _assert_normal(poly.coeffs)
+        as_fractions = tuple(Fraction(c) for c in poly.coeffs)
+        assert poly.coeffs == as_fractions
+        assert hash(poly) == hash(("Polynomial", as_fractions))
+    for x in (2, Fraction(1, 3)):
+        assert type(a.evaluate(x)) is Fraction
+    f = RF(a, b)
+    A, B, E = _sympy_poly(a), _sympy_poly(b), _sympy_poly(ONE_MINUS_Z**e)
+    cases = [
+        (f, (A, B)),
+        (f + pole, (A * E + B, B * E)),
+        (f * f, (A * A, B * B)),
+        (f - pole * f, (A * E - A, B * E)),
+    ]
+    for g, (num_poly, den_poly) in cases:
+        _assert_normal(g.num.coeffs)
+        _assert_normal(g.den.coeffs)
+        want = _sympy_canonical(num_poly, den_poly)
+        assert (g.num.coeffs, g.den.coeffs) == want
+        assert hash(g) == hash(("RationalFunction", *want))
+        series = g.series(8)
+        _assert_normal(series.coeffs)
+        as_fractions = tuple(fraction_series(g.num.coeffs, g.den.coeffs, 8))
+        assert series.coeffs == as_fractions
+        assert hash(series) == hash(("PowerSeries", as_fractions))

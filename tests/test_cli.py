@@ -95,10 +95,16 @@ def test_exit_codes_for_errors():
         ["strata-demo", "--kmax", "-1"],  # negative jet order
         ["strata-demo", "--kmax", "0"],  # a stratum condition above the jet order
         ["rederive", "--id", "einstein", "--n", "4", "--kmax", "-3"],
+        ["verify", "--id", "riemannian", "--nmax", "1"],  # selects no sample
+        ["verify", "--nmax", "-5"],  # checks nothing
+        ["verify", "--id", "riemannian", "--nmax", "-5"],
     ):
         code, out, err = capture(argv)
         assert code == 2 and out == "", argv[:2]
         assert err.startswith("poincount: error:") and err.count("\n") == 1
+    err = capture(["verify", "--id", "einstein", "--nmax", "3"])[2]
+    assert err == "poincount: error: einstein has no sample with n <= 3; the smallest valid n is 4\n"
+    assert capture(["verify", "--nmax", "-5"])[2] == "poincount: error: --nmax must be >= 0, got -5\n"
     err = capture(["strata-demo", "--kmax", "0"])[2]
     assert "'sigma1'" in err and "'u10'" in err and "jet order 0" in err
     for argv in (  # a negative --kmax is named the same way by every series command
@@ -300,6 +306,15 @@ def test_verify_mismatch_exit_one(monkeypatch):
     assert code == 1
     payload = json.loads(out.getvalue())
     assert payload["fields"]["mismatch"] == 1
+
+
+def test_verify_with_no_reports_exits_two(monkeypatch):
+    from poincount import cli as cli_mod
+
+    monkeypatch.setattr(cli_mod.catalog, "verify_all", lambda k, n: [])
+    code, out, err = capture(["verify"])
+    assert (code, out) == (2, "")
+    assert err == "poincount: error: verify --nmax 8 selects no catalog sample\n"
 
 
 def test_verify_alias_filters_family_samples():

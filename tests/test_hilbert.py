@@ -1,7 +1,8 @@
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from poincount import catalog
@@ -18,7 +19,7 @@ from poincount.hilbert import (
     spec_from_gf,
 )
 
-from oracles import fit_constant_tail, gf_from_hilbert_termwise
+from oracles import fit_constant_tail, gf_from_hilbert_termwise, horner_h
 
 P = Polynomial
 RF = RationalFunction
@@ -201,6 +202,80 @@ def test_gf_from_hilbert_matches_termwise_oracle_and_is_canonical(spec):
     assert (gf.num.coeffs, gf.den.coeffs) == (oracle.num.coeffs, oracle.den.coeffs)
     again = RF(gf.num, gf.den)
     assert (again.num.coeffs, again.den.coeffs) == (gf.num.coeffs, gf.den.coeffs)
+
+
+@st.composite
+def signed_hilbert_specs(draw):
+    """Specs whose tail may turn negative past the construction's probe
+    points: binomial-basis coefficients of either sign, keeping only the
+    specs the constructor accepts."""
+    tail_start = draw(st.integers(0, 8))
+    values = draw(st.lists(st.integers(0, 50), min_size=tail_start, max_size=tail_start))
+    basis = draw(st.lists(st.integers(0, 60), max_size=8))
+    basis.append(draw(st.integers(-3, 3)))
+    tail = P.zero()
+    for j, c in enumerate(basis):
+        tail = tail + binom_in_k(-tail_start, j) * c
+    try:
+        return HilbertSpec(dict(enumerate(values)), tail_start, tail)
+    except ValueError:
+        reject()
+
+
+def _oracle_values(spec, k_max, shift=0):
+    """h(shift), ..., h(shift + k_max) by the Fraction-Horner oracle, up to
+    the first ValueError; (values, that error's message or None)."""
+    out = []
+    for k in range(shift, shift + k_max + 1):
+        try:
+            out.append(horner_h(spec, k))
+        except ValueError as exc:
+            return out, str(exc)
+    return out, None
+
+
+def _assert_matches_oracle(spec, k_max):
+    want, error = _oracle_values(spec, k_max)
+    if error is None:
+        got = spec.values(k_max)
+        assert got == want and all(type(v) is int for v in got)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            spec.values(k_max)
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            spec.h(len(want))
+    for k, value in enumerate(want):
+        assert spec.h(k) == value and type(spec.h(k)) is int
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.one_of(hilbert_specs(), signed_hilbert_specs()), st.integers(0, 40), st.integers(0, 6))
+@example(HilbertSpec({}, 0, 0), 5, 2)  # zero tail
+@example(HilbertSpec({0: 3, 2: 1}, 4, 0), 6, 1)  # zero tail after exceptions
+@example(HilbertSpec({}, 0, binom_in_k(0, 8)), 30, 3)  # onset 0, degree 8
+@example(HilbertSpec({1: 7}, 3, 2 * binom_in_k(-3, 8) + 1), 25, 5)
+@example(HilbertSpec({}, 0, P((100, 0, -1))), 15, 2)  # tail(11) = -21 past the probes
+@example(HilbertSpec({}, 0, P((100, 0, -1))), 15, 8)  # the shifted tail fails its probes
+@example(HilbertSpec({3: 2}, 4, P((-1, 1))), 10, 0)  # onset pulled down to 3
+def test_values_and_h_match_fraction_horner_oracle(spec, k_max, m):
+    _assert_matches_oracle(spec, k_max)
+    try:
+        shifted = spec.shift_down(m)
+    except ValueError:  # only a tail that turns negative fails to shift
+        assert _oracle_values(spec, spec.tail_start + spec.tail.degree + 3 + m)[1]
+    else:
+        _assert_matches_oracle(shifted, k_max)
+        assert _oracle_values(shifted, k_max)[0] == _oracle_values(spec, k_max, shift=m)[0]
+
+
+def test_equal_series_reports_an_early_mismatch_before_a_later_negative_value():
+    spec = HilbertSpec({}, 0, P((100, 0, -1)))  # negative from k = 11
+    report = equal_series(RF(P((99,))), spec, 20)
+    assert report.first_mismatch == (0, 100, 99)
+    report = equal_series(gf_from_hilbert(HilbertSpec({}, 0, P((100, 0, 0)))), spec, 20)
+    assert report.first_mismatch == (1, 99, 100)
+    with pytest.raises(ValueError, match=r"^tail\(11\) = -21 is not a nonnegative integer$"):
+        equal_series(gf_from_hilbert(spec), spec, 20)
 
 
 # -- one tail-fitting rule: confirm = 1 is the strata table's constant-tail fit --

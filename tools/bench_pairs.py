@@ -15,10 +15,14 @@ fewest that can back a claim); without --workload, every workload of
 BENCHMARK.json is run.
 
 The output holds, per workload and end-to-end metric of BENCHMARK.json,
-the medians of both sides, the parent's interquartile range and the number
-of pairs the change won (better by the metric's own direction); the runs'
-failure counts; the per-job stdout digests of both sides per seed, with
-whether they are equal; and the machine stamp perfbench records.
+the medians of both sides, their relative change, the metric's bound, the
+parent's interquartile range and the number of pairs the change won
+(better by the metric's own direction); the runs' failure counts; the
+per-job stdout digests of both sides per seed, with whether they are
+equal; and the machine stamp perfbench records.  The closing summary
+prints one line per workload and end-to-end metric, flagged when the
+change's median is worse, and louder when it is worse by more than the
+bound.
 """
 
 from __future__ import annotations
@@ -86,11 +90,14 @@ def summarize(runs: list, end_to_end: list) -> dict:
         parent = [pair["parent"]["metrics"][name] for pair in runs]
         change = [pair["change"]["metrics"][name] for pair in runs]
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        parent_median, change_median = statistics.median(parent), statistics.median(change)
         metrics[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
-            "parent_median": statistics.median(parent),
-            "change_median": statistics.median(change),
+            "bound": spec["bound"],
+            "parent_median": parent_median,
+            "change_median": change_median,
+            "relative_change": change_median / parent_median - 1 if parent_median else None,
             "parent_iqr": iqr(parent),
             "wins": wins,
             "parent": parent,
@@ -159,10 +166,24 @@ def main(argv=None) -> int:
     path = args.out if args.out.is_absolute() else ROOT / args.out
     path.write_text(json.dumps(out, indent=2) + "\n")
     for workload, summary in out["workloads"].items():
-        wall = summary["metrics"]["wall_s"]
-        print(f"{workload}: wall_s {wall['parent_median']:.4f} -> {wall['change_median']:.4f} s, "
-              f"won {wall['wins']}/{summary['pairs']}, digests equal: {summary['digests_equal']}")
+        print(f"{workload}: {summary['pairs']} pairs, digests equal: {summary['digests_equal']}, "
+              f"failed {summary['failed']['parent']} -> {summary['failed']['change']}")
+        for name, m in summary["metrics"].items():
+            print(f"  {summary_line(name, m, summary['pairs'])}")
     return 0
+
+
+def summary_line(name: str, m: dict, pairs: int) -> str:
+    """One metric's closing line: medians, relative change against the bound,
+    pairs won, and a flag when the change's median is worse."""
+    rel = m["relative_change"]
+    worse = rel is not None and (rel > 0 if m["better"] == "lower" else rel < 0)
+    flag = ""
+    if worse:
+        flag = "  WORSE, PAST THE BOUND" if abs(rel) > m["bound"] else "  worse"
+    change = "n/a" if rel is None else f"{rel:+.1%}"
+    return (f"{name}: {m['parent_median']:.4f} -> {m['change_median']:.4f} {m['unit']} "
+            f"({change}, bound {m['bound']:.0%}), won {m['wins']}/{pairs}{flag}")
 
 
 if __name__ == "__main__":
