@@ -248,11 +248,19 @@ class Polynomial:
         return Polynomial([_div(c, lead) for c in self.coeffs])
 
     def evaluate(self, x: Scalar) -> Fraction:
+        """p(x) by Horner over the integers.  With the coefficients n_i / s
+        over their common denominator and x = a / b, the steps
+        acc = acc * a + n_i * b^(d - i) end at s * b^d * p(x)."""
         x = _scalar(x)
-        acc = 0
+        if not self.coeffs:
+            return Fraction(0)
+        a, b = x.numerator, x.denominator
+        s = math.lcm(*[c.denominator for c in self.coeffs])
+        acc, power = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return Fraction(acc)
+            acc = acc * a + c.numerator * (s // c.denominator) * power
+            power *= b
+        return Fraction(acc, s * power // b)
 
     # -- display --------------------------------------------------------
 
