@@ -215,12 +215,24 @@ class ParamField:
     beta!/(beta - gamma)! x^(beta - gamma); `specs` holds, per parameter,
     (parameter, ((token variable, beta!/(beta - gamma)!, beta - gamma), ...)),
     compiled by Scenario.instantiate.  The token-free part is a fixed generator.
+
+    `prolong` substitutes an integer section U = D u into an integer form
+    of the components: with L = `denominator`, the lcm of their coefficient
+    denominators, and M = `degree`, at least 1, each phi_alpha's fiber
+    degree and one more than each xi_i's, `terms` lists per component (xi
+    first, then phi) the (monomial, L * coefficient, j) whose sum of
+    L * coefficient * D^j * monomial is L D^(M-1) xi_i(x, U/D) or
+    L D^M phi_alpha(x, U/D): j is M - 1 - e for xi and M - e for phi, e
+    the monomial's degree in the fiber coordinates.
     """
 
     label: str
     xi: tuple[Poly, ...]  # base components
     phi: tuple[Poly, ...]  # fiber components
     specs: tuple[tuple[int, tuple[tuple[int, int, MultiIndex], ...]], ...]
+    denominator: int
+    degree: int
+    terms: tuple[tuple[tuple[Monomial, int, int], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -249,9 +261,34 @@ def _split(mono: Monomial, p: int) -> tuple[Optional[int], MultiIndex]:
     return token, tuple(rho)
 
 
-def _times(value: Fraction, multiple: int) -> int:
+def _times(value: int | Fraction, multiple: int) -> int:
     """value * multiple, for a multiple of value's denominator."""
     return value.numerator * (multiple // value.denominator)
+
+
+def _integral_form(
+    xi: Sequence[Poly], phi: Sequence[Poly]
+) -> tuple[int, int, tuple[tuple[tuple[Monomial, int, int], ...], ...]]:
+    """(denominator, degree, terms) of a field's components, as ParamField
+    holds them for `prolong`."""
+    p, q = len(xi), len(phi)
+    fiber = lambda mono: sum(e for var, e in mono if p <= var < p + q)
+    coeffs = [c for comp in (*xi, *phi) for c in comp.terms.values()]
+    denominator = lcm(*[c.denominator for c in coeffs])
+    degree = max(
+        [1]
+        + [fiber(mono) + 1 for comp in xi for mono in comp.terms]
+        + [fiber(mono) for comp in phi for mono in comp.terms]
+    )
+    terms = tuple(
+        tuple(
+            (mono, _times(c, denominator), top - fiber(mono))
+            for mono, c in comp.terms.items()
+        )
+        for comps, top in ((xi, degree - 1), (phi, degree))
+        for comp in comps
+    )
+    return denominator, degree, terms
 
 
 def prolong(
@@ -272,29 +309,45 @@ def prolong(
     coefficients off those of the tokens, d^gamma x^beta =
     beta!/(beta - gamma)! x^(beta - gamma).
 
+    Everything is integral from the first step.  With J the lcm of the
+    jet values' denominators and D = J k!, the section U = D u has the
+    integer coefficients (J u_sigma) (k!/sigma!), since sigma! divides k!
+    for |sigma| <= k.  Substituted into the field's integral form (see
+    ParamField, with L its denominator and M its degree) it gives
+    L D^(M-1) xi_i and Q_int = L D^M Q_alpha with integer coefficients, so
+    `scale` is L D^M: the base column is (L D^(M-1) xi_i(0)) D and the
+    transport value (L D^(M-1) xi_i(0)) k! (J u_{sigma + e_i}).
+
     Only [x^rho] Q_alpha with |rho| <= k and the degree-0 part of xi are
     read, and no product lowers the degree in x, so the substitution and
     the products xi_i d_i u are truncated at degree k in the base
-    variables: the rows are those of the full substitution.  The positive
-    integer `scale` is the lcm of the denominators of the Q_alpha and
-    degree-0 xi coefficients times that of the point's jet values, so
-    every entry, transport term included, is an integer sum of integer
-    products.  Each Q_alpha[token] is grouped by |rho|, and a slice entry
-    with shift beta - gamma visits only the groups with
-    |rho| <= k - |beta - gamma|: those whose sigma = rho + shift lies in J^k.
+    variables: the rows are those of the full substitution.  Each
+    Q_int[token] is grouped by |rho|, and a slice entry with shift
+    beta - gamma visits only the groups with |rho| <= k - |beta - gamma|:
+    those whose sigma = rho + shift lies in J^k.
     """
     p, k = space.p, space.order
     if any(point[space.base_var(i)] for i in range(p)):
         raise BadPoint("tangent rows are evaluated over the base origin only")
     zero = (0,) * p
+    jet_of = space._jet_of
+    jet_scale = lcm(*[point[var].denominator for var in range(p, space.dim)])
+    k_factorial = factorial(k)
+    d = jet_scale * k_factorial
+    jets = {var: _times(point[var], jet_scale) for var in range(p, space.dim)}
     section = {}
     for alpha in range(space.q):
-        section[space.jet_var(alpha, zero)] = Poly({
+        section[jet_of[(alpha, zero)]] = Poly({
             tuple((i, e) for i, e in enumerate(sigma) if e):
-                point[space.jet_var(alpha, sigma)] / _factorial(sigma)
+                jets[jet_of[(alpha, sigma)]] * (k_factorial // _factorial(sigma))
             for sigma in space.multi_indices
         })
-    xi_polys = [c.substitute(section, p, k) for c in field.xi]
+    powers = [d**j for j in range(field.degree + 1)]
+    integral = [
+        Poly({mono: c * powers[j] for mono, c, j in terms}).substitute(section, p, k)
+        for terms in field.terms
+    ]
+    xi_polys = integral[:p]
     xi0 = []  # {token or None: coefficient} of the degree-0 part of each xi_i
     for x in xi_polys:
         parts = {}
@@ -303,31 +356,19 @@ def prolong(
             if rho == zero:
                 parts[token] = c
         xi0.append(parts)
-    characteristic = []
-    for alpha, phi in enumerate(field.phi):
-        u = section[space.jet_var(alpha, zero)]
-        q_alpha = phi.substitute(section, p, k)
+    # per alpha: {token: [[(rho, coefficient) with |rho| = d] for d in 0..k]} of Q_int
+    buckets: list[dict[Optional[int], list[list[tuple[MultiIndex, int]]]]] = []
+    for alpha, q_alpha in enumerate(integral[p:]):
+        u = section[jet_of[(alpha, zero)]]
         for i in range(p):
             q_alpha = q_alpha - xi_polys[i].truncated_mul(u.diff(i), p, k)
-        characteristic.append(q_alpha)
-
-    jet_scale = lcm(*[point[var].denominator for var in range(p, space.dim)])
-    coeffs = [c for q in characteristic for c in q.terms.values()]
-    coeffs += [c for x in xi0 for c in x.values()]
-    lead = lcm(*[c.denominator for c in coeffs])
-    scale = lead * jet_scale
-    # per alpha: {token: [[(rho, coefficient * scale) with |rho| = d] for d in 0..k]}
-    buckets: list[dict[Optional[int], list[list[tuple[MultiIndex, int]]]]] = []
-    for q_alpha in characteristic:
         by_token = {}
         for mono, c in q_alpha.terms.items():
             token, rho = _split(mono, p)
             groups = by_token.setdefault(token, [[] for _ in range(k + 1)])
-            groups[sum(rho)].append((rho, _times(c, scale)))
+            groups[sum(rho)].append((rho, c))
         buckets.append(by_token)
-    xi_int = [{token: _times(c, lead) for token, c in x.items()} for x in xi0]
-    jet_of = space._jet_of
-    # per (alpha, i): (column of u^alpha_sigma, u^alpha_{sigma + e_i} * jet_scale)
+    # per (alpha, i): (column of u^alpha_sigma, k! J u^alpha_{sigma + e_i})
     # for |sigma| < k where that jet value is nonzero
     transport = {}
     for alpha in range(space.q):
@@ -335,15 +376,15 @@ def prolong(
             terms = transport[alpha, i] = []
             for sigma in space.multi_indices:
                 if sum(sigma) < k:
-                    value = point[jet_of[(alpha, _add_index(sigma, i))]]
+                    value = jets[jet_of[(alpha, _add_index(sigma, i))]]
                     if value:
-                        terms.append((jet_of[(alpha, sigma)], _times(value, jet_scale)))
+                        terms.append((jet_of[(alpha, sigma)], k_factorial * value))
 
     rows = {}
     for key, spec in [(None, ((None, 1, zero),)), *field.specs]:
-        # xi_i(0) of the slice, times lead; its base column is this times jet_scale
-        base = [sum(c * x.get(var, 0) for var, c, shift in spec if shift == zero) for x in xi_int]
-        row = {i: b * jet_scale for i, b in enumerate(base) if b}
+        # L D^(M-1) xi_i(0) of the slice; its base column is this times D
+        base = [sum(c * x.get(var, 0) for var, c, shift in spec if shift == zero) for x in xi0]
+        row = {i: b * d for i, b in enumerate(base) if b}
         for alpha, by_token in enumerate(buckets):
             for var, c, shift in spec:
                 groups = by_token.get(var)
@@ -361,7 +402,7 @@ def prolong(
         row = {col: c for col, c in row.items() if c}
         if row:
             rows[key] = row
-    return scale, rows
+    return field.denominator * powers[field.degree], rows
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +559,9 @@ class Scenario:
                     sentinel = sum(beta) > cutoff
                     name = f"{fname}[{beta}]" + ("#sentinel" if sentinel else "")
                     params.append(ParamInfo(name=name, sentinel=sentinel))
-            fields.append(ParamField(f"gen{g_idx}", xi, phi, tuple(specs)))
+            fields.append(
+                ParamField(f"gen{g_idx}", xi, phi, tuple(specs), *_integral_form(xi, phi))
+            )
         return fields, params
 
     def _token(self, name: str) -> tuple[str, MultiIndex] | None:

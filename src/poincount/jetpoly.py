@@ -1,21 +1,27 @@
-"""Sparse multivariate polynomials over the rationals, and exact rank.
+"""Sparse multivariate polynomials with exact coefficients, and exact rank.
 
-A polynomial maps monomials to Fraction coefficients; a monomial is a
-sorted tuple of (variable index, exponent) pairs, so the variable universe
-can grow without rewriting keys.  `Poly` is the one polynomial class of the
-jet leg; it divides by nonzero constants only (a negative power is one over
-the positive power, under the same rule), so parsing a generator component
-into it rejects any non-constant divisor.  Products and substitution can
-drop every monomial above a degree in the leading (base) variables, which
-is all the jet engine reads.
+A polynomial maps monomials to coefficients, each an int when it is
+integral and a Fraction otherwise; a monomial is a sorted tuple of
+(variable index, exponent) pairs, so the variable universe can grow
+without rewriting keys.  Arithmetic on int coefficients stays on ints, so
+an integral polynomial never builds a Fraction; construction, constants,
+and scalar products and quotients store an integral value as an int.
+`Poly` is the one polynomial class of the jet leg; it divides by nonzero
+constants only (a negative power is one over the positive power, under
+the same rule), so parsing a generator component into it rejects any
+non-constant divisor.  Products and substitution can drop every monomial
+above a degree in the leading (base) variables, which is all the jet
+engine reads.
 
 Rank is a sparse integer echelon over {column: int} rows, the format the
 jet engine's `prolong` emits: each row is made content 1 and inserted,
 reduced against the pivots already held, so zero entries cost nothing
-and no rational arithmetic is done.  The number of pivots leading left of a column cut is the rank of
-that leading block.  Everything is exact; these are the workhorses of the
-jet-prolongation engine, where expressions live in a few dozen jet
-coordinates and stay small.
+and no rational arithmetic is done.  Rows go in by descending leading
+column, and of two rows that meet at a lead the one with fewer entries
+is kept as the pivot.  The number of pivots leading left of a column cut
+is the rank of that leading block.  Everything is exact; these are the
+workhorses of the jet-prolongation engine, where expressions live in a
+few dozen jet coordinates and stay small.
 """
 
 from __future__ import annotations
@@ -25,9 +31,9 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-Monomial = tuple[tuple[int, int], ...]
+from .algebra import Scalar, _scalar
 
-_ZERO = Fraction(0)
+Monomial = tuple[tuple[int, int], ...]
 
 
 class NonConstantDivisor(ValueError):
@@ -39,12 +45,12 @@ class Poly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
+    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
         cleaned = {}
         if terms:
             for mono, coeff in terms.items():
                 if coeff:
-                    cleaned[mono] = coeff
+                    cleaned[mono] = _scalar(coeff)
         object.__setattr__(self, "terms", cleaned)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -56,11 +62,11 @@ class Poly:
 
     @classmethod
     def constant(cls, value) -> "Poly":
-        return cls({(): Fraction(value)})
+        return cls({(): value})
 
     @classmethod
     def variable(cls, var: int) -> "Poly":
-        return cls({((var, 1),): Fraction(1)})
+        return cls({((var, 1),): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -112,10 +118,7 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return Poly.zero()
-            return _wrap({mono: c * coeff for mono, coeff in self.terms.items()})
+            return Poly({mono: other * coeff for mono, coeff in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         return self.truncated_mul(other, 0, 0)
@@ -126,14 +129,14 @@ class Poly:
         """self * other without the monomials whose degree in the variables
         below `base` exceeds `degree` (base 0 drops nothing)."""
         right = [(m, c, _base_degree(m, base)) for m, c in other.terms.items()]
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for m1, c1 in self.terms.items():
             room = degree - _base_degree(m1, base)
             for m2, c2, d2 in right:
                 if d2 > room:
                     continue
                 mono = _mul_monomials(m1, m2)
-                acc = out.get(mono, _ZERO) + c1 * c2
+                acc = out.get(mono, 0) + c1 * c2
                 if acc:
                     out[mono] = acc
                 else:
@@ -149,7 +152,7 @@ class Poly:
             raise ZeroDivisionError("division by zero expression")
         if other.variables():
             raise NonConstantDivisor("division by a non-constant polynomial")
-        return self * (1 / other.terms[()])
+        return self * (1 / Fraction(other.terms[()]))
 
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int):
@@ -167,7 +170,7 @@ class Poly:
         return result
 
     def diff(self, var: int) -> "Poly":
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for mono, coeff in self.terms.items():
             for idx, (v, e) in enumerate(mono):
                 if v == var:
@@ -175,7 +178,7 @@ class Poly:
                         new = mono[:idx] + mono[idx + 1 :]
                     else:
                         new = mono[:idx] + ((v, e - 1),) + mono[idx + 1 :]
-                    acc = out.get(new, _ZERO) + coeff * e
+                    acc = out.get(new, 0) + coeff * e
                     if acc:
                         out[new] = acc
                     else:
@@ -183,8 +186,8 @@ class Poly:
                     break
         return _wrap(out)
 
-    def evaluate(self, values: Mapping[int, Fraction]) -> Fraction:
-        total = _ZERO
+    def evaluate(self, values: Mapping[int, Scalar]) -> Scalar:
+        total = 0
         for mono, coeff in self.terms.items():
             term = coeff
             for var, exp in mono:
@@ -192,7 +195,7 @@ class Poly:
                 if v is None:
                     raise KeyError(f"no value for variable #{var}")
                 if v == 0:
-                    term = _ZERO
+                    term = 0
                     break
                 term *= v**exp
             total += term
@@ -207,7 +210,7 @@ class Poly:
         full substitution with exactly those monomials removed.
         """
         powers = {var: [Poly.constant(1)] for var in values}
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for mono, coeff in self.terms.items():
             kept = tuple((v, e) for v, e in mono if v not in values)
             if _base_degree(kept, base) > degree:
@@ -233,7 +236,7 @@ class Poly:
         return "Poly(" + " + ".join(bits) + ")"
 
 
-def _wrap(terms: dict[Monomial, Fraction]) -> Poly:
+def _wrap(terms: dict[Monomial, Scalar]) -> Poly:
     p = Poly.__new__(Poly)
     object.__setattr__(p, "terms", terms)
     return p
@@ -247,10 +250,10 @@ def _coerce(value) -> Poly | None:
     return None
 
 
-def _accumulate(out: dict[Monomial, Fraction], terms: Mapping[Monomial, Fraction]) -> None:
+def _accumulate(out: dict[Monomial, Scalar], terms: Mapping[Monomial, Scalar]) -> None:
     """Add `terms` into `out` in place, dropping the coefficients that cancel."""
     for mono, coeff in terms.items():
-        acc = out.get(mono, _ZERO) + coeff
+        acc = out.get(mono, 0) + coeff
         if acc:
             out[mono] = acc
         else:
@@ -299,27 +302,34 @@ def _echelon(rows: Iterable[Mapping[int, int]], width: int) -> dict[int, dict[in
     Each row is a {column: int} dict; its zero entries are dropped with
     its columns at or beyond `width`.  Scaling a row leaves the rank as it
     is, so the caller may hand any integer multiple of a rational row.
-    The cut row's content is divided out.  While a
-    pivot leads in the row's leading column, both are scaled to the same
-    entry there (by lcm/gcd) and subtracted, which clears that column and
-    may fill in columns right of it, and the content is divided out.
-    Otherwise the row is stored as the pivot of its leading column; a row
-    reduced to nothing was dependent.  Exact integers throughout.
+    The cut rows go in by descending leading column (a stable sort, so
+    the result depends on the given order only), and each one's content
+    is divided out.  While a pivot leads in the row's leading column, the
+    one of the two with fewer entries is kept as that pivot, the other
+    goes on reducing: both are scaled to the same entry there (by
+    lcm/gcd) and subtracted, which clears that column and may fill in
+    columns right of it, and the content is divided out.  Otherwise the
+    row is stored as the pivot of its leading column; a row reduced to
+    nothing was dependent.  Exact integers throughout.
     """
-    pivots: dict[int, dict[int, int]] = {}
+    cut = []
     for row in rows:
         reduced = {col: c for col, c in row.items() if col < width and c}
-        if not reduced:
-            continue
+        if reduced:
+            cut.append((min(reduced), reduced))
+    cut.sort(key=lambda item: item[0], reverse=True)
+    pivots: dict[int, dict[int, int]] = {}
+    for lead, reduced in cut:
         content = math.gcd(*reduced.values())
         if content > 1:
             reduced = {col: c // content for col, c in reduced.items()}
         while reduced:
-            lead = min(reduced)
             pivot = pivots.get(lead)
             if pivot is None:
                 pivots[lead] = reduced
                 break
+            if len(pivot) > len(reduced):
+                pivots[lead], reduced, pivot = reduced, pivot, reduced
             g = math.gcd(reduced[lead], pivot[lead])
             scale, pivot_scale = pivot[lead] // g, reduced[lead] // g
             reduced = {col: scale * c for col, c in reduced.items()}
@@ -329,7 +339,9 @@ def _echelon(rows: Iterable[Mapping[int, int]], width: int) -> dict[int, dict[in
                     reduced[col] = acc
                 else:
                     del reduced[col]
-            content = math.gcd(*reduced.values())
-            if content > 1:
-                reduced = {col: c // content for col, c in reduced.items()}
+            if reduced:
+                lead = min(reduced)
+                content = math.gcd(*reduced.values())
+                if content > 1:
+                    reduced = {col: c // content for col, c in reduced.items()}
     return pivots

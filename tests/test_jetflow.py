@@ -487,6 +487,7 @@ def _rank_cases(draw):
 @example(([[1, 1, 0], [1, 0, 0]], 3, [1, 3]))  # reducing the second row fills in column 1
 @example(([[2, 0, 4, 6], [3, 5, 0, 0], [1, 5, -4, -6]], 4, [1, 2, 1]))  # dependent via fill-in
 @example(([[0, 3], [2, 1]], 2, [1, 1]))  # padded, a zero leads the first row
+@example(([[1, 1, 1], [1, 1, 0]], 3, [1, 1]))  # the shorter second row displaces the first pivot
 def test_rank_profile_parity(case):
     # every prefix rank equals plain fraction elimination, on int rows and
     # on the same rows scaled by 1/d; the pivots lead where they are keyed
@@ -511,11 +512,10 @@ def test_rank_profile_parity(case):
 
 
 @st.composite
-def _substitution_cases(draw):
+def _substitution_cases(draw, coeff=st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))):
     """(poly, values, base, degree) over variables 0..5, the first `base`
-    of them base variables."""
+    of them base variables, with coefficients drawn from `coeff`."""
     base = draw(st.integers(0, 3))
-    coeff = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
 
     def poly(max_terms):
         monos = st.dictionaries(st.integers(0, 5), st.integers(1, 3), max_size=3)
@@ -550,6 +550,39 @@ def test_truncated_substitution_drops_only_high_base_degrees(case):
         assert poly.truncated_mul(value, base, degree) == _base_truncation(
             poly * value, base, degree
         )
+
+
+def _poly_results(poly, values, base, degree):
+    out = [poly, -poly, poly + poly, poly - 1, 3 * poly, poly * poly]
+    out += [poly.diff(var) for var in range(6)]
+    out.append(poly.substitute(values, base, degree))
+    for value in values.values():
+        out += [poly + value, poly * value, poly.truncated_mul(value, base, degree)]
+    return out
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_substitution_cases(st.integers(-5, 5)), _substitution_cases())
+def test_poly_integral_coefficients_stay_int(int_case, fraction_case):
+    # ring operations on int coefficients build no Fraction; any other
+    # coefficient is a Fraction, and equality and hashing read values only
+    for poly in _poly_results(*int_case):
+        assert all(type(c) is int for c in poly.terms.values()), poly
+    quotients = [int_case[0] / 2, fraction_case[0] / 3]
+    for poly in quotients:
+        assert all(type(c) is int or c.denominator > 1 for c in poly.terms.values())
+    for poly in _poly_results(*int_case) + _poly_results(*fraction_case) + quotients:
+        assert all(type(c) in (int, Fraction) and c for c in poly.terms.values())
+        as_fractions = {mono: Fraction(c) for mono, c in poly.terms.items()}
+        assert poly.terms == as_fractions
+        assert hash(poly) == hash(frozenset(as_fractions.items()))
+    half, two = Poly.constant(Fraction(1, 2)), Poly.constant(Fraction(4, 2))
+    assert type(half.terms[()]) is Fraction and type(two.terms[()]) is int
+    assert two == Poly.constant(2) == 2 and hash(two) == hash(Poly.constant(2))
+    assert Poly.variable(3).terms == {((3, 1),): 1}
+    assert type(Poly.variable(3).terms[((3, 1),)]) is int
+    assert type((Poly.variable(0) * 4 / 2).terms[((0, 1),)]) is int
+    assert (Poly.variable(0) * 2 / 4).terms[((0, 1),)] == Fraction(1, 2)
 
 
 def test_sentinel_rows_are_zero_at_origin():
@@ -714,20 +747,43 @@ def test_rows_match_symbolic_prolongation_oracle():
         assert sorted(_engine_rows(engine, point)) == sorted(expected), (scenario.id, label)
 
 
+# phi of fiber degrees 0 to 3, a fiber-dependent xi and non-integral
+# coefficients: the integral form of ParamField needs every power D^j
+RICCATI_MIXED = {
+    "id": "riccati-mixed",
+    "base": ["x", "y"],
+    "fiber": ["u", "v"],
+    "free_functions": ["f"],
+    "lift_order": 2,
+    "generators": [
+        {"xi": ["f", "u^2/3"], "phi": ["f_x*u/2 + f_xx*u^2/3", "v*u - 5*f_y/7"]},
+        {"xi": ["0", "1/2"], "phi": ["u^3/2 - v", "3/4"]},
+    ],
+    "strata": [{"label": "generic", "equalities": [], "inequations": []}],
+}
+LOCAL_SCENARIOS = {"line-affine": LINE_AFFINE, "riccati-mixed": RICCATI_MIXED}
+
 PARITY_CASES = (
     [("x-reparam", label, 5) for label in SC.strata]
     # lift order 1: slice shifts reach |beta - gamma| = k + 3, past J^k
     + [("metric2d", "generic", k) for k in range(2, 6)]
     + [("line-affine", "generic", 3)]
     + [("distribution3d", label, 0) for label in ("r != 0", "r = 0, s != 0", "r = s = 0")]
+    # from k = 1: at k = 0 the oracle's total derivative of a fiber-dependent
+    # xi needs the order-1 jets, which J^0 does not have
+    + [("riccati-mixed", "generic", k) for k in range(1, 5)]
 )
+
+
+def _scenario(name):
+    return Scenario(LOCAL_SCENARIOS[name]) if name in LOCAL_SCENARIOS else get_scenario(name)
 
 
 @pytest.mark.parametrize("name, label, k", PARITY_CASES)
 def test_prolong_parity_with_oracle(name, label, k):
     # prolong's integer rows over its scale, field by field, equal the
     # symbolic prolongation exactly at a seeded stratum point
-    scenario = Scenario(LINE_AFFINE) if name == "line-affine" else get_scenario(name)
+    scenario = _scenario(name)
     engine = _StratumEngine(scenario, k)
     seed = 1000 + PARITY_CASES.index((name, label, k))
     point = sample_stratum_point(
@@ -735,6 +791,27 @@ def test_prolong_parity_with_oracle(name, label, k):
     )
     expected = prolonged_rows_oracle(scenario, k, k + scenario.lift_order + 1, point)
     assert sorted(_engine_rows(engine, point)) == sorted(expected)
+
+
+@pytest.mark.parametrize("name, k", [("metric2d", 4), ("riccati-mixed", 3), ("x-reparam", 4)])
+def test_prolong_does_no_fraction_arithmetic(name, k, monkeypatch):
+    # the point is drawn first; prolong itself reads its numerators and
+    # denominators and computes on ints only
+    scenario = _scenario(name)
+    engine = _StratumEngine(scenario, k)
+    point = sample_stratum_point(
+        engine.space, scenario.stratum(next(iter(scenario.strata))), random.Random(k)
+    )
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic inside prolong")
+
+    for op in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow"):
+        monkeypatch.setattr(Fraction, f"__{op}__", refuse)
+        monkeypatch.setattr(Fraction, f"__r{op}__", refuse)
+    for field in engine.fields:
+        scale, rows = prolong(engine.space, field, point)
+        assert isinstance(scale, int) and rows
 
 
 def test_non_invariant_stratum_fails_tangency():
