@@ -23,11 +23,15 @@ substitutes the jet's Taylor polynomial u(x) and reads each entry off one
 coefficient of Q(x, u(x), du(x)).  Jets of order k + 1 cancel between the
 two terms and are taken as zero.
 
-Rows are sparse and integral: `prolong` clears the denominators once per
-(field, point), with one positive integer `scale`, and returns each row
-as {column: int} with the zero entries left out, the true row being
-row / scale.  Its slice loop reads each Q_alpha grouped by degree in x and
-visits only the coefficients that land in J^k.  The rank, tangency,
+Rows are sparse and integral: the denominators are cleared before the
+substitution, so `prolong` does no rational arithmetic.  The jet's
+Taylor polynomial is scaled to integer coefficients by D = J k! (J the
+lcm of the jet denominators), and each field is kept in an integral form
+homogenized in the fiber variables, so that the substitution gives
+L D^M Q_alpha over the integers; `prolong` returns that positive integer
+`scale` with each row as {column: int}, the zero entries left out, the
+true row being row / scale.  Its slice loop reads each Q_alpha grouped
+by degree in x and visits only the coefficients that land in J^k.  The rank, tangency,
 sentinel and annihilation checks all read these rows as they are, since a
 positive multiple of a row leaves each of them unchanged.
 
@@ -273,8 +277,7 @@ def _integral_form(
     holds them for `prolong`."""
     p, q = len(xi), len(phi)
     fiber = lambda mono: sum(e for var, e in mono if p <= var < p + q)
-    coeffs = [c for comp in (*xi, *phi) for c in comp.terms.values()]
-    denominator = lcm(*[c.denominator for c in coeffs])
+    denominator = lcm(*[c.denominator for comp in (*xi, *phi) for c in comp.terms.values()])
     degree = max(
         [1]
         + [fiber(mono) + 1 for comp in xi for mono in comp.terms]
