@@ -16,7 +16,6 @@ from .algebra import (
     PoleAtPoint,
     Polynomial,
     PowerSeries,
-    Rational,
     RationalFunction,
     UnsupportedArgument,
     binomial,
@@ -78,7 +77,6 @@ from .jetflow import (
     distribution_example,
     get_scenario,
     lie_example_table,
-    orbit_rank,
     prolong,
     stratum_codim_sequence,
 )

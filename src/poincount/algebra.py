@@ -8,6 +8,14 @@ goes through `_div`).  Since `Fraction(3) == 3` with equal hashes and equal
 `repr` shows the ints.  This module is the substrate for the
 generating-function work in the rest of the package.
 
+It is also the one owner of univariate coefficient-list arithmetic: the
+private kernels `_add`, `_mul` and `_pow` work on plain lists (lowest
+degree first), and both `Polynomial` and the parse's unreduced integer
+quotient (`exprs._IntQuotient`) run on them.  `_pow` is the Miller
+recurrence, exact over the integers, and every `**` takes it: the parse on
+its integer lists, `Polynomial` (and so `RationalFunction`) after
+`_integral` has cleared the denominators.
+
 Canonical form of a rational function num/den:
 
 * gcd(num, den) is constant (the quotient is reduced), and
@@ -30,7 +38,6 @@ from typing import Iterable, Sequence, Union
 
 from .errors import UsageError
 
-Rational = Fraction
 Scalar = Union[int, Fraction]
 
 
@@ -76,6 +83,57 @@ def _div(a: Scalar, b: Scalar) -> Scalar:
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
     return a / b
+
+
+def _integral(coeffs: Sequence[Scalar]) -> tuple[int, list[int]]:
+    """(s, ints) with s the lcm of the coefficients' denominators and
+    ints = s * coeffs, all integers (s = 1 for no coefficients)."""
+    # Lists, not generators, under *: a generator is packed into resized
+    # tuples that pile up in the interpreter's tuple free lists.
+    scale = math.lcm(*[c.denominator for c in coeffs])
+    return scale, [c.numerator * (scale // c.denominator) for c in coeffs]
+
+
+def _add(a: Sequence[Scalar], b: Sequence[Scalar]) -> list[Scalar]:
+    """a + b on coefficient lists, without trailing zeros."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _mul(a: Sequence[Scalar], b: Sequence[Scalar]) -> list[Scalar]:
+    """a * b on coefficient lists (without trailing zeros when a and b are)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _pow(a: list[int], e: int) -> list[int]:
+    """a^e for e >= 0, by the recurrence k a_0 q_k = sum_{j>=1} ((e+1)j - k) a_j q_(k-j)
+    that q = a^e satisfies (from a q' = e a' q): each division is exact, and
+    the cost is deg(q) times the number of terms of a."""
+    if not e:
+        return [1]
+    if not a:
+        return []
+    shift = next(i for i, c in enumerate(a) if c)  # a = z^shift * (a_0 + ...)
+    a = a[shift:]
+    taps = [(j, c) for j, c in enumerate(a) if j and c]
+    q = [a[0] ** e]
+    for k in range(1, (len(a) - 1) * e + 1):
+        acc = sum(((e + 1) * j - k) * c * q[k - j] for j, c in taps if j <= k)
+        q.append(acc // (k * a[0]))
+    return [0] * (shift * e) + q
 
 
 class Polynomial:
@@ -162,10 +220,7 @@ class Polynomial:
         other = _coerce_poly(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            self.coefficient(i) + other.coefficient(i) for i in range(n)
-        )
+        return Polynomial(_add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -189,30 +244,17 @@ class Polynomial:
             return Polynomial([other * a for a in self.coeffs])
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Polynomial.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        return Polynomial(_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
+        """self^exponent as (ints / s)^exponent, with `_pow` on the integers."""
         if not isinstance(exponent, int) or exponent < 0:
             raise UnsupportedArgument("polynomial exponent must be a nonnegative int")
-        result = Polynomial.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        scale, ints = _integral(self.coeffs)
+        den = scale**exponent
+        return Polynomial([_div(c, den) for c in _pow(ints, exponent)])
 
     def __divmod__(self, other: "Polynomial"):
         if not isinstance(other, Polynomial):
@@ -255,10 +297,10 @@ class Polynomial:
         if not self.coeffs:
             return Fraction(0)
         a, b = x.numerator, x.denominator
-        s = math.lcm(*[c.denominator for c in self.coeffs])
+        s, ints = _integral(self.coeffs)
         acc, power = 0, 1
-        for c in reversed(self.coeffs):
-            acc = acc * a + c.numerator * (s // c.denominator) * power
+        for n in reversed(ints):
+            acc = acc * a + n * power
             power *= b
         return Fraction(acc, s * power // b)
 
@@ -302,13 +344,10 @@ def _coerce_poly(value) -> Polynomial | None:
     return None
 
 
-def _primitive(coeffs: Sequence[Fraction]) -> list[int]:
+def _primitive(coeffs: Sequence[Scalar]) -> list[int]:
     """The integer polynomial with content 1 that is a rational multiple of
     the nonzero polynomial `coeffs`."""
-    # Lists, not generators, under *: a generator is packed into resized
-    # tuples that pile up in the interpreter's tuple free lists.
-    scale = math.lcm(*[c.denominator for c in coeffs])
-    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    ints = _integral(coeffs)[1]
     content = math.gcd(*ints)
     return [c // content for c in ints]
 
@@ -634,8 +673,7 @@ def split_factor(poly: Polynomial, factor: Polynomial) -> tuple[int, Polynomial]
         raise UnsupportedArgument("factor must be non-constant")
     if poly.is_zero():
         return 0, poly
-    scale = math.lcm(*[c.denominator for c in poly.coeffs])
-    ints = [c.numerator * (scale // c.denominator) for c in poly.coeffs]
+    scale, ints = _integral(poly.coeffs)
     prim = _primitive(factor.coeffs)
     count = 0
     while (q := _exact_quotient(ints, prim)) is not None:
@@ -675,20 +713,19 @@ def _euler_phi(m: int) -> int:
     return result
 
 
-def cyclotomic_factors(poly: Polynomial, skip_one: bool = True) -> list[tuple[int, Polynomial, int]]:
-    """All cyclotomic factors (index, polynomial, multiplicity) of poly.
+def cyclotomic_factors(poly: Polynomial) -> list[tuple[int, Polynomial, int]]:
+    """The cyclotomic factors (index, polynomial, multiplicity) of poly other
+    than 1 - z, whose multiplicity `split_factor` gives.
 
-    Scans every index m whose cyclotomic degree phi(m) fits in the (still
-    undivided) polynomial; phi(m) >= sqrt(m/2) bounds the scan at
-    2*deg^2 + 2.  With skip_one the factor at z = 1 is omitted (callers
-    usually track it separately).
+    Scans every index m >= 2 whose cyclotomic degree phi(m) fits in the
+    (still undivided) polynomial; phi(m) >= sqrt(m/2) bounds the scan at
+    2*deg^2 + 2.
     """
     out = []
     remaining = poly
     if remaining.degree < 1:
         return out
-    start = 2 if skip_one else 1
-    for m in range(start, 2 * poly.degree * poly.degree + 3):
+    for m in range(2, 2 * poly.degree * poly.degree + 3):
         deg = remaining.degree
         if deg < 1:
             break

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .algebra import (
     ONE_MINUS_Z,
     Polynomial,
     RationalFunction,
+    Scalar,
     binomial,
     cyclotomic_factors,
     split_factor,
@@ -60,19 +62,18 @@ def analyze(f: RationalFunction) -> PoleReport:
     )
 
 
-def s_sequence(f: RationalFunction, k_max: int) -> list[Fraction]:
-    """Cumulative counts s_k = sum_{i<=k} [z^i] f, i.e. coefficients of f/(1-z)."""
-    series = f.series(k_max)
-    out = []
-    total = Fraction(0)
-    for c in series:
-        total += c
-        out.append(total)
-    return out
+def s_sequence(f: RationalFunction, k_max: int) -> list[Scalar]:
+    """Cumulative counts s_k = sum_{i<=k} [z^i] f, i.e. coefficients of f/(1-z):
+    the running sum of one series, so ints while the coefficients are ints."""
+    return list(accumulate(f.series(k_max)))
 
 
-def asymptotic_check(f: RationalFunction, k_probe: int = 200) -> bool:
-    """Check s_K ~ sigma * C(K+d, d) at K = k_probe, exactly in rationals.
+#: The K at which asymptotic_check compares s_K with sigma * C(K+d, d).
+_PROBE_K = 200
+
+
+def asymptotic_check(f: RationalFunction) -> bool:
+    """Check s_K ~ sigma * C(K+d, d) at K = _PROBE_K, exactly in rationals.
 
     The cumulative count of jets of sigma functions of d arguments is
     sigma*C(K+d, d); the ratio must lie within the factor (1 +/- 10/K) of
@@ -83,7 +84,7 @@ def asymptotic_check(f: RationalFunction, k_probe: int = 200) -> bool:
         raise NotPRForm("denominator is not a power of (1 - z)")
     d = report.d
     sigma = report.sigma
-    s_k = s_sequence(f, k_probe)[k_probe]
-    ratio = Fraction(s_k, binomial(k_probe + d, d))
-    tol = Fraction(10, k_probe)
+    s_k = s_sequence(f, _PROBE_K)[_PROBE_K]
+    ratio = Fraction(s_k, binomial(_PROBE_K + d, d))
+    tol = Fraction(10, _PROBE_K)
     return abs(ratio - sigma) <= abs(sigma) * tol

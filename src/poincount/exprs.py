@@ -14,6 +14,8 @@ An exponent's magnitude is at most MAX_EXPONENT, checked before any work.
 Parsing builds an AST; evaluation plugs in any value algebra supporting
 +, -, *, /, ** and a symbol resolver, so the same grammar serves the CLI's
 rational functions in z and the jet-coordinate expressions of scenarios.
+A closed form in z is evaluated over `_IntQuotient`, an unreduced integer
+quotient whose list arithmetic is algebra's; this module defines none.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Union
 
+from .algebra import Polynomial, RationalFunction, _add, _mul, _pow
 from .errors import UsageError
 
 
@@ -216,50 +219,11 @@ def evaluate_node(node: Node, const: Callable, symbol: Callable):
     raise ExpressionError(f"bad AST node {node!r}")  # pragma: no cover
 
 
-def _int_add(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = a[:]
-    for i, c in enumerate(b):
-        out[i] += c
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _int_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _int_pow(a: list[int], e: int) -> list[int]:
-    """a^e for e >= 0, by the recurrence k a_0 q_k = sum_{j>=1} ((e+1)j - k) a_j q_(k-j)
-    that q = a^e satisfies (from a q' = e a' q): each division is exact, and
-    the cost is deg(q) times the number of terms of a."""
-    if not e:
-        return [1]
-    if not a:
-        return []
-    shift = next(i for i, c in enumerate(a) if c)  # a = z^shift * (a_0 + ...)
-    a = a[shift:]
-    taps = [(j, c) for j, c in enumerate(a) if j and c]
-    q = [a[0] ** e]
-    for k in range(1, (len(a) - 1) * e + 1):
-        acc = sum(((e + 1) * j - k) * c * q[k - j] for j, c in taps if j <= k)
-        q.append(acc // (k * a[0]))
-    return [0] * (shift * e) + q
-
-
 class _IntQuotient:
     """num/den as integer coefficient lists (lowest degree first, no trailing
     zeros), left unreduced: the one canonicalization happens when the parse
-    builds its RationalFunction."""
+    builds its RationalFunction.  The arithmetic is algebra's list kernels
+    `_add`, `_mul` and `_pow`; this class only routes the quotient rules."""
 
     __slots__ = ("num", "den")
 
@@ -271,29 +235,29 @@ class _IntQuotient:
 
     def __add__(self, other):
         if self.den == other.den:
-            return _IntQuotient(_int_add(self.num, other.num), self.den)
+            return _IntQuotient(_add(self.num, other.num), self.den)
         return _IntQuotient(
-            _int_add(_int_mul(self.num, other.den), _int_mul(other.num, self.den)),
-            _int_mul(self.den, other.den),
+            _add(_mul(self.num, other.den), _mul(other.num, self.den)),
+            _mul(self.den, other.den),
         )
 
     def __sub__(self, other):
         return self + -other
 
     def __mul__(self, other):
-        return _IntQuotient(_int_mul(self.num, other.num), _int_mul(self.den, other.den))
+        return _IntQuotient(_mul(self.num, other.num), _mul(self.den, other.den))
 
     def __truediv__(self, other):
         if not other.num:
             raise ZeroDivisionError("division by the zero rational function")
-        return _IntQuotient(_int_mul(self.num, other.den), _int_mul(self.den, other.num))
+        return _IntQuotient(_mul(self.num, other.den), _mul(self.den, other.num))
 
     def __pow__(self, exponent: int):
         if exponent < 0:
             if not self.num:
                 raise ZeroDivisionError("negative power of zero")
-            return _IntQuotient(_int_pow(self.den, -exponent), _int_pow(self.num, -exponent))
-        return _IntQuotient(_int_pow(self.num, exponent), _int_pow(self.den, exponent))
+            return _IntQuotient(_pow(self.den, -exponent), _pow(self.num, -exponent))
+        return _IntQuotient(_pow(self.num, exponent), _pow(self.den, exponent))
 
 
 def parse_rational_function(text: str):
@@ -302,8 +266,6 @@ def parse_rational_function(text: str):
     The AST is evaluated over unreduced integer quotients, so the gcd is
     taken once, by the RationalFunction built from the final quotient.
     """
-    from .algebra import Polynomial, RationalFunction
-
     node = parse_expression(text)
 
     def symbol(name: str):

@@ -23,6 +23,7 @@ from .algebra import (
     Polynomial,
     RationalFunction,
     Scalar,
+    _mul,
     binom_in_k,
     split_factor,
 )
@@ -207,9 +208,7 @@ def gf_from_hilbert(spec: HilbertSpec) -> RationalFunction:
     D = spec.tail.degree + 1
     h = spec.values(spec.tail_start + D - 1)
     den = [(-1) ** j * math.comb(D, j) for j in range(D + 1)]
-    num = [
-        sum(den[j] * h[i - j] for j in range(min(i, D) + 1)) for i in range(len(h))
-    ]
+    num = _mul(den, h)[: len(h)]
     return RationalFunction._canonical(Polynomial(num), Polynomial(den))
 
 

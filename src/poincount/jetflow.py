@@ -56,7 +56,7 @@ from .algebra import RationalFunction
 from .errors import UsageError
 from .exprs import ExpressionError, Node, evaluate_node, parse_expression, symbol_names
 from .hilbert import HilbertSpec, gf_from_hilbert, hilbert_values_spec
-from .jetpoly import Monomial, NonConstantDivisor, Poly, matrix_rank, rank_profile
+from .jetpoly import Monomial, NonConstantDivisor, Poly, rank_profile
 
 MultiIndex = tuple[int, ...]
 
@@ -210,15 +210,17 @@ class JetSpace:
 
 @dataclass(frozen=True)
 class ParamField:
-    """A generating field on the order-0 bundle, linear in its parameters.
+    """A generating field on the order-0 bundle, linear in its parameters,
+    kept only in the form that `prolong` reads.
 
-    Components are Polys in the base coordinates (variable i), the order-0
-    fiber coordinates (variable p + alpha, as in JetSpace) and the jet
-    tokens of the free functions (variables from p + q on).  A parameter
-    replaces its function by x^beta, so that each token d^gamma reads
-    beta!/(beta - gamma)! x^(beta - gamma); `specs` holds, per parameter,
-    (parameter, ((token variable, beta!/(beta - gamma)!, beta - gamma), ...)),
-    compiled by Scenario.instantiate.  The token-free part is a fixed generator.
+    Its components xi_i (base) and phi_alpha (fiber) are parsed as
+    polynomials in the base coordinates (variable i), the order-0 fiber
+    coordinates (variable p + alpha, as in JetSpace) and the jet tokens of
+    the free functions (variables from p + q on).  A parameter replaces its function by
+    x^beta, so that each token d^gamma reads beta!/(beta - gamma)!
+    x^(beta - gamma); `specs` holds, per parameter, (parameter, ((token
+    variable, beta!/(beta - gamma)!, beta - gamma), ...)), compiled by
+    Scenario.instantiate.  The token-free part is a fixed generator.
 
     `prolong` substitutes an integer section U = D u into an integer form
     of the components: with L = `denominator`, the lcm of their coefficient
@@ -230,9 +232,6 @@ class ParamField:
     the monomial's degree in the fiber coordinates.
     """
 
-    label: str
-    xi: tuple[Poly, ...]  # base components
-    phi: tuple[Poly, ...]  # fiber components
     specs: tuple[tuple[int, tuple[tuple[int, int, MultiIndex], ...]], ...]
     denominator: int
     degree: int
@@ -504,7 +503,7 @@ class Scenario:
         first_token = self.p + self.q
         params: list[ParamInfo] = []
         fields = []
-        for g_idx, gen in enumerate(self.generators):
+        for gen in self.generators:
             tokens: dict[str, tuple[int, str, MultiIndex]] = {}
 
             def resolve(name: str) -> Poly:
@@ -563,7 +562,7 @@ class Scenario:
                     name = f"{fname}[{beta}]" + ("#sentinel" if sentinel else "")
                     params.append(ParamInfo(name=name, sentinel=sentinel))
             fields.append(
-                ParamField(f"gen{g_idx}", xi, phi, tuple(specs), *_integral_form(xi, phi))
+                ParamField(tuple(specs), *_integral_form(xi, phi))
             )
         return fields, params
 
@@ -589,37 +588,11 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
-def make_point(space: JetSpace, values: Mapping[str, Fraction]) -> dict[int, Fraction]:
-    """Assignment for every coordinate; base defaults to 0, jets are required."""
-    point: dict[int, Fraction] = {}
-    for name, value in values.items():
-        var = space.var_by_name(name)
-        point[var] = Fraction(value)
-    for var in space.coordinates():
-        if var in point:
-            continue
-        kind = space.info(var)[0]
-        if kind == "base":
-            point[var] = Fraction(0)
-        else:
-            raise BadPoint(f"missing value for coordinate {space.name_of(var)!r}")
-    return point
+#: Draws of a stratum point before its positivity conditions give up (BadSample).
+_SAMPLE_TRIES = 60
 
-
-def orbit_rank(
-    scenario: Scenario,
-    point_values: Mapping[str, Fraction],
-    k: int,
-    param_cutoff: int | None = None,
-) -> int:
-    """Exact dimension of the orbit tangent span at a jet point.
-
-    One matrix row per free-function Taylor parameter and per fixed
-    generator, columns over all coordinates of J^k.  The sentinel
-    parameters (degree cutoff + 1) must contribute zero rows.
-    """
-    engine = _StratumEngine(scenario, k, param_cutoff)
-    return matrix_rank(engine.rows(make_point(engine.space, point_values)), engine.space.dim)
+#: Seeded stratum points at which an invariant must be annihilated.
+_ANNIHILATION_POINTS = 20
 
 
 def stratum_columns(space: JetSpace, stratum: StratumCase) -> tuple[list[int], list[int]]:
@@ -650,7 +623,6 @@ def sample_stratum_point(
     stratum: StratumCase,
     rng: random.Random,
     positivity: Sequence[Node] = (),
-    max_tries: int = 60,
 ) -> dict[int, Fraction]:
     """Seeded random rational stratum point {column: value}: base at the
     origin, jet columns drawn in column order in [-20, 20].
@@ -658,10 +630,10 @@ def sample_stratum_point(
     Vanishing stratum_columns are 0, nonvanishing ones nonzero, the rest
     reduced random fractions; optional parsed positivity expressions must
     evaluate positive at the point (resampled until they do, and wherever
-    one divides by zero).
+    one divides by zero, up to _SAMPLE_TRIES draws).
     """
     zeros, nonzeros = map(set, stratum_columns(space, stratum))
-    for _ in range(max_tries):
+    for _ in range(_SAMPLE_TRIES):
         point = {space.base_var(i): Fraction(0) for i in range(space.p)}
         for var in range(space.p, space.dim):
             if var in zeros:
@@ -681,7 +653,7 @@ def sample_stratum_point(
         return point
     raise BadSample(
         f"could not sample a point of stratum {stratum.label!r} "
-        f"after {max_tries} tries"
+        f"after {_SAMPLE_TRIES} tries"
     )
 
 
@@ -742,19 +714,16 @@ class _StratumEngine:
     The engine holds no random state: each caller seeds its own generator.
     """
 
-    def __init__(self, scenario: Scenario, k_max: int, param_cutoff: int | None = None):
+    def __init__(self, scenario: Scenario, k_max: int):
         self.scenario = scenario
         self.k_max = k_max
         self.space = scenario.space(k_max)
-        cutoff = (
-            param_cutoff if param_cutoff is not None else k_max + scenario.lift_order + 1
-        )
-        self.fields, self.params = scenario.instantiate(cutoff)
+        self.fields, self.params = scenario.instantiate(k_max + scenario.lift_order + 1)
         self.cols_at = self.space.cols_at
 
     @cached_property
     def positivity(self) -> list[Node]:
-        """Parsed on first sampling, so orbit_rank never reads them."""
+        """Parsed on first sampling."""
         return [parse_expression(text) for text in self.scenario.positivity]
 
     def rows(self, point: Mapping[int, Fraction]) -> list[dict[int, int]]:
@@ -821,21 +790,19 @@ class _StratumEngine:
         h = [s[0]] + [s[k] - s[k - 1] for k in range(1, self.k_max + 1)]
         return s, h
 
-    def annihilates(
-        self, invariant: str, stratum: StratumCase, seed: int, n_points: int
-    ) -> bool:
+    def annihilates(self, invariant: str, stratum: StratumCase, seed: int) -> bool:
         """True iff the derivative of the invariant along every tangent row,
-        row . grad, vanishes at n_points seeded stratum points.  The invariant
-        is parsed once and evaluated with its gradient at each point; points
-        where it divides by zero are resampled (BadSample after
-        3 * n_points tries)."""
+        row . grad, vanishes at _ANNIHILATION_POINTS seeded stratum points.
+        The invariant is parsed once and evaluated with its gradient at each
+        point; points where it divides by zero are resampled (BadSample
+        after 3 * _ANNIHILATION_POINTS tries)."""
         node = parse_expression(invariant)
         rng = random.Random(seed)
         checked = 0
         attempts = 0
-        while checked < n_points:
+        while checked < _ANNIHILATION_POINTS:
             attempts += 1
-            if attempts > 3 * n_points:
+            if attempts > 3 * _ANNIHILATION_POINTS:
                 raise BadSample(
                     f"invariant denominator vanishes on stratum {stratum.label!r}"
                 )
@@ -877,10 +844,9 @@ def annihilation_check(
     invariant: str,
     stratum: StratumCase | str,
     seed: int,
-    n_points: int = 20,
 ) -> bool:
     """True iff the invariant's derivative along every generator row vanishes
-    at n_points seeded random stratum points.
+    at _ANNIHILATION_POINTS seeded random stratum points.
 
     The invariant is a rational expression in jet coordinates, checked at
     the order of the highest jet it names, where stratum_columns drops the
@@ -892,7 +858,7 @@ def annihilation_check(
     space = scenario.space(0)
     jets = [space._jet_index(name) for name in symbol_names(invariant)]
     order = max((sum(found[1]) for found in jets if found), default=0)
-    return _StratumEngine(scenario, order).annihilates(invariant, stratum, seed, n_points)
+    return _StratumEngine(scenario, order).annihilates(invariant, stratum, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -1066,7 +1032,7 @@ class DistributionReport:
     checks: tuple[tuple[str, bool], ...]
 
 
-def distribution_example(seed: int = 77, n_points: int = 20) -> list[DistributionReport]:
+def distribution_example(seed: int = 77) -> list[DistributionReport]:
     """Rank and invariant checks for the 3D involutive pair on (r, s, t).
 
     The vector fields X = 2r d/dr + s d/ds and Y = r d/ds + 2s d/dt form
@@ -1083,7 +1049,7 @@ def distribution_example(seed: int = 77, n_points: int = 20) -> list[Distributio
             stratum=label,
             rank=engine.sampled_ranks(stratum, seed + 1)[0],
             checks=tuple(
-                (f"{text} annihilated", engine.annihilates(text, stratum, seed, n_points))
+                (f"{text} annihilated", engine.annihilates(text, stratum, seed))
                 for text in candidates.get(label, ())
             ),
         )

@@ -387,3 +387,31 @@ def horner_h(spec, k):
     if value.denominator != 1 or value < 0:
         raise ValueError(f"tail({k}) = {value} is not a nonnegative integer")
     return int(value)
+
+
+# -- the power by binary squaring ------------------------------------------------
+#
+# Polynomial ** before every power took the Miller recurrence: square and
+# multiply on Fraction coefficient lists, with its own convolution.
+
+
+def square_and_multiply(coeffs, e):
+    """Coefficients of p^e (e >= 0) for the coefficient list p, lowest degree
+    first and without trailing zeros, by binary squaring over Fractions."""
+
+    def convolve(a, b):
+        out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    result, base = [Fraction(1)], [Fraction(c) for c in coeffs]
+    while e:
+        if e & 1:
+            result = convolve(result, base)
+        base = convolve(base, base)
+        e >>= 1
+    while result and result[-1] == 0:
+        result.pop()
+    return result

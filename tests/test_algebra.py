@@ -27,6 +27,7 @@ from oracles import (
     euclid_gcd,
     fraction_series,
     geometric_series_power,
+    square_and_multiply,
     truncated_product_series,
 )
 
@@ -145,8 +146,9 @@ def test_cyclotomic_values():
 
 def test_cyclotomic_factors_scan_includes_high_index():
     den = P((1, 0, 0, -1))  # 1 - z^3
-    found = {m: mult for m, _, mult in cyclotomic_factors(den, skip_one=False)}
-    assert found == {1: 1, 3: 1}
+    found = {m: mult for m, _, mult in cyclotomic_factors(den)}
+    assert found == {3: 1}
+    assert split_factor(den, cyclotomic(1))[0] == 1
 
 
 def test_binom_in_k_matches_binomial():
@@ -316,6 +318,29 @@ _SPLIT_FACTORS = [
 def test_split_factor_matches_divmod_loop(base, factor, m, other, n):
     poly = P(base) * factor**m * other**n
     assert split_factor(poly, factor) == divmod_split_factor(poly, factor)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.one_of(st.lists(_integers, max_size=4), st.lists(_fractions, max_size=4)),
+    st.integers(0, 40),
+)
+@example(0, [], 0)  # the zero polynomial: 0^0 = 1
+@example(0, [], 7)
+@example(2, [3, -1], 5)  # a zero constant term: z^2 (3 - z)
+@example(0, [1, -1], 40)  # the catalog's (1 - z)^n
+@example(0, [1, 0, -1], 40)
+@example(1, [Fraction(1, 2), 0, Fraction(-3, 4)], 39)
+@example(0, [Fraction(-5, 3)], 11)  # a constant
+def test_power_matches_square_and_multiply(shift, coeffs, e):
+    poly = P([0] * shift + coeffs)
+    power = poly**e
+    assert power.coeffs == tuple(square_and_multiply(poly.coeffs, e))
+    _assert_normal(power.coeffs)
+    if poly:
+        assert RF(1, poly) ** e == RF(1, power)
+        assert RF(1, poly) ** -e == RF(power)
 
 
 # -- ints where integral: the representation equals the all-Fraction one -------

@@ -207,6 +207,11 @@ PINNED_STDOUT = {
         "aac38547c9711bfb245c20cb99ec8191857bb94b21e3977deb6b3c6305d7ca17",
     ("json", "metric2d", "--kmax", "9"):
         "7666d963584ab65c6262e324861a5e80ddb16c70fece3cb84ed4cde54abad0b8",
+    # powers through the parse kernels, and the catalog's ONE_MINUS_Z ** n
+    ("json", "analyze", "--expr", "(1+z)^7/(1-z^2)^3", "--kmax", "40"):
+        "bae5deba494f30e6296c5ba18081a0705f3a202536bcad1fcf6af521f01fa164",
+    ("csv", "show", "hyper-kaehler", "--n", "3", "--kmax", "30"):
+        "6f83408f70dc64da9bc5d38845b1c67e66dd7127bde0c15d80787ac73bd888c0",
 }
 
 
