@@ -10,10 +10,9 @@ generating-function work in the rest of the package.
 
 It is also the one owner of univariate coefficient-list arithmetic: the
 private kernels `_add`, `_mul` and `_pow` work on plain lists (lowest
-degree first), and both `Polynomial` and the parse's unreduced integer
-quotient (`exprs._IntQuotient`) run on them.  `_pow` is the Miller
-recurrence, exact over the integers, and every `**` takes it: the parse on
-its integer lists, `Polynomial` (and so `RationalFunction`) after
+degree first), and `Polynomial` and `RationalFunction` both run on them.
+`_pow` is the Miller recurrence, exact over the integers, and every `**`
+takes it: `RationalFunction` on its integer lists, `Polynomial` after
 `_integral` has cleared the denominators.
 
 Canonical form of a rational function num/den:
@@ -23,10 +22,9 @@ Canonical form of a rational function num/den:
 
 With that convention two rational functions are equal iff their (num, den)
 coefficient tuples are equal, and Taylor coefficients at 0 fall out of a
-direct linear recurrence whenever den(0) != 0.  The constructor reduces by
-`poly_gcd`; the private `RationalFunction._canonical` skips that step and
-is used only where the result is canonical by construction (as in
-`hilbert.gf_from_hilbert`).
+direct linear recurrence whenever den(0) != 0.  A `RationalFunction` does
+its arithmetic on unreduced integer quotients and reaches the canonical
+form in one place, the `poly_gcd` reduction on the first read of its value.
 """
 
 from __future__ import annotations
@@ -368,27 +366,32 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd over the rationals; gcd(0, 0) = 0.
+def _gcd(a: Sequence[Scalar], b: Sequence[Scalar]) -> list[int]:
+    """A gcd of two nonzero coefficient lists, as integers with content 1.
 
     A primitive remainder sequence over the integers: both inputs are
     scaled to integer polynomials with content 1, and each pseudo-remainder
     is divided by its content, so no Fraction arithmetic runs and the
-    coefficients stay small.  The last nonzero remainder is made monic.
+    coefficients stay small.
     """
-    if b.is_zero():
-        return a.monic()
-    if a.is_zero():
-        return b.monic()
-    u, v = _primitive(a.coeffs), _primitive(b.coeffs)
+    u, v = _primitive(a), _primitive(b)
     if len(u) < len(v):
         u, v = v, u
     while v:
         if len(v) == 1:
-            return Polynomial.one()
+            return [1]
         r = _pseudo_remainder(u, v)
         u, v = v, (_primitive(r) if r else [])
-    return Polynomial(u).monic()
+    return u
+
+
+def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd over the rationals, by `_gcd`; gcd(0, 0) = 0."""
+    if b.is_zero():
+        return a.monic()
+    if a.is_zero():
+        return b.monic()
+    return Polynomial(_gcd(a.coeffs, b.coeffs)).monic()
 
 
 def binom_in_k(shift: int, r: int) -> Polynomial:
@@ -443,9 +446,16 @@ class PowerSeries:
 
 
 class RationalFunction:
-    """Quotient of two Polynomials in canonical (reduced, normalized) form."""
+    """Quotient of two Polynomials, read in canonical (reduced, normalized) form.
 
-    __slots__ = ("num", "den")
+    The value is held as integer coefficient lists (num, den), which the
+    arithmetic leaves unreduced.  The first read of `num`, `den`, `==`,
+    `hash`, `series`, `format` or `repr` reduces them once, and the reduced
+    lists replace them.  The reduction is deterministic, so two threads that
+    race on it only repeat it.
+    """
+
+    __slots__ = ("_q",)  # (num ints, den ints, (num, den) canonical or None)
 
     def __init__(self, num, den=1):
         num = _coerce_poly(num)
@@ -454,107 +464,127 @@ class RationalFunction:
             raise TypeError("num/den must be Polynomial, int or Fraction")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            num, den = Polynomial.zero(), Polynomial.one()
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-            c = den.coefficient(0)
-            if c == 0:
-                c = den.leading()
-            if c != 1:
-                inverse = _div(1, c)
-                num, den = num * inverse, den * inverse
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        s, n = _integral(num.coeffs)
+        t, d = _integral(den.coeffs)
+        if s != t:  # (n / s) / (d / t) = (t n) / (s d)
+            n, d = [t * c for c in n], [s * c for c in d]
+        _store(self, (n, d, None))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("RationalFunction is immutable")
 
+    def _canon(self) -> tuple[Polynomial, Polynomial]:
+        """(num, den) with the gcd divided out and den(0) = 1, or den monic
+        when den(0) = 0; computed on the first read, then kept."""
+        n, d, canon = self._q
+        if canon is None:
+            if not n:
+                d, canon = [1], (Polynomial.zero(), Polynomial.one())
+            else:
+                g = poly_gcd(Polynomial(n), Polynomial(d))
+                if g.degree > 0:
+                    g = _primitive(g.coeffs)
+                    n, d = _exact_quotient(n, g), _exact_quotient(d, g)
+                c = d[0] or d[-1]
+                canon = Polynomial(n), Polynomial(d)
+                if c != 1:
+                    canon = Polynomial([_div(x, c) for x in n]), Polynomial([_div(x, c) for x in d])
+            _store(self, (n, d, canon))  # one store: never half old
+        return canon
+
+    @property
+    def num(self) -> Polynomial:
+        return (self._q[2] or self._canon())[0]
+
+    @property
+    def den(self) -> Polynomial:
+        return (self._q[2] or self._canon())[1]
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def _canonical(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
-        """Trusted constructor that takes no gcd: (num, den) must already be
-        in canonical form."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        return self
-
-    @classmethod
     def zero(cls) -> "RationalFunction":
-        return cls(Polynomial.zero())
+        return _quotient([], [1])
 
     @classmethod
     def one(cls) -> "RationalFunction":
-        return cls(Polynomial.one())
+        return _quotient([1], [1])
 
     @classmethod
     def z(cls) -> "RationalFunction":
-        return cls(Polynomial.x())
+        return _quotient([0, 1], [1])
 
     @classmethod
     def from_scalar(cls, c: Scalar) -> "RationalFunction":
-        return cls(Polynomial.constant(c))
+        c = c if type(c) is int else _scalar(c)
+        return _quotient([c.numerator] if c else [], [c.denominator])
 
     # -- structure ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self._q[0]
 
     def __eq__(self, other) -> bool:
-        other = _coerce_ratfun(other)
-        if other is None:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
+        if type(other) is not RationalFunction:
+            other = _coerce_ratfun(other)
+            if other is None:
+                return NotImplemented
+        return self._canon() == other._canon()
 
     def __hash__(self) -> int:
-        return hash(("RationalFunction", self.num.coeffs, self.den.coeffs))
+        num, den = self._canon()
+        return hash(("RationalFunction", num.coeffs, den.coeffs))
 
-    # -- arithmetic -------------------------------------------------------
+    # -- arithmetic on the unreduced lists ---------------------------------
 
     def __add__(self, other) -> "RationalFunction":
-        other = _coerce_ratfun(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        if type(other) is not RationalFunction:
+            other = _coerce_ratfun(other)
+            if other is None:
+                return NotImplemented
+        (a, b, _), (c, d, _) = self._q, other._q
+        if b == d:
+            return _quotient(_add(a, c), b)
+        return _quotient(_add(_mul(a, d), _mul(c, b)), _mul(b, d))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
+        n, d, _ = self._q
+        return _quotient([-c for c in n], d)
 
     def __sub__(self, other) -> "RationalFunction":
-        other = _coerce_ratfun(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not RationalFunction:
+            other = _coerce_ratfun(other)
+            if other is None:
+                return NotImplemented
+        return self + -other
 
     def __rsub__(self, other) -> "RationalFunction":
         other = _coerce_ratfun(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other + -self
 
     def __mul__(self, other) -> "RationalFunction":
-        other = _coerce_ratfun(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        if type(other) is not RationalFunction:
+            other = _coerce_ratfun(other)
+            if other is None:
+                return NotImplemented
+        (a, b, _), (c, d, _) = self._q, other._q
+        return _quotient(_mul(a, c), _mul(b, d))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "RationalFunction":
-        other = _coerce_ratfun(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not RationalFunction:
+            other = _coerce_ratfun(other)
+            if other is None:
+                return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        (a, b, _), (c, d, _) = self._q, other._q
+        return _quotient(_mul(a, d), _mul(b, c))
 
     def __rtruediv__(self, other) -> "RationalFunction":
         other = _coerce_ratfun(other)
@@ -565,11 +595,12 @@ class RationalFunction:
     def __pow__(self, exponent: int) -> "RationalFunction":
         if not isinstance(exponent, int):
             raise UnsupportedArgument("rational-function exponent must be an int")
+        n, d, _ = self._q
         if exponent < 0:
-            if self.is_zero():
+            if not n:
                 raise ZeroDivisionError("negative power of zero")
-            return RationalFunction(self.den ** (-exponent), self.num ** (-exponent))
-        return RationalFunction(self.num**exponent, self.den**exponent)
+            n, d, exponent = d, n, -exponent
+        return _quotient(_pow(n, exponent), _pow(d, exponent))
 
     # -- analysis ---------------------------------------------------------
 
@@ -588,10 +619,11 @@ class RationalFunction:
         """
         if order < 0:
             raise UnsupportedArgument("series order must be >= 0")
-        if self.den.coefficient(0) == 0:
+        num, den = self._canon()
+        if den.coefficient(0) == 0:
             raise PoleAtOrigin("pole at z = 0")
-        num = self.num.coeffs
-        taps = [(j, c) for j, c in enumerate(self.den.coeffs) if j and c]
+        num = num.coeffs
+        taps = [(j, c) for j, c in enumerate(den.coeffs) if j and c]
         out = []
         for k in range(order + 1):
             acc = num[k] if k < len(num) else 0
@@ -619,9 +651,10 @@ class RationalFunction:
     # -- display -----------------------------------------------------------
 
     def format(self, var: str = "z") -> str:
-        if self.den == Polynomial.one():
-            return self.num.format(var)
-        return f"({self.num.format(var)}) / ({self.den.format(var)})"
+        num, den = self._canon()
+        if den == Polynomial.one():
+            return num.format(var)
+        return f"({num.format(var)}) / ({den.format(var)})"
 
     def __str__(self) -> str:
         return self.format()
@@ -630,11 +663,25 @@ class RationalFunction:
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
 
+def _quotient(num: list[int], den: list[int]) -> RationalFunction:
+    """num/den from integer lists without trailing zeros (den nonzero),
+    taken as they are: the constructor for results of the arithmetic."""
+    f = object.__new__(RationalFunction)
+    _store(f, (num, den, None))
+    return f
+
+
+#: The `_q` slot's own setter: past the immutability guard, and faster
+#: than object.__setattr__ on the parse's many intermediate values.
+_store = RationalFunction._q.__set__
+
+
 def _coerce_ratfun(value) -> RationalFunction | None:
     if isinstance(value, RationalFunction):
         return value
     if isinstance(value, Polynomial):
-        return RationalFunction(value)
+        s, n = _integral(value.coeffs)
+        return _quotient(n, [s])
     if isinstance(value, (int, Fraction)):
         return RationalFunction.from_scalar(value)
     return None
@@ -717,24 +764,33 @@ def cyclotomic_factors(poly: Polynomial) -> list[tuple[int, Polynomial, int]]:
     """The cyclotomic factors (index, polynomial, multiplicity) of poly other
     than 1 - z, whose multiplicity `split_factor` gives.
 
-    Scans every index m >= 2 whose cyclotomic degree phi(m) fits in the
-    (still undivided) polynomial; phi(m) >= sqrt(m/2) bounds the scan at
-    2*deg^2 + 2.
+    Every Phi_m with m >= 2 is self-reciprocal, so it divides
+    S = gcd(R, z^deg(R) R(1/z)), with R the square-free part of poly with
+    its factors z taken out.  The Phi_m found are distinct divisors of S, so
+    their degrees phi(m) add up to at most deg S; phi(m) >= sqrt(m/2) bounds
+    the scan at 2*deg(S)^2 + 2.
     """
     out = []
-    remaining = poly
-    if remaining.degree < 1:
+    if poly.degree < 1:
         return out
-    for m in range(2, 2 * poly.degree * poly.degree + 3):
-        deg = remaining.degree
-        if deg < 1:
+    ints = _integral(poly.coeffs)[1]
+    ints = ints[next(i for i, c in enumerate(ints) if c) :]
+    if len(ints) < 2:
+        return out
+    square_free = _exact_quotient(ints, _gcd(ints, [i * c for i, c in enumerate(ints)][1:]))
+    left = bound = len(_gcd(square_free, square_free[::-1])) - 1
+    remaining = poly
+    for m in range(2, 2 * bound * bound + 3):
+        if not left:
             break
-        if _euler_phi(m) > deg:
+        degree = _euler_phi(m)
+        if degree > left:
             continue
         phi = cyclotomic(m)
         mult, remaining = split_factor(remaining, phi)
         if mult > 0:
             out.append((m, phi, mult))
+            left -= degree
     return out
 
 

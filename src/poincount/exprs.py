@@ -14,8 +14,8 @@ An exponent's magnitude is at most MAX_EXPONENT, checked before any work.
 Parsing builds an AST; evaluation plugs in any value algebra supporting
 +, -, *, /, ** and a symbol resolver, so the same grammar serves the CLI's
 rational functions in z and the jet-coordinate expressions of scenarios.
-A closed form in z is evaluated over `_IntQuotient`, an unreduced integer
-quotient whose list arithmetic is algebra's; this module defines none.
+This module keeps only the grammar: a closed form in z is evaluated over
+`RationalFunction` itself.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .algebra import Polynomial, RationalFunction, _add, _mul, _pow
+from .algebra import RationalFunction
 from .errors import UsageError
 
 
@@ -219,63 +219,21 @@ def evaluate_node(node: Node, const: Callable, symbol: Callable):
     raise ExpressionError(f"bad AST node {node!r}")  # pragma: no cover
 
 
-class _IntQuotient:
-    """num/den as integer coefficient lists (lowest degree first, no trailing
-    zeros), left unreduced: the one canonicalization happens when the parse
-    builds its RationalFunction.  The arithmetic is algebra's list kernels
-    `_add`, `_mul` and `_pow`; this class only routes the quotient rules."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: list[int], den: list[int]):
-        self.num, self.den = num, den
-
-    def __neg__(self):
-        return _IntQuotient([-c for c in self.num], self.den)
-
-    def __add__(self, other):
-        if self.den == other.den:
-            return _IntQuotient(_add(self.num, other.num), self.den)
-        return _IntQuotient(
-            _add(_mul(self.num, other.den), _mul(other.num, self.den)),
-            _mul(self.den, other.den),
-        )
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __mul__(self, other):
-        return _IntQuotient(_mul(self.num, other.num), _mul(self.den, other.den))
-
-    def __truediv__(self, other):
-        if not other.num:
-            raise ZeroDivisionError("division by the zero rational function")
-        return _IntQuotient(_mul(self.num, other.den), _mul(self.den, other.num))
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            if not self.num:
-                raise ZeroDivisionError("negative power of zero")
-            return _IntQuotient(_pow(self.den, -exponent), _pow(self.num, -exponent))
-        return _IntQuotient(_pow(self.num, exponent), _pow(self.den, exponent))
-
-
-def parse_rational_function(text: str):
+def parse_rational_function(text: str) -> RationalFunction:
     """Parse a closed-form expression in the single symbol z.
 
-    The AST is evaluated over unreduced integer quotients, so the gcd is
-    taken once, by the RationalFunction built from the final quotient.
+    The AST is evaluated over RationalFunction, whose arithmetic leaves the
+    quotient unreduced, so the gcd is taken once, when the result is read.
     """
     node = parse_expression(text)
 
-    def symbol(name: str):
+    def symbol(name: str) -> RationalFunction:
         if name == "z":
-            return _IntQuotient([0, 1], [1])
+            return RationalFunction.z()
         raise ExpressionError(f"unknown symbol {name!r}; only z is allowed")
 
     try:
-        value = evaluate_node(node, lambda n: _IntQuotient([n] if n else [], [1]), symbol)
-        return RationalFunction(Polynomial(value.num), Polynomial(value.den))
+        return evaluate_node(node, RationalFunction.from_scalar, symbol)
     except ZeroDivisionError as exc:
         raise ExpressionError(f"{exc} in {text!r}") from None
     except RecursionError:

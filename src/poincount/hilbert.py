@@ -196,20 +196,20 @@ class MatchReport:
 
 
 def gf_from_hilbert(spec: HilbertSpec) -> RationalFunction:
-    """The exact rational function sum_k h(k) z^k, built in canonical form.
+    """The exact rational function sum_k h(k) z^k.
 
     With D = deg(tail) + 1, the D-th differences of the tail vanish, so
     N(z) = (1-z)^D sum_k h(k) z^k is a polynomial of degree below
     tail_start + D with the integer coefficients
     N_i = sum_{j <= min(i, D)} (-1)^j C(D, j) h(i - j).  The result is
-    N / (1-z)^D with no gcd taken: N(1) = (D-1)! lead(tail) is nonzero, so
-    the quotient is reduced, and the denominator has constant term 1.
+    N / (1-z)^D, built from the two integer lists and reduced, like any
+    RationalFunction, when it is first read.
     """
     D = spec.tail.degree + 1
     h = spec.values(spec.tail_start + D - 1)
     den = [(-1) ** j * math.comb(D, j) for j in range(D + 1)]
     num = _mul(den, h)[: len(h)]
-    return RationalFunction._canonical(Polynomial(num), Polynomial(den))
+    return RationalFunction(Polynomial(num), Polynomial(den))
 
 
 def hilbert_values_spec(values: Sequence[int], confirm: int = 3) -> HilbertSpec:

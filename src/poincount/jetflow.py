@@ -105,6 +105,10 @@ def _add_index(sigma: MultiIndex, i: int) -> MultiIndex:
     return sigma[:i] + (sigma[i] + 1,) + sigma[i + 1 :]
 
 
+#: Highest supported jet order.
+_MAX_ORDER = 9
+
+
 class JetSpace:
     """Coordinates of J^order(R^p, R^q): base x_i and jet u^alpha_sigma.
 
@@ -124,8 +128,10 @@ class JetSpace:
         base_names: Sequence[str],
         fiber_names: Sequence[str],
     ):
-        if not 0 <= order <= 9:
-            raise OrderExceeded(f"jet order {order} is outside the supported range 0..9")
+        if not 0 <= order <= _MAX_ORDER:
+            raise OrderExceeded(
+                f"jet order {order} is outside the supported range 0..{_MAX_ORDER}"
+            )
         if len(base_names) != p or len(fiber_names) != q:
             raise ValueError("name lists must match p and q")
         self.p = p
@@ -476,6 +482,19 @@ class Scenario:
             raise ValueError(
                 f"scenario {self.id!r} has free functions but an empty base"
             )
+        # A fiber named like another fiber's jet (u1 beside u when p = 1)
+        # would leave one of the two columns without a name.
+        names = self.space(0)
+        for b, name in enumerate(self.fiber):
+            digits = name[len(name) - self.p :]
+            if not (self.p and digits.isdecimal() and sum(map(int, digits)) <= _MAX_ORDER):
+                continue
+            sigma = tuple(map(int, digits))
+            for a in range(self.q):
+                if a != b and names._jet_name(a, sigma) == name:
+                    raise ValueError(
+                        f"fiber {name!r} has the name of a jet of fiber {self.fiber[a]!r}"
+                    )
 
     def space(self, order: int) -> JetSpace:
         return JetSpace(self.p, self.q, order, self.base, self.fiber)

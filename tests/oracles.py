@@ -284,7 +284,7 @@ def gf_from_hilbert_termwise(spec):
     """sum_k h(k) z^k as the polynomial of the values below the tail onset k0
     plus, for each binomial-basis coefficient d_j of the tail at k0,
     d_j z^(k0+j) / (1-z)^(j+1) = sum_{k >= k0} d_j C(k - k0, j) z^k, each sum
-    canonicalized by the RationalFunction constructor."""
+    reduced before the next term is added."""
     from poincount.algebra import ONE_MINUS_Z, Polynomial, RationalFunction
     from poincount.hilbert import finite_differences
 
@@ -300,6 +300,7 @@ def gf_from_hilbert_termwise(spec):
             result = result + RationalFunction(
                 Polynomial.monomial(k0 + j, d_j), ONE_MINUS_Z ** (j + 1)
             )
+            result.num  # reading the value reduces it
     return result
 
 
@@ -330,9 +331,35 @@ def fit_constant_tail(h):
 # the integer parse and split are compared with them.
 
 
+class _NodeReduced:
+    """A RationalFunction whose value is reduced after every operation."""
+
+    def __init__(self, f):
+        f.num  # reading the value reduces it
+        self.f = f
+
+    def __neg__(self):
+        return _NodeReduced(-self.f)
+
+    def __add__(self, other):
+        return _NodeReduced(self.f + other.f)
+
+    def __sub__(self, other):
+        return _NodeReduced(self.f - other.f)
+
+    def __mul__(self, other):
+        return _NodeReduced(self.f * other.f)
+
+    def __truediv__(self, other):
+        return _NodeReduced(self.f / other.f)
+
+    def __pow__(self, exponent):
+        return _NodeReduced(self.f**exponent)
+
+
 def ratfun_parse(text):
-    """parse_rational_function as a node-by-node RationalFunction evaluation,
-    with the same errors."""
+    """parse_rational_function as a node-by-node RationalFunction evaluation
+    that reduces every intermediate value, with the same errors."""
     from poincount.algebra import RationalFunction
     from poincount.exprs import ExpressionError, evaluate_node, parse_expression
 
@@ -340,11 +367,14 @@ def ratfun_parse(text):
 
     def symbol(name):
         if name == "z":
-            return RationalFunction.z()
+            return _NodeReduced(RationalFunction.z())
         raise ExpressionError(f"unknown symbol {name!r}; only z is allowed")
 
+    def const(n):
+        return _NodeReduced(RationalFunction.from_scalar(n))
+
     try:
-        return evaluate_node(node, RationalFunction.from_scalar, symbol)
+        return evaluate_node(node, const, symbol).f
     except ZeroDivisionError as exc:
         raise ExpressionError(f"{exc} in {text!r}") from None
     except RecursionError:
@@ -415,3 +445,32 @@ def square_and_multiply(coeffs, e):
     while result and result[-1] == 0:
         result.pop()
     return result
+
+
+# -- the cyclotomic scan over every index ----------------------------------------
+#
+# cyclotomic_factors before the self-reciprocal bound: every index m >= 2
+# whose cyclotomic degree fits in what is left of the polynomial, up to
+# 2*deg^2 + 2.
+
+
+def scan_cyclotomic_factors(poly):
+    """(m, Phi_m, multiplicity) for the cyclotomic factors Phi_m, m >= 2, of
+    poly, trying every m whose totient (counted by gcd) is at most the degree
+    still undivided."""
+    from math import gcd
+
+    from poincount.algebra import cyclotomic, split_factor
+
+    out = []
+    remaining = poly
+    for m in range(2, 2 * poly.degree * poly.degree + 3):
+        if remaining.degree < 1:
+            break
+        if sum(1 for k in range(1, m + 1) if gcd(k, m) == 1) > remaining.degree:
+            continue
+        phi = cyclotomic(m)
+        mult, remaining = split_factor(remaining, phi)
+        if mult > 0:
+            out.append((m, phi, mult))
+    return out

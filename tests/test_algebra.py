@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,7 @@ from oracles import (
     euclid_gcd,
     fraction_series,
     geometric_series_power,
+    scan_cyclotomic_factors,
     square_and_multiply,
     truncated_product_series,
 )
@@ -151,6 +154,35 @@ def test_cyclotomic_factors_scan_includes_high_index():
     assert split_factor(den, cyclotomic(1))[0] == 1
 
 
+# Factors for random residuals: cyclotomic ones (1 - z among them), z, and
+# non-cyclotomic ones, self-reciprocal (1 + 3z + z^2) or not.
+_FACTORS = [cyclotomic(m) for m in (1, 2, 3, 4, 5, 6, 8, 10, 12)]
+_FACTORS += [P((0, 1)), P((1, 3, 1)), P((2, 1)), P((1, 1, 2)), P((Fraction(1, 2), 0, 1))]
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(range(len(_FACTORS))), st.integers(1, 3)), max_size=4),
+    st.sampled_from([1, -3, Fraction(2, 5)]),
+)
+@example([], 1)
+@example([(1, 3)], 1)  # (1 + z)^3, the residual shape of the analyze workload
+@example([(9, 1), (10, 2)], -3)  # z (1 + 3z + z^2)^2: self-reciprocal, no Phi_m
+def test_cyclotomic_factors_match_full_scan(factors, scale):
+    poly = P((scale,))
+    for index, mult in factors:
+        poly = poly * _FACTORS[index] ** mult
+    assert cyclotomic_factors(poly) == scan_cyclotomic_factors(poly)
+
+
+def test_cyclotomic_factors_of_high_degree_residuals():
+    # the full scan takes minutes on each of these
+    assert cyclotomic_factors(P((2, 1)) ** 1000) == []
+    assert cyclotomic_factors(P((2,) + (0,) * 999 + (1,))) == []
+    assert cyclotomic_factors(P((1, 3, 1)) ** 500) == []
+    assert cyclotomic_factors(P((1, 1)) ** 400 * P((1, 3, 1))) == [(2, P((1, 1)), 400)]
+
+
 def test_binom_in_k_matches_binomial():
     for shift in range(-3, 6):
         for r in range(0, 5):
@@ -158,6 +190,62 @@ def test_binom_in_k_matches_binomial():
             for k in range(0, 12):
                 if k + shift >= 0:
                     assert poly.evaluate(k) == binomial(k + shift, r)
+
+
+def test_reduction_waits_for_the_first_read(monkeypatch):
+    from poincount import algebra
+    from poincount.catalog import claimed_poincare
+
+    calls = []
+
+    def counting_gcd(a, b, gcd=algebra.poly_gcd):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(algebra, "poly_gcd", counting_gcd)
+    f = claimed_poincare("kaehler", n=3)
+    assert calls == []
+    assert ((f - f).is_zero(), calls) == (True, [])
+    num, den = f.num, f.den
+    assert f.den == den and f == f and hash(f) == hash(("RationalFunction", num.coeffs, den.coeffs))
+    assert f.format() == str(f) and f.series(6)[6] == f.coefficient(6)
+    assert len(calls) == 1
+    unreduced = RF(P((1, -1)) * P((2, 3)), P((1, -1)) ** 2)
+    reduced = RF(P((2, 3)), P((1, -1)))
+    assert (reduced.num, reduced.den) == (P((2, 3)), P((1, -1)))
+    assert hash(unreduced) == hash(reduced) and unreduced == reduced
+    assert RF(P((2, 2)), P((1, 1))) == 2 and hash(RF(P((2, 2)), P((1, 1)))) == hash(RF(2))
+
+
+def test_threads_racing_on_the_first_read_agree():
+    # Each value is reduced by whichever thread reads it first; the others
+    # must see the old pair or the new one whole, never half of each.
+    def make(k):
+        return RF(P((2, k)) * ONE_MINUS_Z**k, P((3, 1)) * ONE_MINUS_Z ** (k + 1))
+
+    want = [(make(k).num, make(k).den, (make(k) + make(k)).den) for k in range(1, 60)]
+    shared = [make(k) for k in range(1, 60)]
+    errors = []
+
+    def reader(order):
+        for i in order:
+            f = shared[i]
+            if (f.num, f.den, (f + shared[i]).den) != want[i]:
+                errors.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        orders = [random.Random(seed).sample(range(len(shared)), len(shared)) for seed in range(8)]
+        threads = [threading.Thread(target=reader, args=(order,)) for order in orders]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
 
 
 def _random_poly(rng, max_deg=6, zero_ok=True):

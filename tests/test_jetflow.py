@@ -1,7 +1,9 @@
+import importlib.util
 import io
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +19,7 @@ from poincount.jetflow import (
     Scenario,
     StratumCase,
     UnknownScenario,
+    METRIC2D,
     X_REPARAM,
     annihilation_check,
     distribution_example,
@@ -617,6 +620,31 @@ def test_sentinel_violation_detected_when_cutoff_too_small():
     values = _generic_point_values(engine.space, random.Random(18))
     with pytest.raises(InvariantViolation, match="sentinel"):
         engine.rows(_point(engine.space, values))
+
+
+@pytest.mark.parametrize(
+    "base, fiber, clash",
+    [(["x"], ["u", "u1"], "u1"), (["x"], ["u1", "u"], "u1"), (["x", "y"], ["u", "u10"], "u10")],
+)
+def test_fiber_named_like_another_fibers_jet_is_refused(base, fiber, clash):
+    # the clashing name is also a jet of u: u1 = u_x for p = 1, u10 = u_x for p = 2
+    data = {"id": "clash", "base": base, "fiber": fiber, "generators": []}
+    with pytest.raises(ValueError, match=f"fiber '{clash}' .* of fiber 'u'"):
+        Scenario(data)
+
+
+def test_fiber_names_with_digits_are_accepted():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_scenarios", Path(__file__).parents[1] / "perfbench" / "scenarios.py"
+    )
+    scenarios = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scenarios)
+    for data in (X_REPARAM, METRIC2D, scenarios.METRIC3D):
+        Scenario(data)
+    metric = Scenario({"id": "g", "base": ["x", "y"], "fiber": ["g11", "g12", "g22"], "generators": []})
+    names = metric.space(9).coordinate_names()
+    assert len(set(names)) == len(names)
+    Scenario({"id": "u", "base": ["x"], "fiber": ["u", "u_1"], "generators": []})
 
 
 def test_scenario_errors():
