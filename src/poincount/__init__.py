@@ -47,7 +47,6 @@ from .counting import (
     UnknownSymbol,
     assemble_hilbert,
     dim_delta,
-    dim_diff_group,
     dim_sym,
     euler_symbol_dim,
     shipped_plan,

@@ -41,17 +41,6 @@ def dim_sym(n: int, k: int) -> int:
     return binomial(n + k - 1, k)
 
 
-def dim_diff_group(n: int, k: int) -> int:
-    """n * C(n+k, k), the jet-group dimension convention.
-
-    Includes the order-0 block; consumers only ever use it through
-    differences, where the convention is self-consistent.
-    """
-    if n < 1 or k < 1:
-        raise UnsupportedArgument("need n >= 1 and k >= 1")
-    return n * binomial(n + k, k)
-
-
 def dim_delta(n: int, k: int) -> int:
     """dim S^k T* (x) T = n * C(n+k-1, k): top-order fiber of the jet group."""
     if n < 1:

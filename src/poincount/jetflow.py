@@ -30,10 +30,13 @@ lcm of the jet denominators), and each field is kept in an integral form
 homogenized in the fiber variables, so that the substitution gives
 L D^M Q_alpha over the integers; `prolong` returns that positive integer
 `scale` with each row as {column: int}, the zero entries left out, the
-true row being row / scale.  Its slice loop reads each Q_alpha grouped
-by degree in x and visits only the coefficients that land in J^k.  The rank, tangency,
-sentinel and annihilation checks all read these rows as they are, since a
-positive multiple of a row leaves each of them unchanged.
+true row being row / scale.  Nothing about the slices depends on the
+point: a ProlongPlan, built once per field by the engine, resolves every
+coefficient of Q_alpha that lands in J^k to its (row, column, multiplier)
+entries, so at each point `prolong` substitutes and then only scatters
+integer products.  The rank, tangency, sentinel and annihilation checks
+all read these rows as they are, since a positive multiple of a row
+leaves each of them unchanged.
 
 Free-function truncation: order-k components involve jets of the free
 functions up to order k + lift_order, so functions are truncated at
@@ -101,10 +104,6 @@ def _multi_indices(p: int, total: int) -> list[MultiIndex]:
     return out
 
 
-def _add_index(sigma: MultiIndex, i: int) -> MultiIndex:
-    return sigma[:i] + (sigma[i] + 1,) + sigma[i + 1 :]
-
-
 #: Highest supported jet order.
 _MAX_ORDER = 9
 
@@ -116,8 +115,10 @@ class JetSpace:
     jet coordinates by total order, fiber index, and descending
     lexicographic multi-index (u10 before u01).  The order-0 jet coordinate
     prints as the bare fiber name.  `multi_indices` lists the multi-indices
-    of orders 0..order in that order, and `cols_at[m]` is the column count
-    of the order-m block J^m, a prefix of the columns.
+    of orders 0..order in that order, `columns[alpha]` the column of fiber
+    alpha at each of them, and `cols_at[m]` is the column count of the
+    order-m block J^m, a prefix of the columns.  `shifted` pairs the
+    multi-indices rho and rho + shift that both lie within the order.
     """
 
     def __init__(
@@ -140,9 +141,9 @@ class JetSpace:
         self.base_names = tuple(base_names)
         self.fiber_names = tuple(fiber_names)
         self._names: list[str] = []
-        self._jet_of: dict[tuple[int, MultiIndex], int] = {}
         self._info: list[tuple] = []
         self.multi_indices: list[MultiIndex] = []
+        self.columns: list[list[int]] = [[] for _ in range(q)]
         self.cols_at: list[int] = []
         for i, name in enumerate(self.base_names):
             self._names.append(name)
@@ -153,11 +154,18 @@ class JetSpace:
             for alpha in range(q):
                 for sigma in block:
                     var = len(self._names)
-                    self._jet_of[(alpha, sigma)] = var
+                    self.columns[alpha].append(var)
                     self._names.append(self._jet_name(alpha, sigma))
                     self._info.append(("jet", alpha, sigma))
             self.cols_at.append(len(self._names))
         self._by_name = {name: var for var, name in enumerate(self._names)}
+        self._index = {sigma: j for j, sigma in enumerate(self.multi_indices)}
+        # per multi-index sigma: x^sigma as a monomial in the base variables, and sigma!
+        self._monomials = [
+            tuple((i, e) for i, e in enumerate(sigma) if e) for sigma in self.multi_indices
+        ]
+        self._factorials = [_factorial(sigma) for sigma in self.multi_indices]
+        self._shifted: dict[MultiIndex, list[tuple[int, int]]] = {}
 
     def _jet_name(self, alpha: int, sigma: MultiIndex) -> str:
         base = self.fiber_names[alpha]
@@ -180,13 +188,26 @@ class JetSpace:
                     return alpha, sigma
         return None
 
+    def shifted(self, shift: MultiIndex) -> list[tuple[int, int]]:
+        """(index of rho, index of rho + shift) in multi_indices for every
+        rho with |rho + shift| <= order; built once per shift."""
+        pairs = self._shifted.get(shift)
+        if pairs is None:
+            room = self.order - sum(shift)
+            pairs = self._shifted[shift] = [
+                (j, self._index[tuple(map(add, rho, shift))])
+                for j, rho in enumerate(self.multi_indices)
+                if sum(rho) <= room
+            ]
+        return pairs
+
     @property
     def dim(self) -> int:
         return len(self._names)
 
     def jet_var(self, alpha: int, sigma: MultiIndex) -> int:
         try:
-            return self._jet_of[(alpha, sigma)]
+            return self.columns[alpha][self._index[sigma]]
         except KeyError:
             raise OrderExceeded(
                 f"coordinate u^{alpha}_{sigma} exceeds order {self.order}"
@@ -227,6 +248,8 @@ class ParamField:
     x^(beta - gamma); `specs` holds, per parameter, (parameter, ((token
     variable, beta!/(beta - gamma)!, beta - gamma), ...)), compiled by
     Scenario.instantiate.  The token-free part is a fixed generator.
+    ProlongPlan resolves the specs on a jet space to row entries once, so
+    that `prolong` reads only `terms` and the plan at each point.
 
     `prolong` substitutes an integer section U = D u into an integer form
     of the components: with L = `denominator`, the lcm of their coefficient
@@ -255,19 +278,6 @@ class ParamInfo:
 @cache
 def _factorial(sigma: MultiIndex) -> int:
     return prod(factorial(s) for s in sigma)
-
-
-def _split(mono: Monomial, p: int) -> tuple[Optional[int], MultiIndex]:
-    """(token or None, base exponents) of a monomial in base variables and
-    at most one (linear) token."""
-    rho = [0] * p
-    token = None
-    for var, e in mono:
-        if var < p:
-            rho[var] = e
-        else:
-            token = var
-    return token, tuple(rho)
 
 
 def _times(value: int | Fraction, multiple: int) -> int:
@@ -299,17 +309,78 @@ def _integral_form(
     return denominator, degree, terms
 
 
+class ProlongPlan:
+    """The point-independent part of `prolong` for one field on one space.
+
+    `keys` are the row keys, None (the fixed part) and then the field's
+    parameters in the order of its specs; a row is addressed by its slot
+    in `keys`.  For each fiber alpha, `scatter[alpha]` maps every
+    coefficient of Q_int that can land in J^k, the monomial x^rho of the
+    fixed part or x^rho times a token, to its (slot, column, multiplier)
+    entries: each slice of the token with shift beta - gamma and factor c
+    gives the column of u^alpha_sigma, sigma = rho + shift with |sigma| <= k,
+    and the multiplier c sigma!.  Only the tokens of phi_alpha and of the
+    xi_i can occur in Q_alpha.  `base` maps each degree-0 monomial of xi
+    (1 or a token) to the (slot, c) of its unshifted slices, and
+    `transport[alpha][i]` lists (column of u^alpha_sigma, column of
+    u^alpha_{sigma + e_i}) for |sigma| < k.  The plan is built from the
+    space's index tables (JetSpace.shifted) and holds ints only.
+    """
+
+    __slots__ = ("space", "field", "keys", "scatter", "base", "transport")
+
+    def __init__(self, space: JetSpace, field: ParamField):
+        p, q = space.p, space.q
+        zero = (0,) * p
+        slices = [(None, ((None, 1, zero),)), *field.specs]
+        self.space, self.field = space, field
+        self.keys = tuple(key for key, _ in slices)
+        # rho and sigma are indices into space.multi_indices
+        # per token (or None): {rho: [(slot, sigma, c sigma!)]}
+        by_var: dict[Optional[int], dict[int, list[tuple[int, int, int]]]] = {}
+        self.base: dict[Monomial, list[tuple[int, int]]] = {}
+        factorials = space._factorials
+        for slot, (_, spec) in enumerate(slices):
+            for var, c, shift in spec:
+                at_rho = by_var.setdefault(var, {})
+                for rho, sigma in space.shifted(shift):
+                    at_rho.setdefault(rho, []).append((slot, sigma, c * factorials[sigma]))
+                if shift == zero:
+                    self.base.setdefault(() if var is None else ((var, 1),), []).append((slot, c))
+        tokens = [
+            {var for mono, _, _ in terms for var, _ in mono if var >= p + q}
+            for terms in field.terms
+        ]
+        xi_tokens = set().union(*tokens[:p])
+        self.scatter: list[dict[Monomial, list[tuple[int, int, int]]]] = []
+        for alpha, cols in enumerate(space.columns):
+            scatter = {}
+            for var in {None} | xi_tokens | tokens[p + alpha]:
+                tail = () if var is None else ((var, 1),)
+                for rho, entries in by_var.get(var, {}).items():
+                    scatter[space._monomials[rho] + tail] = [
+                        (slot, cols[sigma], multiplier) for slot, sigma, multiplier in entries
+                    ]
+            self.scatter.append(scatter)
+        units = [tuple(int(i == b) for b in range(p)) for i in range(p)]
+        self.transport = [
+            [[(cols[rho], cols[sigma]) for rho, sigma in space.shifted(e)] for e in units]
+            for cols in space.columns
+        ]
+
+
 def prolong(
-    space: JetSpace, field: ParamField, point: Mapping[int, Fraction]
+    plan: ProlongPlan, point: Mapping[int, Fraction]
 ) -> tuple[int, dict[Optional[int], dict[int, int]]]:
     """Nonzero tangent rows of a prolonged generator at a jet point, as
     (scale, {key: {column: int}}): the true row is row / scale.
 
     One row per parameter slice (keyed by parameter index) and one for the
-    fixed part (key None), over all coordinates of the space, with the
-    zero entries left out; the base point must be the origin.  With u(x)
-    the degree-k Taylor polynomial of the point's jet and Q_alpha =
-    phi_alpha - sum_i xi_i d_i u^alpha along it, the entry on u^alpha_sigma is
+    fixed part (key None), in the order of `plan.keys`, over all
+    coordinates of the space, with the zero entries left out; the base
+    point must be the origin.  With u(x) the degree-k Taylor polynomial of
+    the point's jet and Q_alpha = phi_alpha - sum_i xi_i d_i u^alpha along
+    it, the entry on u^alpha_sigma is
 
         sigma! [x^sigma] Q_alpha + sum_i xi_i(0) u^alpha_{sigma + e_i},
 
@@ -329,88 +400,61 @@ def prolong(
     Only [x^rho] Q_alpha with |rho| <= k and the degree-0 part of xi are
     read, and no product lowers the degree in x, so the substitution and
     the products xi_i d_i u are truncated at degree k in the base
-    variables: the rows are those of the full substitution.  Each
-    Q_int[token] is grouped by |rho|, and a slice entry with shift
-    beta - gamma visits only the groups with |rho| <= k - |beta - gamma|:
-    those whose sigma = rho + shift lies in J^k.
+    variables: the rows are those of the full substitution.  The plan
+    (ProlongPlan) has already resolved every column and multiplier, so
+    each coefficient of Q_int is multiplied into its planned entries.
     """
+    space, field = plan.space, plan.field
     p, k = space.p, space.order
     if any(point[space.base_var(i)] for i in range(p)):
         raise BadPoint("tangent rows are evaluated over the base origin only")
-    zero = (0,) * p
-    jet_of = space._jet_of
     jet_scale = lcm(*[point[var].denominator for var in range(p, space.dim)])
     k_factorial = factorial(k)
     d = jet_scale * k_factorial
     jets = {var: _times(point[var], jet_scale) for var in range(p, space.dim)}
-    section = {}
-    for alpha in range(space.q):
-        section[jet_of[(alpha, zero)]] = Poly({
-            tuple((i, e) for i, e in enumerate(sigma) if e):
-                jets[jet_of[(alpha, sigma)]] * (k_factorial // _factorial(sigma))
-            for sigma in space.multi_indices
+    weights = [k_factorial // f for f in space._factorials]  # k!/sigma!
+    section = {
+        cols[0]: Poly({
+            mono: jets[col] * w for mono, col, w in zip(space._monomials, cols, weights)
         })
+        for cols in space.columns
+    }
     powers = [d**j for j in range(field.degree + 1)]
     integral = [
         Poly({mono: c * powers[j] for mono, c, j in terms}).substitute(section, p, k)
         for terms in field.terms
     ]
     xi_polys = integral[:p]
-    xi0 = []  # {token or None: coefficient} of the degree-0 part of each xi_i
-    for x in xi_polys:
-        parts = {}
-        for mono, c in x.terms.items():
-            token, rho = _split(mono, p)
-            if rho == zero:
-                parts[token] = c
-        xi0.append(parts)
-    # per alpha: {token: [[(rho, coefficient) with |rho| = d] for d in 0..k]} of Q_int
-    buckets: list[dict[Optional[int], list[list[tuple[MultiIndex, int]]]]] = []
+    rows: list[dict[int, int]] = [{} for _ in plan.keys]
+    bases: dict[int, list[int]] = {}  # slot: L D^(M-1) xi_i(0) of its slice, per i
+    for i, x in enumerate(xi_polys):
+        for mono, coeff in x.terms.items():
+            for slot, c in plan.base.get(mono, ()):
+                bases.setdefault(slot, [0] * p)[i] += c * coeff
+    for slot, base in bases.items():
+        rows[slot].update((i, b * d) for i, b in enumerate(base) if b)
     for alpha, q_alpha in enumerate(integral[p:]):
-        u = section[jet_of[(alpha, zero)]]
+        u = section[space.columns[alpha][0]]
         for i in range(p):
             q_alpha = q_alpha - xi_polys[i].truncated_mul(u.diff(i), p, k)
-        by_token = {}
-        for mono, c in q_alpha.terms.items():
-            token, rho = _split(mono, p)
-            groups = by_token.setdefault(token, [[] for _ in range(k + 1)])
-            groups[sum(rho)].append((rho, c))
-        buckets.append(by_token)
-    # per (alpha, i): (column of u^alpha_sigma, k! J u^alpha_{sigma + e_i})
-    # for |sigma| < k where that jet value is nonzero
-    transport = {}
-    for alpha in range(space.q):
-        for i in range(p):
-            terms = transport[alpha, i] = []
-            for sigma in space.multi_indices:
-                if sum(sigma) < k:
-                    value = jets[jet_of[(alpha, _add_index(sigma, i))]]
-                    if value:
-                        terms.append((jet_of[(alpha, sigma)], k_factorial * value))
-
-    rows = {}
-    for key, spec in [(None, ((None, 1, zero),)), *field.specs]:
-        # L D^(M-1) xi_i(0) of the slice; its base column is this times D
-        base = [sum(c * x.get(var, 0) for var, c, shift in spec if shift == zero) for x in xi0]
-        row = {i: b * d for i, b in enumerate(base) if b}
-        for alpha, by_token in enumerate(buckets):
-            for var, c, shift in spec:
-                groups = by_token.get(var)
-                if groups is None:
-                    continue
-                for group in groups[: max(0, k + 1 - sum(shift))]:
-                    for rho, coeff in group:
-                        sigma = tuple(map(add, rho, shift))
-                        col = jet_of[(alpha, sigma)]
-                        row[col] = row.get(col, 0) + c * coeff * _factorial(sigma)
-            for i, b in enumerate(base):
+        scatter = plan.scatter[alpha]
+        for mono, coeff in q_alpha.terms.items():
+            for slot, col, multiplier in scatter.get(mono, ()):
+                row = rows[slot]
+                row[col] = row.get(col, 0) + multiplier * coeff
+        for slot, base in bases.items():
+            row = rows[slot]
+            for b, pairs in zip(base, plan.transport[alpha]):
                 if b:
-                    for col, value in transport[alpha, i]:
-                        row[col] = row.get(col, 0) + b * value
+                    for col, src in pairs:
+                        if jets[src]:
+                            row[col] = row.get(col, 0) + b * k_factorial * jets[src]
+    out = {}
+    for key, row in zip(plan.keys, rows):
         row = {col: c for col, c in row.items() if c}
         if row:
-            rows[key] = row
-    return field.denominator * powers[field.degree], rows
+            out[key] = row
+    return field.denominator * powers[field.degree], out
 
 
 # ---------------------------------------------------------------------------
@@ -745,14 +789,20 @@ class _StratumEngine:
         """Parsed on first sampling."""
         return [parse_expression(text) for text in self.scenario.positivity]
 
+    @cached_property
+    def plans(self) -> list[ProlongPlan]:
+        """One ProlongPlan per field, built on the first `rows` from the
+        fields the engine holds then."""
+        return [ProlongPlan(self.space, field) for field in self.fields]
+
     def rows(self, point: Mapping[int, Fraction]) -> list[dict[int, int]]:
         """Nonzero tangent rows at a point over the base origin, as the
         integer {column: int} rows of `prolong` (each a positive multiple of
         the true row, which leaves ranks, tangency and annihilation as they
         are); the sentinel parameters must act trivially (InvariantViolation)."""
         rows = []
-        for field in self.fields:
-            for key, row in prolong(self.space, field, point)[1].items():
+        for plan in self.plans:
+            for key, row in prolong(plan, point)[1].items():
                 if key is not None and self.params[key].sentinel:
                     raise InvariantViolation(
                         "sentinel parameter acts nontrivially: cutoff too small"

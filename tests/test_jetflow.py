@@ -16,6 +16,7 @@ from poincount.jetflow import (
     InvariantViolation,
     NonlinearParameters,
     OrderExceeded,
+    ProlongPlan,
     Scenario,
     StratumCase,
     UnknownScenario,
@@ -30,6 +31,7 @@ from poincount.jetflow import (
     stratum_codim_sequence,
     _StratumEngine,
 )
+from poincount import jetflow
 from poincount.catalog import hilbert_spec
 from poincount.cli import run
 from poincount.jetpoly import Poly, _echelon, matrix_rank, rank_profile
@@ -93,7 +95,7 @@ def _dense(row, dim):
 def _exact_rows(space, field, point):
     """prolong's rows as dense exact rows {key: [Fraction] * dim}: each
     integer entry over the scale; the integer rows hold no zero entry."""
-    scale, rows = prolong(space, field, point)
+    scale, rows = prolong(ProlongPlan(space, field), point)
     assert isinstance(scale, int) and scale > 0
     assert all(row and all(isinstance(c, int) and c for c in row.values()) for row in rows.values())
     return {
@@ -108,11 +110,11 @@ def _engine_rows(engine, point):
     field's scale."""
     handed = iter(engine.rows(point))
     rows = []
-    for field in engine.fields:
-        _, sparse = prolong(engine.space, field, point)
+    for plan in engine.plans:
+        _, sparse = prolong(plan, point)
         for row in sparse.values():
             assert next(handed) == row
-        rows += _exact_rows(engine.space, field, point).values()
+        rows += _exact_rows(engine.space, plan.field, point).values()
     assert next(handed, None) is None
     return rows
 
@@ -249,7 +251,7 @@ def test_orbit_rank_bad_point():
     values = _generic_point_values(space, random.Random(2))
     values["x"] = Fraction(1)  # rows are evaluated over the base origin only
     with pytest.raises(BadPoint, match="origin"):
-        prolong(space, fields[0], _point(space, values))
+        prolong(ProlongPlan(space, fields[0]), _point(space, values))
 
 
 # -- stratum sequences ---------------------------------------------------------
@@ -606,7 +608,7 @@ def test_sentinel_rows_are_zero_at_origin():
     violations = [
         row
         for field in fields
-        for key, row in prolong(space, field, point)[1].items()
+        for key, row in prolong(ProlongPlan(space, field), point)[1].items()
         if key is not None and params[key].sentinel and row
     ]
     assert violations == []  # the sentinel acts trivially at base-origin points
@@ -616,6 +618,7 @@ def test_sentinel_violation_detected_when_cutoff_too_small():
     # order-3 components depend on f-jets up to order 3; a cutoff of 1 makes
     # the degree-2 sentinel act nontrivially and must be caught
     engine = _StratumEngine(SC, 3)
+    # the plans are built on the first rows, from the fields the engine holds then
     engine.fields, engine.params = SC.instantiate(1)
     values = _generic_point_values(engine.space, random.Random(18))
     with pytest.raises(InvariantViolation, match="sentinel"):
@@ -802,7 +805,32 @@ RICCATI_MIXED = {
     ],
     "strata": [{"label": "generic", "equalities": [], "inequations": []}],
 }
-LOCAL_SCENARIOS = {"line-affine": LINE_AFFINE, "riccati-mixed": RICCATI_MIXED}
+# the diffeomorphisms of 3-space lifted to the six metric coefficients by
+# the Lie derivative, phi_ij = -(g_kj d_i xi^k + g_ik d_j xi^k), positivity
+# on the leading 1x1 and 2x2 minors: the benchmark's 3D metric scenario
+METRIC3D = {
+    "id": "metric3d",
+    "base": ["x", "y", "z"],
+    "fiber": ["g11", "g12", "g13", "g22", "g23", "g33"],
+    "free_functions": ["a", "b", "c"],
+    "lift_order": 1,
+    "generators": [
+        {
+            "xi": ["a", "b", "c"],
+            "phi": [
+                "-(2*g11*a_x + 2*g12*b_x + 2*g13*c_x)",
+                "-(g11*a_y + g12*b_y + g13*c_y + g12*a_x + g22*b_x + g23*c_x)",
+                "-(g11*a_z + g12*b_z + g13*c_z + g13*a_x + g23*b_x + g33*c_x)",
+                "-(2*g12*a_y + 2*g22*b_y + 2*g23*c_y)",
+                "-(g12*a_z + g22*b_z + g23*c_z + g13*a_y + g23*b_y + g33*c_y)",
+                "-(2*g13*a_z + 2*g23*b_z + 2*g33*c_z)",
+            ],
+        }
+    ],
+    "strata": [{"label": "generic", "equalities": [], "inequations": []}],
+    "positivity": ["g11", "g11*g22 - g12^2"],
+}
+LOCAL_SCENARIOS = {"line-affine": LINE_AFFINE, "riccati-mixed": RICCATI_MIXED, "metric3d": METRIC3D}
 
 PARITY_CASES = (
     [("x-reparam", label, 5) for label in SC.strata]
@@ -813,6 +841,8 @@ PARITY_CASES = (
     # from k = 1: at k = 0 the oracle's total derivative of a fiber-dependent
     # xi needs the order-1 jets, which J^0 does not have
     + [("riccati-mixed", "generic", k) for k in range(1, 5)]
+    # base dimension 3
+    + [("metric3d", "generic", k) for k in (1, 2)]
 )
 
 
@@ -850,9 +880,49 @@ def test_prolong_does_no_fraction_arithmetic(name, k, monkeypatch):
     for op in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow"):
         monkeypatch.setattr(Fraction, f"__{op}__", refuse)
         monkeypatch.setattr(Fraction, f"__r{op}__", refuse)
-    for field in engine.fields:
-        scale, rows = prolong(engine.space, field, point)
+    for plan in engine.plans:
+        scale, rows = prolong(plan, point)
         assert isinstance(scale, int) and rows
+
+
+def test_metric3d_order_three_matches_catalog():
+    h = stratum_codim_sequence(Scenario(METRIC3D), "generic", 3, seed=9)[1]
+    assert h == hilbert_spec("riemannian", n=3).values(3)
+
+
+@pytest.mark.parametrize("name, k", [("x-reparam", 4), ("riccati-mixed", 3), ("metric3d", 2)])
+def test_plans_are_built_once_per_field_per_engine(name, k, monkeypatch):
+    # the point-independent part of prolong is planned once per field of an
+    # engine, however many points that engine samples
+    builds, points = [], []
+    build = ProlongPlan.__init__
+    sample = jetflow.sample_stratum_point
+
+    def counted_build(self, space, field):
+        builds.append(field)
+        build(self, space, field)
+
+    def counted_sample(*args):
+        points.append(sample(*args))
+        return points[-1]
+
+    monkeypatch.setattr(ProlongPlan, "__init__", counted_build)
+    monkeypatch.setattr(jetflow, "sample_stratum_point", counted_sample)
+    scenario = _scenario(name)
+    engine = _StratumEngine(scenario, k)
+    engine.codim_sequence(next(iter(scenario.strata)), seed=k)
+    assert len(points) >= 3
+    assert len(builds) == len(engine.fields) and builds == engine.fields
+    # engine.rows hands each plan's rows in key order: None, then the specs'
+    # parameters, as prolong returns them
+    handed = []
+    for plan, field in zip(engine.plans, engine.fields):
+        rows = prolong(plan, points[-1])[1]
+        order = [None] + [key for key, _ in field.specs]
+        assert list(rows) == [key for key in order if key in rows]
+        handed += rows.values()
+    assert engine.rows(points[-1]) == handed
+    assert len(builds) == len(engine.fields)
 
 
 def test_non_invariant_stratum_fails_tangency():
