@@ -69,7 +69,6 @@ from .jetflow import (
     InvariantViolation,
     JetSpace,
     OrderExceeded,
-    ParamField,
     Scenario,
     StratumCase,
     annihilation_check,

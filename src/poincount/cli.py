@@ -35,6 +35,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from itertools import accumulate
@@ -171,8 +172,8 @@ def _parse_extra_params(pairs: list[str]) -> dict:
 
 
 def _is_int(text: str) -> bool:
-    t = text.strip()
-    return t.lstrip("+-").isdigit()
+    """An optional sign and ASCII digits, as int() reads them."""
+    return re.fullmatch(r"\s*[+-]?[0-9]+\s*", text) is not None
 
 
 def cmd_list(args) -> tuple[int, dict]:

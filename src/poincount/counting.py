@@ -61,36 +61,21 @@ def euler_symbol_dim(term_dims) -> int:
     return total
 
 
-_PROFILE_NAMES = (
-    "orthogonal",
-    "conformal-orth",
-    "complex-gl",
-    "projective-chain",
-    "acs2-tilde",
-)
+_PROFILE_NAMES = ("complex-gl", "acs2-tilde")
 
 
 def symbol_dim_profile(name: str, n: int, k: int) -> int:
     """Prolongation dimension sequences of the named linear symbols.
 
-    orthogonal:       [n, C(n,2), 0, 0, ...]          (finite type at order 2)
-    conformal-orth:   [n, C(n,2)+1, n, 0, ...]        (extra order-2 prolongation)
     complex-gl:       k -> 2n*C(n+k, k+1)             (real dim of the complex
                       order-(k+1) prolongation; infinite type)
-    projective-chain: [n, n^2, n, 0, ...]
     acs2-tilde:       [0, 4, 2, 2, 2, ...]            (n = 2 only; the order-0
                       slot is not used by any consumer and reads 0)
     """
     if k < 0:
         raise UnsupportedArgument("k must be >= 0")
-    if name == "orthogonal":
-        return (n, binomial(n, 2))[k] if k <= 1 else 0
-    if name == "conformal-orth":
-        return (n, binomial(n, 2) + 1, n)[k] if k <= 2 else 0
     if name == "complex-gl":
         return 2 * n * binomial(n + k, k + 1)
-    if name == "projective-chain":
-        return (n, n * n, n)[k] if k <= 2 else 0
     if name == "acs2-tilde":
         if n != 2:
             raise UnsupportedArgument("acs2-tilde is the n = 2 sequence")

@@ -67,7 +67,9 @@ class Pow:
 Node = Union[Num, Sym, Neg, BinOp, Pow]
 
 _SYMBOL_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_SYMBOL_BODY = _SYMBOL_START | set("0123456789_")
+#: ASCII only: str.isdigit also accepts superscripts and other scripts' digits
+_DIGITS = set("0123456789")
+_SYMBOL_BODY = _SYMBOL_START | _DIGITS | {"_"}
 
 
 def _tokenize(text: str) -> list[str]:
@@ -82,9 +84,9 @@ def _tokenize(text: str) -> list[str]:
             tokens.append(ch)
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(text[i:j])
             i = j
@@ -157,7 +159,7 @@ class _Parser:
                 self.take()
                 neg = True
             tok = self.take()
-            if not tok.isdigit():
+            if tok[0] not in _DIGITS:
                 raise ExpressionError(f"exponent must be an integer, got {tok!r}")
             if len(tok.lstrip("0")) > len(str(MAX_EXPONENT)) or int(tok) > MAX_EXPONENT:
                 raise ExpressionError(f"exponent magnitude is above the limit {MAX_EXPONENT}")
@@ -171,7 +173,7 @@ class _Parser:
             node = self.parse_expr()
             self.expect(")")
             return node
-        if tok.isdigit():
+        if tok[0] in _DIGITS:
             return Num(int(tok))
         if tok[0] in _SYMBOL_START:
             return Sym(tok)

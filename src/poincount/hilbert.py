@@ -66,6 +66,14 @@ class HilbertSpec:
     c_j = Delta^j tail(tail_start) for j = 0..deg (a zero tail keeps
     c_0 = 0), so that tail(k) = sum_j c_j C(k - tail_start, j) and
     `values` rolls the difference row forward by integer additions alone.
+
+    Every tail value is certified a nonnegative integer at construction.
+    Integer values at deg + 1 consecutive points make the tail
+    integer-valued.  Once every c_j >= 0, every later value is a sum of
+    nonnegative terms; until then the row is rolled forward one k at a
+    time, and a negative row[0] is the first negative value.  The roll
+    ends, since a negative leading c_deg drives row[0] below zero and a
+    positive one makes every entry positive.
     """
 
     __slots__ = ("exceptions", "tail_start", "tail", "_newton")
@@ -87,14 +95,19 @@ class HilbertSpec:
             if not isinstance(v, int) or v < 0:
                 raise ValueError(f"h({k}) = {v!r} is not a nonnegative integer")
         probes = []
-        for k in range(tail_start, tail_start + tail.degree + 3):
+        for k in range(tail_start, tail_start + tail.degree + 1):
             value = tail.evaluate(k)
-            if value.denominator != 1 or value < 0:
+            if value.denominator != 1:
                 raise ValueError(f"tail({k}) = {value} is not a nonnegative integer")
             probes.append(value.numerator)
-        # Integer values at deg + 1 consecutive points make the tail
-        # integer-valued everywhere, with these differences as Newton form.
         newton = [finite_differences(probes, j)[0] for j in range(tail.degree + 1)] or [0]
+        row, k = newton[:], tail_start
+        while min(row) < 0:
+            if row[0] < 0:
+                raise ValueError(f"tail({k}) = {row[0]} is not a nonnegative integer")
+            for j in range(len(row) - 1):
+                row[j] += row[j + 1]
+            k += 1
 
         # Canonicalize: extend the tail downwards over matching values, then
         # record only the nonzero leftovers as exceptions.  One step down
@@ -126,29 +139,18 @@ class HilbertSpec:
         if k < self.tail_start:
             return 0
         m = k - self.tail_start
-        value = sum(c * math.comb(m, j) for j, c in enumerate(self._newton))
-        if value < 0:
-            raise ValueError(f"tail({k}) = {value} is not a nonnegative integer")
-        return value
+        return sum(c * math.comb(m, j) for j, c in enumerate(self._newton))
 
     def values(self, k_max: int) -> list[int]:
         """h(0), ..., h(k_max)."""
-        return list(self._iter_values(k_max))
-
-    def _iter_values(self, k_max: int):
-        """h(0), ..., h(k_max) one at a time, so that a caller comparing them
-        in order meets an earlier difference before a later negative value."""
-        for k in range(min(k_max + 1, self.tail_start)):
-            yield self.exceptions.get(k, 0)
+        out = [self.exceptions.get(k, 0) for k in range(min(k_max + 1, self.tail_start))]
         row = list(self._newton)
         last = len(row) - 1
-        for k in range(self.tail_start, k_max + 1):
-            value = row[0]
-            if value < 0:
-                raise ValueError(f"tail({k}) = {value} is not a nonnegative integer")
-            yield value
+        for _ in range(self.tail_start, k_max + 1):
+            out.append(row[0])
             for j in range(last):
                 row[j] += row[j + 1]
+        return out
 
     def shift_down(self, m: int = 1) -> "HilbertSpec":
         """The spec of k -> h(k + m)."""
@@ -281,7 +283,7 @@ def spec_from_gf(f: RationalFunction, k_confirm: int) -> HilbertSpec:
 def equal_series(f: RationalFunction, spec: HilbertSpec, k_max: int) -> MatchReport:
     """Compare Taylor coefficients of f with spec values for k = 0..k_max."""
     series = f.series(k_max)
-    for k, (got, expected) in enumerate(zip(series, spec._iter_values(k_max))):
+    for k, (got, expected) in enumerate(zip(series, spec.values(k_max))):
         if got != expected:
             return MatchReport(matched_up_to=k - 1, first_mismatch=(k, expected, got))
     return MatchReport(matched_up_to=k_max)

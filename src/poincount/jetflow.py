@@ -23,20 +23,25 @@ substitutes the jet's Taylor polynomial u(x) and reads each entry off one
 coefficient of Q(x, u(x), du(x)).  Jets of order k + 1 cancel between the
 two terms and are taken as zero.
 
+The generators are one field, linear in its parameters: the Taylor
+coefficients of the free functions, and one parameter per generator for
+its function-free part (a fixed generator).  Each parameter gives one
+row.
+
 Rows are sparse and integral: the denominators are cleared before the
 substitution, so `prolong` does no rational arithmetic.  The jet's
 Taylor polynomial is scaled to integer coefficients by D = J k! (J the
-lcm of the jet denominators), and each field is kept in an integral form
+lcm of the jet denominators), and the field is kept in an integral form
 homogenized in the fiber variables, so that the substitution gives
 L D^M Q_alpha over the integers; `prolong` returns that positive integer
 `scale` with each row as {column: int}, the zero entries left out, the
 true row being row / scale.  Nothing about the slices depends on the
-point: a ProlongPlan, built once per field by the engine, resolves every
-coefficient of Q_alpha that lands in J^k to its (row, column, multiplier)
-entries, so at each point `prolong` substitutes and then only scatters
-integer products.  The rank, tangency, sentinel and annihilation checks
-all read these rows as they are, since a positive multiple of a row
-leaves each of them unchanged.
+point: a ProlongPlan, built once per engine by Scenario.instantiate,
+resolves every coefficient of Q_alpha that lands in J^k to its (row,
+column, multiplier) entries, so at each point `prolong` substitutes
+once and then only scatters integer products.  The rank, tangency,
+sentinel and annihilation checks all read these rows as they are, since
+a positive multiple of a row leaves each of them unchanged.
 
 Free-function truncation: order-k components involve jets of the free
 functions up to order k + lift_order, so functions are truncated at
@@ -53,7 +58,7 @@ from functools import cache, cached_property
 from fractions import Fraction
 from math import factorial, lcm, prod
 from operator import add
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .algebra import RationalFunction
 from .errors import UsageError
@@ -236,38 +241,6 @@ class JetSpace:
 
 
 @dataclass(frozen=True)
-class ParamField:
-    """A generating field on the order-0 bundle, linear in its parameters,
-    kept only in the form that `prolong` reads.
-
-    Its components xi_i (base) and phi_alpha (fiber) are parsed as
-    polynomials in the base coordinates (variable i), the order-0 fiber
-    coordinates (variable p + alpha, as in JetSpace) and the jet tokens of
-    the free functions (variables from p + q on).  A parameter replaces its function by
-    x^beta, so that each token d^gamma reads beta!/(beta - gamma)!
-    x^(beta - gamma); `specs` holds, per parameter, (parameter, ((token
-    variable, beta!/(beta - gamma)!, beta - gamma), ...)), compiled by
-    Scenario.instantiate.  The token-free part is a fixed generator.
-    ProlongPlan resolves the specs on a jet space to row entries once, so
-    that `prolong` reads only `terms` and the plan at each point.
-
-    `prolong` substitutes an integer section U = D u into an integer form
-    of the components: with L = `denominator`, the lcm of their coefficient
-    denominators, and M = `degree`, at least 1, each phi_alpha's fiber
-    degree and one more than each xi_i's, `terms` lists per component (xi
-    first, then phi) the (monomial, L * coefficient, j) whose sum of
-    L * coefficient * D^j * monomial is L D^(M-1) xi_i(x, U/D) or
-    L D^M phi_alpha(x, U/D): j is M - 1 - e for xi and M - e for phi, e
-    the monomial's degree in the fiber coordinates.
-    """
-
-    specs: tuple[tuple[int, tuple[tuple[int, int, MultiIndex], ...]], ...]
-    denominator: int
-    degree: int
-    terms: tuple[tuple[tuple[Monomial, int, int], ...], ...]
-
-
-@dataclass(frozen=True)
 class ParamInfo:
     """Descriptor of one global parameter slot."""
 
@@ -285,80 +258,98 @@ def _times(value: int | Fraction, multiple: int) -> int:
     return value.numerator * (multiple // value.denominator)
 
 
-def _integral_form(
-    xi: Sequence[Poly], phi: Sequence[Poly]
-) -> tuple[int, int, tuple[tuple[tuple[Monomial, int, int], ...], ...]]:
-    """(denominator, degree, terms) of a field's components, as ParamField
-    holds them for `prolong`."""
-    p, q = len(xi), len(phi)
-    fiber = lambda mono: sum(e for var, e in mono if p <= var < p + q)
-    denominator = lcm(*[c.denominator for comp in (*xi, *phi) for c in comp.terms.values()])
-    degree = max(
-        [1]
-        + [fiber(mono) + 1 for comp in xi for mono in comp.terms]
-        + [fiber(mono) for comp in phi for mono in comp.terms]
-    )
-    terms = tuple(
-        tuple(
-            (mono, _times(c, denominator), top - fiber(mono))
-            for mono, c in comp.terms.items()
-        )
-        for comps, top in ((xi, degree - 1), (phi, degree))
-        for comp in comps
-    )
-    return denominator, degree, terms
-
-
 class ProlongPlan:
-    """The point-independent part of `prolong` for one field on one space.
+    """The point-independent part of `prolong`: a scenario's generators on
+    one space, built once per engine by Scenario.instantiate.
 
-    `keys` are the row keys, None (the fixed part) and then the field's
-    parameters in the order of its specs; a row is addressed by its slot
-    in `keys`.  For each fiber alpha, `scatter[alpha]` maps every
-    coefficient of Q_int that can land in J^k, the monomial x^rho of the
-    fixed part or x^rho times a token, to its (slot, column, multiplier)
-    entries: each slice of the token with shift beta - gamma and factor c
-    gives the column of u^alpha_sigma, sigma = rho + shift with |sigma| <= k,
-    and the multiplier c sigma!.  Only the tokens of phi_alpha and of the
-    xi_i can occur in Q_alpha.  `base` maps each degree-0 monomial of xi
-    (1 or a token) to the (slot, c) of its unshifted slices, and
-    `transport[alpha][i]` lists (column of u^alpha_sigma, column of
-    u^alpha_{sigma + e_i}) for |sigma| < k.  The plan is built from the
-    space's index tables (JetSpace.shifted) and holds ints only.
+    The generators are summed into one field.  Its components xi_i (base)
+    and phi_alpha (fiber) are polynomials in the base coordinates
+    (variable i), the order-0 fiber coordinates (variable p + alpha, as in
+    JetSpace) and tokens (variables from p + q on), with exactly one token
+    in each monomial, so the field is linear in its parameters.  A row's
+    slot is its parameter index, and `specs[slot]` lists the (token,
+    factor c, shift) slices by which that parameter acts.  A free
+    function's parameter replaces the function by x^beta, so that each of
+    its jet tokens d^gamma reads beta!/(beta - gamma)! x^(beta - gamma): a
+    slice (token, beta!/(beta - gamma)!, beta - gamma).  A generator's
+    function-free part carries a marker token of its own, read as 1: the
+    one slice (marker, 1, zero shift).
+
+    `prolong` substitutes an integer section U = D u into an integer form
+    of the components: with L = `denominator`, the lcm of their coefficient
+    denominators, and M = `degree`, at least 1, each phi_alpha's fiber
+    degree and one more than each xi_i's, `terms` lists per component (xi
+    first, then phi) the (monomial, L * coefficient, j) whose sum of
+    L * coefficient * D^j * monomial is L D^(M-1) xi_i(x, U/D) or
+    L D^M phi_alpha(x, U/D): j is M - 1 - e for xi and M - e for phi, e
+    the monomial's degree in the fiber coordinates.
+
+    For each fiber alpha, `scatter[alpha]` maps every coefficient of Q_int
+    that can land in J^k, x^rho times a token, to its (slot, column,
+    multiplier) entries: each slice of the token with shift beta - gamma
+    and factor c gives the column of u^alpha_sigma, sigma = rho + shift
+    with |sigma| <= k, and the multiplier c sigma!.  Only the tokens of
+    phi_alpha and of the xi_i can occur in Q_alpha.  `base` maps each
+    degree-0 monomial of xi (a token) to the (slot, c) of its unshifted
+    slices, and `transport[alpha][i]` lists (column of u^alpha_sigma,
+    column of u^alpha_{sigma + e_i}) for |sigma| < k.  The plan is built
+    from the space's index tables (JetSpace.shifted) and holds ints only.
     """
 
-    __slots__ = ("space", "field", "keys", "scatter", "base", "transport")
+    __slots__ = (
+        "space", "specs", "denominator", "degree", "terms", "scatter", "base", "transport"
+    )
 
-    def __init__(self, space: JetSpace, field: ParamField):
+    def __init__(
+        self,
+        space: JetSpace,
+        xi: Sequence[Poly],
+        phi: Sequence[Poly],
+        specs: Sequence[tuple[tuple[int, int, MultiIndex], ...]],
+    ):
         p, q = space.p, space.q
-        zero = (0,) * p
-        slices = [(None, ((None, 1, zero),)), *field.specs]
-        self.space, self.field = space, field
-        self.keys = tuple(key for key, _ in slices)
+        fiber = lambda mono: sum(e for var, e in mono if p <= var < p + q)
+        self.space, self.specs = space, tuple(specs)
+        self.denominator = lcm(
+            *[c.denominator for comp in (*xi, *phi) for c in comp.terms.values()]
+        )
+        self.degree = max(
+            [1]
+            + [fiber(mono) + 1 for comp in xi for mono in comp.terms]
+            + [fiber(mono) for comp in phi for mono in comp.terms]
+        )
+        self.terms = tuple(
+            tuple(
+                (mono, _times(c, self.denominator), top - fiber(mono))
+                for mono, c in comp.terms.items()
+            )
+            for comps, top in ((xi, self.degree - 1), (phi, self.degree))
+            for comp in comps
+        )
         # rho and sigma are indices into space.multi_indices
-        # per token (or None): {rho: [(slot, sigma, c sigma!)]}
-        by_var: dict[Optional[int], dict[int, list[tuple[int, int, int]]]] = {}
+        # per token: {rho: [(slot, sigma, c sigma!)]}
+        by_var: dict[int, dict[int, list[tuple[int, int, int]]]] = {}
         self.base: dict[Monomial, list[tuple[int, int]]] = {}
         factorials = space._factorials
-        for slot, (_, spec) in enumerate(slices):
+        zero = (0,) * p
+        for slot, spec in enumerate(self.specs):
             for var, c, shift in spec:
                 at_rho = by_var.setdefault(var, {})
                 for rho, sigma in space.shifted(shift):
                     at_rho.setdefault(rho, []).append((slot, sigma, c * factorials[sigma]))
                 if shift == zero:
-                    self.base.setdefault(() if var is None else ((var, 1),), []).append((slot, c))
+                    self.base.setdefault(((var, 1),), []).append((slot, c))
         tokens = [
             {var for mono, _, _ in terms for var, _ in mono if var >= p + q}
-            for terms in field.terms
+            for terms in self.terms
         ]
         xi_tokens = set().union(*tokens[:p])
         self.scatter: list[dict[Monomial, list[tuple[int, int, int]]]] = []
         for alpha, cols in enumerate(space.columns):
             scatter = {}
-            for var in {None} | xi_tokens | tokens[p + alpha]:
-                tail = () if var is None else ((var, 1),)
+            for var in xi_tokens | tokens[p + alpha]:
                 for rho, entries in by_var.get(var, {}).items():
-                    scatter[space._monomials[rho] + tail] = [
+                    scatter[space._monomials[rho] + ((var, 1),)] = [
                         (slot, cols[sigma], multiplier) for slot, sigma, multiplier in entries
                     ]
             self.scatter.append(scatter)
@@ -371,16 +362,15 @@ class ProlongPlan:
 
 def prolong(
     plan: ProlongPlan, point: Mapping[int, Fraction]
-) -> tuple[int, dict[Optional[int], dict[int, int]]]:
-    """Nonzero tangent rows of a prolonged generator at a jet point, as
-    (scale, {key: {column: int}}): the true row is row / scale.
+) -> tuple[int, dict[int, dict[int, int]]]:
+    """Nonzero tangent rows of the prolonged generators at a jet point, as
+    (scale, {param: {column: int}}): the true row is row / scale.
 
-    One row per parameter slice (keyed by parameter index) and one for the
-    fixed part (key None), in the order of `plan.keys`, over all
-    coordinates of the space, with the zero entries left out; the base
-    point must be the origin.  With u(x) the degree-k Taylor polynomial of
-    the point's jet and Q_alpha = phi_alpha - sum_i xi_i d_i u^alpha along
-    it, the entry on u^alpha_sigma is
+    One row per parameter, in parameter order, over all coordinates of the
+    space, with the zero entries left out; the base point must be the
+    origin.  With u(x) the degree-k Taylor polynomial of the point's jet
+    and Q_alpha = phi_alpha - sum_i xi_i d_i u^alpha along it, the entry
+    on u^alpha_sigma is
 
         sigma! [x^sigma] Q_alpha + sum_i xi_i(0) u^alpha_{sigma + e_i},
 
@@ -391,20 +381,20 @@ def prolong(
     Everything is integral from the first step.  With J the lcm of the
     jet values' denominators and D = J k!, the section U = D u has the
     integer coefficients (J u_sigma) (k!/sigma!), since sigma! divides k!
-    for |sigma| <= k.  Substituted into the field's integral form (see
-    ParamField, with L its denominator and M its degree) it gives
-    L D^(M-1) xi_i and Q_int = L D^M Q_alpha with integer coefficients, so
-    `scale` is L D^M: the base column is (L D^(M-1) xi_i(0)) D and the
-    transport value (L D^(M-1) xi_i(0)) k! (J u_{sigma + e_i}).
+    for |sigma| <= k.  Substituted into the plan's integral form (with L
+    its denominator and M its degree) it gives L D^(M-1) xi_i and
+    Q_int = L D^M Q_alpha with integer coefficients, so `scale` is L D^M:
+    the base column is (L D^(M-1) xi_i(0)) D and the transport value
+    (L D^(M-1) xi_i(0)) k! (J u_{sigma + e_i}).
 
     Only [x^rho] Q_alpha with |rho| <= k and the degree-0 part of xi are
     read, and no product lowers the degree in x, so the substitution and
     the products xi_i d_i u are truncated at degree k in the base
-    variables: the rows are those of the full substitution.  The plan
-    (ProlongPlan) has already resolved every column and multiplier, so
-    each coefficient of Q_int is multiplied into its planned entries.
+    variables: the rows are those of the full substitution.  The plan has
+    already resolved every column and multiplier, so each coefficient of
+    Q_int is multiplied into its planned entries.
     """
-    space, field = plan.space, plan.field
+    space = plan.space
     p, k = space.p, space.order
     if any(point[space.base_var(i)] for i in range(p)):
         raise BadPoint("tangent rows are evaluated over the base origin only")
@@ -419,13 +409,13 @@ def prolong(
         })
         for cols in space.columns
     }
-    powers = [d**j for j in range(field.degree + 1)]
+    powers = [d**j for j in range(plan.degree + 1)]
     integral = [
         Poly({mono: c * powers[j] for mono, c, j in terms}).substitute(section, p, k)
-        for terms in field.terms
+        for terms in plan.terms
     ]
     xi_polys = integral[:p]
-    rows: list[dict[int, int]] = [{} for _ in plan.keys]
+    rows: list[dict[int, int]] = [{} for _ in plan.specs]
     bases: dict[int, list[int]] = {}  # slot: L D^(M-1) xi_i(0) of its slice, per i
     for i, x in enumerate(xi_polys):
         for mono, coeff in x.terms.items():
@@ -450,11 +440,11 @@ def prolong(
                         if jets[src]:
                             row[col] = row.get(col, 0) + b * k_factorial * jets[src]
     out = {}
-    for key, row in zip(plan.keys, rows):
+    for param, row in enumerate(rows):
         row = {col: c for col, c in row.items() if c}
         if row:
-            out[key] = row
-    return field.denominator * powers[field.degree], out
+            out[param] = row
+    return plan.denominator * powers[plan.degree], out
 
 
 # ---------------------------------------------------------------------------
@@ -553,27 +543,38 @@ class Scenario:
 
     # -- generator instantiation ----------------------------------------
 
-    def instantiate(self, cutoff: int) -> tuple[list[ParamField], list[ParamInfo]]:
-        """Parse the generators once, truncating free functions at degree `cutoff`.
+    def instantiate(
+        self, space: JetSpace, cutoff: int
+    ) -> tuple[ProlongPlan, list[ParamInfo]]:
+        """Parse the generators once into one ProlongPlan on `space`,
+        truncating free functions at degree `cutoff`.
 
-        Parameters are the monomial coefficients of each free function up
-        to the cutoff, plus one sentinel coefficient of degree cutoff + 1
-        per function, which must act trivially in every later evaluation.
-        Each free function belongs to the one generator that mentions it.
-        Components may use known symbols only, must be linear in the jet
-        tokens and may divide by constants only.
+        The parameters go generator by generator.  A generator's
+        function-free part, when it is nonzero, is one parameter (a fixed
+        generator, marked by a token of its own).  The monomial
+        coefficients of each free function the generator mentions follow,
+        up to the cutoff, plus one sentinel coefficient of degree
+        cutoff + 1 per function, which must act trivially in every later
+        evaluation.  Each free function belongs to the one generator that
+        mentions it.  Components may use known symbols only, must be
+        linear in the jet tokens and may divide by constants only.
         """
         first_token = self.p + self.q
+        zero = (0,) * self.p
+        betas = [b for m in range(cutoff + 1) for b in _multi_indices(self.p, m)]
+        betas.append((cutoff + 1,) + zero[1:])  # the sentinel
         params: list[ParamInfo] = []
-        fields = []
-        for gen in self.generators:
+        specs: list[tuple[tuple[int, int, MultiIndex], ...]] = []
+        xi_sum, phi_sum = [Poly.zero()] * self.p, [Poly.zero()] * self.q
+        first = first_token  # the next generator's first token variable
+        for index, gen in enumerate(self.generators):
             tokens: dict[str, tuple[int, str, MultiIndex]] = {}
 
             def resolve(name: str) -> Poly:
                 if name not in tokens:
                     found = self._token(name)
                     if found is not None:
-                        tokens[name] = (first_token + len(tokens),) + found
+                        tokens[name] = (first + len(tokens),) + found
                 if name in tokens:
                     var = tokens[name][0]
                 elif name in self.base:
@@ -608,26 +609,34 @@ class Scenario:
             phi = tuple(component(text) for text in gen["phi"])
             if len(xi) != self.p or len(phi) != self.q:
                 raise ValueError("generator component count must match p and q")
+            marker = first + len(tokens)
+            first = marker + 1
+            # a monomial without a token (the token sorts last) gets the marker
+            fixed = lambda mono: not mono or mono[-1][0] < first_token
+            if any(fixed(mono) for comp in (*xi, *phi) for mono in comp.terms):
+                specs.append(((marker, 1, zero),))
+                params.append(ParamInfo(name=f"fixed[{index}]", sentinel=False))
+            marked = lambda comp: Poly({
+                mono + ((marker, 1),) if fixed(mono) else mono: c
+                for mono, c in comp.terms.items()
+            })
+            xi_sum = [a + marked(b) for a, b in zip(xi_sum, xi)]
+            phi_sum = [a + marked(b) for a, b in zip(phi_sum, phi)]
             used = {fname for _, fname, _ in tokens.values()}
-            specs = []
             for fname in self.free_functions:
                 if fname not in used:
                     continue
-                betas = [b for m in range(cutoff + 1) for b in _multi_indices(self.p, m)]
-                for beta in betas + [(cutoff + 1,) + (0,) * (self.p - 1)]:  # and the sentinel
+                for beta in betas:
                     spec = []
                     for var, f, gamma in tokens.values():
                         if f == fname and all(g <= b for g, b in zip(gamma, beta)):
                             shift = tuple(b - g for b, g in zip(beta, gamma))
                             spec.append((var, _factorial(beta) // _factorial(shift), shift))
-                    specs.append((len(params), tuple(spec)))
+                    specs.append(tuple(spec))
                     sentinel = sum(beta) > cutoff
                     name = f"{fname}[{beta}]" + ("#sentinel" if sentinel else "")
                     params.append(ParamInfo(name=name, sentinel=sentinel))
-            fields.append(
-                ParamField(tuple(specs), *_integral_form(xi, phi))
-            )
-        return fields, params
+        return ProlongPlan(space, xi_sum, phi_sum, specs), params
 
     def _token(self, name: str) -> tuple[str, MultiIndex] | None:
         """(function, gamma) of a free-function jet token f, f_x, f_xy, ..."""
@@ -770,10 +779,11 @@ class _Dual:
 class _StratumEngine:
     """The one route from a scenario to tangent rows and ranks at one order.
 
-    The generators are instantiated once here; every stratum, sample point
-    and invariant check of the scenario at this order reuses them, and
-    `prolong` evaluates their rows at each {column: value} point, and
-    stratum_columns gives each stratum's columns.
+    The generators are instantiated once here, into one ProlongPlan;
+    every stratum, sample point and invariant check of the scenario at
+    this order reuses it, `prolong` evaluates its rows at each
+    {column: value} point, and stratum_columns gives each stratum's
+    columns.
     The engine holds no random state: each caller seeds its own generator.
     """
 
@@ -781,7 +791,9 @@ class _StratumEngine:
         self.scenario = scenario
         self.k_max = k_max
         self.space = scenario.space(k_max)
-        self.fields, self.params = scenario.instantiate(k_max + scenario.lift_order + 1)
+        self.plan, self.params = scenario.instantiate(
+            self.space, k_max + scenario.lift_order + 1
+        )
         self.cols_at = self.space.cols_at
 
     @cached_property
@@ -789,26 +801,16 @@ class _StratumEngine:
         """Parsed on first sampling."""
         return [parse_expression(text) for text in self.scenario.positivity]
 
-    @cached_property
-    def plans(self) -> list[ProlongPlan]:
-        """One ProlongPlan per field, built on the first `rows` from the
-        fields the engine holds then."""
-        return [ProlongPlan(self.space, field) for field in self.fields]
-
     def rows(self, point: Mapping[int, Fraction]) -> list[dict[int, int]]:
         """Nonzero tangent rows at a point over the base origin, as the
-        integer {column: int} rows of `prolong` (each a positive multiple of
-        the true row, which leaves ranks, tangency and annihilation as they
-        are); the sentinel parameters must act trivially (InvariantViolation)."""
-        rows = []
-        for plan in self.plans:
-            for key, row in prolong(plan, point)[1].items():
-                if key is not None and self.params[key].sentinel:
-                    raise InvariantViolation(
-                        "sentinel parameter acts nontrivially: cutoff too small"
-                    )
-                rows.append(row)
-        return rows
+        integer {column: int} rows of `prolong` in parameter order (each a
+        positive multiple of the true row, which leaves ranks, tangency and
+        annihilation as they are); the sentinel parameters must act
+        trivially (InvariantViolation)."""
+        rows = prolong(self.plan, point)[1]
+        if any(self.params[param].sentinel for param in rows):
+            raise InvariantViolation("sentinel parameter acts nontrivially: cutoff too small")
+        return list(rows.values())
 
     def ranks_for_point(self, point: Mapping[int, Fraction], stratum: StratumCase) -> list[int]:
         rows = self.rows(point)

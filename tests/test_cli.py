@@ -300,6 +300,26 @@ def test_show_with_extra_params():
     assert h_row == [0, 1, 0, 1, 0, 1, 0]
 
 
+def test_only_ascii_digits_are_numbers():
+    # str.isdigit() also holds for superscripts, which int() refuses, and for
+    # other scripts' digits, which int() reads: neither is a number here
+    domain = ["show", "poincare-dulac-poincare-domain", "--kmax", "4", "--param"]
+    for argv, text in (
+        (["analyze", "--expr", "z^²"], "unexpected character '²' at position 2"),
+        (["analyze", "--expr", "1/(1-z)^٣"], "unexpected character '٣' at position 8"),
+        (domain + ["m=²"], "poincare-dulac"),
+        (domain + ["m=٣"], "poincare-dulac"),
+        (domain + ["m=--3"], "poincare-dulac"),
+    ):
+        code, out, err = capture(argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("poincount: error:") and err.count("\n") == 1, argv
+        assert text in err, argv
+    # a sign and spaces around ASCII digits still make an int
+    assert capture(domain + ["m= +3 "])[:2] == capture(domain + ["m=3"])[:2]
+    assert capture(domain + ["m=3"])[0] == 0
+
+
 def test_verify_mismatch_exit_one(monkeypatch):
     from poincount import catalog as cat
     from poincount import cli as cli_mod

@@ -58,28 +58,9 @@ def test_euler_symbol_dim():
 
 
 def test_symbol_dim_profiles():
-    assert symbol_dim_profile("orthogonal", 3, 2) == 0
-    assert [symbol_dim_profile("orthogonal", 4, k) for k in range(4)] == [4, 6, 0, 0]
-    for n in range(2, 11):
-        for k in range(2, 8):
-            assert symbol_dim_profile("orthogonal", n, k) == 0
     assert symbol_dim_profile("complex-gl", 2, 1) == 12
     assert symbol_dim_profile("acs2-tilde", 2, 3) == 2
     assert [symbol_dim_profile("acs2-tilde", 2, k) for k in range(5)] == [0, 4, 2, 2, 2]
-    assert [symbol_dim_profile("projective-chain", 3, k) for k in range(5)] == [
-        3,
-        9,
-        3,
-        0,
-        0,
-    ]
-    assert [symbol_dim_profile("conformal-orth", 4, k) for k in range(5)] == [
-        4,
-        7,
-        4,
-        0,
-        0,
-    ]
     with pytest.raises(UnknownSymbol):
         symbol_dim_profile("nonsense", 3, 0)
     with pytest.raises(UnsupportedArgument):

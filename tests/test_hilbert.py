@@ -1,4 +1,3 @@
-import re
 from fractions import Fraction
 
 import pytest
@@ -206,9 +205,9 @@ def test_gf_from_hilbert_matches_termwise_oracle_and_is_canonical(spec):
 
 @st.composite
 def signed_hilbert_specs(draw):
-    """Specs whose tail may turn negative past the construction's probe
-    points: binomial-basis coefficients of either sign, keeping only the
-    specs the constructor accepts."""
+    """Specs drawn with a leading binomial-basis coefficient of either sign,
+    keeping only the specs the constructor accepts: those whose tail it
+    certifies nonnegative."""
     tail_start = draw(st.integers(0, 8))
     values = draw(st.lists(st.integers(0, 50), min_size=tail_start, max_size=tail_start))
     basis = draw(st.lists(st.integers(0, 60), max_size=8))
@@ -223,27 +222,15 @@ def signed_hilbert_specs(draw):
 
 
 def _oracle_values(spec, k_max, shift=0):
-    """h(shift), ..., h(shift + k_max) by the Fraction-Horner oracle, up to
-    the first ValueError; (values, that error's message or None)."""
-    out = []
-    for k in range(shift, shift + k_max + 1):
-        try:
-            out.append(horner_h(spec, k))
-        except ValueError as exc:
-            return out, str(exc)
-    return out, None
+    """h(shift), ..., h(shift + k_max) by the Fraction-Horner oracle, which
+    raises ValueError at a negative value."""
+    return [horner_h(spec, k) for k in range(shift, shift + k_max + 1)]
 
 
 def _assert_matches_oracle(spec, k_max):
-    want, error = _oracle_values(spec, k_max)
-    if error is None:
-        got = spec.values(k_max)
-        assert got == want and all(type(v) is int for v in got)
-    else:
-        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
-            spec.values(k_max)
-        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
-            spec.h(len(want))
+    want = _oracle_values(spec, k_max)  # the spec is certified nonnegative
+    got = spec.values(k_max)
+    assert got == want and all(type(v) is int for v in got)
     for k, value in enumerate(want):
         assert spec.h(k) == value and type(spec.h(k)) is int
 
@@ -254,28 +241,23 @@ def _assert_matches_oracle(spec, k_max):
 @example(HilbertSpec({0: 3, 2: 1}, 4, 0), 6, 1)  # zero tail after exceptions
 @example(HilbertSpec({}, 0, binom_in_k(0, 8)), 30, 3)  # onset 0, degree 8
 @example(HilbertSpec({1: 7}, 3, 2 * binom_in_k(-3, 8) + 1), 25, 5)
-@example(HilbertSpec({}, 0, P((100, 0, -1))), 15, 2)  # tail(11) = -21 past the probes
-@example(HilbertSpec({}, 0, P((100, 0, -1))), 15, 8)  # the shifted tail fails its probes
+@example(HilbertSpec({}, 0, P((30, -10, 1))), 15, 2)  # certified after rolling to k = 5
 @example(HilbertSpec({3: 2}, 4, P((-1, 1))), 10, 0)  # onset pulled down to 3
 def test_values_and_h_match_fraction_horner_oracle(spec, k_max, m):
     _assert_matches_oracle(spec, k_max)
-    try:
-        shifted = spec.shift_down(m)
-    except ValueError:  # only a tail that turns negative fails to shift
-        assert _oracle_values(spec, spec.tail_start + spec.tail.degree + 3 + m)[1]
-    else:
-        _assert_matches_oracle(shifted, k_max)
-        assert _oracle_values(shifted, k_max)[0] == _oracle_values(spec, k_max, shift=m)[0]
+    shifted = spec.shift_down(m)  # the shift of a certified tail is certified
+    _assert_matches_oracle(shifted, k_max)
+    assert _oracle_values(shifted, k_max) == _oracle_values(spec, k_max, shift=m)
 
 
-def test_equal_series_reports_an_early_mismatch_before_a_later_negative_value():
-    spec = HilbertSpec({}, 0, P((100, 0, -1)))  # negative from k = 11
-    report = equal_series(RF(P((99,))), spec, 20)
-    assert report.first_mismatch == (0, 100, 99)
-    report = equal_series(gf_from_hilbert(HilbertSpec({}, 0, P((100, 0, 0)))), spec, 20)
-    assert report.first_mismatch == (1, 99, 100)
+def test_a_tail_that_turns_negative_is_refused_at_construction():
+    # negative from k = 11, past the deg + 1 points that show it integral
     with pytest.raises(ValueError, match=r"^tail\(11\) = -21 is not a nonnegative integer$"):
-        equal_series(gf_from_hilbert(spec), spec, 20)
+        HilbertSpec({}, 0, P((100, 0, -1)))
+    with pytest.raises(ValueError, match=r"^tail\(13\) = -1 is not a nonnegative integer$"):
+        HilbertSpec({}, 0, P((12, -1)))
+    # k^2 - 10 k + 30 dips to 5 at k = 5 and stays nonnegative
+    assert HilbertSpec({}, 0, P((30, -10, 1))).values(7) == [30, 21, 14, 9, 6, 5, 6, 9]
 
 
 # -- one tail-fitting rule: confirm = 1 is the strata table's constant-tail fit --

@@ -16,6 +16,7 @@ from poincount.jetflow import (
     InvariantViolation,
     NonlinearParameters,
     OrderExceeded,
+    ParamInfo,
     ProlongPlan,
     Scenario,
     StratumCase,
@@ -92,51 +93,45 @@ def _dense(row, dim):
     return out
 
 
-def _exact_rows(space, field, point):
-    """prolong's rows as dense exact rows {key: [Fraction] * dim}: each
+def _exact_rows(plan, point):
+    """prolong's rows as dense exact rows {param: [Fraction] * dim}: each
     integer entry over the scale; the integer rows hold no zero entry."""
-    scale, rows = prolong(ProlongPlan(space, field), point)
+    scale, rows = prolong(plan, point)
     assert isinstance(scale, int) and scale > 0
     assert all(row and all(isinstance(c, int) and c for c in row.values()) for row in rows.values())
     return {
-        key: _dense({col: Fraction(c, scale) for col, c in row.items()}, space.dim)
+        key: _dense({col: Fraction(c, scale) for col, c in row.items()}, plan.space.dim)
         for key, row in rows.items()
     }
 
 
 def _engine_rows(engine, point):
-    """engine.rows at the point as dense exact rows: engine.rows hands each
-    field's integer rows from prolong in order, and each is divided by that
-    field's scale."""
-    handed = iter(engine.rows(point))
-    rows = []
-    for plan in engine.plans:
-        _, sparse = prolong(plan, point)
-        for row in sparse.values():
-            assert next(handed) == row
-        rows += _exact_rows(engine.space, plan.field, point).values()
-    assert next(handed, None) is None
-    return rows
+    """engine.rows at the point as dense exact rows: engine.rows hands the
+    integer rows of prolong in parameter order, and each is divided by the
+    one scale."""
+    assert engine.rows(point) == list(prolong(engine.plan, point)[1].values())
+    return list(_exact_rows(engine.plan, point).values())
 
 
 def test_prolong_fiber_translation_is_unchanged():
     space = SC.space(3)
-    fields, _ = SC.instantiate(4)
-    rows = _exact_rows(space, fields[2], _generic_point(space, 3))  # d/du
+    plan, params = SC.instantiate(space, 4)
+    rows = _exact_rows(plan, _generic_point(space, 3))
+    d_du = next(i for i, info in enumerate(params) if info.name == "fixed[2]")
     unit = [Fraction(0)] * space.dim
     unit[space.jet_var(0, (0, 0))] = Fraction(1)
-    assert rows == {None: unit}
+    assert rows[d_du] == unit
 
 
 def test_prolong_constant_translation_geometric_vs_vertical():
     # geometric prolongation of the constant-f generator slice: the constant
     # parameter produces a pure base translation with no fiber components
     space = SC.space(3)
-    fields, params = SC.instantiate(4)
+    plan, params = SC.instantiate(space, 4)
     const_param = next(
         i for i, info in enumerate(params) if info.name == "f[(0, 0)]"
     )
-    rows = _exact_rows(space, fields[0], _generic_point(space, 4))
+    rows = _exact_rows(plan, _generic_point(space, 4))
     unit = [Fraction(0)] * space.dim
     unit[space.base_var(0)] = Fraction(1)
     assert rows[const_param] == unit
@@ -147,10 +142,10 @@ def test_prolong_order2_components_match_closed_form():
     # -(i f_{i-1,j} u20 + j f_{i,j-1} u11), with f_{a,b} the value of the
     # (a,b) partial at the origin
     space = SC.space(2)
-    fields, params = SC.instantiate(3)
+    plan, params = SC.instantiate(space, 3)
     values = _generic_point_values(space, random.Random(6))
     values["u10"] = Fraction(0)
-    rows = _exact_rows(space, fields[0], _point(space, values))
+    rows = _exact_rows(plan, _point(space, values))
 
     def monomial_partial_at_origin(beta, gamma):
         # d^gamma(x^beta)(0) is nonzero only for gamma = beta, value beta!
@@ -163,6 +158,8 @@ def test_prolong_order2_components_match_closed_form():
         return out
 
     for pid, info in enumerate(params):
+        if not info.name.startswith("f["):
+            continue  # the fixed generators d/dy and d/du
         row = rows.get(pid, [0] * space.dim)
         beta = eval(info.name.split("[")[1].split("#")[0].rstrip("]"))
         for (i, j) in [(2, 0), (1, 1), (0, 2)]:
@@ -247,11 +244,11 @@ def test_orbit_rank_bad_point():
     space = SC.space(1)
     with pytest.raises(BadPoint):
         space.var_by_name("nonsense")
-    fields, _ = SC.instantiate(2)
+    plan, _ = SC.instantiate(space, 2)
     values = _generic_point_values(space, random.Random(2))
     values["x"] = Fraction(1)  # rows are evaluated over the base origin only
     with pytest.raises(BadPoint, match="origin"):
-        prolong(ProlongPlan(space, fields[0]), _point(space, values))
+        prolong(plan, _point(space, values))
 
 
 # -- stratum sequences ---------------------------------------------------------
@@ -317,9 +314,9 @@ def test_lie_example_table_rows(monkeypatch):
     instantiations = []
     instantiate = Scenario.instantiate
 
-    def counted(self, cutoff):
+    def counted(self, space, cutoff):
         instantiations.append(self.id)
-        return instantiate(self, cutoff)
+        return instantiate(self, space, cutoff)
 
     monkeypatch.setattr(Scenario, "instantiate", counted)
     rows = {row.label: row for row in lie_example_table(7, 2024)}
@@ -602,14 +599,11 @@ def test_poly_integral_coefficients_stay_int(int_case, fraction_case):
 
 def test_sentinel_rows_are_zero_at_origin():
     space = SC.space(4)
-    fields, params = SC.instantiate(5)
+    plan, params = SC.instantiate(space, 5)
     point = _generic_point(space, 17)
     assert any(info.sentinel for info in params)
     violations = [
-        row
-        for field in fields
-        for key, row in prolong(ProlongPlan(space, field), point)[1].items()
-        if key is not None and params[key].sentinel and row
+        row for key, row in prolong(plan, point)[1].items() if params[key].sentinel and row
     ]
     assert violations == []  # the sentinel acts trivially at base-origin points
 
@@ -618,8 +612,7 @@ def test_sentinel_violation_detected_when_cutoff_too_small():
     # order-3 components depend on f-jets up to order 3; a cutoff of 1 makes
     # the degree-2 sentinel act nontrivially and must be caught
     engine = _StratumEngine(SC, 3)
-    # the plans are built on the first rows, from the fields the engine holds then
-    engine.fields, engine.params = SC.instantiate(1)
+    engine.plan, engine.params = SC.instantiate(engine.space, 1)
     values = _generic_point_values(engine.space, random.Random(18))
     with pytest.raises(InvariantViolation, match="sentinel"):
         engine.rows(_point(engine.space, values))
@@ -667,7 +660,7 @@ def test_scenario_errors():
         }
     )
     with pytest.raises(ExpressionError):
-        bad.instantiate(2)
+        bad.instantiate(bad.space(2), 2)
     zero_divisor = Scenario(
         {
             "id": "zero-divisor",
@@ -678,7 +671,7 @@ def test_scenario_errors():
         }
     )
     with pytest.raises(ExpressionError, match="zero-divisor"):
-        zero_divisor.instantiate(2)
+        zero_divisor.instantiate(zero_divisor.space(2), 2)
     nonlinear = Scenario(
         {
             "id": "nonlinear",
@@ -690,20 +683,21 @@ def test_scenario_errors():
         }
     )
     with pytest.raises(NonlinearParameters):
-        nonlinear.instantiate(2)
+        nonlinear.instantiate(nonlinear.space(2), 2)
 
     def first_xi(text):
         """The integral form (terms, denominator) of the field (text, 0)."""
         generators = [{"xi": [text], "phi": ["0"]}]
-        line = {"id": "divisors", "base": ["x"], "fiber": ["u"], "generators": generators}
-        fields, _ = Scenario(line).instantiate(2)
-        return fields[0].terms, fields[0].denominator
+        line = Scenario({"id": "divisors", "base": ["x"], "fiber": ["u"], "generators": generators})
+        plan, _ = line.instantiate(line.space(2), 2)
+        return plan.terms, plan.denominator
 
     for text in ("x/u", "x^-1"):
         with pytest.raises(NonlinearParameters):
             first_xi(text)
-    # both are x/2: L = 2, and xi's one term is (x, L * 1/2, j = 0)
-    assert first_xi("x*2^-1") == first_xi("x/2") == ((((((0, 1),), 1, 0),), ()), 2)
+    # both are x/2: L = 2, and xi's one term is (x m, L * 1/2, j = 0), with
+    # m (variable 2) the marker token of the generator's function-free part
+    assert first_xi("x*2^-1") == first_xi("x/2") == ((((((0, 1), (2, 1)), 1, 0),), ()), 2)
     positive = Scenario(dict(X_REPARAM, id="positive", positivity=["1/u10"]))
     with pytest.raises(BadSample):
         stratum_codim_sequence(positive, "sigma1", 1, seed=1)
@@ -792,7 +786,7 @@ def test_rows_match_symbolic_prolongation_oracle():
 
 
 # phi of fiber degrees 0 to 3, a fiber-dependent xi and non-integral
-# coefficients: the integral form of ParamField needs every power D^j
+# coefficients: the plan's integral form needs every power D^j
 RICCATI_MIXED = {
     "id": "riccati-mixed",
     "base": ["x", "y"],
@@ -830,7 +824,22 @@ METRIC3D = {
     "strata": [{"label": "generic", "equalities": [], "inequations": []}],
     "positivity": ["g11", "g11*g22 - g12^2"],
 }
-LOCAL_SCENARIOS = {"line-affine": LINE_AFFINE, "riccati-mixed": RICCATI_MIXED, "metric3d": METRIC3D}
+# generators of fiber degrees 2 and 0 with coefficient denominators 2 and
+# 3: the one scale L D^M of prolong has L = 6 and M = 2 for both
+FIBER_DEGREES = {
+    "id": "fiber-degrees",
+    "base": ["x"],
+    "fiber": ["u"],
+    "free_functions": ["f"],
+    "generators": [{"xi": ["f"], "phi": ["u^2/2"]}, {"xi": ["0"], "phi": ["1/3"]}],
+    "strata": [{"label": "generic", "equalities": [], "inequations": []}],
+}
+LOCAL_SCENARIOS = {
+    "line-affine": LINE_AFFINE,
+    "riccati-mixed": RICCATI_MIXED,
+    "metric3d": METRIC3D,
+    "fiber-degrees": FIBER_DEGREES,
+}
 
 PARITY_CASES = (
     [("x-reparam", label, 5) for label in SC.strata]
@@ -843,6 +852,8 @@ PARITY_CASES = (
     + [("riccati-mixed", "generic", k) for k in range(1, 5)]
     # base dimension 3
     + [("metric3d", "generic", k) for k in (1, 2)]
+    # generators of different fiber degree M under the one scale
+    + [("fiber-degrees", "generic", k) for k in range(4)]
 )
 
 
@@ -852,8 +863,8 @@ def _scenario(name):
 
 @pytest.mark.parametrize("name, label, k", PARITY_CASES)
 def test_prolong_parity_with_oracle(name, label, k):
-    # prolong's integer rows over its scale, field by field, equal the
-    # symbolic prolongation exactly at a seeded stratum point
+    # prolong's integer rows over its one scale equal the symbolic
+    # prolongation exactly at a seeded stratum point
     scenario = _scenario(name)
     engine = _StratumEngine(scenario, k)
     seed = 1000 + PARITY_CASES.index((name, label, k))
@@ -880,9 +891,8 @@ def test_prolong_does_no_fraction_arithmetic(name, k, monkeypatch):
     for op in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow"):
         monkeypatch.setattr(Fraction, f"__{op}__", refuse)
         monkeypatch.setattr(Fraction, f"__r{op}__", refuse)
-    for plan in engine.plans:
-        scale, rows = prolong(plan, point)
-        assert isinstance(scale, int) and rows
+    scale, rows = prolong(engine.plan, point)
+    assert isinstance(scale, int) and rows
 
 
 def test_metric3d_order_three_matches_catalog():
@@ -891,38 +901,62 @@ def test_metric3d_order_three_matches_catalog():
 
 
 @pytest.mark.parametrize("name, k", [("x-reparam", 4), ("riccati-mixed", 3), ("metric3d", 2)])
-def test_plans_are_built_once_per_field_per_engine(name, k, monkeypatch):
-    # the point-independent part of prolong is planned once per field of an
-    # engine, however many points that engine samples
-    builds, points = [], []
+def test_one_plan_per_engine(name, k, monkeypatch):
+    # the generators are instantiated and planned once per engine, however
+    # many points that engine samples
+    instantiations, builds, points = [], [], []
+    instantiate = Scenario.instantiate
     build = ProlongPlan.__init__
     sample = jetflow.sample_stratum_point
 
-    def counted_build(self, space, field):
-        builds.append(field)
-        build(self, space, field)
+    def counted_instantiate(self, space, cutoff):
+        instantiations.append(cutoff)
+        return instantiate(self, space, cutoff)
+
+    def counted_build(self, *args):
+        builds.append(self)
+        build(self, *args)
 
     def counted_sample(*args):
         points.append(sample(*args))
         return points[-1]
 
+    monkeypatch.setattr(Scenario, "instantiate", counted_instantiate)
     monkeypatch.setattr(ProlongPlan, "__init__", counted_build)
     monkeypatch.setattr(jetflow, "sample_stratum_point", counted_sample)
     scenario = _scenario(name)
     engine = _StratumEngine(scenario, k)
     engine.codim_sequence(next(iter(scenario.strata)), seed=k)
     assert len(points) >= 3
-    assert len(builds) == len(engine.fields) and builds == engine.fields
-    # engine.rows hands each plan's rows in key order: None, then the specs'
-    # parameters, as prolong returns them
-    handed = []
-    for plan, field in zip(engine.plans, engine.fields):
-        rows = prolong(plan, points[-1])[1]
-        order = [None] + [key for key, _ in field.specs]
-        assert list(rows) == [key for key in order if key in rows]
-        handed += rows.values()
-    assert engine.rows(points[-1]) == handed
-    assert len(builds) == len(engine.fields)
+    assert len(instantiations) == 1 and builds == [engine.plan]
+    assert len(engine.plan.specs) == len(engine.params)
+    # engine.rows hands prolong's rows in parameter order
+    rows = prolong(engine.plan, points[-1])[1]
+    assert list(rows) == sorted(rows)
+    assert engine.rows(points[-1]) == list(rows.values())
+    assert len(instantiations) == 1 and builds == [engine.plan]
+
+
+def test_fixed_generators_are_parameters():
+    # a generator's nonzero function-free part is one parameter, read off
+    # its own marker token, before that generator's function slices
+    names = lambda params: [info.name for info in params if not info.name.startswith("f[")]
+    plan, params = SC.instantiate(SC.space(2), 3)
+    assert names(params) == ["fixed[1]", "fixed[2]"]  # f d/dx has no fixed part
+    assert params[-2:] == [ParamInfo("fixed[1]", False), ParamInfo("fixed[2]", False)]
+    markers = [spec[0][0] for spec in plan.specs[-2:]]
+    assert plan.specs[-2:] == (((markers[0], 1, (0, 0)),), ((markers[1], 1, (0, 0)),))
+    assert len(set(markers)) == 2 and min(markers) > max(
+        var for spec in plan.specs[:-2] for var, _, _ in spec
+    )
+    riccati = Scenario(RICCATI_MIXED)
+    _, params = riccati.instantiate(riccati.space(1), 4)
+    assert names(params) == ["fixed[0]", "fixed[1]"]
+    assert params[0].name == "fixed[0]" and params[-1].name == "fixed[1]"
+    # one scale L D^M over all generators: L = lcm(2, 3), M = deg_u(u^2)
+    degrees = Scenario(FIBER_DEGREES)
+    plan, _ = degrees.instantiate(degrees.space(2), 3)
+    assert (plan.denominator, plan.degree) == (6, 2)
 
 
 def test_non_invariant_stratum_fails_tangency():
