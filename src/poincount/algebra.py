@@ -402,10 +402,11 @@ def binom_in_k(shift: int, r: int) -> Polynomial:
     """
     if r < 0:
         return Polynomial.zero()
-    result = Polynomial.one()
+    coeffs = [1]
     for i in range(r):
-        result = result * Polynomial((shift - i, 1))
-    return result * Fraction(1, math.factorial(r))
+        coeffs = _mul(coeffs, [shift - i, 1])
+    r_factorial = math.factorial(r)
+    return Polynomial([_div(c, r_factorial) for c in coeffs])
 
 
 class PowerSeries:
@@ -639,14 +640,6 @@ class RationalFunction:
         if k < 0:
             raise UnsupportedArgument("coefficient index must be >= 0")
         return self.series(k)[k]
-
-    def multiplicity(self, factor: Polynomial) -> int:
-        """Order of `factor` as a pole: multiplicity in den minus multiplicity in num.
-
-        `factor` must be non-constant (callers supply irreducible factors such
-        as 1 - z, 1 + z, 1 + z + z^2).
-        """
-        return split_factor(self.den, factor)[0] - split_factor(self.num, factor)[0]
 
     # -- display -----------------------------------------------------------
 

@@ -84,8 +84,8 @@ class CatalogEntry:
             raise OutOfValidity(f"{self.id}: unknown parameters {sorted(unknown)}")
         try:
             ok = self.validity(**clean)
-        except TypeError as exc:
-            raise OutOfValidity(f"{self.id}: {exc}") from None
+        except TypeError:  # a missing parameter, or a value that is not a number
+            ok = False
         if not ok:
             raise OutOfValidity(
                 f"{self.id}: parameters {clean} outside validity ({self.validity_note})"

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from fractions import Fraction
 from math import factorial, lcm, prod
 from operator import add
@@ -660,8 +660,15 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
-#: Draws of a stratum point before its positivity conditions give up (BadSample).
+#: Draws of a stratum point before its conditions give up (BadSample).
 _SAMPLE_TRIES = 60
+
+#: The values of a drawn jet coordinate: n/d for -20 <= n <= 20 and
+#: 1 <= d <= 20, one entry per (n, d) pair, so one uniform choice is
+#: Fraction(randint(-20, 20), randint(1, 20)); a nonvanishing coordinate
+#: draws from the pairs with n != 0.
+_VALUES = tuple(Fraction(n, d) for n in range(-20, 21) for d in range(1, 21))
+_NONZERO = tuple(value for value in _VALUES if value)
 
 #: Seeded stratum points at which an invariant must be annihilated.
 _ANNIHILATION_POINTS = 20
@@ -695,34 +702,34 @@ def sample_stratum_point(
     stratum: StratumCase,
     rng: random.Random,
     positivity: Sequence[Node] = (),
+    defined: Sequence[Node] = (),
 ) -> dict[int, Fraction]:
     """Seeded random rational stratum point {column: value}: base at the
-    origin, jet columns drawn in column order in [-20, 20].
+    origin, jet columns drawn in column order, one rng.choice each.
 
-    Vanishing stratum_columns are 0, nonvanishing ones nonzero, the rest
-    reduced random fractions; optional parsed positivity expressions must
-    evaluate positive at the point (resampled until they do, and wherever
-    one divides by zero, up to _SAMPLE_TRIES draws).
+    Vanishing stratum_columns are 0, nonvanishing ones drawn from
+    _NONZERO, the rest from _VALUES.  The parsed positivity expressions
+    must evaluate positive at the point and the `defined` ones must
+    evaluate at all; a point where one fails or divides by zero is
+    redrawn whole, up to _SAMPLE_TRIES draws (then BadSample).
     """
     zeros, nonzeros = map(set, stratum_columns(space, stratum))
+    draws = [
+        (var, _NONZERO if var in nonzeros else _VALUES)
+        for var in range(space.p, space.dim)
+        if var not in zeros
+    ]
+    origin = dict.fromkeys(range(space.dim), Fraction(0))
     for _ in range(_SAMPLE_TRIES):
-        point = {space.base_var(i): Fraction(0) for i in range(space.p)}
-        for var in range(space.p, space.dim):
-            if var in zeros:
-                point[var] = Fraction(0)
-                continue
-            num = rng.randint(-20, 20)
-            if var in nonzeros:
-                while num == 0:
-                    num = rng.randint(-20, 20)
-            point[var] = Fraction(num, rng.randint(1, 20))
+        point = origin | {var: rng.choice(values) for var, values in draws}
         value = lambda name: point[space.var_by_name(name)]
         try:
-            if not all(evaluate_node(e, Fraction, value) > 0 for e in positivity):
-                continue
+            for node in defined:
+                evaluate_node(node, Fraction, value)
+            if all(evaluate_node(e, Fraction, value) > 0 for e in positivity):
+                return point
         except ZeroDivisionError:
-            continue
-        return point
+            pass
     raise BadSample(
         f"could not sample a point of stratum {stratum.label!r} "
         f"after {_SAMPLE_TRIES} tries"
@@ -795,11 +802,7 @@ class _StratumEngine:
             self.space, k_max + scenario.lift_order + 1
         )
         self.cols_at = self.space.cols_at
-
-    @cached_property
-    def positivity(self) -> list[Node]:
-        """Parsed on first sampling."""
-        return [parse_expression(text) for text in self.scenario.positivity]
+        self.positivity = [parse_expression(text) for text in scenario.positivity]
 
     def rows(self, point: Mapping[int, Fraction]) -> list[dict[int, int]]:
         """Nonzero tangent rows at a point over the base origin, as the
@@ -864,33 +867,22 @@ class _StratumEngine:
     def annihilates(self, invariant: str, stratum: StratumCase, seed: int) -> bool:
         """True iff the derivative of the invariant along every tangent row,
         row . grad, vanishes at _ANNIHILATION_POINTS seeded stratum points.
-        The invariant is parsed once and evaluated with its gradient at each
-        point; points where it divides by zero are resampled (BadSample
-        after 3 * _ANNIHILATION_POINTS tries)."""
+        The invariant is parsed once and must evaluate at each sampled
+        point (the sampler redraws where it divides by zero), where it is
+        evaluated with its gradient."""
         node = parse_expression(invariant)
         rng = random.Random(seed)
-        checked = 0
-        attempts = 0
-        while checked < _ANNIHILATION_POINTS:
-            attempts += 1
-            if attempts > 3 * _ANNIHILATION_POINTS:
-                raise BadSample(
-                    f"invariant denominator vanishes on stratum {stratum.label!r}"
-                )
-            point = sample_stratum_point(self.space, stratum, rng, self.positivity)
+        for _ in range(_ANNIHILATION_POINTS):
+            point = sample_stratum_point(self.space, stratum, rng, self.positivity, (node,))
 
             def coordinate(name: str) -> _Dual:
                 var = self.space.var_by_name(name)
                 return _Dual(point[var], {var: 1})
 
-            try:
-                grad = evaluate_node(node, _Dual, coordinate).grad
-            except ZeroDivisionError:
-                continue
+            grad = evaluate_node(node, _Dual, coordinate).grad
             for row in self.rows(point):
                 if sum(row.get(c, 0) * d for c, d in grad.items()):
                     return False
-            checked += 1
         return True
 
 

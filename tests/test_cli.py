@@ -320,6 +320,23 @@ def test_only_ascii_digits_are_numbers():
     assert capture(domain + ["m=3"])[0] == 0
 
 
+def test_unreadable_parameters_are_outside_validity():
+    # a missing parameter or a non-number value is named like any other
+    # parameter set outside the entry's validity, never in Python's words
+    domain = ["show", "poincare-dulac-poincare-domain", "--kmax", "4", "--param"]
+    for argv, text in (
+        (["show", "riemannian"], "riemannian: parameters {} outside validity (n >= 2)"),
+        (domain + ["m=²"], "poincare-dulac: parameters {'case': 'poincare-domain', 'm': '²'} "
+                           "outside validity ("),
+        (domain + ["m=x"], "'m': 'x'} outside validity ("),
+    ):
+        code, out, err = capture(argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("poincount: error:") and err.count("\n") == 1, argv
+        assert text in err, argv
+        assert "<lambda>" not in err and "not supported" not in err, argv
+
+
 def test_verify_mismatch_exit_one(monkeypatch):
     from poincount import catalog as cat
     from poincount import cli as cli_mod

@@ -2,6 +2,7 @@ import importlib.util
 import io
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poincount.exprs import ExpressionError, parse_rational_function
+from poincount.exprs import ExpressionError, parse_expression, parse_rational_function
 from poincount.jetflow import (
     BadPoint,
     BadSample,
@@ -732,6 +733,63 @@ def test_sample_respects_stratum():
         assert value("u11") != 0
         for v in point.values():
             assert abs(v.numerator) <= 20 * v.denominator or v == 0
+
+
+def test_sample_value_tables():
+    # one entry per pair (n, d), -20 <= n <= 20 and 1 <= d <= 20, so a value
+    # p/q in lowest terms appears once per common multiple m with
+    # |m p| <= 20 and m q <= 20: one uniform choice draws n and d uniformly
+    values, nonzero = jetflow._VALUES, jetflow._NONZERO
+    assert len(values) == 41 * 20 == 820 and len(nonzero) == 40 * 20 == 800
+    counts = Counter(values)
+    assert set(counts) == {Fraction(n, d) for n in range(-20, 21) for d in range(1, 21)}
+    for value, count in counts.items():
+        assert count == 20 // max(abs(value.numerator), value.denominator), value
+    assert Counter(nonzero) == counts - Counter({Fraction(0): 20})
+
+
+class ChoiceCounter(random.Random):
+    """A seeded generator that counts its choice calls and refuses randint."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.choices = 0
+
+    def choice(self, seq):
+        self.choices += 1
+        return super().choice(seq)
+
+    def randint(self, a, b):
+        raise AssertionError("the sampler draws with choice only")
+
+
+def test_sample_one_choice_per_drawn_coordinate_per_try(monkeypatch):
+    space = SC.space(3)
+    stratum = SC.stratum("sigma2")  # u10 = u20 = 0, u11 != 0
+    drawn = space.dim - space.p - 2
+    rng = ChoiceCounter(0)
+    point = sample_stratum_point(space, stratum, rng)
+    assert rng.choices == drawn and list(point) == list(range(space.dim))
+    # u01 > 0 rejects about half the draws; every try draws every
+    # coordinate again, one choice each
+    tries = []
+    evaluate = jetflow.evaluate_node
+    monkeypatch.setattr(
+        jetflow, "evaluate_node", lambda *args: tries.append(1) or evaluate(*args)
+    )
+    rng = ChoiceCounter(1)
+    positivity = [parse_expression("u01")]
+    for _ in range(10):
+        point = sample_stratum_point(space, stratum, rng, positivity)
+        assert point[space.var_by_name("u01")] > 0
+    assert len(tries) > 10 and rng.choices == len(tries) * drawn
+    # an expression that must evaluate redraws within the same budget:
+    # 1/u10 divides by zero at every point of sigma2
+    tries.clear()
+    rng = ChoiceCounter(2)
+    with pytest.raises(BadSample, match="after 60 tries"):
+        sample_stratum_point(space, stratum, rng, (), [parse_expression("1/u10")])
+    assert len(tries) == jetflow._SAMPLE_TRIES and rng.choices == 60 * drawn
 
 
 # affine reparametrizations of the line plus fiber scaling

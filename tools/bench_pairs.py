@@ -22,7 +22,8 @@ per-job stdout digests of both sides per seed, with whether they are
 equal; and the machine stamp perfbench records.  The closing summary
 prints one line per workload and end-to-end metric, flagged when the
 change's median is worse, and louder when it is worse by more than the
-bound.
+bound.  The exit code is 1 when on some workload the digests differ or
+the change fails more operations than the parent, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -170,6 +171,14 @@ def main(argv=None) -> int:
               f"failed {summary['failed']['parent']} -> {summary['failed']['change']}")
         for name, m in summary["metrics"].items():
             print(f"  {summary_line(name, m, summary['pairs'])}")
+    broken = [
+        workload for workload, summary in out["workloads"].items()
+        if not summary["digests_equal"] or summary["failed"]["change"] > summary["failed"]["parent"]
+    ]
+    if broken:
+        print(f"bench_pairs: digests differ or more operations fail on {', '.join(broken)}",
+              file=sys.stderr)
+        return 1
     return 0
 
 
