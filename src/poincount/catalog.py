@@ -595,8 +595,8 @@ CATALOG: tuple[CatalogEntry, ...] = (
         title="Self-dual metrics in 4D",
         params=("n",),
         validity_note="n = 4",
-        validity=lambda n=4: n == 4,
-        base_dim=lambda n=4: 4,
+        validity=lambda n: n == 4,
+        base_dim=lambda n: 4,
         hilbert=_h_self_dual_metrics,
         claimed_p=_p_self_dual_metrics,
         samples=_fixed_samples([{"n": 4}]),
@@ -741,8 +741,8 @@ CATALOG: tuple[CatalogEntry, ...] = (
         title="Self-dual conformal structures in 4D",
         params=("n",),
         validity_note="n = 4",
-        validity=lambda n=4: n == 4,
-        base_dim=lambda n=4: 4,
+        validity=lambda n: n == 4,
+        base_dim=lambda n: 4,
         hilbert=_h_self_dual_conformal,
         claimed_p=_p_self_dual_conformal,
         samples=_fixed_samples([{"n": 4}]),

@@ -45,9 +45,10 @@ a positive multiple of a row leaves each of them unchanged.
 
 Free-function truncation: order-k components involve jets of the free
 functions up to order k + lift_order, so functions are truncated at
-polynomial degree k + lift_order + 1 with a sentinel one degree higher;
-over the base origin the sentinel must contribute exactly zero rows, which
-is asserted at every sampled point.
+polynomial degree k + lift_order, and each coefficient of degree
+k + lift_order + 1 is a sentinel: over the base origin it must contribute
+exactly zero rows, which is asserted at every sampled point.  The
+non-sentinel parameters are the N_k parameters that act on J^k.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ import random
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
+from itertools import islice
 from math import factorial, lcm, prod
 from operator import add
 from typing import Mapping, Sequence
@@ -113,13 +115,49 @@ def _multi_indices(p: int, total: int) -> list[MultiIndex]:
 _MAX_ORDER = 9
 
 
+def _jet_name(fiber: str, sigma: MultiIndex) -> str:
+    """The name of u_sigma of the named fiber: the fiber name and the
+    multi-index digits (u10, g11_20), the bare fiber name at order 0."""
+    if not any(sigma):
+        return fiber
+    digits = "".join(str(s) for s in sigma)
+    sep = "_" if fiber[-1].isdigit() else ""
+    return f"{fiber}{sep}{digits}"
+
+
+@cache
+def _coordinates(base: tuple[str, ...], fiber: tuple[str, ...]) -> dict[str, tuple]:
+    """{name: ("base", i) | ("jet", alpha, sigma)} for every coordinate of
+    J^_MAX_ORDER, in JetSpace's variable order, each jet named by _jet_name;
+    two coordinates that would share a name raise a ValueError naming both."""
+    named = [(name, ("base", i)) for i, name in enumerate(base)] + [
+        (_jet_name(fiber[alpha], sigma), ("jet", alpha, sigma))
+        for m in range(_MAX_ORDER + 1)
+        for alpha in range(len(fiber))
+        for sigma in _multi_indices(len(base), m)
+    ]
+    describe = lambda kind, i, sigma=(): (
+        f"base {base[i]!r}" if kind == "base"
+        else f"the jet {sigma} of fiber {fiber[i]!r}" if any(sigma)
+        else f"fiber {fiber[i]!r}"
+    )
+    table: dict[str, tuple] = {}
+    for name, coordinate in named:
+        if table.setdefault(name, coordinate) is not coordinate:
+            raise ValueError(
+                f"{describe(*table[name])} and {describe(*coordinate)} are both named {name!r}"
+            )
+    return table
+
+
 class JetSpace:
     """Coordinates of J^order(R^p, R^q): base x_i and jet u^alpha_sigma.
 
     Variable ids are assigned deterministically: base variables first, then
     jet coordinates by total order, fiber index, and descending
-    lexicographic multi-index (u10 before u01).  The order-0 jet coordinate
-    prints as the bare fiber name.  `multi_indices` lists the multi-indices
+    lexicographic multi-index (u10 before u01).  The names are the first
+    `dim` of the name table of J^_MAX_ORDER (_coordinates), which also
+    gives `info` and `_jet_index`.  `multi_indices` lists the multi-indices
     of orders 0..order in that order, `columns[alpha]` the column of fiber
     alpha at each of them, and `cols_at[m]` is the column count of the
     order-m block J^m, a prefix of the columns.  `shifted` pairs the
@@ -145,24 +183,19 @@ class JetSpace:
         self.order = order
         self.base_names = tuple(base_names)
         self.fiber_names = tuple(fiber_names)
-        self._names: list[str] = []
-        self._info: list[tuple] = []
+        self._table = _coordinates(self.base_names, self.fiber_names)
         self.multi_indices: list[MultiIndex] = []
         self.columns: list[list[int]] = [[] for _ in range(q)]
         self.cols_at: list[int] = []
-        for i, name in enumerate(self.base_names):
-            self._names.append(name)
-            self._info.append(("base", i))
+        var = p
         for m in range(order + 1):
             block = _multi_indices(p, m)
             self.multi_indices += block
-            for alpha in range(q):
-                for sigma in block:
-                    var = len(self._names)
-                    self.columns[alpha].append(var)
-                    self._names.append(self._jet_name(alpha, sigma))
-                    self._info.append(("jet", alpha, sigma))
-            self.cols_at.append(len(self._names))
+            for cols in self.columns:
+                cols += range(var, var + len(block))
+                var += len(block)
+            self.cols_at.append(var)
+        self._names = list(islice(self._table, var))
         self._by_name = {name: var for var, name in enumerate(self._names)}
         self._index = {sigma: j for j, sigma in enumerate(self.multi_indices)}
         # per multi-index sigma: x^sigma as a monomial in the base variables, and sigma!
@@ -172,26 +205,11 @@ class JetSpace:
         self._factorials = [_factorial(sigma) for sigma in self.multi_indices]
         self._shifted: dict[MultiIndex, list[tuple[int, int]]] = {}
 
-    def _jet_name(self, alpha: int, sigma: MultiIndex) -> str:
-        base = self.fiber_names[alpha]
-        if sum(sigma) == 0:
-            return base
-        digits = "".join(str(s) for s in sigma)
-        sep = "_" if base[-1].isdigit() else ""
-        return f"{base}{sep}{digits}"
-
     def _jet_index(self, name: str) -> tuple[int, MultiIndex] | None:
-        """(fiber index, multi-index) of a jet name at any order, or None if
-        no jet coordinate has that name: the inverse of _jet_name."""
-        digits = name[len(name) - self.p :]  # the multi-index; empty when p = 0
-        sigmas = [(0,) * self.p]
-        if digits.isdecimal():
-            sigmas.append(tuple(map(int, digits)))
-        for alpha in range(self.q):
-            for sigma in sigmas:
-                if self._jet_name(alpha, sigma) == name:
-                    return alpha, sigma
-        return None
+        """(fiber index, multi-index) of a jet name at any order up to
+        _MAX_ORDER, or None if no jet coordinate has that name."""
+        coordinate = self._table.get(name, ("base",))
+        return coordinate[1:] if coordinate[0] == "jet" else None
 
     def shifted(self, shift: MultiIndex) -> list[tuple[int, int]]:
         """(index of rho, index of rho + shift) in multi_indices for every
@@ -222,7 +240,7 @@ class JetSpace:
         return i
 
     def info(self, var: int) -> tuple:
-        return self._info[var]
+        return self._table[self._names[var]]
 
     def name_of(self, var: int) -> str:
         return self._names[var]
@@ -516,19 +534,8 @@ class Scenario:
             raise ValueError(
                 f"scenario {self.id!r} has free functions but an empty base"
             )
-        # A fiber named like another fiber's jet (u1 beside u when p = 1)
-        # would leave one of the two columns without a name.
-        names = self.space(0)
-        for b, name in enumerate(self.fiber):
-            digits = name[len(name) - self.p :]
-            if not (self.p and digits.isdecimal() and sum(map(int, digits)) <= _MAX_ORDER):
-                continue
-            sigma = tuple(map(int, digits))
-            for a in range(self.q):
-                if a != b and names._jet_name(a, sigma) == name:
-                    raise ValueError(
-                        f"fiber {name!r} has the name of a jet of fiber {self.fiber[a]!r}"
-                    )
+        # every coordinate name up to _MAX_ORDER is one coordinate's
+        _coordinates(self.base, self.fiber)
 
     def space(self, order: int) -> JetSpace:
         return JetSpace(self.p, self.q, order, self.base, self.fiber)
@@ -553,16 +560,15 @@ class Scenario:
         function-free part, when it is nonzero, is one parameter (a fixed
         generator, marked by a token of its own).  The monomial
         coefficients of each free function the generator mentions follow,
-        up to the cutoff, plus one sentinel coefficient of degree
-        cutoff + 1 per function, which must act trivially in every later
+        up to the cutoff, and then its coefficients of degree cutoff + 1,
+        every one a sentinel, which must act trivially in every later
         evaluation.  Each free function belongs to the one generator that
         mentions it.  Components may use known symbols only, must be
         linear in the jet tokens and may divide by constants only.
         """
         first_token = self.p + self.q
         zero = (0,) * self.p
-        betas = [b for m in range(cutoff + 1) for b in _multi_indices(self.p, m)]
-        betas.append((cutoff + 1,) + zero[1:])  # the sentinel
+        betas = [b for m in range(cutoff + 2) for b in _multi_indices(self.p, m)]
         params: list[ParamInfo] = []
         specs: list[tuple[tuple[int, int, MultiIndex], ...]] = []
         xi_sum, phi_sum = [Poly.zero()] * self.p, [Poly.zero()] * self.q
@@ -678,23 +684,18 @@ def stratum_columns(space: JetSpace, stratum: StratumCase) -> tuple[list[int], l
     """(vanishing columns, nonvanishing columns) of a coordinate stratum.
 
     Every name the stratum uses must be a jet coordinate of the space's
-    fibers at some order (BadPoint names the stratum and the name).  A
-    condition above the space's order is dropped: the stratum projects
-    onto J^order as the conditions it sets up to that order.
+    fibers at some order up to _MAX_ORDER (BadPoint names the stratum and
+    the name).  A condition above the space's order is dropped: the
+    stratum projects onto J^order as the conditions it sets up to that
+    order.
     """
-    zeros: list[int] = []
-    nonzeros: list[int] = []
-    for names, cols in ((stratum.equalities, zeros), (stratum.inequations, nonzeros)):
-        for name in names:
-            found = space._jet_index(name)
-            if found is None:
-                raise BadPoint(
-                    f"stratum {stratum.label!r} names {name!r}, "
-                    "which is not a jet coordinate"
-                )
-            if sum(found[1]) <= space.order:
-                cols.append(space.jet_var(*found))
-    return zeros, nonzeros
+    for name in stratum.equalities + stratum.inequations:
+        if space._jet_index(name) is None:
+            raise BadPoint(
+                f"stratum {stratum.label!r} names {name!r}, which is not a jet coordinate"
+            )
+    columns = lambda names: [space._by_name[name] for name in names if name in space._by_name]
+    return columns(stratum.equalities), columns(stratum.inequations)
 
 
 def sample_stratum_point(
@@ -799,7 +800,7 @@ class _StratumEngine:
         self.k_max = k_max
         self.space = scenario.space(k_max)
         self.plan, self.params = scenario.instantiate(
-            self.space, k_max + scenario.lift_order + 1
+            self.space, k_max + scenario.lift_order
         )
         self.cols_at = self.space.cols_at
         self.positivity = [parse_expression(text) for text in scenario.positivity]
@@ -830,20 +831,16 @@ class _StratumEngine:
         """Orbit rank at each order 0..k_max, agreed on by one seeded round
         of three stratum points (one retry round, then GenericityFailure)."""
         rng = random.Random(seed)
-        ranks: list[list[int]] | None = None
         for _ in range(2):
             trials = []
             for _ in range(3):
                 point = sample_stratum_point(self.space, stratum, rng, self.positivity)
                 trials.append(self.ranks_for_point(point, stratum))
             if all(t == trials[0] for t in trials):
-                ranks = trials
-                break
-        if ranks is None:
-            raise GenericityFailure(
-                f"ranks inconsistent across samples for stratum {stratum.label!r}"
-            )
-        return [max(t[k] for t in ranks) for k in range(self.k_max + 1)]
+                return trials[0]
+        raise GenericityFailure(
+            f"ranks inconsistent across samples for stratum {stratum.label!r}"
+        )
 
     def codim_sequence(
         self, stratum: StratumCase | str, seed: int
@@ -912,15 +909,17 @@ def annihilation_check(
     at _ANNIHILATION_POINTS seeded random stratum points.
 
     The invariant is a rational expression in jet coordinates, checked at
-    the order of the highest jet it names, where stratum_columns drops the
-    stratum's conditions above that order; a sampled point where it divides
-    by zero is resampled (error if that keeps failing).
+    the order of the highest jet it names (read from the name table, so a
+    name that is no coordinate up to _MAX_ORDER is a BadPoint when the
+    invariant is evaluated), where stratum_columns drops the stratum's
+    conditions above that order; a sampled point where it divides by zero
+    is resampled (error if that keeps failing).
     """
     if isinstance(stratum, str):
         stratum = scenario.stratum(stratum)
-    space = scenario.space(0)
-    jets = [space._jet_index(name) for name in symbol_names(invariant)]
-    order = max((sum(found[1]) for found in jets if found), default=0)
+    coordinates = _coordinates(scenario.base, scenario.fiber)
+    named = [coordinates.get(name, ("base",)) for name in symbol_names(invariant)]
+    order = max((sum(c[2]) for c in named if c[0] == "jet"), default=0)
     return _StratumEngine(scenario, order).annihilates(invariant, stratum, seed)
 
 

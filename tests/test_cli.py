@@ -337,6 +337,15 @@ def test_unreadable_parameters_are_outside_validity():
         assert "<lambda>" not in err and "not supported" not in err, argv
 
 
+def test_self_dual_entries_need_their_parameter():
+    # n = 4 is the only valid value, but it is not a default: without --n
+    # the entry is outside validity, as every entry with a parameter n is
+    for entry in ("self-dual-metrics", "self-dual-conformal"):
+        code, out, err = capture(["show", entry])
+        assert code == 2 and out == "", entry
+        assert err == f"poincount: error: {entry}: parameters {{}} outside validity (n = 4)\n"
+
+
 def test_verify_mismatch_exit_one(monkeypatch):
     from poincount import catalog as cat
     from poincount import cli as cli_mod

@@ -2,6 +2,7 @@ import importlib.util
 import io
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +16,7 @@ from poincount.jetflow import (
     BadPoint,
     BadSample,
     InvariantViolation,
+    JetSpace,
     NonlinearParameters,
     OrderExceeded,
     ParamInfo,
@@ -619,6 +621,44 @@ def test_sentinel_violation_detected_when_cutoff_too_small():
         engine.rows(_point(engine.space, values))
 
 
+def _fyy(lift_order):
+    """The field f_yy d/du on (x, y, u): order-k components read the jets of
+    f up to order k + 2, along y."""
+    return Scenario({
+        "id": "fyy",
+        "base": ["x", "y"],
+        "fiber": ["u"],
+        "free_functions": ["f"],
+        "lift_order": lift_order,
+        "generators": [{"xi": ["0", "0"], "phi": ["f_yy"]}],
+        "strata": [{"label": "generic"}],
+    })
+
+
+def test_understated_lift_order_is_reported():
+    # every Taylor coefficient one degree past the truncation is a sentinel,
+    # so missing derivatives along y are caught, not only those along x
+    for lift_order in (0, 1):
+        with pytest.raises(InvariantViolation, match="sentinel"):
+            stratum_codim_sequence(_fyy(lift_order), "generic", 4, seed=1)
+    assert stratum_codim_sequence(_fyy(2), "generic", 4, seed=1)[1] == [2, 0, 0, 0, 0]
+
+
+def test_non_sentinel_parameters_are_n_k():
+    # metric2d: two functions read to order k + 1, C(k + 3, 2) coefficients
+    # each; x-reparam: C(k + 2, 2) coefficients of f and two fixed
+    # generators.  The sentinels are every coefficient one degree higher:
+    # k + 3 per function of metric2d and k + 2 of f.
+    expected = {
+        "metric2d": ([6, 12, 20, 30], [6, 8, 10, 12]),
+        "x-reparam": ([3, 5, 8, 12], [2, 3, 4, 5]),
+    }
+    for name, (counts, sentinels) in expected.items():
+        params = [_StratumEngine(get_scenario(name), k).params for k in range(4)]
+        assert [sum(not info.sentinel for info in p) for p in params] == counts
+        assert [sum(info.sentinel for info in p) for p in params] == sentinels
+
+
 @pytest.mark.parametrize(
     "base, fiber, clash",
     [(["x"], ["u", "u1"], "u1"), (["x"], ["u1", "u"], "u1"), (["x", "y"], ["u", "u10"], "u10")],
@@ -628,6 +668,48 @@ def test_fiber_named_like_another_fibers_jet_is_refused(base, fiber, clash):
     data = {"id": "clash", "base": base, "fiber": fiber, "generators": []}
     with pytest.raises(ValueError, match=f"fiber '{clash}' .* of fiber 'u'"):
         Scenario(data)
+
+
+@pytest.mark.parametrize(
+    "base, fiber, first, second",
+    [
+        (["x"], ["u1", "u1_"], "the jet (1,) of fiber 'u1'", "the jet (1,) of fiber 'u1_'"),
+        (["u"], ["u"], "base 'u'", "fiber 'u'"),
+        (["x", "x"], ["u"], "base 'x'", "base 'x'"),
+    ],
+)
+def test_every_name_clash_is_refused(base, fiber, first, second):
+    # jet against jet (u1_1), base against fiber and base against base:
+    # each name would reach two columns
+    data = {"id": "clash", "base": base, "fiber": fiber, "generators": []}
+    with pytest.raises(ValueError, match=f"^{re.escape(first)} and {re.escape(second)} are both"):
+        Scenario(data)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("fiber", [("u", "v"), ("g11", "g12"), ("u", "g1")])
+def test_jet_names_are_distinct_and_read_back(p, fiber):
+    # every coordinate of J^9 has its own name, and _jet_index reads each
+    # jet name back to its (fiber index, multi-index)
+    base = "xyz"[:p]
+    space = JetSpace(p, len(fiber), 9, base, fiber)
+    names = space.coordinate_names()
+    assert len(set(names)) == len(names) == space.dim
+    assert [space._jet_index(name) for name in names[:p]] == [None] * p
+    for alpha, cols in enumerate(space.columns):
+        for var, sigma in zip(cols, space.multi_indices):
+            assert space._jet_index(names[var]) == (alpha, sigma)
+            assert space.info(var) == ("jet", alpha, sigma)
+
+
+def test_names_above_the_top_order_are_no_coordinates():
+    # u55 would be a jet of order 10: no space has it, so it is a bad name
+    with pytest.raises(BadPoint, match="'u55', which is not a jet coordinate"):
+        stratum_codim_sequence(SC, StratumCase("high", (), ("u10", "u55")), 3, seed=1)
+    with pytest.raises(BadPoint, match="'u55'"):
+        stratum_codim_sequence(SC, StratumCase("high", ("u55",), ("u10",)), 3, seed=1)
+    with pytest.raises(BadPoint, match="'u55'"):
+        annihilation_check(SC, "u01 + u55", "sigma0", seed=1)
 
 
 def test_fiber_names_with_digits_are_accepted():
