@@ -846,7 +846,7 @@ def select_samples(entry_id: str, nmax: int) -> tuple[CatalogEntry, list[dict]]:
     if not samples:
         hint = ""
         if isinstance(entry.samples, _NSamples):
-            hint = f"; the smallest valid n is {entry.samples.n_min}"
+            hint = f"; the smallest n with a sample is {entry.samples.n_min}"
         raise UsageError(f"{entry_id} has no sample with n <= {nmax}{hint}")
     return entry, samples
 

@@ -43,24 +43,25 @@ once and then only scatters integer products.  The rank, tangency,
 sentinel and annihilation checks all read these rows as they are, since
 a positive multiple of a row leaves each of them unchanged.
 
-Free-function truncation: order-k components involve jets of the free
-functions up to order k + lift_order, so functions are truncated at
-polynomial degree k + lift_order, and each coefficient of degree
-k + lift_order + 1 is a sentinel: over the base origin it must contribute
-exactly zero rows, which is asserted at every sampled point.  The
-non-sentinel parameters are the N_k parameters that act on J^k.
+Free-function truncation is read off the generators: with r_f the highest
+derivative order among a free function's tokens, order-k components read
+the jets of f up to order k + r_f, so f is truncated at degree k + r_f,
+and each coefficient of degree k + r_f + 1 is a sentinel, which the engine
+checks gives exactly zero rows at every sampled point.  The non-sentinel
+parameters are the N_k parameters that act on J^k.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from itertools import islice
 from math import factorial, lcm, prod
 from operator import add
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .algebra import RationalFunction
 from .errors import UsageError
@@ -114,6 +115,9 @@ def _multi_indices(p: int, total: int) -> list[MultiIndex]:
 #: Highest supported jet order.
 _MAX_ORDER = 9
 
+#: A symbol of the expression grammar: the form of a fiber name.
+_SYMBOL = "[A-Za-z][A-Za-z0-9_]*"
+
 
 def _jet_name(fiber: str, sigma: MultiIndex) -> str:
     """The name of u_sigma of the named fiber: the fiber name and the
@@ -151,9 +155,10 @@ def _coordinates(base: tuple[str, ...], fiber: tuple[str, ...]) -> dict[str, tup
 
 
 class JetSpace:
-    """Coordinates of J^order(R^p, R^q): base x_i and jet u^alpha_sigma.
+    """Coordinates of J^order(R^p, R^q), p base and q fiber names: base x_i
+    and jet u^alpha_sigma.
 
-    Variable ids are assigned deterministically: base variables first, then
+    Variable ids are assigned deterministically: base variable i is id i, then
     jet coordinates by total order, fiber index, and descending
     lexicographic multi-index (u10 before u01).  The names are the first
     `dim` of the name table of J^_MAX_ORDER (_coordinates), which also
@@ -164,26 +169,15 @@ class JetSpace:
     multi-indices rho and rho + shift that both lie within the order.
     """
 
-    def __init__(
-        self,
-        p: int,
-        q: int,
-        order: int,
-        base_names: Sequence[str],
-        fiber_names: Sequence[str],
-    ):
+    def __init__(self, order: int, base_names: Sequence[str], fiber_names: Sequence[str]):
         if not 0 <= order <= _MAX_ORDER:
             raise OrderExceeded(
                 f"jet order {order} is outside the supported range 0..{_MAX_ORDER}"
             )
-        if len(base_names) != p or len(fiber_names) != q:
-            raise ValueError("name lists must match p and q")
-        self.p = p
-        self.q = q
         self.order = order
-        self.base_names = tuple(base_names)
-        self.fiber_names = tuple(fiber_names)
-        self._table = _coordinates(self.base_names, self.fiber_names)
+        base, fiber = tuple(base_names), tuple(fiber_names)
+        p, q = self.p, self.q = len(base), len(fiber)
+        self._table = _coordinates(base, fiber)
         self.multi_indices: list[MultiIndex] = []
         self.columns: list[list[int]] = [[] for _ in range(q)]
         self.cols_at: list[int] = []
@@ -236,9 +230,6 @@ class JetSpace:
                 f"coordinate u^{alpha}_{sigma} exceeds order {self.order}"
             ) from None
 
-    def base_var(self, i: int) -> int:
-        return i
-
     def info(self, var: int) -> tuple:
         return self._table[self._names[var]]
 
@@ -250,9 +241,6 @@ class JetSpace:
             return self._by_name[name]
         except KeyError:
             raise BadPoint(f"unknown coordinate {name!r}") from None
-
-    def coordinates(self) -> range:
-        return range(len(self._names))
 
     def coordinate_names(self) -> list[str]:
         return list(self._names)
@@ -414,7 +402,7 @@ def prolong(
     """
     space = plan.space
     p, k = space.p, space.order
-    if any(point[space.base_var(i)] for i in range(p)):
+    if any(point[i] for i in range(p)):
         raise BadPoint("tangent rows are evaluated over the base origin only")
     jet_scale = lcm(*[point[var].denominator for var in range(p, space.dim)])
     k_factorial = factorial(k)
@@ -490,16 +478,18 @@ class Scenario:
     Built from a plain dict (JSON-compatible), so new examples need no code:
 
         {"id": ..., "base": [names], "fiber": [names],
-         "free_functions": [names], "lift_order": r0,
+         "free_functions": [names],
          "generators": [{"xi": [exprs], "phi": [exprs]}, ...],
          "strata": [{"label": ..., "equalities": [...], "inequations": [...]}],
          "invariants": {label: [rational exprs]},          # optional
          "positivity": [rational exprs required > 0]}      # optional
 
-    Generator expressions use base names, order-0 fiber names, and
-    free-function jet tokens f, f_x, f_xy, ... (suffix letters are base
-    names); each free function belongs to the single generator using it.
-    They are parsed into polynomials and may divide by constants only.
+    Base names are single letters and fiber names symbols of the
+    expression grammar ([A-Za-z][A-Za-z0-9_]*).  Generator expressions use
+    base names, order-0 fiber names, and free-function jet tokens f, f_x,
+    f_xy, ... (suffix letters are base names); each free function belongs
+    to the single generator using it.  They are parsed into polynomials
+    and may divide by constants only.
     Invariants and positivity conditions are rational expressions in jet
     coordinates, evaluated exactly at each sampled point; a sample where
     one of them divides by zero is redrawn.
@@ -510,7 +500,6 @@ class Scenario:
         self.base: tuple[str, ...] = tuple(data["base"])
         self.fiber: tuple[str, ...] = tuple(data["fiber"])
         self.free_functions: tuple[str, ...] = tuple(data.get("free_functions", ()))
-        self.lift_order: int = int(data.get("lift_order", 0))
         self.generators: tuple[Mapping, ...] = tuple(data["generators"])
         self.strata: dict[str, StratumCase] = {}
         for raw in data.get("strata", ()):
@@ -527,9 +516,10 @@ class Scenario:
         self.positivity: tuple[str, ...] = tuple(data.get("positivity", ()))
         self.p = len(self.base)
         self.q = len(self.fiber)
-        for name in self.base:
-            if len(name) != 1:
-                raise ValueError("base variable names must be single letters")
+        for kind, names, form in (("base", self.base, "[A-Za-z]"), ("fiber", self.fiber, _SYMBOL)):
+            for name in names:
+                if not re.fullmatch(form, name):
+                    raise ValueError(f"{kind} name {name!r} is not of the form {form}")
         if self.free_functions and not self.base:
             raise ValueError(
                 f"scenario {self.id!r} has free functions but an empty base"
@@ -538,7 +528,7 @@ class Scenario:
         _coordinates(self.base, self.fiber)
 
     def space(self, order: int) -> JetSpace:
-        return JetSpace(self.p, self.q, order, self.base, self.fiber)
+        return JetSpace(order, self.base, self.fiber)
 
     def stratum(self, label: str) -> StratumCase:
         try:
@@ -550,25 +540,24 @@ class Scenario:
 
     # -- generator instantiation ----------------------------------------
 
-    def instantiate(
-        self, space: JetSpace, cutoff: int
-    ) -> tuple[ProlongPlan, list[ParamInfo]]:
+    def instantiate(self, space: JetSpace) -> tuple[ProlongPlan, list[ParamInfo]]:
         """Parse the generators once into one ProlongPlan on `space`,
-        truncating free functions at degree `cutoff`.
+        truncating each free function at the order its tokens read.
 
         The parameters go generator by generator.  A generator's
         function-free part, when it is nonzero, is one parameter (a fixed
         generator, marked by a token of its own).  The monomial
-        coefficients of each free function the generator mentions follow,
-        up to the cutoff, and then its coefficients of degree cutoff + 1,
-        every one a sentinel, which must act trivially in every later
-        evaluation.  Each free function belongs to the one generator that
-        mentions it.  Components may use known symbols only, must be
-        linear in the jet tokens and may divide by constants only.
+        coefficients of each free function f the generator mentions
+        follow, up to degree k + r_f (k the space's order, r_f the highest
+        |gamma| among f's tokens d^gamma f there), and then those of
+        degree k + r_f + 1, every one a sentinel, which must act trivially
+        in every later evaluation.  Each free function belongs to the one
+        generator that mentions it.  Components may use known symbols
+        only, must be linear in the jet tokens and may divide by constants
+        only.
         """
         first_token = self.p + self.q
         zero = (0,) * self.p
-        betas = [b for m in range(cutoff + 2) for b in _multi_indices(self.p, m)]
         params: list[ParamInfo] = []
         specs: list[tuple[tuple[int, int, MultiIndex], ...]] = []
         xi_sum, phi_sum = [Poly.zero()] * self.p, [Poly.zero()] * self.q
@@ -628,11 +617,12 @@ class Scenario:
             })
             xi_sum = [a + marked(b) for a, b in zip(xi_sum, xi)]
             phi_sum = [a + marked(b) for a, b in zip(phi_sum, phi)]
-            used = {fname for _, fname, _ in tokens.values()}
+            orders = _derivative_orders(tokens.values())
             for fname in self.free_functions:
-                if fname not in used:
+                if fname not in orders:
                     continue
-                for beta in betas:
+                cutoff = space.order + orders[fname]
+                for beta in (b for m in range(cutoff + 2) for b in _multi_indices(self.p, m)):
                     spec = []
                     for var, f, gamma in tokens.values():
                         if f == fname and all(g <= b for g, b in zip(gamma, beta)):
@@ -659,6 +649,14 @@ class Scenario:
                     gamma[self.base.index(ch)] += 1
                 return fname, tuple(gamma)
         return None
+
+
+def _derivative_orders(tokens: Iterable[tuple[int, str, MultiIndex]]) -> dict[str, int]:
+    """{f: r_f}, the highest |gamma| among each function's (var, f, gamma) tokens."""
+    orders: dict[str, int] = {}
+    for _, fname, gamma in tokens:
+        orders[fname] = max(orders.get(fname, 0), sum(gamma))
+    return orders
 
 
 # ---------------------------------------------------------------------------
@@ -799,9 +797,7 @@ class _StratumEngine:
         self.scenario = scenario
         self.k_max = k_max
         self.space = scenario.space(k_max)
-        self.plan, self.params = scenario.instantiate(
-            self.space, k_max + scenario.lift_order
-        )
+        self.plan, self.params = scenario.instantiate(self.space)
         self.cols_at = self.space.cols_at
         self.positivity = [parse_expression(text) for text in scenario.positivity]
 
@@ -813,7 +809,7 @@ class _StratumEngine:
         trivially (InvariantViolation)."""
         rows = prolong(self.plan, point)[1]
         if any(self.params[param].sentinel for param in rows):
-            raise InvariantViolation("sentinel parameter acts nontrivially: cutoff too small")
+            raise InvariantViolation("sentinel parameter acts nontrivially: truncated too low")
         return list(rows.values())
 
     def ranks_for_point(self, point: Mapping[int, Fraction], stratum: StratumCase) -> list[int]:
@@ -909,16 +905,21 @@ def annihilation_check(
     at _ANNIHILATION_POINTS seeded random stratum points.
 
     The invariant is a rational expression in jet coordinates, checked at
-    the order of the highest jet it names (read from the name table, so a
-    name that is no coordinate up to _MAX_ORDER is a BadPoint when the
-    invariant is evaluated), where stratum_columns drops the stratum's
+    the order of the highest jet it names (read from the name table; a
+    name that is no coordinate up to _MAX_ORDER is a BadPoint before any
+    engine is built), where stratum_columns drops the stratum's
     conditions above that order; a sampled point where it divides by zero
     is resampled (error if that keeps failing).
     """
     if isinstance(stratum, str):
         stratum = scenario.stratum(stratum)
     coordinates = _coordinates(scenario.base, scenario.fiber)
-    named = [coordinates.get(name, ("base",)) for name in symbol_names(invariant)]
+    names = symbol_names(invariant)
+    if unknown := sorted(names - coordinates.keys()):
+        raise BadPoint(
+            f"invariant {invariant!r} names {unknown[0]!r}, which is not a jet coordinate"
+        )
+    named = [coordinates[name] for name in names]
     order = max((sum(c[2]) for c in named if c[0] == "jet"), default=0)
     return _StratumEngine(scenario, order).annihilates(invariant, stratum, seed)
 
@@ -934,7 +935,6 @@ X_REPARAM = {
     "base": ["x", "y"],
     "fiber": ["u"],
     "free_functions": ["f"],
-    "lift_order": 0,
     "generators": [
         {"xi": ["f", "0"], "phi": ["0"]},
         {"xi": ["0", "1"], "phi": ["0"]},
@@ -991,7 +991,6 @@ METRIC2D = {
     "base": ["x", "y"],
     "fiber": ["g11", "g12", "g22"],
     "free_functions": ["a", "b"],
-    "lift_order": 1,
     "generators": [
         {
             "xi": ["a", "b"],

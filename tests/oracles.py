@@ -153,7 +153,7 @@ def total_derivative(space, poly, direction):
     """D_i = d/dx_i + sum u^alpha_{sigma+e_i} d/du^alpha_sigma on jet polynomials."""
     from poincount.jetpoly import Poly
 
-    out = poly.diff(space.base_var(direction))
+    out = poly.diff(direction)
     for var in poly.variables():
         info = space.info(var)
         if info[0] != "jet":
@@ -172,7 +172,7 @@ def _concrete_component(scenario, space, text, functions):
 
     def resolve(name):
         if name in scenario.base:
-            return Poly.variable(space.base_var(scenario.base.index(name)))
+            return Poly.variable(scenario.base.index(name))
         if name in scenario.fiber:
             zero = (0,) * scenario.p
             return Poly.variable(space.jet_var(scenario.fiber.index(name), zero))
@@ -181,7 +181,7 @@ def _concrete_component(scenario, space, text, functions):
             raise KeyError(name)
         poly = functions.get(fname, Poly.zero())
         for ch in suffix:
-            poly = poly.diff(space.base_var(scenario.base.index(ch)))
+            poly = poly.diff(scenario.base.index(ch))
         return poly
 
     return evaluate_node(parse_expression(text), Poly.constant, resolve)
@@ -195,7 +195,7 @@ def _prolonged_row(space, xi, phi, point):
     components = {(alpha, (0,) * p): phi[alpha] for alpha in range(space.q)}
     dxi = [[total_derivative(space, xi[j], i) for j in range(p)] for i in range(p)]
     for m in range(1, space.order + 1):
-        for var in space.coordinates():
+        for var in range(space.dim):
             info = space.info(var)
             if info[0] != "jet" or sum(info[2]) != m:
                 continue
@@ -208,26 +208,37 @@ def _prolonged_row(space, xi, phi, point):
                 comp = comp - Poly.variable(space.jet_var(alpha, up)) * dxi[i][j]
             components[(alpha, sigma)] = comp
     row = []
-    for var in space.coordinates():
+    for var in range(space.dim):
         info = space.info(var)
         poly = xi[info[1]] if info[0] == "base" else components[(info[1], info[2])]
         row.append(poly.evaluate(point))
     return row
 
 
-def prolonged_rows_oracle(scenario, k, cutoff, point):
+def derivative_orders(scenario, gen):
+    """{f: r_f} for the free functions a generator names, read off its
+    text: r_f is the longest derivative suffix among f's tokens f, f_x,
+    f_xy, ... (0 for a bare f)."""
+    from poincount.exprs import symbol_names
+
+    orders = {}
+    for text in [*gen["xi"], *gen["phi"]]:
+        for name in symbol_names(text):
+            fname, _, suffix = name.partition("_")
+            if fname in scenario.free_functions:
+                orders[fname] = max(orders.get(fname, 0), len(suffix))
+    return orders
+
+
+def prolonged_rows_oracle(scenario, k, point):
     """Nonzero tangent rows at a jet point: for each generator its
     function-free part, and the difference made by setting one free function
-    to x^beta (|beta| <= cutoff), the others to zero."""
+    it names to x^beta, the others to zero.  The order-k rows read the jets
+    of f up to order k + r_f (derivative_orders), so an x^beta with
+    |beta| > k + r_f gives a zero row; the betas run one degree past that."""
     from poincount.jetpoly import Poly
 
     space = scenario.space(k)
-    monomials = [
-        beta
-        for total in range(cutoff + 1)
-        for beta in product(range(total + 1), repeat=scenario.p)
-        if sum(beta) == total
-    ]
     rows = []
     for gen in scenario.generators:
 
@@ -239,9 +250,15 @@ def prolonged_rows_oracle(scenario, k, cutoff, point):
 
         xi0, phi0 = field({})
         slices = [(xi0, phi0)]
-        for fname in scenario.free_functions:
+        for fname, order in derivative_orders(scenario, gen).items():
+            monomials = [
+                beta
+                for total in range(k + order + 2)
+                for beta in product(range(total + 1), repeat=scenario.p)
+                if sum(beta) == total
+            ]
             for beta in monomials:
-                exps = tuple((space.base_var(i), e) for i, e in enumerate(beta) if e)
+                exps = tuple((i, e) for i, e in enumerate(beta) if e)
                 x_beta = Poly({exps: Fraction(1)})
                 xi, phi = field({fname: x_beta})
                 slices.append(

@@ -103,7 +103,7 @@ def test_exit_codes_for_errors():
         assert code == 2 and out == "", argv[:2]
         assert err.startswith("poincount: error:") and err.count("\n") == 1
     err = capture(["verify", "--id", "einstein", "--nmax", "3"])[2]
-    assert err == "poincount: error: einstein has no sample with n <= 3; the smallest valid n is 4\n"
+    assert err == "poincount: error: einstein has no sample with n <= 3; the smallest n with a sample is 4\n"
     assert capture(["verify", "--nmax", "-5"])[2] == "poincount: error: --nmax must be >= 0, got -5\n"
     err = capture(["strata-demo", "--kmax", "0"])[2]
     assert "'sigma1'" in err and "'u10'" in err and "jet order 0" in err

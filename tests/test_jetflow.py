@@ -41,6 +41,7 @@ from poincount.cli import run
 from poincount.jetpoly import Poly, _echelon, matrix_rank, rank_profile
 
 from oracles import (
+    derivative_orders,
     prolonged_rows_oracle,
     rational_rank,
     total_derivative,
@@ -61,7 +62,7 @@ def test_total_derivative_coordinate_shift():
 
 def test_total_derivative_product_rule():
     space = SC.space(2)
-    x = Poly.variable(space.base_var(0))
+    x = Poly.variable(0)
     u01 = Poly.variable(space.jet_var(0, (0, 1)))
     u11 = Poly.variable(space.jet_var(0, (1, 1)))
     assert total_derivative(space, x * u01, 0) == u01 + x * u11
@@ -80,7 +81,7 @@ def test_total_derivative_order_overflow():
 def _point(space, values):
     """{column: Fraction} of named coordinate values, the base at the origin
     unless a base value is named."""
-    point = {space.base_var(i): Fraction(0) for i in range(space.p)}
+    point = dict.fromkeys(range(space.p), Fraction(0))
     point.update({space.var_by_name(name): Fraction(v) for name, v in values.items()})
     return point
 
@@ -118,7 +119,7 @@ def _engine_rows(engine, point):
 
 def test_prolong_fiber_translation_is_unchanged():
     space = SC.space(3)
-    plan, params = SC.instantiate(space, 4)
+    plan, params = SC.instantiate(space)
     rows = _exact_rows(plan, _generic_point(space, 3))
     d_du = next(i for i, info in enumerate(params) if info.name == "fixed[2]")
     unit = [Fraction(0)] * space.dim
@@ -130,13 +131,13 @@ def test_prolong_constant_translation_geometric_vs_vertical():
     # geometric prolongation of the constant-f generator slice: the constant
     # parameter produces a pure base translation with no fiber components
     space = SC.space(3)
-    plan, params = SC.instantiate(space, 4)
+    plan, params = SC.instantiate(space)
     const_param = next(
         i for i, info in enumerate(params) if info.name == "f[(0, 0)]"
     )
     rows = _exact_rows(plan, _generic_point(space, 4))
     unit = [Fraction(0)] * space.dim
-    unit[space.base_var(0)] = Fraction(1)
+    unit[0] = Fraction(1)
     assert rows[const_param] == unit
 
 
@@ -145,7 +146,7 @@ def test_prolong_order2_components_match_closed_form():
     # -(i f_{i-1,j} u20 + j f_{i,j-1} u11), with f_{a,b} the value of the
     # (a,b) partial at the origin
     space = SC.space(2)
-    plan, params = SC.instantiate(space, 3)
+    plan, params = SC.instantiate(space)
     values = _generic_point_values(space, random.Random(6))
     values["u10"] = Fraction(0)
     rows = _exact_rows(plan, _point(space, values))
@@ -197,7 +198,7 @@ def test_prolong_projection_consistency():
 
 def _generic_point_values(space, rng):
     values = {}
-    for var in space.coordinates():
+    for var in range(space.dim):
         if space.info(var)[0] == "jet":
             values[space.name_of(var)] = Fraction(
                 rng.randint(1, 19), rng.randint(1, 7)
@@ -247,7 +248,7 @@ def test_orbit_rank_bad_point():
     space = SC.space(1)
     with pytest.raises(BadPoint):
         space.var_by_name("nonsense")
-    plan, _ = SC.instantiate(space, 2)
+    plan, _ = SC.instantiate(space)
     values = _generic_point_values(space, random.Random(2))
     values["x"] = Fraction(1)  # rows are evaluated over the base origin only
     with pytest.raises(BadPoint, match="origin"):
@@ -317,9 +318,9 @@ def test_lie_example_table_rows(monkeypatch):
     instantiations = []
     instantiate = Scenario.instantiate
 
-    def counted(self, space, cutoff):
+    def counted(self, space):
         instantiations.append(self.id)
-        return instantiate(self, space, cutoff)
+        return instantiate(self, space)
 
     monkeypatch.setattr(Scenario, "instantiate", counted)
     rows = {row.label: row for row in lie_example_table(7, 2024)}
@@ -602,7 +603,7 @@ def test_poly_integral_coefficients_stay_int(int_case, fraction_case):
 
 def test_sentinel_rows_are_zero_at_origin():
     space = SC.space(4)
-    plan, params = SC.instantiate(space, 5)
+    plan, params = SC.instantiate(space)
     point = _generic_point(space, 17)
     assert any(info.sentinel for info in params)
     violations = [
@@ -611,52 +612,94 @@ def test_sentinel_rows_are_zero_at_origin():
     assert violations == []  # the sentinel acts trivially at base-origin points
 
 
-def test_sentinel_violation_detected_when_cutoff_too_small():
-    # order-3 components depend on f-jets up to order 3; a cutoff of 1 makes
-    # the degree-2 sentinel act nontrivially and must be caught
+#: the field f_yy d/du on (x, y, u): order-k components read the jets of f
+#: up to order k + 2, along y
+FYY = {
+    "id": "fyy",
+    "base": ["x", "y"],
+    "fiber": ["u"],
+    "free_functions": ["f"],
+    "generators": [{"xi": ["0", "0"], "phi": ["f_yy"]}],
+    "strata": [{"label": "generic"}],
+}
+
+
+def test_sentinel_violation_detected_when_cutoff_too_small(monkeypatch):
+    # free functions truncated below the order their tokens read: the
+    # order-3 components of f d/dx read the jets of f up to order 3, so at
+    # one degree too low the degree-3 sentinel acts nontrivially and the
+    # engine's self-check must catch it.  Every coefficient one degree past
+    # the truncation is a sentinel, so the derivatives along y that f_yy
+    # d/du misses are caught too, not only those along x.
+    orders = jetflow._derivative_orders
+
+    def truncate_lower(by):
+        lowered = lambda tokens: {f: r - by for f, r in orders(tokens).items()}
+        monkeypatch.setattr(jetflow, "_derivative_orders", lowered)
+
+    truncate_lower(1)
     engine = _StratumEngine(SC, 3)
-    engine.plan, engine.params = SC.instantiate(engine.space, 1)
     values = _generic_point_values(engine.space, random.Random(18))
     with pytest.raises(InvariantViolation, match="sentinel"):
         engine.rows(_point(engine.space, values))
-
-
-def _fyy(lift_order):
-    """The field f_yy d/du on (x, y, u): order-k components read the jets of
-    f up to order k + 2, along y."""
-    return Scenario({
-        "id": "fyy",
-        "base": ["x", "y"],
-        "fiber": ["u"],
-        "free_functions": ["f"],
-        "lift_order": lift_order,
-        "generators": [{"xi": ["0", "0"], "phi": ["f_yy"]}],
-        "strata": [{"label": "generic"}],
-    })
-
-
-def test_understated_lift_order_is_reported():
-    # every Taylor coefficient one degree past the truncation is a sentinel,
-    # so missing derivatives along y are caught, not only those along x
-    for lift_order in (0, 1):
+    for by in (1, 2):
+        truncate_lower(by)
         with pytest.raises(InvariantViolation, match="sentinel"):
-            stratum_codim_sequence(_fyy(lift_order), "generic", 4, seed=1)
-    assert stratum_codim_sequence(_fyy(2), "generic", 4, seed=1)[1] == [2, 0, 0, 0, 0]
+            stratum_codim_sequence(Scenario(FYY), "generic", 4, seed=1)
+
+
+def test_truncation_is_read_off_the_tokens():
+    # f_yy d/du declares no truncation: r_f = 2 is read off its token, so
+    # no sentinel acts, every vertical jet is reached and the two base
+    # directions stay
+    assert stratum_codim_sequence(Scenario(FYY), "generic", 4, seed=1)[1] == [2, 0, 0, 0, 0]
 
 
 def test_non_sentinel_parameters_are_n_k():
-    # metric2d: two functions read to order k + 1, C(k + 3, 2) coefficients
-    # each; x-reparam: C(k + 2, 2) coefficients of f and two fixed
-    # generators.  The sentinels are every coefficient one degree higher:
-    # k + 3 per function of metric2d and k + 2 of f.
+    # N_k = sum over the free functions f of each generator of
+    # C(p + k + r_f, p), with r_f read off the generator text, plus one
+    # parameter per fixed generator; the sentinels are the C(p + k + r_f,
+    # p - 1) coefficients of degree k + r_f + 1.  metric2d: two functions
+    # read to order k + 1, C(k + 3, 2) coefficients each; x-reparam:
+    # C(k + 2, 2) coefficients of f and two fixed generators; mixed-orders:
+    # C(k + 4, 2) of f (read to f_yy) and C(k + 2, 2) of g.
     expected = {
         "metric2d": ([6, 12, 20, 30], [6, 8, 10, 12]),
         "x-reparam": ([3, 5, 8, 12], [2, 3, 4, 5]),
+        "mixed-orders": ([7, 13, 21, 31], [6, 8, 10, 12]),
     }
     for name, (counts, sentinels) in expected.items():
-        params = [_StratumEngine(get_scenario(name), k).params for k in range(4)]
+        params = [_StratumEngine(_scenario(name), k).params for k in range(4)]
         assert [sum(not info.sentinel for info in p) for p in params] == counts
         assert [sum(info.sentinel for info in p) for p in params] == sentinels
+    for name in dict.fromkeys(name for name, _, _ in PARITY_CASES):
+        scenario = _scenario(name)
+        p = scenario.p
+        orders = [
+            r for gen in scenario.generators for r in derivative_orders(scenario, gen).values()
+        ]
+        for k in range(4):
+            params = _StratumEngine(scenario, k).params
+            fixed = sum(info.name.startswith("fixed[") for info in params)
+            n_k = fixed + sum(math.comb(p + k + r, p) for r in orders)
+            assert sum(not info.sentinel for info in params) == n_k, (name, k)
+            assert sum(info.sentinel for info in params) == sum(
+                math.comb(p + k + r, p - 1) for r in orders
+            ), (name, k)
+    # each function is truncated at its own order: one base direction is
+    # left, the other is a translation g d/dx
+    _, h = stratum_codim_sequence(_scenario("mixed-orders"), "generic", 5, seed=1)
+    assert h == [1, 0, 0, 0, 0, 0]
+    # the benchmark's METRIC3D still carries a "lift_order" key, which
+    # Scenario does not read: it builds the engine of the local copy
+    bench = Scenario(_perfbench_scenarios().METRIC3D)
+    for k in range(3):
+        ours, theirs = _StratumEngine(_scenario("metric3d"), k), _StratumEngine(bench, k)
+        assert ours.params == theirs.params and ours.plan.specs == theirs.plan.specs
+        point = sample_stratum_point(
+            ours.space, bench.stratum("generic"), random.Random(k), ours.positivity
+        )
+        assert prolong(ours.plan, point) == prolong(theirs.plan, point)
 
 
 @pytest.mark.parametrize(
@@ -692,7 +735,7 @@ def test_jet_names_are_distinct_and_read_back(p, fiber):
     # every coordinate of J^9 has its own name, and _jet_index reads each
     # jet name back to its (fiber index, multi-index)
     base = "xyz"[:p]
-    space = JetSpace(p, len(fiber), 9, base, fiber)
+    space = JetSpace(9, base, fiber)
     names = space.coordinate_names()
     assert len(set(names)) == len(names) == space.dim
     assert [space._jet_index(name) for name in names[:p]] == [None] * p
@@ -708,17 +751,41 @@ def test_names_above_the_top_order_are_no_coordinates():
         stratum_codim_sequence(SC, StratumCase("high", (), ("u10", "u55")), 3, seed=1)
     with pytest.raises(BadPoint, match="'u55'"):
         stratum_codim_sequence(SC, StratumCase("high", ("u55",), ("u10",)), 3, seed=1)
-    with pytest.raises(BadPoint, match="'u55'"):
+    with pytest.raises(BadPoint, match="'u55', which is not a jet coordinate"):
         annihilation_check(SC, "u01 + u55", "sigma0", seed=1)
 
 
-def test_fiber_names_with_digits_are_accepted():
+def _perfbench_scenarios():
+    """The benchmark's scenarios module, perfbench/scenarios.py."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_scenarios", Path(__file__).parents[1] / "perfbench" / "scenarios.py"
     )
     scenarios = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(scenarios)
-    for data in (X_REPARAM, METRIC2D, scenarios.METRIC3D):
+    return scenarios
+
+
+@pytest.mark.parametrize(
+    "base, fiber, refused",
+    [
+        (["x"], ["", "u"], "fiber name ''"),
+        (["x"], ["1u"], "fiber name '1u'"),
+        (["x"], ["u v"], "fiber name 'u v'"),
+        (["x"], ["u", "u-1"], "fiber name 'u-1'"),
+        (["1"], ["u"], "base name '1'"),
+        (["xy"], ["u"], "base name 'xy'"),
+    ],
+)
+def test_names_no_expression_can_use_are_refused(base, fiber, refused):
+    # a fiber name must be a symbol of the expression grammar and a base
+    # name a single letter; the ValueError names the one refused
+    data = {"id": "names", "base": base, "fiber": fiber, "generators": []}
+    with pytest.raises(ValueError, match=f"^{re.escape(refused)} is not of the form"):
+        Scenario(data)
+
+
+def test_fiber_names_with_digits_are_accepted():
+    for data in (X_REPARAM, METRIC2D, _perfbench_scenarios().METRIC3D):
         Scenario(data)
     metric = Scenario({"id": "g", "base": ["x", "y"], "fiber": ["g11", "g12", "g22"], "generators": []})
     names = metric.space(9).coordinate_names()
@@ -743,7 +810,7 @@ def test_scenario_errors():
         }
     )
     with pytest.raises(ExpressionError):
-        bad.instantiate(bad.space(2), 2)
+        bad.instantiate(bad.space(2))
     zero_divisor = Scenario(
         {
             "id": "zero-divisor",
@@ -754,7 +821,7 @@ def test_scenario_errors():
         }
     )
     with pytest.raises(ExpressionError, match="zero-divisor"):
-        zero_divisor.instantiate(zero_divisor.space(2), 2)
+        zero_divisor.instantiate(zero_divisor.space(2))
     nonlinear = Scenario(
         {
             "id": "nonlinear",
@@ -766,13 +833,13 @@ def test_scenario_errors():
         }
     )
     with pytest.raises(NonlinearParameters):
-        nonlinear.instantiate(nonlinear.space(2), 2)
+        nonlinear.instantiate(nonlinear.space(2))
 
     def first_xi(text):
         """The integral form (terms, denominator) of the field (text, 0)."""
         generators = [{"xi": [text], "phi": ["0"]}]
         line = Scenario({"id": "divisors", "base": ["x"], "fiber": ["u"], "generators": generators})
-        plan, _ = line.instantiate(line.space(2), 2)
+        plan, _ = line.instantiate(line.space(2))
         return plan.terms, plan.denominator
 
     for text in ("x/u", "x^-1"):
@@ -916,12 +983,11 @@ def test_rows_match_symbolic_prolongation_oracle():
     cases += [(get_scenario("metric2d"), "generic", 4), (Scenario(LINE_AFFINE), "generic", 4)]
     for scenario, label, k in cases:
         engine = _StratumEngine(scenario, k)
-        cutoff = k + scenario.lift_order + 1
         rng = random.Random(70 + k)
         point = sample_stratum_point(
             engine.space, scenario.stratum(label), rng, engine.positivity
         )
-        expected = prolonged_rows_oracle(scenario, k, cutoff, point)
+        expected = prolonged_rows_oracle(scenario, k, point)
         assert sorted(_engine_rows(engine, point)) == sorted(expected), (scenario.id, label)
 
 
@@ -932,7 +998,6 @@ RICCATI_MIXED = {
     "base": ["x", "y"],
     "fiber": ["u", "v"],
     "free_functions": ["f"],
-    "lift_order": 2,
     "generators": [
         {"xi": ["f", "u^2/3"], "phi": ["f_x*u/2 + f_xx*u^2/3", "v*u - 5*f_y/7"]},
         {"xi": ["0", "1/2"], "phi": ["u^3/2 - v", "3/4"]},
@@ -947,7 +1012,6 @@ METRIC3D = {
     "base": ["x", "y", "z"],
     "fiber": ["g11", "g12", "g13", "g22", "g23", "g33"],
     "free_functions": ["a", "b", "c"],
-    "lift_order": 1,
     "generators": [
         {
             "xi": ["a", "b", "c"],
@@ -974,16 +1038,28 @@ FIBER_DEGREES = {
     "generators": [{"xi": ["f"], "phi": ["u^2/2"]}, {"xi": ["0"], "phi": ["1/3"]}],
     "strata": [{"label": "generic", "equalities": [], "inequations": []}],
 }
+# f read to second derivatives in one generator and g to none in another:
+# each function is truncated at its own degree
+MIXED_ORDERS = {
+    "id": "mixed-orders",
+    "base": ["x", "y"],
+    "fiber": ["u"],
+    "free_functions": ["f", "g"],
+    "generators": [{"xi": ["0", "0"], "phi": ["f_yy"]}, {"xi": ["g", "0"], "phi": ["0"]}],
+    "strata": [{"label": "generic", "equalities": [], "inequations": []}],
+}
 LOCAL_SCENARIOS = {
     "line-affine": LINE_AFFINE,
     "riccati-mixed": RICCATI_MIXED,
     "metric3d": METRIC3D,
     "fiber-degrees": FIBER_DEGREES,
+    "mixed-orders": MIXED_ORDERS,
 }
 
 PARITY_CASES = (
     [("x-reparam", label, 5) for label in SC.strata]
-    # lift order 1: slice shifts reach |beta - gamma| = k + 3, past J^k
+    # a and b are read to first derivatives: the sentinel slices of a and b
+    # shift by |beta - gamma| = k + 2, past J^k
     + [("metric2d", "generic", k) for k in range(2, 6)]
     + [("line-affine", "generic", 3)]
     + [("distribution3d", label, 0) for label in ("r != 0", "r = 0, s != 0", "r = s = 0")]
@@ -994,6 +1070,8 @@ PARITY_CASES = (
     + [("metric3d", "generic", k) for k in (1, 2)]
     # generators of different fiber degree M under the one scale
     + [("fiber-degrees", "generic", k) for k in range(4)]
+    # free functions truncated at different degrees
+    + [("mixed-orders", "generic", k) for k in range(3)]
 )
 
 
@@ -1011,7 +1089,7 @@ def test_prolong_parity_with_oracle(name, label, k):
     point = sample_stratum_point(
         engine.space, scenario.stratum(label), random.Random(seed), engine.positivity
     )
-    expected = prolonged_rows_oracle(scenario, k, k + scenario.lift_order + 1, point)
+    expected = prolonged_rows_oracle(scenario, k, point)
     assert sorted(_engine_rows(engine, point)) == sorted(expected)
 
 
@@ -1049,9 +1127,9 @@ def test_one_plan_per_engine(name, k, monkeypatch):
     build = ProlongPlan.__init__
     sample = jetflow.sample_stratum_point
 
-    def counted_instantiate(self, space, cutoff):
-        instantiations.append(cutoff)
-        return instantiate(self, space, cutoff)
+    def counted_instantiate(self, space):
+        instantiations.append(space)
+        return instantiate(self, space)
 
     def counted_build(self, *args):
         builds.append(self)
@@ -1081,7 +1159,7 @@ def test_fixed_generators_are_parameters():
     # a generator's nonzero function-free part is one parameter, read off
     # its own marker token, before that generator's function slices
     names = lambda params: [info.name for info in params if not info.name.startswith("f[")]
-    plan, params = SC.instantiate(SC.space(2), 3)
+    plan, params = SC.instantiate(SC.space(2))
     assert names(params) == ["fixed[1]", "fixed[2]"]  # f d/dx has no fixed part
     assert params[-2:] == [ParamInfo("fixed[1]", False), ParamInfo("fixed[2]", False)]
     markers = [spec[0][0] for spec in plan.specs[-2:]]
@@ -1090,12 +1168,12 @@ def test_fixed_generators_are_parameters():
         var for spec in plan.specs[:-2] for var, _, _ in spec
     )
     riccati = Scenario(RICCATI_MIXED)
-    _, params = riccati.instantiate(riccati.space(1), 4)
+    _, params = riccati.instantiate(riccati.space(1))
     assert names(params) == ["fixed[0]", "fixed[1]"]
     assert params[0].name == "fixed[0]" and params[-1].name == "fixed[1]"
     # one scale L D^M over all generators: L = lcm(2, 3), M = deg_u(u^2)
     degrees = Scenario(FIBER_DEGREES)
-    plan, _ = degrees.instantiate(degrees.space(2), 3)
+    plan, _ = degrees.instantiate(degrees.space(2))
     assert (plan.denominator, plan.degree) == (6, 2)
 
 
