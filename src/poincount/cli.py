@@ -13,11 +13,14 @@ Subcommands:
 Output formats: markdown (default), csv, json; select with --format or the
 POINCOUNT_FORMAT environment variable.  JSON payloads are exact: every
 non-integer rational is {"num": "...", "den": "..."} with decimal-digit
-strings, never floating point.  Output is byte-identical for identical
-argv and seed.  Exit codes: 0 success / all consistent, 1 mismatch
-findings present, 2 usage or validity errors (a verify that selects no
-sample is one: it would check nothing), 3 a broken jet-engine invariant (a
-sentinel parameter acted, or a generator left its stratum).
+strings, never floating point.  The JSON bytes are those of
+json.dumps(payload, indent=2): strings ASCII-escaped, a two-space indent.
+Output is byte-identical for identical argv and seed.  Exit codes: 0
+success / all consistent, 1 mismatch findings present, 2 usage or
+validity errors (a verify that selects no sample is one: it would check
+nothing; so is a result with an integer longer than Python's
+int-to-text digit limit, 4300 by default), 3 a broken jet-engine
+invariant (a sentinel parameter acted, or a generator left its stratum).
 
 EXPR grammar (integer coefficients over the single symbol z):
 
@@ -121,9 +124,37 @@ def _render_csv(payload: dict) -> str:
     return buf.getvalue()
 
 
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2), byte for byte, for the values a payload
+    holds (str keys only), without the standard library's pure-Python
+    indent encoder: an exact int is its repr (int.__repr__), a str goes
+    through the C encoder.  `indent` opens each item line of a container."""
+    kind = type(value)
+    if kind is int:  # not bool
+        return repr(value)
+    if kind is str:
+        return _json_str(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [_json_str(key) + ": " + _json(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(value)  # bool, None
+
+
 def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        return _json(payload) + "\n"
     if fmt == "csv":
         return _render_csv(payload)
     return _render_markdown(payload)
@@ -469,7 +500,17 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         print(f"poincount: engine invariant violated: {exc}", file=stderr)
         return 3
     fmt = args.format or os.environ.get("POINCOUNT_FORMAT", "markdown")
-    stdout.write(_render(payload, fmt))
+    try:
+        text = _render(payload, fmt)
+    except ValueError:  # an int longer than str() may write
+        limit = sys.get_int_max_str_digits()
+        print(
+            f"poincount: error: a result has more than {limit} digits, the limit "
+            "of Python's int-to-text conversion; try a lower --kmax",
+            file=stderr,
+        )
+        return 2
+    stdout.write(text)
     return code
 
 

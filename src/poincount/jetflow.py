@@ -484,12 +484,13 @@ class Scenario:
          "invariants": {label: [rational exprs]},          # optional
          "positivity": [rational exprs required > 0]}      # optional
 
-    Base names are single letters and fiber names symbols of the
-    expression grammar ([A-Za-z][A-Za-z0-9_]*).  Generator expressions use
-    base names, order-0 fiber names, and free-function jet tokens f, f_x,
-    f_xy, ... (suffix letters are base names); each free function belongs
-    to the single generator using it.  They are parsed into polynomials
-    and may divide by constants only.
+    Base names are single letters, and fiber and free-function names
+    symbols of the expression grammar ([A-Za-z][A-Za-z0-9_]*); no free
+    function takes a base, fiber or jet coordinate's name.  Generator
+    expressions use base names, order-0 fiber names, and free-function jet
+    tokens f, f_x, f_xy, ... (suffix letters are base names); each free
+    function belongs to the single generator using it.  They are parsed
+    into polynomials and may divide by constants only.
     Invariants and positivity conditions are rational expressions in jet
     coordinates, evaluated exactly at each sampled point; a sample where
     one of them divides by zero is redrawn.
@@ -516,7 +517,11 @@ class Scenario:
         self.positivity: tuple[str, ...] = tuple(data.get("positivity", ()))
         self.p = len(self.base)
         self.q = len(self.fiber)
-        for kind, names, form in (("base", self.base, "[A-Za-z]"), ("fiber", self.fiber, _SYMBOL)):
+        for kind, names, form in (
+            ("base", self.base, "[A-Za-z]"),
+            ("fiber", self.fiber, _SYMBOL),
+            ("free function", self.free_functions, _SYMBOL),
+        ):
             for name in names:
                 if not re.fullmatch(form, name):
                     raise ValueError(f"{kind} name {name!r} is not of the form {form}")
@@ -524,8 +529,13 @@ class Scenario:
             raise ValueError(
                 f"scenario {self.id!r} has free functions but an empty base"
             )
-        # every coordinate name up to _MAX_ORDER is one coordinate's
-        _coordinates(self.base, self.fiber)
+        # every coordinate name up to _MAX_ORDER is one coordinate's, and
+        # no free function's: its tokens would shadow the coordinate
+        coordinates = _coordinates(self.base, self.fiber)
+        for name in self.free_functions:
+            if name in coordinates:
+                kind = "base" if name in self.base else "fiber" if name in self.fiber else "jet"
+                raise ValueError(f"free function name {name!r} is a {kind} coordinate's name")
 
     def space(self, order: int) -> JetSpace:
         return JetSpace(order, self.base, self.fiber)

@@ -8,9 +8,11 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import poincount
-from poincount.cli import run
+from poincount.cli import _render, run
 
 
 def capture(argv, env_format=None, monkeypatch=None):
@@ -220,6 +222,58 @@ def test_pinned_stdout_bytes():
         code, out, err = capture(["--format", fmt] + argv)
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (fmt, argv[0])
+
+
+#: Text with the characters JSON escapes: quotes, backslashes, control
+#: characters, and non-ASCII up to the astral planes.
+_TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600'))
+
+#: Ints up to the 4300 digits that str() may write by default.
+_BIG = 10**4299
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-_BIG, _BIG) | _TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_JSON_VALUES)
+@example({"a\u00e9\"\\\n": [[{"b": [-(10**4000), True, None, {}, []]}], ()], "": False})
+def test_json_render_is_the_stdlib_indent_encoding(value):
+    assert _render(value, "json") == json.dumps(value, indent=2) + "\n"
+
+
+def test_every_command_prints_stdlib_indented_json():
+    for argv in (
+        ["list"],
+        ["show", "kaehler", "--n", "2", "--kmax", "8"],
+        ["show", "takens-bogdanov", "--kmax", "8"],
+        ["verify", "--id", "fedosov", "--nmax", "4", "--kmax", "20"],
+        ["analyze", "--expr", "1/(1-z^2)^3", "--kmax", "30"],
+        ["analyze", "--expr", "z/(1+z)"],
+        ["strata-demo", "--kmax", "7"],
+        ["metric2d", "--kmax", "3"],
+        ["rederive", "--id", "einstein", "--n", "4", "--kmax", "12"],
+    ):
+        code, out, err = capture(["--format", "json"] + argv)
+        assert code == 0, err
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv[0]
+
+
+def test_oversized_coefficients_are_a_usage_error():
+    # h_900 of 1/(1 - 100000 z) has 4501 digits, more than str() writes
+    limit = sys.get_int_max_str_digits()
+    for fmt in ("markdown", "csv", "json"):
+        argv = ["--format", fmt, "analyze", "--expr", "1/(1-100000*z)", "--kmax", "900"]
+        code, out, err = capture(argv)
+        assert (code, out) == (2, ""), fmt
+        assert err.startswith("poincount: error:") and err.count("\n") == 1, fmt
+        assert f"more than {limit} digits" in err and "lower --kmax" in err, fmt
+    assert capture(argv[:-1] + ["859"])[0] == 0  # 4296 digits are written
 
 
 def test_strata_demo_short_horizon_is_a_clean_error():

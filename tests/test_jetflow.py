@@ -793,6 +793,27 @@ def test_fiber_names_with_digits_are_accepted():
     Scenario({"id": "u", "base": ["x"], "fiber": ["u", "u_1"], "generators": []})
 
 
+@pytest.mark.parametrize(
+    "name, refused",
+    [
+        ("u", "free function name 'u' is a fiber coordinate's name"),
+        ("x", "free function name 'x' is a base coordinate's name"),
+        ("u1", "free function name 'u1' is a jet coordinate's name"),
+        ("1f", "free function name '1f' is not of the form"),
+    ],
+)
+def test_free_functions_named_like_coordinates_are_refused(name, refused):
+    # the generator's tokens would be read as the free function: with f
+    # named u, the scaling u d/du became f d/du and gave h = [1, 0, 0]
+    data = {
+        "id": "shadow", "base": ["x"], "fiber": ["u"], "free_functions": [name],
+        "generators": [{"xi": ["0"], "phi": ["u"]}],
+    }
+    with pytest.raises(ValueError, match=f"^{re.escape(refused)}"):
+        Scenario(data)
+    Scenario(dict(data, free_functions=["f"]))
+
+
 def test_scenario_errors():
     with pytest.raises(UnknownScenario):
         get_scenario("nope")
