@@ -13,9 +13,7 @@ actions at random rational points by exact rank.
 from .algebra import (
     ONE_MINUS_Z,
     PoleAtOrigin,
-    PoleAtPoint,
     Polynomial,
-    PowerSeries,
     RationalFunction,
     UnsupportedArgument,
     binomial,
@@ -48,14 +46,11 @@ from .counting import (
     assemble_hilbert,
     dim_delta,
     dim_sym,
-    euler_symbol_dim,
     shipped_plan,
-    symbol_dim_profile,
 )
 from .hilbert import (
     HilbertSpec,
     HorizonTooShort,
-    MatchReport,
     NotEventuallyPolynomial,
     equal_series,
     gf_from_hilbert,

@@ -47,10 +47,6 @@ class PoleAtOrigin(ZeroDivisionError):
     """Rational function has a pole at z = 0, so no Taylor series there."""
 
 
-class PoleAtPoint(ZeroDivisionError):
-    """Evaluation point is a zero of the denominator."""
-
-
 def binomial(m: int, k: int) -> int:
     """Binomial coefficient C(m, k) with C(m, k) = 0 for k < 0 or 0 <= m < k.
 
@@ -409,43 +405,6 @@ def binom_in_k(shift: int, r: int) -> Polynomial:
     return Polynomial([_div(c, r_factorial) for c in coeffs])
 
 
-class PowerSeries:
-    """Truncated Taylor series: coefficients for z^0 .. z^K, exactly K+1 of them,
-    ints where integral and Fractions otherwise, as in Polynomial."""
-
-    __slots__ = ("coeffs", "order")
-
-    def __init__(self, coeffs: Sequence[Scalar], order: int):
-        cs = tuple([c if type(c) is int else _scalar(c) for c in coeffs])
-        if len(cs) != order + 1:
-            raise ValueError(f"need {order + 1} coefficients, got {len(cs)}")
-        object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "order", order)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("PowerSeries is immutable")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PowerSeries):
-            return self.order == other.order and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("PowerSeries", self.coeffs))
-
-    def __iter__(self):
-        return iter(self.coeffs)
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __getitem__(self, k: int) -> Scalar:
-        return self.coeffs[k]
-
-    def __repr__(self) -> str:
-        return f"PowerSeries({list(self.coeffs)!r}, order={self.order})"
-
-
 class RationalFunction:
     """Quotient of two Polynomials, read in canonical (reduced, normalized) form.
 
@@ -605,14 +564,10 @@ class RationalFunction:
 
     # -- analysis ---------------------------------------------------------
 
-    def evaluate(self, x: Scalar) -> Fraction:
-        d = self.den.evaluate(x)
-        if d == 0:
-            raise PoleAtPoint(f"pole at z = {x}")
-        return self.num.evaluate(x) / d
-
-    def series(self, order: int) -> PowerSeries:
-        """Taylor coefficients 0..order at z = 0, by the den * series = num recurrence.
+    def series(self, order: int) -> tuple[Scalar, ...]:
+        """The order + 1 Taylor coefficients for z^0..z^order at z = 0, by the
+        den * series = num recurrence: ints where integral and Fractions
+        otherwise, as in Polynomial.
 
         Canonical form gives den(0) = 1 whenever there is no pole at 0, so the
         recurrence divides by nothing, and it runs on ints wherever the
@@ -633,7 +588,7 @@ class RationalFunction:
                     break
                 acc -= c * out[k - j]
             out.append(acc)
-        return PowerSeries(out, order)
+        return tuple([c if type(c) is int else _scalar(c) for c in out])
 
     def coefficient(self, k: int) -> Scalar:
         """The z^k Taylor coefficient at 0 (k >= 0)."""

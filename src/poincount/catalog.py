@@ -909,9 +909,9 @@ def verify_entry(entry_id: str, params: Mapping[str, int], k_max: int) -> Verifi
     gf = gf_from_hilbert(spec)
     if gf != p:
         problems["gf_mismatch"] = {"from_hilbert": str(gf), "claimed": str(p)}
-    report = equal_series(p, spec, k_max)
-    if not report.full_match:
-        k, expected, got = report.first_mismatch
+    mismatch = equal_series(p, spec, k_max)
+    if mismatch is not None:
+        k, expected, got = mismatch
         problems["series_mismatch"] = {"k": k, "expected": expected, "got": str(got)}
     if p.coefficient(0) != spec.h(0):
         problems["h0_mismatch"] = {"coeff": str(p.coefficient(0)), "h0": spec.h(0)}

@@ -180,7 +180,7 @@ def _series_rows(p: RationalFunction, kmax: int) -> list:
 
     Integral coefficients are ints, so the common case sums ints.
     """
-    series = p.series(kmax).coeffs
+    series = p.series(kmax)
     return [
         [k, _rat(h), _rat(s)]
         for k, (h, s) in enumerate(zip(series, accumulate(series)))
@@ -491,18 +491,21 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    fmt = args.format or os.environ.get("POINCOUNT_FORMAT", "markdown")
     try:
         code, payload = args.func(args)
+        text = _render(payload, fmt)
     except (UsageError, jetflow.GenericityFailure, jetflow.BadSample) as exc:
         print(f"poincount: error: {exc}", file=stderr)
         return 2
     except jetflow.InvariantViolation as exc:
         print(f"poincount: engine invariant violated: {exc}", file=stderr)
         return 3
-    fmt = args.format or os.environ.get("POINCOUNT_FORMAT", "markdown")
-    try:
-        text = _render(payload, fmt)
-    except ValueError:  # an int longer than str() may write
+    except ValueError as exc:
+        # only an int longer than str() may write, not one int() may read
+        message = str(exc)
+        if not (message.startswith("Exceeds the limit (") and "conversion;" in message):
+            raise
         limit = sys.get_int_max_str_digits()
         print(
             f"poincount: error: a result has more than {limit} digits, the limit "

@@ -27,7 +27,7 @@ from .hilbert import HilbertSpec, hilbert_values_spec
 
 
 class UnknownSymbol(UsageError):
-    """No prolongation profile with that name is shipped."""
+    """No counting plan with that id is shipped."""
 
 
 class InconsistentPlan(ValueError):
@@ -46,43 +46,6 @@ def dim_delta(n: int, k: int) -> int:
     if n < 1:
         raise UnsupportedArgument("n must be >= 1")
     return n * binomial(n + k - 1, k)
-
-
-def euler_symbol_dim(term_dims) -> int:
-    """Alternating sum t0 - t1 + t2 - ... of an acyclic-resolution dimension list."""
-    dims = list(term_dims)
-    if not dims:
-        raise UnsupportedArgument("need at least one term")
-    total = 0
-    sign = 1
-    for t in dims:
-        total += sign * t
-        sign = -sign
-    return total
-
-
-_PROFILE_NAMES = ("complex-gl", "acs2-tilde")
-
-
-def symbol_dim_profile(name: str, n: int, k: int) -> int:
-    """Prolongation dimension sequences of the named linear symbols.
-
-    complex-gl:       k -> 2n*C(n+k, k+1)             (real dim of the complex
-                      order-(k+1) prolongation; infinite type)
-    acs2-tilde:       [0, 4, 2, 2, 2, ...]            (n = 2 only; the order-0
-                      slot is not used by any consumer and reads 0)
-    """
-    if k < 0:
-        raise UnsupportedArgument("k must be >= 0")
-    if name == "complex-gl":
-        return 2 * n * binomial(n + k, k + 1)
-    if name == "acs2-tilde":
-        if n != 2:
-            raise UnsupportedArgument("acs2-tilde is the n = 2 sequence")
-        if k == 0:
-            return 0
-        return 4 if k == 1 else 2
-    raise UnknownSymbol(f"unknown symbol profile {name!r}; known: {_PROFILE_NAMES}")
 
 
 def _zero(_: int) -> int:
@@ -146,8 +109,6 @@ def assemble_hilbert(plan: CountingPlan, k_max: int = 48) -> HilbertSpec:
 
 
 def plan_linear_connections(n: int) -> CountingPlan:
-    if n < 2:
-        raise UnsupportedArgument("linear connections need n >= 2")
     symbol = lambda k: n**3 * dim_sym(n, k)
     if n == 2:
         # torsion has a unique nonzero orbit; its 2-dim stabilizer resolves
@@ -168,8 +129,6 @@ def plan_linear_connections(n: int) -> CountingPlan:
 
 
 def plan_symmetric_connections(n: int) -> CountingPlan:
-    if n < 2:
-        raise UnsupportedArgument("symmetric connections need n >= 2")
     rank = n * binomial(n + 1, 2)
     symbol = lambda k: rank * dim_sym(n, k)
     overrides = {
@@ -181,9 +140,6 @@ def plan_symmetric_connections(n: int) -> CountingPlan:
 
 
 def plan_metric_connections(n: int) -> CountingPlan:
-    if n < 2:
-        raise UnsupportedArgument("metric connections need n >= 2")
-
     def symbol(k: int) -> int:
         if k == 0:
             return binomial(n + 1, 2) + n * binomial(n, 2)
@@ -203,8 +159,6 @@ def plan_metric_connections(n: int) -> CountingPlan:
 
 
 def plan_fedosov(n: int) -> CountingPlan:
-    if n < 1:
-        raise UnsupportedArgument("Fedosov structures need n >= 1")
     N = 2 * n
     symbol = lambda k: binomial(N + 2, 3) * dim_sym(N, k)
     # generators are scalar Hamiltonians: the order-m fiber is S^m T*, not
@@ -219,8 +173,6 @@ def plan_fedosov(n: int) -> CountingPlan:
 
 
 def plan_projective_connections(n: int) -> CountingPlan:
-    if n < 2:
-        raise UnsupportedArgument("projective connections need n >= 2")
     rank = (n - 1) * n * (n + 2) // 2
     symbol = lambda k: rank * dim_sym(n, k)
     if n == 2:
@@ -243,8 +195,6 @@ def plan_projective_connections(n: int) -> CountingPlan:
 
 
 def plan_weyl(n: int) -> CountingPlan:
-    if n < 2:
-        raise UnsupportedArgument("Weyl structures need n >= 2")
     conf = binomial(n + 1, 2) - 1  # conformal-class symbol rank
 
     def symbol(k: int) -> int:
@@ -265,8 +215,6 @@ def plan_weyl(n: int) -> CountingPlan:
 
 
 def plan_einstein_weyl(n: int) -> CountingPlan:
-    if n < 3:
-        raise UnsupportedArgument("Einstein-Weyl structures need n >= 3")
     conf = binomial(n + 1, 2) - 1
 
     def equations(m: int) -> int:
@@ -291,8 +239,6 @@ def plan_einstein_weyl(n: int) -> CountingPlan:
 
 
 def plan_einstein(n: int) -> CountingPlan:
-    if n < 4:
-        raise UnsupportedArgument("the Einstein plan needs n >= 4")
     s2 = binomial(n + 1, 2)
 
     def symbol(k: int) -> int:
@@ -300,11 +246,10 @@ def plan_einstein(n: int) -> CountingPlan:
             return s2
         if k == 1:
             return n * s2
-        # trace-free Ricci equation symbol via its acyclic resolution,
-        # with one extra dimension at order 2 for the scalar summand
-        base = euler_symbol_dim(
-            [dim_sym(n, k) * s2, dim_sym(n, k - 2) * s2, dim_sym(n, k - 3) * n]
-        )
+        # trace-free Ricci equation symbol: the alternating sum of the terms
+        # of its acyclic resolution, with one extra dimension at order 2 for
+        # the scalar summand
+        base = dim_sym(n, k) * s2 - dim_sym(n, k - 2) * s2 + dim_sym(n, k - 3) * n
         return base + (1 if k == 2 else 0)
 
     return CountingPlan(
@@ -316,15 +261,15 @@ def plan_einstein(n: int) -> CountingPlan:
 
 
 def plan_almost_complex(n: int) -> CountingPlan:
-    if n < 2:
-        raise UnsupportedArgument("almost complex structures need n >= 2")
     N = 2 * n
     symbol = lambda k: 2 * n * n * dim_sym(N, k)
 
     def stabilizer(k: int) -> int:
-        st = symbol_dim_profile("complex-gl", n, k)
-        if n == 2:
-            st += symbol_dim_profile("acs2-tilde", n, k)
+        # real dim of the order-(k+1) prolongation of complex gl(n), which
+        # has infinite type
+        st = 2 * n * binomial(n + k, k + 1)
+        if n == 2:  # plus 0, 4, 2, 2, 2, ...
+            st += 0 if k == 0 else 4 if k == 1 else 2
         elif n == 3 and k == 1:
             st += 2
         return st
@@ -334,7 +279,8 @@ def plan_almost_complex(n: int) -> CountingPlan:
     )
 
 
-#: plan builder and the parameter range over which the rederivation is checked
+#: plan builder and the parameter range over which the rederivation is
+#: checked; the range's start is the least n the plan serves
 SHIPPED_PLANS: dict[str, tuple[Callable[[int], CountingPlan], range]] = {
     "linear-connections": (plan_linear_connections, range(2, 7)),
     "symmetric-connections": (plan_symmetric_connections, range(2, 7)),
@@ -349,9 +295,13 @@ SHIPPED_PLANS: dict[str, tuple[Callable[[int], CountingPlan], range]] = {
 
 
 def shipped_plan(structure_id: str, n: int) -> CountingPlan:
+    """The plan for `structure_id` at parameter n, which must be at least
+    the start of the plan's range in SHIPPED_PLANS."""
     if structure_id not in SHIPPED_PLANS:
         raise UnknownSymbol(
             f"no shipped plan for {structure_id!r}; known: {sorted(SHIPPED_PLANS)}"
         )
-    builder, _ = SHIPPED_PLANS[structure_id]
+    builder, valid = SHIPPED_PLANS[structure_id]
+    if n < valid.start:
+        raise UnsupportedArgument(f"the {structure_id} plan needs n >= {valid.start}")
     return builder(n)

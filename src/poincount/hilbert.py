@@ -15,7 +15,7 @@ differ from zero), so equality of specs is plain structural equality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -23,6 +23,7 @@ from .algebra import (
     Polynomial,
     RationalFunction,
     Scalar,
+    _integral,
     _mul,
     binom_in_k,
     split_factor,
@@ -46,13 +47,14 @@ def finite_differences(values: Sequence, order: int) -> list:
     return out
 
 
-def poly_shift_arg(p: Polynomial, a: Scalar) -> Polynomial:
-    """The polynomial k -> p(k + a)."""
-    shifted_var = Polynomial((a, 1))
-    acc = Polynomial.zero()
-    for c in reversed(p.coeffs):
-        acc = acc * shifted_var + c
-    return acc
+def _newton_row(values: Sequence[int]) -> list[int]:
+    """[Delta^j values at 0 for j = 0..len(values) - 1], from one pass down
+    the difference table."""
+    row, out = list(values), []
+    while row:
+        out.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return out
 
 
 class HilbertSpec:
@@ -94,13 +96,17 @@ class HilbertSpec:
                 raise ValueError(f"exceptional index {k} must lie in [0, tail_start)")
             if not isinstance(v, int) or v < 0:
                 raise ValueError(f"h({k}) = {v!r} is not a nonnegative integer")
+        scale, ints = _integral(tail.coeffs)  # tail = ints / scale
         probes = []
         for k in range(tail_start, tail_start + tail.degree + 1):
-            value = tail.evaluate(k)
-            if value.denominator != 1:
+            value = 0
+            for c in reversed(ints):
+                value = value * k + c
+            if value % scale:
+                value = Fraction(value, scale)
                 raise ValueError(f"tail({k}) = {value} is not a nonnegative integer")
-            probes.append(value.numerator)
-        newton = [finite_differences(probes, j)[0] for j in range(tail.degree + 1)] or [0]
+            probes.append(value // scale)
+        newton = _newton_row(probes) or [0]
         row, k = newton[:], tail_start
         while min(row) < 0:
             if row[0] < 0:
@@ -157,7 +163,10 @@ class HilbertSpec:
         if m < 0:
             raise ValueError("shift must be >= 0")
         exc = {k - m: v for k, v in self.exceptions.items() if k >= m}
-        return HilbertSpec(exc, max(self.tail_start - m, 0), poly_shift_arg(self.tail, m))
+        tail, step = Polynomial.zero(), Polynomial((m, 1))  # tail(k + m) by Horner
+        for c in reversed(self.tail.coeffs):
+            tail = tail * step + c
+        return HilbertSpec(exc, max(self.tail_start - m, 0), tail)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, HilbertSpec):
@@ -183,18 +192,6 @@ class HilbertSpec:
             f"HilbertSpec(exceptions={self.exceptions!r}, "
             f"tail_start={self.tail_start}, tail={self.tail.format('k')!r})"
         )
-
-
-@dataclass(frozen=True)
-class MatchReport:
-    """Outcome of comparing a generating function against a spec up to order K."""
-
-    matched_up_to: int
-    first_mismatch: Optional[Tuple[int, int, Scalar]] = None
-
-    @property
-    def full_match(self) -> bool:
-        return self.first_mismatch is None
 
 
 def gf_from_hilbert(spec: HilbertSpec) -> RationalFunction:
@@ -225,28 +222,22 @@ def hilbert_values_spec(values: Sequence[int], confirm: int = 3) -> HilbertSpec:
     Raises HorizonTooShort when no order stabilizes within the data.
     """
     n = len(values)
-    d = 0
+    d, diffs = 0, list(values)
     while n - d >= d + confirm:
-        diffs = finite_differences(values, d)
         j = len(diffs)
         while j > 0 and diffs[j - 1] == 0:
             j -= 1
         if len(diffs) - j >= d + confirm:
             onset = j
-            if d == 0:
-                tail = Polynomial.zero()
-            else:
-                samples = values[onset : onset + d]
-                tail = Polynomial.zero()
-                for jj in range(d):
-                    d_jj = finite_differences(samples, jj)[0]
-                    tail = tail + binom_in_k(-onset, jj) * d_jj
+            tail = Polynomial.zero()
+            for jj, c in enumerate(_newton_row(values[onset : onset + d])):
+                tail = tail + binom_in_k(-onset, jj) * c
             exc = {k: values[k] for k in range(onset) if values[k] != 0}
             spec = HilbertSpec(exc, onset, tail)
             if spec.values(n - 1) != list(values):  # pragma: no cover - fit is exact
                 raise HorizonTooShort("tail fit fails to reproduce the data")
             return spec
-        d += 1
+        d, diffs = d + 1, finite_differences(diffs, 1)
     raise HorizonTooShort(
         f"no difference order stabilizes within {n} values; extend k_max"
     )
@@ -280,10 +271,13 @@ def spec_from_gf(f: RationalFunction, k_confirm: int) -> HilbertSpec:
     return spec
 
 
-def equal_series(f: RationalFunction, spec: HilbertSpec, k_max: int) -> MatchReport:
-    """Compare Taylor coefficients of f with spec values for k = 0..k_max."""
+def equal_series(
+    f: RationalFunction, spec: HilbertSpec, k_max: int
+) -> Optional[Tuple[int, int, Scalar]]:
+    """The first (k, h(k), coefficient) with k <= k_max where the Taylor
+    coefficient of f differs from the spec's value, or None."""
     series = f.series(k_max)
     for k, (got, expected) in enumerate(zip(series, spec.values(k_max))):
         if got != expected:
-            return MatchReport(matched_up_to=k - 1, first_mismatch=(k, expected, got))
-    return MatchReport(matched_up_to=k_max)
+            return k, expected, got
+    return None

@@ -265,15 +265,35 @@ def test_every_command_prints_stdlib_indented_json():
 
 
 def test_oversized_coefficients_are_a_usage_error():
-    # h_900 of 1/(1 - 100000 z) has 4501 digits, more than str() writes
+    # h_900 of 1/(1 - 100000 z) has 4501 digits, more than str() writes; so
+    # has a numerator coefficient of (1 + 99999 z)^1000, whatever --kmax is
     limit = sys.get_int_max_str_digits()
-    for fmt in ("markdown", "csv", "json"):
-        argv = ["--format", fmt, "analyze", "--expr", "1/(1-100000*z)", "--kmax", "900"]
-        code, out, err = capture(argv)
-        assert (code, out) == (2, ""), fmt
-        assert err.startswith("poincount: error:") and err.count("\n") == 1, fmt
-        assert f"more than {limit} digits" in err and "lower --kmax" in err, fmt
-    assert capture(argv[:-1] + ["859"])[0] == 0  # 4296 digits are written
+    for expr, kmax in (("1/(1-100000*z)", "900"), ("(1+99999*z)^1000", "1")):
+        for fmt in ("markdown", "csv", "json"):
+            argv = ["--format", fmt, "analyze", "--expr", expr, "--kmax", kmax]
+            code, out, err = capture(argv)
+            assert (code, out) == (2, ""), (expr, fmt)
+            assert err.startswith("poincount: error:") and err.count("\n") == 1, (expr, fmt)
+            assert f"more than {limit} digits" in err and "lower --kmax" in err, (expr, fmt)
+    argv = ["analyze", "--expr", "1/(1-100000*z)", "--kmax", "859"]
+    assert capture(argv)[0] == 0  # 4296 digits are written
+
+
+def test_other_value_errors_propagate(monkeypatch):
+    # only the int-to-text digit limit is a usage error; any other ValueError,
+    # from a command or from a renderer, is a fault of the program
+    from poincount import cli
+
+    def boom(*args):
+        raise ValueError("boom")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_render", boom)
+        with pytest.raises(ValueError, match="^boom$"):
+            capture(["list"])
+    monkeypatch.setattr(cli.catalog, "list_entries", boom)
+    with pytest.raises(ValueError, match="^boom$"):
+        capture(["list"])
 
 
 def test_strata_demo_short_horizon_is_a_clean_error():

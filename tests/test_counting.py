@@ -1,9 +1,11 @@
+import io
 import math
 
 import pytest
 
 from poincount import catalog
-from poincount.algebra import UnsupportedArgument, binomial
+from poincount.algebra import UnsupportedArgument
+from poincount.cli import run
 from poincount.counting import (
     CountingPlan,
     InconsistentPlan,
@@ -12,9 +14,7 @@ from poincount.counting import (
     assemble_hilbert,
     dim_delta,
     dim_sym,
-    euler_symbol_dim,
     shipped_plan,
-    symbol_dim_profile,
 )
 
 from oracles import count_monomials
@@ -46,25 +46,6 @@ def test_delta_is_diff_group_fiber():
     for n in range(1, 7):
         for k in range(2, 9):
             assert dim_delta(n, k) == n * math.comb(n + k, k) - n * math.comb(n + k - 1, k - 1)
-
-
-def test_euler_symbol_dim():
-    # trace-free 2nd-order equation symbol at n = 4, k = 3
-    assert euler_symbol_dim([binomial(6, 3) * 10, binomial(4, 1) * 10, 4]) == 164
-    assert euler_symbol_dim([5]) == 5
-    assert euler_symbol_dim([3, 3]) == 0
-    with pytest.raises(UnsupportedArgument):
-        euler_symbol_dim([])
-
-
-def test_symbol_dim_profiles():
-    assert symbol_dim_profile("complex-gl", 2, 1) == 12
-    assert symbol_dim_profile("acs2-tilde", 2, 3) == 2
-    assert [symbol_dim_profile("acs2-tilde", 2, k) for k in range(5)] == [0, 4, 2, 2, 2]
-    with pytest.raises(UnknownSymbol):
-        symbol_dim_profile("nonsense", 3, 0)
-    with pytest.raises(UnsupportedArgument):
-        symbol_dim_profile("acs2-tilde", 3, 1)
 
 
 def test_assemble_rejects_negative_rows():
@@ -120,15 +101,24 @@ def test_almost_complex_stabilizer_growth_stabilizes():
         dims = [plan.stabilizer_dim(k) for k in range(0, 25)]
         assert all(b > a for a, b in zip(dims, dims[1:]))
         for k in range(4, 24):
-            expected = symbol_dim_profile("complex-gl", n, k + 1) - symbol_dim_profile(
-                "complex-gl", n, k
-            )
+            expected = 2 * n * (math.comb(n + k + 1, k + 2) - math.comb(n + k, k + 1))
             assert dims[k + 1] - dims[k] == expected
 
 
 def test_shipped_plan_unknown_id():
     with pytest.raises(UnknownSymbol):
         shipped_plan("riemannian", 3)
+
+
+@pytest.mark.parametrize("structure_id", sorted(SHIPPED_PLANS))
+def test_plans_refuse_n_below_their_range(structure_id):
+    least = SHIPPED_PLANS[structure_id][1].start
+    with pytest.raises(UnsupportedArgument):
+        shipped_plan(structure_id, least - 1)
+    out, err = io.StringIO(), io.StringIO()
+    code = run(["rederive", "--id", structure_id, "--n", str(least - 1)], stdout=out, stderr=err)
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == f"poincount: error: the {structure_id} plan needs n >= {least}\n"
 
 
 def test_einstein_weyl_closed_form_matches_mechanistic_row():

@@ -14,7 +14,6 @@ from poincount.hilbert import (
     finite_differences,
     gf_from_hilbert,
     hilbert_values_spec,
-    poly_shift_arg,
     spec_from_gf,
 )
 
@@ -86,22 +85,20 @@ def test_spec_from_gf_short_horizon():
 def test_equal_series_full_match():
     spec = catalog.hilbert_spec("self-dual-metrics", n=4)
     p = catalog.claimed_poincare("self-dual-metrics", n=4)
-    report = equal_series(p, spec, 40)
-    assert report.full_match and report.matched_up_to == 40
+    assert equal_series(p, spec, 40) is None
 
 
 def test_equal_series_first_mismatch():
-    report = equal_series(RF(1, ONE_MINUS_Z), HilbertSpec({}, 0, 0), 10)
-    assert not report.full_match
-    assert report.matched_up_to == -1
-    assert report.first_mismatch == (0, 0, Fraction(1))
+    assert equal_series(RF(1, ONE_MINUS_Z), HilbertSpec({}, 0, 0), 10) == (0, 0, 1)
+    # the first of several mismatches, as (k, h(k), coefficient)
+    spec = HilbertSpec({0: 1, 1: 2}, 2, 3)  # 1, 2, 3, 3, ... against 1, 2, 3, 4, ...
+    assert equal_series(RF(1, ONE_MINUS_Z**2), spec, 10) == (3, 3, 4)
 
 
 def test_equal_series_almost_complex_table_row():
     spec = catalog.hilbert_spec("almost-complex", n=2)
     p = catalog.claimed_poincare("almost-complex", n=2)
-    report = equal_series(p, spec, 6)
-    assert report.full_match
+    assert equal_series(p, spec, 6) is None
     assert spec.values(6) == [0, 0, 2, 24, 60, 116, 196]
 
 
@@ -170,9 +167,9 @@ def test_hilbert_values_spec_fits_polynomial_tail():
 
 def test_finite_differences_and_shift_helpers():
     assert finite_differences([1, 4, 9, 16], 1) == [3, 5, 7]
-    p = P((0, 0, 1))  # k^2
-    q = poly_shift_arg(p, 2)  # (k+2)^2
-    assert [q.evaluate(k) for k in range(4)] == [4, 9, 16, 25]
+    q = HilbertSpec({}, 0, P((0, 0, 1))).shift_down(2)  # k^2 -> (k+2)^2
+    assert q.tail == P((4, 4, 1))
+    assert [q.tail.evaluate(k) for k in range(4)] == q.values(3) == [4, 9, 16, 25]
 
 
 @st.composite
@@ -243,6 +240,9 @@ def _assert_matches_oracle(spec, k_max):
 @example(HilbertSpec({1: 7}, 3, 2 * binom_in_k(-3, 8) + 1), 25, 5)
 @example(HilbertSpec({}, 0, P((30, -10, 1))), 15, 2)  # certified after rolling to k = 5
 @example(HilbertSpec({3: 2}, 4, P((-1, 1))), 10, 0)  # onset pulled down to 3
+@example(  # degree 41
+    HilbertSpec({0: 2}, 3, binom_in_k(0, 41) + 5 * binom_in_k(-3, 40) + 1), 60, 4
+)
 def test_values_and_h_match_fraction_horner_oracle(spec, k_max, m):
     _assert_matches_oracle(spec, k_max)
     shifted = spec.shift_down(m)  # the shift of a certified tail is certified

@@ -4,7 +4,10 @@
         [--workload W ...] [--pairs 10] [--seed 501]
 
 The parent is exported with ``git archive REV`` into a temporary directory;
-the change is this checkout's working tree.  Each pair runs
+the change is this checkout's working tree.  Each side keeps its bytecode
+cache in its own fresh directory there (PYTHONPYCACHEPREFIX, written even
+under PYTHONDONTWRITEBYTECODE), so a cache left in the working tree by a
+test run warms neither side and both sides warm alike.  Each pair runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once in
 each tree, one process at a time, with T the ``run_seconds`` of
 BENCHMARK.json, the same seed on both sides (the first seed is --seed,
@@ -31,6 +34,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -55,12 +59,18 @@ def export(rev: str, into: Path) -> str:
     return commit
 
 
-def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run in `tree`: its final line and details."""
+def bench(tree: Path, cache: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced perfbench run in `tree`, with its bytecode cache in
+    `cache` (PYTHONPYCACHEPREFIX, which its subprocesses inherit): its final
+    line and details."""
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": str(cache)}
+    # written, so the cache warms as in plain use instead of every import
+    # (the standard library's too) compiling from source
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True,
+        cwd=tree, capture_output=True, text=True, env=env,
     )
     if done.returncode != 0:
         raise SystemExit(f"bench_pairs: perfbench failed in {tree}: {done.stderr.strip()[-500:]}")
@@ -138,8 +148,10 @@ def main(argv=None) -> int:
         "seconds": seconds,
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_tree = Path(tmp)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        parent_tree = Path(tmp) / "parent"
+        # each side's own fresh bytecode cache: neither reads one left in its tree
+        caches = {side: Path(tmp) / f"pycache-{side}" for side in ("parent", "change")}
         out["parent"] = export(args.parent, parent_tree)
         head = subprocess.run(
             ["git", "rev-parse", "HEAD"], cwd=ROOT, check=True, capture_output=True, text=True
@@ -157,7 +169,7 @@ def main(argv=None) -> int:
                 pair = {"seed": seed, "order": list(order)}
                 for side in order:
                     tree = parent_tree if side == "parent" else ROOT
-                    pair[side] = bench(tree, workload, seed, seconds)
+                    pair[side] = bench(tree, caches[side], workload, seed, seconds)
                     print(f"bench_pairs: {workload} seed={seed} {side} "
                           f"wall_s={pair[side]['metrics']['wall_s']:.4f}", file=sys.stderr)
                 runs.append(pair)
