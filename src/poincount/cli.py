@@ -19,7 +19,8 @@ Output is byte-identical for identical argv and seed.  Exit codes: 0
 success / all consistent, 1 mismatch findings present, 2 usage or
 validity errors (a verify that selects no sample is one: it would check
 nothing; so is a result with an integer longer than Python's
-int-to-text digit limit, 4300 by default), 3 a broken jet-engine
+int-to-text digit limit, 4300 by default, and an integer in EXPR or a
+--param value longer than the text-to-int limit), 3 a broken jet-engine
 invariant (a sentinel parameter acted, or a generator left its stratum).
 
 EXPR grammar (integer coefficients over the single symbol z):
@@ -47,7 +48,7 @@ from . import analysis, catalog, jetflow
 from .algebra import RationalFunction, UnsupportedArgument
 from .counting import SHIPPED_PLANS, plan_values, shipped_plan
 from .errors import UsageError
-from .exprs import parse_rational_function
+from .exprs import _read_int, parse_rational_function
 from .hilbert import gf_from_hilbert
 
 SCHEMA = "poincount.output/1"
@@ -198,7 +199,8 @@ def _parse_extra_params(pairs: list[str]) -> dict:
         if "=" not in pair:
             raise catalog.OutOfValidity(f"--param needs key=value, got {pair!r}")
         key, _, raw = pair.partition("=")
-        params[key.strip()] = raw.strip() if not _is_int(raw) else int(raw)
+        key = key.strip()
+        params[key] = _read_int(raw, f"--param {key}") if _is_int(raw) else raw.strip()
     return params
 
 

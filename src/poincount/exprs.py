@@ -20,6 +20,7 @@ This module keeps only the grammar: a closed form in z is evaluated over
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -70,6 +71,20 @@ _SYMBOL_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 #: ASCII only: str.isdigit also accepts superscripts and other scripts' digits
 _DIGITS = set("0123456789")
 _SYMBOL_BODY = _SYMBOL_START | _DIGITS | {"_"}
+
+
+def _read_int(text: str, what: str) -> int:
+    """int(text) of `text`, an optionally signed ASCII digit string named
+    `what`.  int() refuses such a string only for more digits than Python's
+    text-to-int limit, and then so does this, with an ExpressionError."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = len(text.strip().lstrip("+-"))
+        raise ExpressionError(
+            f"{what} has {digits} digits, more than the limit "
+            f"{sys.get_int_max_str_digits()} of Python's text-to-int conversion"
+        ) from None
 
 
 def _tokenize(text: str) -> list[str]:
@@ -161,9 +176,10 @@ class _Parser:
             tok = self.take()
             if tok[0] not in _DIGITS:
                 raise ExpressionError(f"exponent must be an integer, got {tok!r}")
-            if len(tok.lstrip("0")) > len(str(MAX_EXPONENT)) or int(tok) > MAX_EXPONENT:
+            magnitude = tok.lstrip("0") or "0"
+            if len(magnitude) > len(str(MAX_EXPONENT)) or int(magnitude) > MAX_EXPONENT:
                 raise ExpressionError(f"exponent magnitude is above the limit {MAX_EXPONENT}")
-            exp = -int(tok) if neg else int(tok)
+            exp = -int(magnitude) if neg else int(magnitude)
             return Pow(base, exp)
         return base
 
@@ -174,7 +190,7 @@ class _Parser:
             self.expect(")")
             return node
         if tok[0] in _DIGITS:
-            return Num(int(tok))
+            return Num(_read_int(tok, "integer literal"))
         if tok[0] in _SYMBOL_START:
             return Sym(tok)
         raise ExpressionError(f"unexpected token {tok!r}")

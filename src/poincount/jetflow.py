@@ -10,38 +10,39 @@ The base may be empty (p = 0): the fields then act on R^q alone, every
 jet space is the fiber itself, and there are no free functions.  The 3D
 distribution sub-example is such a scenario, run through the same engine.
 
-Rows are evaluated, never built symbolically.  All sampling places the
-base point at the origin: the shipped pseudogroups contain the base
-translations, which act trivially on the fiber jet coordinates of the
-trivialized bundle, so orbit ranks are unchanged.  There the prolonged
-component on u_sigma,
+All sampling places the base point at the origin: the shipped
+pseudogroups contain the base translations, which act trivially on the
+fiber jet coordinates of the trivialized bundle, so orbit ranks are
+unchanged.  There the prolonged component on u_sigma,
 
     D^sigma Q + sum_i xi_i u_{sigma + e_i},   Q = phi - sum_i xi_i u_{e_i},
 
-equals d^sigma of Q along any section with the sampled jet, so `prolong`
-substitutes the jet's Taylor polynomial u(x) and reads each entry off one
-coefficient of Q(x, u(x), du(x)).  Jets of order k + 1 cancel between the
-two terms and are taken as zero.
+equals d^sigma of Q along any section with the sampled jet, so each
+entry is one coefficient of Q(x, u(x), du(x)), u(x) the jet's Taylor
+polynomial.  Jets of order k + 1 cancel between the two terms and are
+taken as zero.
 
 The generators are one field, linear in its parameters: the Taylor
 coefficients of the free functions, and one parameter per generator for
 its function-free part (a fixed generator).  Each parameter gives one
 row.
 
-Rows are sparse and integral: the denominators are cleared before the
-substitution, so `prolong` does no rational arithmetic.  The jet's
-Taylor polynomial is scaled to integer coefficients by D = J k! (J the
-lcm of the jet denominators), and the field is kept in an integral form
-homogenized in the fiber variables, so that the substitution gives
-L D^M Q_alpha over the integers; `prolong` returns that positive integer
-`scale` with each row as {column: int}, the zero entries left out, the
-true row being row / scale.  Nothing about the slices depends on the
-point: a ProlongPlan, built once per engine by Scenario.instantiate,
-resolves every coefficient of Q_alpha that lands in J^k to its (row,
-column, multiplier) entries, so at each point `prolong` substitutes
-once and then only scatters integer products.  The rank, tangency,
-sentinel and annihilation checks all read these rows as they are, since
-a positive multiple of a row leaves each of them unchanged.
+Rows are sparse and integral.  The jet's Taylor polynomial is scaled to
+integer coefficients by D = J k! (J the lcm of the jet denominators,
+y = J u the integer jets), and the field is kept in an integral form
+homogenized in the fiber variables, so each row entry is a fixed integer
+polynomial in y and D, homogeneous of degree M, and the rows carry one
+positive integer `scale` L D^M: the true row is row / scale.  None of
+that depends on the point: a ProlongPlan, built once per engine by
+Scenario.instantiate, runs the substitution symbolically a single time,
+with the jets as variables and D left out, and folds every coefficient
+of Q that lands in J^k into integer row forms {column: [(jet monomial,
+int)]}.  At each point `prolong` evaluates each distinct jet monomial
+once and sums each entry, with no polynomial and no rational arithmetic;
+it returns each row as {column: int}, the zero entries left out.  The
+rank, tangency, sentinel and annihilation checks all read these rows as
+they are, since a positive multiple of a row leaves each of them
+unchanged.
 
 Free-function truncation is read off the generators: with r_f the highest
 derivative order among a free function's tokens, order-k components read
@@ -60,14 +61,14 @@ from functools import cache
 from fractions import Fraction
 from itertools import islice
 from math import factorial, lcm, prod
-from operator import add
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import RationalFunction
 from .errors import UsageError
 from .exprs import ExpressionError, Node, evaluate_node, parse_expression, symbol_names
 from .hilbert import HilbertSpec, gf_from_hilbert, hilbert_values_spec
-from .jetpoly import Monomial, NonConstantDivisor, Poly, rank_profile
+from .jetpoly import Monomial, NonConstantDivisor, Poly, _mul_monomials, rank_profile
 
 MultiIndex = tuple[int, ...]
 
@@ -266,7 +267,8 @@ def _times(value: int | Fraction, multiple: int) -> int:
 
 class ProlongPlan:
     """The point-independent part of `prolong`: a scenario's generators on
-    one space, built once per engine by Scenario.instantiate.
+    one space as integer row forms in the jets, built once per engine by
+    Scenario.instantiate.
 
     The generators are summed into one field.  Its components xi_i (base)
     and phi_alpha (fiber) are polynomials in the base coordinates
@@ -281,30 +283,40 @@ class ProlongPlan:
     function-free part carries a marker token of its own, read as 1: the
     one slice (marker, 1, zero shift).
 
-    `prolong` substitutes an integer section U = D u into an integer form
-    of the components: with L = `denominator`, the lcm of their coefficient
+    With L = `denominator`, the lcm of the components' coefficient
     denominators, and M = `degree`, at least 1, each phi_alpha's fiber
     degree and one more than each xi_i's, `terms` lists per component (xi
-    first, then phi) the (monomial, L * coefficient, j) whose sum of
-    L * coefficient * D^j * monomial is L D^(M-1) xi_i(x, U/D) or
-    L D^M phi_alpha(x, U/D): j is M - 1 - e for xi and M - e for phi, e
-    the monomial's degree in the fiber coordinates.
+    first, then phi) the (monomial, L * coefficient, j) of its integral
+    form: the sum of L * coefficient * D^j * monomial is L D^(M-1)
+    xi_i(x, U/D) or L D^M phi_alpha(x, U/D), j being M - 1 - e for xi and
+    M - e for phi, e the monomial's degree in the fiber coordinates.
 
-    For each fiber alpha, `scatter[alpha]` maps every coefficient of Q_int
-    that can land in J^k, x^rho times a token, to its (slot, column,
-    multiplier) entries: each slice of the token with shift beta - gamma
-    and factor c gives the column of u^alpha_sigma, sigma = rho + shift
-    with |sigma| <= k, and the multiplier c sigma!.  Only the tokens of
-    phi_alpha and of the xi_i can occur in Q_alpha.  `base` maps each
-    degree-0 monomial of xi (a token) to the (slot, c) of its unshifted
-    slices, and `transport[alpha][i]` lists (column of u^alpha_sigma,
-    column of u^alpha_{sigma + e_i}) for |sigma| < k.  The plan is built
-    from the space's index tables (JetSpace.shifted) and holds ints only.
+    `prolong` substitutes the section U = D u of integer coefficients
+    (k!/sigma!) y_sigma, y = J u the scaled jets and D = J k! (see there).
+    Every row entry is then a fixed integer polynomial in y and D,
+    homogeneous of degree M: a term of an integral component with e fiber
+    factors is D^(M-e) (for xi, D^(M-1-e)) times e jets, and each of the
+    products xi_i d_i U, the base column (L D^(M-1) xi_i(0)) D and the
+    transport (L D^(M-1) xi_i(0)) k! y_{sigma + e_i} adds one factor to a
+    degree M - 1 term of xi.  So the plan runs that truncated substitution
+    once, with each jet column a variable of its own and D left out, and
+    reads every coefficient of Q_alpha = phi_alpha - sum_i xi_i d_i U, the
+    coefficient of x^rho times a token times a jet monomial, into the
+    entries of that token's slices: a slice with shift beta - gamma and
+    factor c gives the column of u^alpha_sigma, sigma = rho + shift with
+    |sigma| <= k, times c sigma!.  The power of D is M less the jet degree.
+
+    `monomials` lists the distinct jet monomials, each a sorted tuple of
+    columns, one per factor.  A slot's row form is {column: [(jet
+    monomial, int), ...]}, the zero sums left out; `forms` holds one
+    (slot, columns, monomials, ints, distinct) per slot whose form is
+    nonzero, slots ascending: its terms as parallel tuples of columns,
+    indices into `monomials` and ints, and whether no two terms share a
+    column, so that each term is an entry of its own.  The plan holds
+    ints only.
     """
 
-    __slots__ = (
-        "space", "specs", "denominator", "degree", "terms", "scatter", "base", "transport"
-    )
+    __slots__ = ("space", "specs", "denominator", "degree", "terms", "monomials", "forms")
 
     def __init__(
         self,
@@ -313,7 +325,7 @@ class ProlongPlan:
         phi: Sequence[Poly],
         specs: Sequence[tuple[tuple[int, int, MultiIndex], ...]],
     ):
-        p, q = space.p, space.q
+        p, q, k = space.p, space.q, space.order
         fiber = lambda mono: sum(e for var, e in mono if p <= var < p + q)
         self.space, self.specs = space, tuple(specs)
         self.denominator = lcm(
@@ -332,38 +344,79 @@ class ProlongPlan:
             for comps, top in ((xi, self.degree - 1), (phi, self.degree))
             for comp in comps
         )
-        # rho and sigma are indices into space.multi_indices
-        # per token: {rho: [(slot, sigma, c sigma!)]}
-        by_var: dict[int, dict[int, list[tuple[int, int, int]]]] = {}
-        self.base: dict[Monomial, list[tuple[int, int]]] = {}
-        factorials = space._factorials
-        zero = (0,) * p
-        for slot, spec in enumerate(self.specs):
-            for var, c, shift in spec:
-                at_rho = by_var.setdefault(var, {})
-                for rho, sigma in space.shifted(shift):
-                    at_rho.setdefault(rho, []).append((slot, sigma, c * factorials[sigma]))
-                if shift == zero:
-                    self.base.setdefault(((var, 1),), []).append((slot, c))
-        tokens = [
-            {var for mono, _, _ in terms for var, _ in mono if var >= p + q}
+        # the jet on column col is the variable offset + col, after every token
+        offset = 1 + max([p + q] + [mono[-1][0] for terms in self.terms for mono, _, _ in terms])
+        k_factorial = factorial(k)
+        section = {
+            cols[0]: Poly({
+                mono + ((offset + col, 1),): k_factorial // f
+                for mono, col, f in zip(space._monomials, cols, space._factorials)
+            })
+            for cols in space.columns
+        }
+        integral = [
+            Poly({mono: c for mono, c, _ in terms}).substitute(section, p, k)
             for terms in self.terms
         ]
-        xi_tokens = set().union(*tokens[:p])
-        self.scatter: list[dict[Monomial, list[tuple[int, int, int]]]] = []
+        # per x^rho * token: [(slot, sigma, c sigma!)], sigma an index into
+        # space.multi_indices
+        slices: dict[Monomial, list[tuple[int, int, int]]] = {}
+        for slot, spec in enumerate(self.specs):
+            for var, c, shift in spec:
+                for rho, sigma in space.shifted(shift):
+                    key = space._monomials[rho] + ((var, 1),)
+                    slices.setdefault(key, []).append((slot, sigma, c * space._factorials[sigma]))
+
+        def split(mono: Monomial) -> tuple[list[tuple[int, int, int]], Monomial]:
+            """(slices of x^rho * token, jets) of x^rho * token * jets."""
+            n = 0
+            while mono[n][0] < p:
+                n += 1
+            return slices.get(mono[: n + 1], ()), mono[n + 1 :]
+
+        # per slot: {(column, jet monomial in the jet variables): int}
+        sums: list[dict[tuple[int, Monomial], int]] = [{} for _ in self.specs]
+        for i, xi_i in enumerate(integral[:p]):
+            shifted = space.shifted(tuple(int(i == b) for b in range(p)))
+            for mono, coeff in xi_i.terms.items():
+                if mono[0][0] < p:
+                    continue  # only xi_i(0) is read
+                at, jet = split(mono)
+                # xi_i(0) acts through the token's unshifted slices (sigma =
+                # rho = 0): on base column i times D, and on each u^alpha_rho
+                # times k! y_{rho + e_i}
+                for slot, sigma, c in at:
+                    if sigma:
+                        continue
+                    value, acc = c * coeff, sums[slot]
+                    acc[i, jet] = acc.get((i, jet), 0) + value
+                    for cols in space.columns:
+                        for rho, up in shifted:
+                            key = cols[rho], _mul_monomials(jet, ((offset + cols[up], 1),))
+                            acc[key] = acc.get(key, 0) + value * k_factorial
         for alpha, cols in enumerate(space.columns):
-            scatter = {}
-            for var in xi_tokens | tokens[p + alpha]:
-                for rho, entries in by_var.get(var, {}).items():
-                    scatter[space._monomials[rho] + ((var, 1),)] = [
-                        (slot, cols[sigma], multiplier) for slot, sigma, multiplier in entries
-                    ]
-            self.scatter.append(scatter)
-        units = [tuple(int(i == b) for b in range(p)) for i in range(p)]
-        self.transport = [
-            [[(cols[rho], cols[sigma]) for rho, sigma in space.shifted(e)] for e in units]
-            for cols in space.columns
-        ]
+            q_alpha = integral[p + alpha]
+            u = section[cols[0]]
+            for i in range(p):
+                q_alpha = q_alpha - integral[i].truncated_mul(u.diff(i), p, k)
+            for mono, coeff in q_alpha.terms.items():
+                at, jet = split(mono)
+                for slot, sigma, multiplier in at:
+                    acc, key = sums[slot], (cols[sigma], jet)
+                    acc[key] = acc.get(key, 0) + multiplier * coeff
+        index: dict[Monomial, int] = {}  # jet monomial: its index in monomials
+        forms = []
+        for slot, acc in enumerate(sums):
+            form = [
+                (col, index.setdefault(jet, len(index)), c) for (col, jet), c in acc.items() if c
+            ]
+            if form:
+                cols = {col for col, _, _ in form}
+                forms.append((slot, *zip(*form), len(cols) == len(form)))
+        self.monomials = tuple(
+            tuple(var - offset for var, e in jet for _ in range(e)) for jet in index
+        )
+        self.forms = tuple(forms)
 
 
 def prolong(
@@ -384,73 +437,48 @@ def prolong(
     coefficients off those of the tokens, d^gamma x^beta =
     beta!/(beta - gamma)! x^(beta - gamma).
 
-    Everything is integral from the first step.  With J the lcm of the
-    jet values' denominators and D = J k!, the section U = D u has the
-    integer coefficients (J u_sigma) (k!/sigma!), since sigma! divides k!
-    for |sigma| <= k.  Substituted into the plan's integral form (with L
-    its denominator and M its degree) it gives L D^(M-1) xi_i and
-    Q_int = L D^M Q_alpha with integer coefficients, so `scale` is L D^M:
-    the base column is (L D^(M-1) xi_i(0)) D and the transport value
-    (L D^(M-1) xi_i(0)) k! (J u_{sigma + e_i}).
+    Everything is integral.  With J the lcm of the jet values'
+    denominators and D = J k!, the section U = D u has the integer
+    coefficients y_sigma (k!/sigma!), y_sigma = J u_sigma, since sigma!
+    divides k! for |sigma| <= k.  Substituted into the plan's integral
+    form (with L its denominator and M its degree) it gives L D^(M-1) xi_i
+    and Q_int = L D^M Q_alpha with integer coefficients, so `scale` is
+    L D^M: the base column is (L D^(M-1) xi_i(0)) D and the transport value
+    (L D^(M-1) xi_i(0)) k! y_{sigma + e_i}.  Only [x^rho] Q_alpha with
+    |rho| <= k and the degree-0 part of xi are read, and no product lowers
+    the degree in x, so the substitution is truncated at degree k in the
+    base variables.
 
-    Only [x^rho] Q_alpha with |rho| <= k and the degree-0 part of xi are
-    read, and no product lowers the degree in x, so the substitution and
-    the products xi_i d_i u are truncated at degree k in the base
-    variables: the rows are those of the full substitution.  The plan has
-    already resolved every column and multiplier, so each coefficient of
-    Q_int is multiplied into its planned entries.
+    The plan has done that substitution once, with the jets left as
+    variables: each entry is its form, homogeneous of degree M in y and D.
+    So `prolong` reads J, D and the integer jets y, evaluates each of the
+    plan's jet monomials once, D^(M - degree) times the product of its
+    jets, and sums each entry's terms.
     """
     space = plan.space
-    p, k = space.p, space.order
+    p, m = space.p, plan.degree
     if any(point[i] for i in range(p)):
         raise BadPoint("tangent rows are evaluated over the base origin only")
     jet_scale = lcm(*[point[var].denominator for var in range(p, space.dim)])
-    k_factorial = factorial(k)
-    d = jet_scale * k_factorial
-    jets = {var: _times(point[var], jet_scale) for var in range(p, space.dim)}
-    weights = [k_factorial // f for f in space._factorials]  # k!/sigma!
-    section = {
-        cols[0]: Poly({
-            mono: jets[col] * w for mono, col, w in zip(space._monomials, cols, weights)
-        })
-        for cols in space.columns
-    }
-    powers = [d**j for j in range(plan.degree + 1)]
-    integral = [
-        Poly({mono: c * powers[j] for mono, c, j in terms}).substitute(section, p, k)
-        for terms in plan.terms
-    ]
-    xi_polys = integral[:p]
-    rows: list[dict[int, int]] = [{} for _ in plan.specs]
-    bases: dict[int, list[int]] = {}  # slot: L D^(M-1) xi_i(0) of its slice, per i
-    for i, x in enumerate(xi_polys):
-        for mono, coeff in x.terms.items():
-            for slot, c in plan.base.get(mono, ()):
-                bases.setdefault(slot, [0] * p)[i] += c * coeff
-    for slot, base in bases.items():
-        rows[slot].update((i, b * d) for i, b in enumerate(base) if b)
-    for alpha, q_alpha in enumerate(integral[p:]):
-        u = section[space.columns[alpha][0]]
-        for i in range(p):
-            q_alpha = q_alpha - xi_polys[i].truncated_mul(u.diff(i), p, k)
-        scatter = plan.scatter[alpha]
-        for mono, coeff in q_alpha.terms.items():
-            for slot, col, multiplier in scatter.get(mono, ()):
-                row = rows[slot]
-                row[col] = row.get(col, 0) + multiplier * coeff
-        for slot, base in bases.items():
-            row = rows[slot]
-            for b, pairs in zip(base, plan.transport[alpha]):
-                if b:
-                    for col, src in pairs:
-                        if jets[src]:
-                            row[col] = row.get(col, 0) + b * k_factorial * jets[src]
+    d = jet_scale * factorial(space.order)
+    y = [_times(point[var], jet_scale) for var in range(space.dim)]
+    powers = [d**j for j in range(m + 1)]
+    values = [powers[m - len(jet)] * prod(map(y.__getitem__, jet)) for jet in plan.monomials]
     out = {}
-    for param, row in enumerate(rows):
-        row = {col: c for col, c in row.items() if c}
+    for slot, cols, jets, ints, distinct in plan.forms:
+        terms = zip(cols, map(mul, ints, map(values.__getitem__, jets)))
+        # every entry of an x-reparam form is one term; summing those terms
+        # anyway makes strata-demo about 7 % slower (2-core Xeon, Python 3.11)
+        if distinct:
+            row = {col: c for col, c in terms if c}
+        else:
+            row = {}
+            for col, value in terms:
+                row[col] = row.get(col, 0) + value
+            row = {col: c for col, c in row.items() if c}
         if row:
-            out[param] = row
-    return plan.denominator * powers[plan.degree], out
+            out[slot] = row
+    return plan.denominator * powers[m], out
 
 
 # ---------------------------------------------------------------------------

@@ -186,21 +186,6 @@ class Poly:
                     break
         return _wrap(out)
 
-    def evaluate(self, values: Mapping[int, Scalar]) -> Scalar:
-        total = 0
-        for mono, coeff in self.terms.items():
-            term = coeff
-            for var, exp in mono:
-                v = values.get(var)
-                if v is None:
-                    raise KeyError(f"no value for variable #{var}")
-                if v == 0:
-                    term = 0
-                    break
-                term *= v**exp
-            total += term
-        return total
-
     def substitute(self, values: Mapping[int, "Poly"], base: int, degree: int) -> "Poly":
         """Replace the given variables by polynomials, keeping the rest, up to
         degree `degree` in the variables below `base`.

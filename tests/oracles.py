@@ -187,8 +187,19 @@ def _concrete_component(scenario, space, text, functions):
     return evaluate_node(parse_expression(text), Poly.constant, resolve)
 
 
-def _prolonged_row(space, xi, phi, point):
-    """Row of the prolonged field (xi, phi) over all coordinates at the point."""
+def evaluate(poly, values):
+    """The value of a jet polynomial at {variable: value}, term by term."""
+    total = 0
+    for mono, coeff in poly.terms.items():
+        term = coeff
+        for var, exp in mono:
+            term *= values[var] ** exp
+        total += term
+    return total
+
+
+def _prolonged_field(space, xi, phi):
+    """The prolonged field (xi, phi) as one polynomial per coordinate."""
     from poincount.jetpoly import Poly
 
     p = space.p
@@ -207,12 +218,11 @@ def _prolonged_row(space, xi, phi, point):
                 up = tau[:j] + (tau[j] + 1,) + tau[j + 1 :]
                 comp = comp - Poly.variable(space.jet_var(alpha, up)) * dxi[i][j]
             components[(alpha, sigma)] = comp
-    row = []
+    field = []
     for var in range(space.dim):
         info = space.info(var)
-        poly = xi[info[1]] if info[0] == "base" else components[(info[1], info[2])]
-        row.append(poly.evaluate(point))
-    return row
+        field.append(xi[info[1]] if info[0] == "base" else components[(info[1], info[2])])
+    return field
 
 
 def derivative_orders(scenario, gen):
@@ -230,16 +240,17 @@ def derivative_orders(scenario, gen):
     return orders
 
 
-def prolonged_rows_oracle(scenario, k, point):
-    """Nonzero tangent rows at a jet point: for each generator its
-    function-free part, and the difference made by setting one free function
-    it names to x^beta, the others to zero.  The order-k rows read the jets
-    of f up to order k + r_f (derivative_orders), so an x^beta with
-    |beta| > k + r_f gives a zero row; the betas run one degree past that."""
+def prolonged_fields_oracle(scenario, k):
+    """The prolonged fields of J^k, one polynomial per coordinate each: for
+    each generator its function-free part, and the difference made by
+    setting one free function it names to x^beta, the others to zero.  The
+    order-k fields read the jets of f up to order k + r_f
+    (derivative_orders), so an x^beta with |beta| > k + r_f gives a zero
+    field; the betas run one degree past that."""
     from poincount.jetpoly import Poly
 
     space = scenario.space(k)
-    rows = []
+    fields = []
     for gen in scenario.generators:
 
         def field(functions):
@@ -264,11 +275,19 @@ def prolonged_rows_oracle(scenario, k, point):
                 slices.append(
                     ([a - b for a, b in zip(xi, xi0)], [a - b for a, b in zip(phi, phi0)])
                 )
-        for xi, phi in slices:
-            row = _prolonged_row(space, xi, phi, point)
-            if any(row):
-                rows.append(row)
-    return rows
+        fields += [_prolonged_field(space, xi, phi) for xi, phi in slices]
+    return fields
+
+
+def rows_at(fields, point):
+    """The nonzero rows of the fields at a jet point {variable: value}."""
+    rows = [[evaluate(poly, point) for poly in field] for field in fields]
+    return [row for row in rows if any(row)]
+
+
+def prolonged_rows_oracle(scenario, k, point):
+    """Nonzero tangent rows at a jet point: prolonged_fields_oracle at it."""
+    return rows_at(prolonged_fields_oracle(scenario, k), point)
 
 
 # -- the rational-function core on Fraction arithmetic -------------------------

@@ -279,6 +279,27 @@ def test_oversized_coefficients_are_a_usage_error():
     assert capture(argv)[0] == 0  # 4296 digits are written
 
 
+def test_oversized_integer_literals_are_a_usage_error():
+    # an integer literal or --param value with more digits than int() may
+    # read is refused where it is read, naming the limit
+    limit = sys.get_int_max_str_digits()
+    for argv, text in (
+        (["analyze", "--expr", "1" + "0" * 5000], "integer literal has 5001 digits"),
+        (["analyze", "--expr", "z+0" + "0" * limit], f"integer literal has {limit + 1} digits"),
+        (["show", "riemannian", "--param", "n=" + "1" * 5000], "--param n has 5000 digits"),
+        (["show", "riemannian", "--param", "n=-0" + "0" * limit], f"--param n has {limit + 1}"),
+    ):
+        for fmt in ("markdown", "csv", "json"):
+            code, out, err = capture(["--format", fmt] + argv)
+            assert (code, out) == (2, ""), (argv[:2], fmt)
+            assert err.startswith("poincount: error:") and err.count("\n") == 1, (argv[:2], fmt)
+            assert text in err and f"limit {limit} " in err, (argv[:2], fmt)
+    # a literal of exactly the limit is read, and so is a zero-padded exponent
+    assert capture(["analyze", "--expr", "1" + "0" * (limit - 1), "--kmax", "1"])[0] == 0
+    code, out, err = capture(["analyze", "--expr", "z^" + "0" * limit + "1", "--kmax", "3"])
+    assert (code, err) == (0, "")
+
+
 def test_other_value_errors_propagate(monkeypatch):
     # only the int-to-text digit limit is a usage error; any other ValueError,
     # from a command or from a renderer, is a fault of the program

@@ -42,8 +42,10 @@ from poincount.jetpoly import Poly, _echelon, matrix_rank, rank_profile
 
 from oracles import (
     derivative_orders,
+    prolonged_fields_oracle,
     prolonged_rows_oracle,
     rational_rank,
+    rows_at,
     total_derivative,
     xreparam_stratum_oracle,
 )
@@ -1132,6 +1134,55 @@ def test_prolong_does_no_fraction_arithmetic(name, k, monkeypatch):
         monkeypatch.setattr(Fraction, f"__r{op}__", refuse)
     scale, rows = prolong(engine.plan, point)
     assert isinstance(scale, int) and rows
+
+
+@pytest.mark.parametrize("name, k", [("metric2d", 4), ("riccati-mixed", 3), ("x-reparam", 4)])
+def test_prolong_does_no_poly_arithmetic(name, k, monkeypatch):
+    # the engine's plan holds the row forms: prolong evaluates them at the
+    # point and substitutes, multiplies or differentiates no polynomial
+    scenario = _scenario(name)
+    engine = _StratumEngine(scenario, k)
+    point = sample_stratum_point(
+        engine.space, scenario.stratum(next(iter(scenario.strata))), random.Random(k)
+    )
+    expected = prolonged_rows_oracle(scenario, k, point)
+
+    def refuse(*args):
+        raise AssertionError("Poly arithmetic inside prolong")
+
+    for op in ("substitute", "truncated_mul", "diff", "__add__", "__sub__"):
+        monkeypatch.setattr(Poly, op, refuse)
+    scale, rows = prolong(engine.plan, point)
+    monkeypatch.undo()
+    exact = [{col: Fraction(c, scale) for col, c in row.items()} for row in rows.values()]
+    assert sorted(_dense(row, engine.space.dim) for row in exact) == sorted(expected)
+
+
+#: Two orders of every local scenario and of the three built-in ones:
+#: k = 1, 2, where a degree-1 form has jets of two orders to read, but
+#: metric3d at k = 0, 1, whose oracle takes seconds at k = 2 (riccati-mixed
+#: starts at k = 1, as in PARITY_CASES).
+FORM_CASES = [
+    (name, k)
+    for name in (*LOCAL_SCENARIOS, "x-reparam", "metric2d", "distribution3d")
+    for k in ((0, 1) if name == "metric3d" else (1, 2))
+]
+
+
+@pytest.mark.parametrize("name, k", FORM_CASES)
+def test_prolong_parity_where_the_forms_show(name, k):
+    # at the all-zero jet only the D^M terms of the forms are left, and a
+    # one-hot jet (one coordinate 1, the others 0) adds the coefficients of
+    # that coordinate in the degree-1 forms
+    scenario = _scenario(name)
+    engine = _StratumEngine(scenario, k)
+    fields = prolonged_fields_oracle(scenario, k)
+    space = engine.space
+    zero = dict.fromkeys(range(space.dim), Fraction(0))
+    points = [zero] + [zero | {var: Fraction(1)} for var in range(space.p, space.dim)]
+    for point in points:
+        expected = rows_at(fields, point)
+        assert sorted(_engine_rows(engine, point)) == sorted(expected), point
 
 
 def test_metric3d_order_three_matches_catalog():
