@@ -37,6 +37,7 @@ from .algebra import (
 )
 from .analysis import analyze
 from .errors import UsageError
+from .exprs import MAX_N
 from .hilbert import HilbertSpec, equal_series, gf_from_hilbert
 
 CATALOG_VERSION = 1
@@ -82,6 +83,8 @@ class CatalogEntry:
         unknown = set(clean) - set(self.params)
         if unknown:
             raise OutOfValidity(f"{self.id}: unknown parameters {sorted(unknown)}")
+        if isinstance(clean.get("n"), int) and clean["n"] > MAX_N:
+            raise OutOfValidity(f"{self.id}: n is above the limit {MAX_N}")
         try:
             ok = self.validity(**clean)
         except TypeError:  # a missing parameter, or a value that is not a number

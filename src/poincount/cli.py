@@ -19,8 +19,9 @@ Output is byte-identical for identical argv and seed.  Exit codes: 0
 success / all consistent, 1 mismatch findings present, 2 usage or
 validity errors (a verify that selects no sample is one: it would check
 nothing; so is a result with an integer longer than Python's
-int-to-text digit limit, 4300 by default, and an integer in EXPR or a
---param value longer than the text-to-int limit), 3 a broken jet-engine
+int-to-text digit limit, 4300 by default, an integer in EXPR or a
+--param value longer than the text-to-int limit, an n above 64 and an
+--nmax above 32), 3 a broken jet-engine
 invariant (a sentinel parameter acted, or a generator left its stratum).
 
 EXPR grammar (integer coefficients over the single symbol z):
@@ -42,13 +43,13 @@ import os
 import re
 import sys
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from . import analysis, catalog, jetflow
 from .algebra import RationalFunction, UnsupportedArgument
 from .counting import SHIPPED_PLANS, plan_values, shipped_plan
 from .errors import UsageError
-from .exprs import _read_int, parse_rational_function
+from .exprs import MAX_NMAX, _read_int, parse_rational_function
 from .hilbert import gf_from_hilbert
 
 SCHEMA = "poincount.output/1"
@@ -132,7 +133,13 @@ def _json(value, indent: str = "\n") -> str:
     """json.dumps(value, indent=2), byte for byte, for the values a payload
     holds (str keys only), without the standard library's pure-Python
     indent encoder: an exact int is its repr (int.__repr__), a str goes
-    through the C encoder.  `indent` opens each item line of a container."""
+    through the C encoder.  `indent` opens each item line of a container.
+
+    A table, a list of lists of one length whose cells (one at least) are
+    all exact ints, not bools, is written in one step: one "%d" row
+    template for that length and indent, repeated for every row and filled
+    from the flattened cells.  "%d" of an int is its repr, digit limit and
+    ValueError included, so the bytes are those of the item-by-item path."""
     kind = type(value)
     if kind is int:  # not bool
         return repr(value)
@@ -148,6 +155,13 @@ def _json(value, indent: str = "\n") -> str:
         if not value:
             return "[]"
         inner = indent + "  "
+        if set(map(type, value)) == {list} and len(set(map(len, value))) == 1:
+            cells = tuple(chain.from_iterable(value))
+            if set(map(type, cells)) == {int}:
+                cell = inner + "  "
+                row = "[" + cell + ("," + cell).join(["%d"] * len(value[0])) + inner + "]"
+                rows = ("," + inner).join([row] * len(value)) % cells
+                return "[" + inner + rows + indent + "]"
         items = [_json(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     return json.dumps(value)  # bool, None
@@ -276,6 +290,8 @@ def cmd_verify(args) -> tuple[int, dict]:
     # Exit 0 means "all consistent", so a run that checks nothing is refused.
     if args.nmax < 0:
         raise UsageError(f"--nmax must be >= 0, got {args.nmax}")
+    if args.nmax > MAX_NMAX:
+        raise UsageError(f"--nmax is above the limit {MAX_NMAX}")
     if args.id:
         entry, samples = catalog.select_samples(args.id, args.nmax)
         reports = [
@@ -421,8 +437,32 @@ def cmd_rederive(args) -> tuple[int, dict]:
 # ---------------------------------------------------------------------------
 
 
+#: The most characters of one word of argument text that a parse error
+#: echoes; a longer word is cut there and marked "...".
+_ECHO_CHARS = 40
+
+
+class _Help(Exception):
+    """--help was given: the help text, for run() to write on its stdout."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises where the stock one writes to the
+    process's streams and exits, so that run() reports on the streams it
+    was handed: --help raises _Help with the text, a parse error raises
+    UsageError.  add_subparsers makes its parsers of this class too."""
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
+
+    def error(self, message):
+        # one line, whatever the echoed arguments hold, each word bounded
+        words = [w if len(w) <= _ECHO_CHARS else w[:_ECHO_CHARS] + "..." for w in message.split()]
+        raise UsageError(" ".join(words))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="poincount",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -491,12 +531,11 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     stderr = stderr if stderr is not None else sys.stderr
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    fmt = args.format or os.environ.get("POINCOUNT_FORMAT", "markdown")
-    try:
         code, payload = args.func(args)
-        text = _render(payload, fmt)
+        text = _render(payload, args.format or os.environ.get("POINCOUNT_FORMAT", "markdown"))
+    except _Help as exc:
+        stdout.write(str(exc))
+        return 0
     except (UsageError, jetflow.GenericityFailure, jetflow.BadSample) as exc:
         print(f"poincount: error: {exc}", file=stderr)
         return 2

@@ -23,6 +23,7 @@ from typing import Callable, Mapping, Optional
 
 from .algebra import UnsupportedArgument, binomial
 from .errors import UsageError
+from .exprs import MAX_N
 from .hilbert import HilbertSpec, hilbert_values_spec
 
 
@@ -296,7 +297,7 @@ SHIPPED_PLANS: dict[str, tuple[Callable[[int], CountingPlan], range]] = {
 
 def shipped_plan(structure_id: str, n: int) -> CountingPlan:
     """The plan for `structure_id` at parameter n, which must be at least
-    the start of the plan's range in SHIPPED_PLANS."""
+    the start of the plan's range in SHIPPED_PLANS and at most MAX_N."""
     if structure_id not in SHIPPED_PLANS:
         raise UnknownSymbol(
             f"no shipped plan for {structure_id!r}; known: {sorted(SHIPPED_PLANS)}"
@@ -304,4 +305,6 @@ def shipped_plan(structure_id: str, n: int) -> CountingPlan:
     builder, valid = SHIPPED_PLANS[structure_id]
     if n < valid.start:
         raise UnsupportedArgument(f"the {structure_id} plan needs n >= {valid.start}")
+    if n > MAX_N:
+        raise UnsupportedArgument(f"the {structure_id} plan: n is above the limit {MAX_N}")
     return builder(n)

@@ -214,6 +214,11 @@ PINNED_STDOUT = {
         "bae5deba494f30e6296c5ba18081a0705f3a202536bcad1fcf6af521f01fa164",
     ("csv", "show", "hyper-kaehler", "--n", "3", "--kmax", "30"):
         "6f83408f70dc64da9bc5d38845b1c67e66dd7127bde0c15d80787ac73bd888c0",
+    # recorded at 60912ae: a wide int table, and a table of rational cells
+    ("json", "analyze", "--expr", "1/((1-z)^3*(1-z^2)^2)", "--kmax", "200"):
+        "6bc4e8871ab102d1ba427d544b75214802688e2249f1fa2b8acb712d968d7425",
+    ("json", "analyze", "--expr", "1/(2-z)", "--kmax", "10"):
+        "18265c412a8b3a983e1b8d07255056827405137e4cc28449bac0dcd5deab9076",
 }
 
 
@@ -231,8 +236,15 @@ _TEXT = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\
 #: Ints up to the 4300 digits that str() may write by default.
 _BIG = 10**4299
 
+_INTS = st.integers() | st.integers(-_BIG, _BIG)
+
+#: Tables as the payloads hold them: lists of equal-length int lists.
+_INT_TABLES = st.integers(0, 4).flatmap(
+    lambda width: st.lists(st.lists(_INTS, min_size=width, max_size=width), max_size=5)
+)
+
 _JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(-_BIG, _BIG) | _TEXT,
+    st.none() | st.booleans() | _INTS | _TEXT | _INT_TABLES,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
     | st.dictionaries(_TEXT, inner, max_size=4),
@@ -243,6 +255,15 @@ _JSON_VALUES = st.recursive(
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(_JSON_VALUES)
 @example({"a\u00e9\"\\\n": [[{"b": [-(10**4000), True, None, {}, []]}], ()], "": False})
+@example({"rows": [[0, 1, 1], [1, 3, 4], [2, 6, 10]]})
+@example([[-1, -20], [0, -(10**30)]])
+@example([[10**4299 + 7, -(10**4299)], [1, 2]])  # 4300 digits, the most str() writes
+# near misses, each written item by item
+@example([[1, True], [2, 3]])
+@example([[1, 2], [3]])
+@example([[], []])
+@example([(1, 2), (3, 4)])
+@example([[1, {"num": "1", "den": "2"}], [2, 3]])
 def test_json_render_is_the_stdlib_indent_encoding(value):
     assert _render(value, "json") == json.dumps(value, indent=2) + "\n"
 
@@ -298,6 +319,62 @@ def test_oversized_integer_literals_are_a_usage_error():
     assert capture(["analyze", "--expr", "1" + "0" * (limit - 1), "--kmax", "1"])[0] == 0
     code, out, err = capture(["analyze", "--expr", "z^" + "0" * limit + "1", "--kmax", "3"])
     assert (code, err) == (0, "")
+
+
+def test_parse_errors_are_one_line_on_the_given_stream(capsys):
+    # argparse's own reports go to the stderr handed to run(), never to the
+    # process's streams, on one line with each echoed word cut short
+    for argv, text in (
+        (["show", "riemannian", "--n", "1" * 5001], "argument --n: invalid int value: '1111"),
+        (["no-such-command"], "invalid choice: 'no-such-command' (choose from 'list', "),
+        (["analyze"], "the following arguments are required: --expr"),
+        (["--format", "xml", "list"], "invalid choice: 'xml' (choose from 'markdown', "),
+        (["list", "a\nb"], "unrecognized arguments: a b"),
+    ):
+        code, out, err = capture(argv)
+        assert (code, out) == (2, ""), argv[:2]
+        assert err.startswith("poincount: error:") and err.count("\n") == 1, argv[:2]
+        assert text in err and len(err) < 200, argv[:2]
+    for argv, text in ((["--help"], "usage: poincount [-h]"), (["analyze", "-h"], "--expr EXPR")):
+        code, out, err = capture(argv)
+        assert (code, err) == (0, ""), argv
+        assert out.startswith("usage: poincount") and text in out, argv
+    assert capsys.readouterr() == ("", "")
+
+
+def test_oversized_catalog_sizes_are_refused_before_any_work(monkeypatch):
+    # the bounds themselves are accepted; one more is refused with a line
+    # that names the bound, before the catalog or a plan is reached
+    from dataclasses import replace
+
+    from poincount import catalog, counting
+    from poincount.exprs import MAX_N, MAX_NMAX
+
+    show = ["show", "riemannian", "--kmax", "2"]
+    assert capture(show + ["--n", str(MAX_N)])[0] == 0
+    assert capture(["rederive", "--id", "einstein", "--n", str(MAX_N), "--kmax", "3"])[0] == 0
+    assert capture(["verify", "--id", "einstein", "--nmax", str(MAX_NMAX), "--kmax", "3"])[0] == 0
+
+    def reached(*args, **kwargs):
+        raise AssertionError("the bound was not checked first")
+
+    entry = catalog.get_entry("riemannian")
+    monkeypatch.setitem(catalog._BY_ID, "riemannian", replace(
+        entry, validity=reached, base_dim=reached, hilbert=reached, claimed_p=reached))
+    monkeypatch.setitem(counting.SHIPPED_PLANS, "einstein", (reached, range(4, 7)))
+    monkeypatch.setattr(catalog, "verify_all", reached)
+    monkeypatch.setattr(catalog, "select_samples", reached)
+    for argv, text in (
+        (show + ["--n", str(MAX_N + 1)], f"riemannian: n is above the limit {MAX_N}"),
+        (show + ["--param", f"n={MAX_N + 1}"], f"riemannian: n is above the limit {MAX_N}"),
+        (["rederive", "--id", "einstein", "--n", str(MAX_N + 1)],
+         f"the einstein plan: n is above the limit {MAX_N}"),
+        (["verify", "--nmax", str(MAX_NMAX + 1)], f"--nmax is above the limit {MAX_NMAX}"),
+        (["verify", "--id", "einstein", "--nmax", str(MAX_NMAX + 1)],
+         f"--nmax is above the limit {MAX_NMAX}"),
+    ):
+        code, out, err = capture(argv)
+        assert (code, out, err) == (2, "", f"poincount: error: {text}\n"), argv[:2]
 
 
 def test_other_value_errors_propagate(monkeypatch):
