@@ -83,8 +83,9 @@ class CatalogEntry:
         unknown = set(clean) - set(self.params)
         if unknown:
             raise OutOfValidity(f"{self.id}: unknown parameters {sorted(unknown)}")
-        if isinstance(clean.get("n"), int) and clean["n"] > MAX_N:
-            raise OutOfValidity(f"{self.id}: n is above the limit {MAX_N}")
+        for key, value in clean.items():
+            if isinstance(value, int) and value > MAX_N:
+                raise OutOfValidity(f"{self.id}: {key} is above the limit {MAX_N}")
         try:
             ok = self.validity(**clean)
         except TypeError:  # a missing parameter, or a value that is not a number

@@ -20,9 +20,11 @@ success / all consistent, 1 mismatch findings present, 2 usage or
 validity errors (a verify that selects no sample is one: it would check
 nothing; so is a result with an integer longer than Python's
 int-to-text digit limit, 4300 by default, an integer in EXPR or a
---param value longer than the text-to-int limit, an n above 64 and an
---nmax above 32), 3 a broken jet-engine
-invariant (a sentinel parameter acted, or a generator left its stratum).
+--param value longer than the text-to-int limit, an n or other integer
+catalog parameter above 64 and an --nmax above 32), 3 a broken
+jet-engine invariant (a sentinel parameter acts, or a generator leaves
+its stratum; both are read off the engine's plan once, before any point
+is drawn).  An error is one line, each echoed word cut to 40 characters.
 
 EXPR grammar (integer coefficients over the single symbol z):
 
@@ -437,8 +439,8 @@ def cmd_rederive(args) -> tuple[int, dict]:
 # ---------------------------------------------------------------------------
 
 
-#: The most characters of one word of argument text that a parse error
-#: echoes; a longer word is cut there and marked "...".
+#: The most characters of one word that an error line echoes; a longer
+#: word is cut there and marked "...".
 _ECHO_CHARS = 40
 
 
@@ -456,9 +458,7 @@ class _Parser(argparse.ArgumentParser):
         raise _Help(self.format_help())
 
     def error(self, message):
-        # one line, whatever the echoed arguments hold, each word bounded
-        words = [w if len(w) <= _ECHO_CHARS else w[:_ECHO_CHARS] + "..." for w in message.split()]
-        raise UsageError(" ".join(words))
+        raise UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -537,24 +537,25 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         stdout.write(str(exc))
         return 0
     except (UsageError, jetflow.GenericityFailure, jetflow.BadSample) as exc:
-        print(f"poincount: error: {exc}", file=stderr)
-        return 2
+        code, line = 2, f"error: {exc}"
     except jetflow.InvariantViolation as exc:
-        print(f"poincount: engine invariant violated: {exc}", file=stderr)
-        return 3
+        code, line = 3, f"engine invariant violated: {exc}"
     except ValueError as exc:
         # only an int longer than str() may write, not one int() may read
         message = str(exc)
         if not (message.startswith("Exceeds the limit (") and "conversion;" in message):
             raise
         limit = sys.get_int_max_str_digits()
-        print(
-            f"poincount: error: a result has more than {limit} digits, the limit "
-            "of Python's int-to-text conversion; try a lower --kmax",
-            file=stderr,
+        code, line = 2, (
+            f"error: a result has more than {limit} digits, the limit "
+            "of Python's int-to-text conversion; try a lower --kmax"
         )
-        return 2
-    stdout.write(text)
+    else:
+        stdout.write(text)
+        return code
+    # one line, whatever the echoed values hold, each word bounded
+    words = [w if len(w) <= _ECHO_CHARS else w[:_ECHO_CHARS] + "..." for w in line.split()]
+    print("poincount:", *words, file=stderr)
     return code
 
 

@@ -11,7 +11,8 @@ Grammar (EBNF):
 
 Only integer literals; no implicit multiplication (write 2*z, not 2z).
 An exponent's magnitude is at most MAX_EXPONENT, checked before any work;
-MAX_N and MAX_NMAX bound the catalog's n and a verification's nmax alike.
+MAX_N and MAX_NMAX bound the catalog's integer parameters and a
+verification's nmax alike.
 Parsing builds an AST; evaluation plugs in any value algebra supporting
 +, -, *, /, ** and a symbol resolver, so the same grammar serves the CLI's
 rational functions in z and the jet-coordinate expressions of scenarios.
@@ -37,10 +38,12 @@ class ExpressionError(UsageError):
 #: below 100 even at n = 40.
 MAX_EXPONENT = 10_000
 
-#: Largest dimension n a catalog entry or a counting plan is built at, and
+#: Largest integer parameter a catalog entry is built at (the dimension n,
+#: the Poincare-Dulac m, p and q) and largest n of a counting plan, and
 #: largest --nmax a verification samples up to, each checked before any
-#: work: the cost grows fast in both (on a 2-core Xeon, Python 3.11, `show
-#: hyper-kaehler --n 100` takes 1.3 s and `verify --nmax 60` 7.6 s).
+#: work: the cost grows fast in all of them (on a 2-core Xeon, Python
+#: 3.11, `show hyper-kaehler --n 100` takes 1.3 s, `verify --nmax 60` 7.6 s
+#: and `show poincare-dulac-saddle-node --param m=10000` 1.3 s).
 MAX_N = 64
 MAX_NMAX = 32
 

@@ -10,46 +10,22 @@ The base may be empty (p = 0): the fields then act on R^q alone, every
 jet space is the fiber itself, and there are no free functions.  The 3D
 distribution sub-example is such a scenario, run through the same engine.
 
-All sampling places the base point at the origin: the shipped
-pseudogroups contain the base translations, which act trivially on the
-fiber jet coordinates of the trivialized bundle, so orbit ranks are
-unchanged.  There the prolonged component on u_sigma,
-
-    D^sigma Q + sum_i xi_i u_{sigma + e_i},   Q = phi - sum_i xi_i u_{e_i},
-
-equals d^sigma of Q along any section with the sampled jet, so each
-entry is one coefficient of Q(x, u(x), du(x)), u(x) the jet's Taylor
-polynomial.  Jets of order k + 1 cancel between the two terms and are
-taken as zero.
-
 The generators are one field, linear in its parameters: the Taylor
 coefficients of the free functions, and one parameter per generator for
 its function-free part (a fixed generator).  Each parameter gives one
-row.
-
-Rows are sparse and integral.  The jet's Taylor polynomial is scaled to
-integer coefficients by D = J k! (J the lcm of the jet denominators,
-y = J u the integer jets), and the field is kept in an integral form
-homogenized in the fiber variables, so each row entry is a fixed integer
-polynomial in y and D, homogeneous of degree M, and the rows carry one
-positive integer `scale` L D^M: the true row is row / scale.  None of
-that depends on the point: a ProlongPlan, built once per engine by
-Scenario.instantiate, runs the substitution symbolically a single time,
-with the jets as variables and D left out, and folds every coefficient
-of Q that lands in J^k into integer row forms {column: [(jet monomial,
-int)]}.  At each point `prolong` evaluates each distinct jet monomial
-once and sums each entry, with no polynomial and no rational arithmetic;
-it returns each row as {column: int}, the zero entries left out.  The
-rank, tangency, sentinel and annihilation checks all read these rows as
-they are, since a positive multiple of a row leaves each of them
-unchanged.
+row.  A ProlongPlan, built once per engine by Scenario.instantiate,
+holds every row as integer forms in the jets, and `prolong` evaluates
+them at a point over the base origin; ProlongPlan derives the rows.
+Ranks and annihilation read the integer rows at sampled points, a
+positive multiple of the true rows.  The sentinel and tangency checks
+read the forms themselves, once per engine and once per stratum.
 
 Free-function truncation is read off the generators: with r_f the highest
 derivative order among a free function's tokens, order-k components read
 the jets of f up to order k + r_f, so f is truncated at degree k + r_f,
 and each coefficient of degree k + r_f + 1 is a sentinel, which the engine
-checks gives exactly zero rows at every sampled point.  The non-sentinel
-parameters are the N_k parameters that act on J^k.
+checks has no row form.  The non-sentinel parameters are the N_k
+parameters that act on J^k.
 """
 
 from __future__ import annotations
@@ -283,28 +259,49 @@ class ProlongPlan:
     function-free part carries a marker token of its own, read as 1: the
     one slice (marker, 1, zero shift).
 
-    With L = `denominator`, the lcm of the components' coefficient
-    denominators, and M = `degree`, at least 1, each phi_alpha's fiber
-    degree and one more than each xi_i's, `terms` lists per component (xi
-    first, then phi) the (monomial, L * coefficient, j) of its integral
-    form: the sum of L * coefficient * D^j * monomial is L D^(M-1)
-    xi_i(x, U/D) or L D^M phi_alpha(x, U/D), j being M - 1 - e for xi and
-    M - e for phi, e the monomial's degree in the fiber coordinates.
+    Rows are read over the base origin only: the shipped pseudogroups
+    contain the base translations, which act trivially on the fiber jet
+    coordinates of the trivialized bundle, so orbit ranks are unchanged.
+    There the prolonged component on u^alpha_sigma is
 
-    `prolong` substitutes the section U = D u of integer coefficients
-    (k!/sigma!) y_sigma, y = J u the scaled jets and D = J k! (see there).
-    Every row entry is then a fixed integer polynomial in y and D,
-    homogeneous of degree M: a term of an integral component with e fiber
-    factors is D^(M-e) (for xi, D^(M-1-e)) times e jets, and each of the
-    products xi_i d_i U, the base column (L D^(M-1) xi_i(0)) D and the
-    transport (L D^(M-1) xi_i(0)) k! y_{sigma + e_i} adds one factor to a
-    degree M - 1 term of xi.  So the plan runs that truncated substitution
-    once, with each jet column a variable of its own and D left out, and
-    reads every coefficient of Q_alpha = phi_alpha - sum_i xi_i d_i U, the
-    coefficient of x^rho times a token times a jet monomial, into the
-    entries of that token's slices: a slice with shift beta - gamma and
-    factor c gives the column of u^alpha_sigma, sigma = rho + shift with
-    |sigma| <= k, times c sigma!.  The power of D is M less the jet degree.
+        D^sigma Q_alpha + sum_i xi_i u^alpha_{sigma + e_i},
+        Q_alpha = phi_alpha - sum_i xi_i u^alpha_{e_i},
+
+    with D^sigma the total derivative, which along any section with the
+    point's jet is d^sigma of Q_alpha(x, u(x), du(x)).  So, with u(x) the
+    degree-k Taylor polynomial of the jet, the entry on base column i is
+    xi_i(0) and the entry on u^alpha_sigma is
+
+        sigma! [x^sigma] Q_alpha + sum_i xi_i(0) u^alpha_{sigma + e_i},
+
+    with the jets of order k + 1, which cancel between the two terms,
+    taken as zero.  Only [x^rho] Q_alpha with |rho| <= k and the degree-0
+    part of xi are read, and no product lowers the degree in x, so the
+    substitution is truncated at degree k in the base variables.
+
+    Everything is integral.  With J the lcm of the jet values'
+    denominators and D = J k!, the section U = D u has the integer
+    coefficients (k!/sigma!) y_sigma, y = J u the scaled jets, since
+    sigma! divides k! for |sigma| <= k.  Let L = `denominator`, the lcm of
+    the components' coefficient denominators, and M = `degree`, at least
+    1, each phi_alpha's fiber degree and one more than each xi_i's.  The
+    integral components L xi_i and L phi_alpha, homogenized in the fiber
+    variables, give L D^(M-1) xi_i(x, U/D) and L D^M phi_alpha(x, U/D): a
+    term with e fiber factors is D^(M-e) (for xi, D^(M-1-e)) times e jets.
+    Each of the products xi_i d_i U, the base column (L D^(M-1) xi_i(0)) D
+    and the transport (L D^(M-1) xi_i(0)) k! y_{sigma + e_i} adds one
+    factor to a degree M - 1 term of xi.  So L D^M Q_alpha has integer
+    coefficients, every row entry is a fixed integer polynomial in y and
+    D, homogeneous of degree M, and the true row is the integer row over
+    the one scale L D^M.
+
+    None of that depends on the point.  The plan runs the truncated
+    substitution once, with each jet column a variable of its own and D
+    left out, and reads every coefficient of Q_alpha, the coefficient of
+    x^rho times a token times a jet monomial, into the entries of that
+    token's slices: a slice with shift beta - gamma and factor c gives the
+    column of u^alpha_sigma, sigma = rho + shift with |sigma| <= k, times
+    c sigma!.  The power of D is M less the jet degree.
 
     `monomials` lists the distinct jet monomials, each a sorted tuple of
     columns, one per factor.  A slot's row form is {column: [(jet
@@ -316,7 +313,7 @@ class ProlongPlan:
     ints only.
     """
 
-    __slots__ = ("space", "specs", "denominator", "degree", "terms", "monomials", "forms")
+    __slots__ = ("space", "specs", "denominator", "degree", "monomials", "forms")
 
     def __init__(
         self,
@@ -336,16 +333,8 @@ class ProlongPlan:
             + [fiber(mono) + 1 for comp in xi for mono in comp.terms]
             + [fiber(mono) for comp in phi for mono in comp.terms]
         )
-        self.terms = tuple(
-            tuple(
-                (mono, _times(c, self.denominator), top - fiber(mono))
-                for mono, c in comp.terms.items()
-            )
-            for comps, top in ((xi, self.degree - 1), (phi, self.degree))
-            for comp in comps
-        )
         # the jet on column col is the variable offset + col, after every token
-        offset = 1 + max([p + q] + [mono[-1][0] for terms in self.terms for mono, _, _ in terms])
+        offset = 1 + max([p + q] + [mono[-1][0] for comp in (*xi, *phi) for mono in comp.terms])
         k_factorial = factorial(k)
         section = {
             cols[0]: Poly({
@@ -354,10 +343,7 @@ class ProlongPlan:
             })
             for cols in space.columns
         }
-        integral = [
-            Poly({mono: c for mono, c, _ in terms}).substitute(section, p, k)
-            for terms in self.terms
-        ]
+        integral = [(comp * self.denominator).substitute(section, p, k) for comp in (*xi, *phi)]
         # per x^rho * token: [(slot, sigma, c sigma!)], sigma an index into
         # space.multi_indices
         slices: dict[Monomial, list[tuple[int, int, int]]] = {}
@@ -427,33 +413,10 @@ def prolong(
 
     One row per parameter, in parameter order, over all coordinates of the
     space, with the zero entries left out; the base point must be the
-    origin.  With u(x) the degree-k Taylor polynomial of the point's jet
-    and Q_alpha = phi_alpha - sum_i xi_i d_i u^alpha along it, the entry
-    on u^alpha_sigma is
-
-        sigma! [x^sigma] Q_alpha + sum_i xi_i(0) u^alpha_{sigma + e_i},
-
-    with jets of order k + 1 taken as zero.  A slice x^beta reads its
-    coefficients off those of the tokens, d^gamma x^beta =
-    beta!/(beta - gamma)! x^(beta - gamma).
-
-    Everything is integral.  With J the lcm of the jet values'
-    denominators and D = J k!, the section U = D u has the integer
-    coefficients y_sigma (k!/sigma!), y_sigma = J u_sigma, since sigma!
-    divides k! for |sigma| <= k.  Substituted into the plan's integral
-    form (with L its denominator and M its degree) it gives L D^(M-1) xi_i
-    and Q_int = L D^M Q_alpha with integer coefficients, so `scale` is
-    L D^M: the base column is (L D^(M-1) xi_i(0)) D and the transport value
-    (L D^(M-1) xi_i(0)) k! y_{sigma + e_i}.  Only [x^rho] Q_alpha with
-    |rho| <= k and the degree-0 part of xi are read, and no product lowers
-    the degree in x, so the substitution is truncated at degree k in the
-    base variables.
-
-    The plan has done that substitution once, with the jets left as
-    variables: each entry is its form, homogeneous of degree M in y and D.
-    So `prolong` reads J, D and the integer jets y, evaluates each of the
-    plan's jet monomials once, D^(M - degree) times the product of its
-    jets, and sums each entry's terms.
+    origin.  ProlongPlan derives the rows: here `prolong` reads J, D = J k!
+    and the integer jets y, evaluates each of the plan's jet monomials
+    once, D^(M - degree) times the product of its jets, and sums each
+    entry's terms; `scale` is L D^M.
     """
     space = plan.space
     p, m = space.p, plan.degree
@@ -568,12 +531,15 @@ class Scenario:
     def space(self, order: int) -> JetSpace:
         return JetSpace(order, self.base, self.fiber)
 
-    def stratum(self, label: str) -> StratumCase:
+    def stratum(self, stratum: StratumCase | str) -> StratumCase:
+        """The stratum of that label; a StratumCase is returned as it is."""
+        if isinstance(stratum, StratumCase):
+            return stratum
         try:
-            return self.strata[label]
+            return self.strata[stratum]
         except KeyError:
             raise UnknownScenario(
-                f"scenario {self.id!r} has no stratum {label!r}"
+                f"scenario {self.id!r} has no stratum {stratum!r}"
             ) from None
 
     # -- generator instantiation ----------------------------------------
@@ -588,11 +554,11 @@ class Scenario:
         coefficients of each free function f the generator mentions
         follow, up to degree k + r_f (k the space's order, r_f the highest
         |gamma| among f's tokens d^gamma f there), and then those of
-        degree k + r_f + 1, every one a sentinel, which must act trivially
-        in every later evaluation.  Each free function belongs to the one
-        generator that mentions it.  Components may use known symbols
-        only, must be linear in the jet tokens and may divide by constants
-        only.
+        degree k + r_f + 1, every one a sentinel, which must act trivially:
+        the engine checks that it has no row form.  Each free function
+        belongs to the one generator that mentions it.  Components may use
+        known symbols only, must be linear in the jet tokens and may divide
+        by constants only.
         """
         first_token = self.p + self.q
         zero = (0,) * self.p
@@ -703,7 +669,9 @@ def _derivative_orders(tokens: Iterable[tuple[int, str, MultiIndex]]) -> dict[st
 
 
 #: Draws of a stratum point before its conditions give up (BadSample).
-_SAMPLE_TRIES = 60
+#: The metric positivity g11 > 0, g11 g22 > g12^2 accepts about 12 % of
+#: the draws, so a point is lost once in about 1e56.
+_SAMPLE_TRIES = 1000
 
 #: The values of a drawn jet coordinate: n/d for -20 <= n <= 20 and
 #: 1 <= d <= 20, one entry per (n, d) pair, so one uniform choice is
@@ -827,7 +795,11 @@ class _StratumEngine:
     every stratum, sample point and invariant check of the scenario at
     this order reuses it, `prolong` evaluates its rows at each
     {column: value} point, and stratum_columns gives each stratum's
-    columns.
+    columns.  The sentinel parameters must act trivially, which is read
+    off the plan once, here: no sentinel may have a row form
+    (InvariantViolation, whatever the stratum).  A form keeps only its
+    nonzero sums, one term per (column, jet monomial), so a sentinel's
+    form is a nonzero polynomial in the jets and acts at generic points.
     The engine holds no random state: each caller seeds its own generator.
     """
 
@@ -836,40 +808,51 @@ class _StratumEngine:
         self.k_max = k_max
         self.space = scenario.space(k_max)
         self.plan, self.params = scenario.instantiate(self.space)
+        if any(self.params[slot].sentinel for slot, *_ in self.plan.forms):
+            raise InvariantViolation("sentinel parameter acts nontrivially: truncated too low")
         self.cols_at = self.space.cols_at
         self.positivity = [parse_expression(text) for text in scenario.positivity]
 
-    def rows(self, point: Mapping[int, Fraction]) -> list[dict[int, int]]:
-        """Nonzero tangent rows at a point over the base origin, as the
-        integer {column: int} rows of `prolong` in parameter order (each a
-        positive multiple of the true row, which leaves ranks, tangency and
-        annihilation as they are); the sentinel parameters must act
-        trivially (InvariantViolation)."""
-        rows = prolong(self.plan, point)[1]
-        if any(self.params[param].sentinel for param in rows):
-            raise InvariantViolation("sentinel parameter acts nontrivially: truncated too low")
-        return list(rows.values())
+    def check_tangent(self, stratum: StratumCase) -> None:
+        """Raise InvariantViolation where a row entry on a vanishing column
+        of the stratum is not identically zero on it, naming the first such
+        column in the stratum's order; read off the plan's forms, with no
+        point drawn.
 
-    def ranks_for_point(self, point: Mapping[int, Fraction], stratum: StratumCase) -> list[int]:
-        rows = self.rows(point)
+        The true entry is sum_m c_m u^m / (L k!^|m|) over its terms, one
+        per jet monomial m (ProlongPlan).  On the stratum a term whose
+        monomial holds a vanishing column is zero, and the remaining
+        monomials are distinct, hence independent, polynomials in the free
+        jets.  So an entry vanishes on the whole stratum exactly when none
+        of its terms remains; otherwise it is nonzero on a dense open part
+        of the stratum, where a sampled point would see it.
+        """
         zeros, _ = stratum_columns(self.space, stratum)
+        vanishing, monomials = set(zeros), self.plan.monomials
+        acting = {
+            col
+            for _, cols, jets, _, _ in self.plan.forms
+            for col, jet in zip(cols, jets)
+            if col in vanishing and vanishing.isdisjoint(monomials[jet])
+        }
         for col in zeros:
-            if any(col in row for row in rows):
+            if col in acting:
                 raise InvariantViolation(
                     f"generator not tangent to stratum {stratum.label!r} "
                     f"at coordinate {self.space.name_of(col)!r}"
                 )
-        return rank_profile(rows, self.cols_at)
 
     def sampled_ranks(self, stratum: StratumCase, seed: int) -> list[int]:
         """Orbit rank at each order 0..k_max, agreed on by one seeded round
-        of three stratum points (one retry round, then GenericityFailure)."""
+        of three stratum points (one retry round, then GenericityFailure),
+        once check_tangent has passed."""
+        self.check_tangent(stratum)
         rng = random.Random(seed)
         for _ in range(2):
             trials = []
             for _ in range(3):
                 point = sample_stratum_point(self.space, stratum, rng, self.positivity)
-                trials.append(self.ranks_for_point(point, stratum))
+                trials.append(rank_profile(prolong(self.plan, point)[1].values(), self.cols_at))
             if all(t == trials[0] for t in trials):
                 return trials[0]
         raise GenericityFailure(
@@ -880,8 +863,7 @@ class _StratumEngine:
         self, stratum: StratumCase | str, seed: int
     ) -> tuple[list[int], list[int]]:
         """(s_k, h_k) for one stratum; see stratum_codim_sequence."""
-        if isinstance(stratum, str):
-            stratum = self.scenario.stratum(stratum)
+        stratum = self.scenario.stratum(stratum)
         zeros, _ = stratum_columns(self.space, stratum)  # every name is a jet
         for name in stratum.equalities:
             if sum(self.space._jet_index(name)[1]) > self.k_max:
@@ -911,7 +893,7 @@ class _StratumEngine:
                 return _Dual(point[var], {var: 1})
 
             grad = evaluate_node(node, _Dual, coordinate).grad
-            for row in self.rows(point):
+            for row in prolong(self.plan, point)[1].values():
                 if sum(row.get(c, 0) * d for c, d in grad.items()):
                     return False
         return True
@@ -926,9 +908,10 @@ def stratum_codim_sequence(
     """Orbit codimensions s_k inside the stratum and increments h_k, k = 0..k_max.
 
     Three seeded sample points per round; the per-order ranks must agree
-    across the round (one retry round, then genericity-failure).  Generators
-    are checked tangent to the stratum and sentinel rows checked zero at
-    every sampled point.  A vanishing condition above k_max raises OrderExceeded.
+    across the round (one retry round, then genericity-failure).  The
+    engine checks that no sentinel acts and that the generators are
+    tangent to the stratum, each once off the plan's forms, before any
+    point is drawn.  A vanishing condition above k_max raises OrderExceeded.
     """
     return _StratumEngine(scenario, k_max).codim_sequence(stratum, seed)
 
@@ -949,8 +932,7 @@ def annihilation_check(
     conditions above that order; a sampled point where it divides by zero
     is resampled (error if that keeps failing).
     """
-    if isinstance(stratum, str):
-        stratum = scenario.stratum(stratum)
+    stratum = scenario.stratum(stratum)
     coordinates = _coordinates(scenario.base, scenario.fiber)
     names = symbol_names(invariant)
     if unknown := sorted(names - coordinates.keys()):

@@ -153,10 +153,10 @@ def test_usage_errors_exit_two_and_internal_errors_propagate(monkeypatch):
 def test_engine_invariant_violation_exits_three(monkeypatch):
     from poincount import jetflow
 
-    def broken(self, point):
-        raise jetflow.InvariantViolation("sentinel parameter acts nontrivially")
+    def broken(self, stratum):
+        raise jetflow.InvariantViolation("generator not tangent to stratum 'generic'")
 
-    monkeypatch.setattr(jetflow._StratumEngine, "rows", broken)
+    monkeypatch.setattr(jetflow._StratumEngine, "check_tangent", broken)
     code, out, err = capture(["metric2d", "--kmax", "1"])
     assert code == 3 and out == ""
     assert err.startswith("poincount: engine invariant violated:") and err.count("\n") == 1
@@ -342,6 +342,22 @@ def test_parse_errors_are_one_line_on_the_given_stream(capsys):
     assert capsys.readouterr() == ("", "")
 
 
+def test_error_lines_bound_every_echoed_word():
+    # values echoed outside argparse are cut like argparse's own: one line,
+    # each word at most 40 characters and "..."
+    long = "v" * 100
+    for argv, text in (
+        (["show", long], "unknown catalog entry 'vvvv"),
+        (["show", "riemannian", "--param", long], "--param needs key=value, got 'vvvv"),
+        (["show", "riemannian", "--param", f"n={long}"], "outside validity"),
+        (["show", "poincare-dulac", "--param", f"case={long}"], "outside validity"),
+    ):
+        code, out, err = capture(argv)
+        assert (code, out) == (2, ""), argv[:3]
+        assert err.startswith("poincount: error:") and err.count("\n") == 1, argv[:3]
+        assert text in err and max(map(len, err.split())) <= 40 + len("..."), err
+
+
 def test_oversized_catalog_sizes_are_refused_before_any_work(monkeypatch):
     # the bounds themselves are accepted; one more is refused with a line
     # that names the bound, before the catalog or a plan is reached
@@ -361,6 +377,25 @@ def test_oversized_catalog_sizes_are_refused_before_any_work(monkeypatch):
     entry = catalog.get_entry("riemannian")
     monkeypatch.setitem(catalog._BY_ID, "riemannian", replace(
         entry, validity=reached, base_dim=reached, hilbert=reached, claimed_p=reached))
+    # the Poincare-Dulac parameters m, p and q have the same bound as n
+    pd_cases = [("poincare-domain", "m", ()), ("saddle-node", "m", ()),
+                ("saddle", "p", ("q=1",)), ("saddle", "q", ("p=1",))]
+
+    def pd_show(case, key, value, rest):
+        argv = ["show", f"poincare-dulac-{case}", "--kmax", "2"]
+        for param in (f"{key}={value}", *rest):
+            argv += ["--param", param]
+        return argv
+
+    for case, key, rest in pd_cases:
+        assert capture(pd_show(case, key, MAX_N, rest))[0] == 0, (case, key)
+    dulac = catalog.get_entry("poincare-dulac")
+    monkeypatch.setitem(catalog._BY_ID, "poincare-dulac", replace(
+        dulac, validity=reached, base_dim=reached, claimed_p=reached))
+    for case, key, rest in pd_cases:
+        code, out, err = capture(pd_show(case, key, MAX_N + 1, rest))
+        text = f"poincare-dulac: {key} is above the limit {MAX_N}"
+        assert (code, out, err) == (2, "", f"poincount: error: {text}\n"), (case, key)
     monkeypatch.setitem(counting.SHIPPED_PLANS, "einstein", (reached, range(4, 7)))
     monkeypatch.setattr(catalog, "verify_all", reached)
     monkeypatch.setattr(catalog, "select_samples", reached)

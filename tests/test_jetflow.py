@@ -24,6 +24,7 @@ from poincount.jetflow import (
     Scenario,
     StratumCase,
     UnknownScenario,
+    BUILTIN_SCENARIOS,
     METRIC2D,
     X_REPARAM,
     annihilation_check,
@@ -33,6 +34,7 @@ from poincount.jetflow import (
     prolong,
     sample_stratum_point,
     stratum_codim_sequence,
+    stratum_columns,
     _StratumEngine,
 )
 from poincount import jetflow
@@ -112,10 +114,8 @@ def _exact_rows(plan, point):
 
 
 def _engine_rows(engine, point):
-    """engine.rows at the point as dense exact rows: engine.rows hands the
-    integer rows of prolong in parameter order, and each is divided by the
-    one scale."""
-    assert engine.rows(point) == list(prolong(engine.plan, point)[1].values())
+    """The engine's rows at the point as dense exact rows: the integer rows
+    of prolong in parameter order, each divided by the one scale."""
     return list(_exact_rows(engine.plan, point).values())
 
 
@@ -211,7 +211,8 @@ def _generic_point_values(space, rng):
 def _orbit_rank(scenario, values, k):
     """Rank of the engine's tangent rows at the named jet point."""
     engine = _StratumEngine(scenario, k)
-    return matrix_rank(engine.rows(_point(engine.space, values)), engine.space.dim)
+    rows = prolong(engine.plan, _point(engine.space, values))[1]
+    return matrix_rank(rows.values(), engine.space.dim)
 
 
 def test_orbit_rank_open_orbit():
@@ -640,10 +641,8 @@ def test_sentinel_violation_detected_when_cutoff_too_small(monkeypatch):
         monkeypatch.setattr(jetflow, "_derivative_orders", lowered)
 
     truncate_lower(1)
-    engine = _StratumEngine(SC, 3)
-    values = _generic_point_values(engine.space, random.Random(18))
     with pytest.raises(InvariantViolation, match="sentinel"):
-        engine.rows(_point(engine.space, values))
+        _StratumEngine(SC, 3)
     for by in (1, 2):
         truncate_lower(by)
         with pytest.raises(InvariantViolation, match="sentinel"):
@@ -859,18 +858,21 @@ def test_scenario_errors():
         nonlinear.instantiate(nonlinear.space(2))
 
     def first_xi(text):
-        """The integral form (terms, denominator) of the field (text, 0)."""
+        """The plan (forms, monomials, denominator) of the field (text, 0)."""
         generators = [{"xi": [text], "phi": ["0"]}]
         line = Scenario({"id": "divisors", "base": ["x"], "fiber": ["u"], "generators": generators})
         plan, _ = line.instantiate(line.space(2))
-        return plan.terms, plan.denominator
+        return plan.forms, plan.monomials, plan.denominator
 
     for text in ("x/u", "x^-1"):
         with pytest.raises(NonlinearParameters):
             first_xi(text)
-    # both are x/2: L = 2, and xi's one term is (x m, L * 1/2, j = 0), with
-    # m (variable 2) the marker token of the generator's function-free part
-    assert first_xi("x*2^-1") == first_xi("x/2") == ((((((0, 1), (2, 1)), 1, 0),), ()), 2)
+    # both are x/2: L = 2 and M = 1, and the one parameter, the
+    # function-free part, has the true row -u1/2 on u1 (column 2) and -u2
+    # on u2 (column 3); times the scale L D = 2 J 2! these are -2 y1 and
+    # -4 y2, y = J u, each on a jet monomial of its own
+    expected = (((0, (2, 3), (0, 1), (-2, -4), True),), ((2,), (3,)), 2)
+    assert first_xi("x*2^-1") == first_xi("x/2") == expected
     positive = Scenario(dict(X_REPARAM, id="positive", positivity=["1/u10"]))
     with pytest.raises(BadSample):
         stratum_codim_sequence(positive, "sigma1", 1, seed=1)
@@ -959,9 +961,9 @@ def test_sample_one_choice_per_drawn_coordinate_per_try(monkeypatch):
     # 1/u10 divides by zero at every point of sigma2
     tries.clear()
     rng = ChoiceCounter(2)
-    with pytest.raises(BadSample, match="after 60 tries"):
+    with pytest.raises(BadSample, match=f"after {jetflow._SAMPLE_TRIES} tries"):
         sample_stratum_point(space, stratum, rng, (), [parse_expression("1/u10")])
-    assert len(tries) == jetflow._SAMPLE_TRIES and rng.choices == 60 * drawn
+    assert len(tries) == jetflow._SAMPLE_TRIES and rng.choices == jetflow._SAMPLE_TRIES * drawn
 
 
 # affine reparametrizations of the line plus fiber scaling
@@ -1190,6 +1192,15 @@ def test_metric3d_order_three_matches_catalog():
     assert h == hilbert_spec("riemannian", n=3).values(3)
 
 
+def test_metric3d_point_past_sixty_draws_is_sampled():
+    # the positivity g11 > 0, g11 g22 > g12^2 accepts about 12 % of the
+    # draws; at this seed the first point takes 65 draws, past a budget of
+    # 60 draws (a 4.5e-4 chance per point) but well within _SAMPLE_TRIES
+    assert jetflow._SAMPLE_TRIES >= 65
+    h = stratum_codim_sequence(Scenario(METRIC3D), "generic", 3, seed=436609)[1]
+    assert h == [0, 0, 3, 15] == hilbert_spec("riemannian", n=3).values(3)
+
+
 @pytest.mark.parametrize("name, k", [("x-reparam", 4), ("riccati-mixed", 3), ("metric3d", 2)])
 def test_one_plan_per_engine(name, k, monkeypatch):
     # the generators are instantiated and planned once per engine, however
@@ -1220,10 +1231,9 @@ def test_one_plan_per_engine(name, k, monkeypatch):
     assert len(points) >= 3
     assert len(instantiations) == 1 and builds == [engine.plan]
     assert len(engine.plan.specs) == len(engine.params)
-    # engine.rows hands prolong's rows in parameter order
+    # prolong hands its rows in parameter order
     rows = prolong(engine.plan, points[-1])[1]
     assert list(rows) == sorted(rows)
-    assert engine.rows(points[-1]) == list(rows.values())
     assert len(instantiations) == 1 and builds == [engine.plan]
 
 
@@ -1254,6 +1264,122 @@ def test_non_invariant_stratum_fails_tangency():
     bogus = StratumCase("bogus", equalities=("u01",), inequations=("u10",))
     with pytest.raises(InvariantViolation, match="not tangent"):
         stratum_codim_sequence(SC, bogus, 2, seed=4)
+
+
+def _sampled_verdict(plan, params, stratum, points):
+    """The engine's self-checks as they were once made at each sampled
+    point, in point order: a sentinel parameter with a nonzero row, then a
+    row entry on a vanishing column of the stratum, the first such column
+    in the stratum's order; None when no point shows either."""
+    zeros, _ = stratum_columns(plan.space, stratum)
+    for point in points:
+        rows = prolong(plan, point)[1]
+        if any(params[slot].sentinel for slot in rows):
+            return "sentinel"
+        for col in zeros:
+            if any(col in row for row in rows.values()):
+                return f"not tangent at {plan.space.name_of(col)!r}"
+    return None
+
+
+def _form_verdict(engine_or_error, stratum):
+    """The verdict read off the plan: the engine build's sentinel check,
+    then its tangency check on the stratum."""
+    if isinstance(engine_or_error, InvariantViolation):
+        assert "sentinel" in str(engine_or_error)
+        return "sentinel"
+    try:
+        engine_or_error.check_tangent(stratum)
+    except InvariantViolation as exc:
+        found = re.fullmatch(rf"generator not tangent to stratum {re.escape(repr(stratum.label))} "
+                             r"at coordinate ('.*')", str(exc))
+        assert found, str(exc)
+        return f"not tangent at {found[1]}"
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(set(BUILTIN_SCENARIOS) | {n for n, _, _ in PARITY_CASES}))
+@pytest.mark.parametrize("lower", [0, 1])
+def test_self_checks_read_off_the_forms_agree_with_sampled_points(name, lower, monkeypatch):
+    # the exact verdicts off the plan's forms equal the per-point rule at
+    # three seeded points.  The sentinel check holds whatever the stratum,
+    # so it is compared at points of the whole jet space; with the
+    # truncation one degree too low the sentinels act.  The tangency check
+    # is compared on the scenario's strata and on one stratum per jet
+    # coordinate of order <= 1 set to zero, many of them not tangent.
+    # Points ignore positivity: the forms are polynomial identities, and a
+    # condition no point of the stratum meets would leave none to compare.
+    if lower:
+        orders = jetflow._derivative_orders
+        monkeypatch.setattr(jetflow, "_derivative_orders",
+                            lambda tokens: {f: r - 1 for f, r in orders(tokens).items()})
+    scenario = _scenario(name)
+    seen = set()
+    for k in range(5):
+        space = scenario.space(k)
+        plan, params = scenario.instantiate(space)
+        try:
+            engine = _StratumEngine(scenario, k)
+        except InvariantViolation as exc:
+            engine = exc
+        strata = [StratumCase("whole")]
+        if not isinstance(engine, InvariantViolation):
+            strata += list(scenario.strata.values()) + [
+                StratumCase(f"{coordinate} = 0", equalities=(coordinate,))
+                for var, coordinate in enumerate(space.coordinate_names())
+                if var < space.cols_at[min(k, 1)] and space.info(var)[0] == "jet"
+            ]
+        rng = random.Random(k)
+        for stratum in strata:
+            points = [sample_stratum_point(space, stratum, rng) for _ in range(3)]
+            verdict = _form_verdict(engine, stratum)
+            assert verdict == _sampled_verdict(plan, params, stratum, points), (k, stratum)
+            seen.add(verdict and verdict.split()[0])
+    if lower and scenario.free_functions:
+        assert seen == {"sentinel"}  # at every order
+    else:
+        assert None in seen and "sentinel" not in seen, seen
+
+
+def test_tangency_is_decided_before_any_point_is_drawn(monkeypatch):
+    def drawn(*args):
+        raise AssertionError("a point was drawn")
+
+    monkeypatch.setattr(jetflow, "sample_stratum_point", drawn)
+    bogus = StratumCase("bogus", equalities=("u01",), inequations=("u10",))
+    with pytest.raises(InvariantViolation, match="not tangent to stratum 'bogus' at coordinate 'u01'"):
+        stratum_codim_sequence(SC, bogus, 2, seed=4)
+
+
+def test_one_tangency_check_per_codim_sequence(monkeypatch):
+    # however many points a sequence draws, its stratum is checked once,
+    # also when the ranks disagree and the retry round draws three more
+    checks, points = [], []
+    check, sample = _StratumEngine.check_tangent, jetflow.sample_stratum_point
+    monkeypatch.setattr(_StratumEngine, "check_tangent",
+                        lambda self, stratum: checks.append(stratum) or check(self, stratum))
+    monkeypatch.setattr(jetflow, "sample_stratum_point",
+                        lambda *args: points.append(1) or sample(*args))
+    engine = _StratumEngine(SC, 4)
+    engine.codim_sequence("sigma2", seed=3)
+    assert (len(checks), len(points)) == (1, 3)
+    checks.clear()
+    points.clear()
+    monkeypatch.setattr(jetflow, "rank_profile", lambda rows, cuts: [len(points)])
+    with pytest.raises(jetflow.GenericityFailure):
+        engine.codim_sequence("sigma2", seed=3)
+    assert (len(checks), len(points)) == (1, 6)
+
+
+def test_non_tangent_stratum_with_unmet_positivity_is_a_violation():
+    # no point meets -1 - u^2 > 0: a tangent stratum ends in BadSample, and
+    # a stratum the generators leave is reported before any draw
+    never = Scenario(dict(X_REPARAM, id="never", positivity=["-1 - u^2"]))
+    with pytest.raises(BadSample):
+        stratum_codim_sequence(never, "sigma1", 2, seed=4)
+    bogus = StratumCase("bogus", equalities=("u01",), inequations=("u10",))
+    with pytest.raises(InvariantViolation, match="not tangent"):
+        stratum_codim_sequence(never, bogus, 2, seed=4)
 
 
 def test_metric2d_seed_independent():

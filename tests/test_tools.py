@@ -1,0 +1,40 @@
+import importlib.util
+from pathlib import Path
+
+
+def _bench_pairs():
+    """tools/bench_pairs.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", Path(__file__).parents[1] / "tools" / "bench_pairs.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run(wall_s, failed, digests):
+    return {"metrics": {"wall_s": wall_s}, "attempted": 10, "failed": failed, "digests": digests}
+
+
+def test_summarize_names_the_seeds_with_failed_operations():
+    # a side's seeds whose run failed any operation are listed apart from
+    # the totals, in seed order; nothing else of the summary changes
+    runs = [
+        {"seed": seed, "parent": _run(p, pf, {"a": "x"}), "change": _run(c, cf, {"a": "x"})}
+        for seed, p, pf, c, cf in (
+            (911, 1.0, 0, 0.9, 0),
+            (912, 2.0, 5, 1.1, 0),
+            (913, 1.2, 1, 1.0, 2),
+            (914, 1.1, 0, 1.0, 0),
+        )
+    ]
+    spec = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    summary = _bench_pairs().summarize(runs, spec)
+    assert summary["failed_seeds"] == {"parent": [912, 913], "change": [913]}
+    assert summary["failed"] == {"parent": 6, "change": 2}
+    assert summary["attempted"] == {"parent": 40, "change": 40}
+    assert summary["seeds"] == [911, 912, 913, 914] and summary["digests_equal"]
+    wall = summary["metrics"]["wall_s"]
+    assert (wall["parent_median"], wall["change_median"], wall["wins"]) == (1.15, 1.0, 4)
+    clean = [dict(run, parent=_run(1.0, 0, {}), change=_run(1.0, 0, {})) for run in runs]
+    assert _bench_pairs().summarize(clean, spec)["failed_seeds"] == {"parent": [], "change": []}

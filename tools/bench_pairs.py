@@ -20,12 +20,14 @@ BENCHMARK.json is run.
 The output holds, per workload and end-to-end metric of BENCHMARK.json,
 the medians of both sides, their relative change, the metric's bound, the
 parent's interquartile range and the number of pairs the change won
-(better by the metric's own direction); the runs' failure counts; the
-per-job stdout digests of both sides per seed, with whether they are
-equal; and the machine stamp perfbench records.  The closing summary
-prints one line per workload and end-to-end metric, flagged when the
-change's median is worse, and louder when it is worse by more than the
-bound.  The exit code is 1 when on some workload the digests differ or
+(better by the metric's own direction); the runs' failure counts, and
+per side the seeds whose run failed any operation; the per-job stdout
+digests of both sides per seed, with whether they are equal; and the
+machine stamp perfbench records.  The closing summary prints one line
+per workload and end-to-end metric, flagged when the change's median is
+worse, and louder when it is worse by more than the bound; under a
+workload it names each side's seeds with failed operations, whose
+medians mix in passes that did not finish.  The exit code is 1 when on some workload the digests differ or
 the change fails more operations than the parent, and 0 otherwise.
 """
 
@@ -119,6 +121,10 @@ def summarize(runs: list, end_to_end: list) -> dict:
         "seeds": [pair["seed"] for pair in runs],
         "metrics": metrics,
         "failed": {side: sum(pair[side]["failed"] for pair in runs) for side in ("parent", "change")},
+        "failed_seeds": {
+            side: [pair["seed"] for pair in runs if pair[side]["failed"]]
+            for side in ("parent", "change")
+        },
         "attempted": {side: sum(pair[side]["attempted"] for pair in runs) for side in ("parent", "change")},
         "digests_equal": all(pair["parent"]["digests"] == pair["change"]["digests"] for pair in runs),
         "digests": {
@@ -181,6 +187,9 @@ def main(argv=None) -> int:
     for workload, summary in out["workloads"].items():
         print(f"{workload}: {summary['pairs']} pairs, digests equal: {summary['digests_equal']}, "
               f"failed {summary['failed']['parent']} -> {summary['failed']['change']}")
+        for side, seeds in summary["failed_seeds"].items():
+            if seeds:
+                print(f"  {side}: operations failed at seeds {', '.join(map(str, seeds))}")
         for name, m in summary["metrics"].items():
             print(f"  {summary_line(name, m, summary['pairs'])}")
     broken = [
