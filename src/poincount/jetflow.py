@@ -35,7 +35,6 @@ import re
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from itertools import islice
 from math import factorial, lcm, prod
 from operator import add, mul
 from typing import Iterable, Mapping, Sequence
@@ -96,39 +95,15 @@ _MAX_ORDER = 9
 _SYMBOL = "[A-Za-z][A-Za-z0-9_]*"
 
 
+def _prefix(fiber: str) -> str:
+    """The start of a fiber's jet names above order 0 (u, g11_)."""
+    return fiber + "_" if fiber[-1].isdigit() else fiber
+
+
 def _jet_name(fiber: str, sigma: MultiIndex) -> str:
-    """The name of u_sigma of the named fiber: the fiber name and the
+    """The name of u_sigma of the named fiber: its prefix and the
     multi-index digits (u10, g11_20), the bare fiber name at order 0."""
-    if not any(sigma):
-        return fiber
-    digits = "".join(str(s) for s in sigma)
-    sep = "_" if fiber[-1].isdigit() else ""
-    return f"{fiber}{sep}{digits}"
-
-
-@cache
-def _coordinates(base: tuple[str, ...], fiber: tuple[str, ...]) -> dict[str, tuple]:
-    """{name: ("base", i) | ("jet", alpha, sigma)} for every coordinate of
-    J^_MAX_ORDER, in JetSpace's variable order, each jet named by _jet_name;
-    two coordinates that would share a name raise a ValueError naming both."""
-    named = [(name, ("base", i)) for i, name in enumerate(base)] + [
-        (_jet_name(fiber[alpha], sigma), ("jet", alpha, sigma))
-        for m in range(_MAX_ORDER + 1)
-        for alpha in range(len(fiber))
-        for sigma in _multi_indices(len(base), m)
-    ]
-    describe = lambda kind, i, sigma=(): (
-        f"base {base[i]!r}" if kind == "base"
-        else f"the jet {sigma} of fiber {fiber[i]!r}" if any(sigma)
-        else f"fiber {fiber[i]!r}"
-    )
-    table: dict[str, tuple] = {}
-    for name, coordinate in named:
-        if table.setdefault(name, coordinate) is not coordinate:
-            raise ValueError(
-                f"{describe(*table[name])} and {describe(*coordinate)} are both named {name!r}"
-            )
-    return table
+    return _prefix(fiber) + "".join(map(str, sigma)) if any(sigma) else fiber
 
 
 class JetSpace:
@@ -137,9 +112,9 @@ class JetSpace:
 
     Variable ids are assigned deterministically: base variable i is id i, then
     jet coordinates by total order, fiber index, and descending
-    lexicographic multi-index (u10 before u01).  The names are the first
-    `dim` of the name table of J^_MAX_ORDER (_coordinates), which also
-    gives `info` and `_jet_index`.  `multi_indices` lists the multi-indices
+    lexicographic multi-index (u10 before u01).  The names are the base
+    names and then each column's _jet_name; `_jet_index` reads a jet name
+    of any order up to _MAX_ORDER back.  `multi_indices` lists the multi-indices
     of orders 0..order in that order, `columns[alpha]` the column of fiber
     alpha at each of them, and `cols_at[m]` is the column count of the
     order-m block J^m, a prefix of the columns.  `shifted` pairs the
@@ -154,7 +129,8 @@ class JetSpace:
         self.order = order
         base, fiber = tuple(base_names), tuple(fiber_names)
         p, q = self.p, self.q = len(base), len(fiber)
-        self._table = _coordinates(base, fiber)
+        self._fibers, self._prefixes = fiber, [_prefix(name) for name in fiber]
+        self._names = list(base)
         self.multi_indices: list[MultiIndex] = []
         self.columns: list[list[int]] = [[] for _ in range(q)]
         self.cols_at: list[int] = []
@@ -162,11 +138,11 @@ class JetSpace:
         for m in range(order + 1):
             block = _multi_indices(p, m)
             self.multi_indices += block
-            for cols in self.columns:
+            for cols, name in zip(self.columns, fiber):
                 cols += range(var, var + len(block))
+                self._names += (_jet_name(name, sigma) for sigma in block)
                 var += len(block)
             self.cols_at.append(var)
-        self._names = list(islice(self._table, var))
         self._by_name = {name: var for var, name in enumerate(self._names)}
         self._index = {sigma: j for j, sigma in enumerate(self.multi_indices)}
         # per multi-index sigma: x^sigma as a monomial in the base variables, and sigma!
@@ -177,10 +153,18 @@ class JetSpace:
         self._shifted: dict[MultiIndex, list[tuple[int, int]]] = {}
 
     def _jet_index(self, name: str) -> tuple[int, MultiIndex] | None:
-        """(fiber index, multi-index) of a jet name at any order up to
-        _MAX_ORDER, or None if no jet coordinate has that name."""
-        coordinate = self._table.get(name, ("base",))
-        return coordinate[1:] if coordinate[0] == "jet" else None
+        """(fiber index, multi-index) of the jet named `name` at any order up
+        to _MAX_ORDER, or None; the one reader of _jet_name's names: the first
+        fitting fiber prefix and p ASCII digits, read one by one, not all zero,
+        summing to at most _MAX_ORDER; failing that, a bare fiber name."""
+        for alpha, prefix in enumerate(self._prefixes):
+            if len(name) == len(prefix) + self.p and name.startswith(prefix):
+                digits = name[len(prefix) :]
+                if digits.isascii() and digits.isdigit():
+                    sigma = tuple(map("0123456789".index, digits))
+                    if 0 < sum(sigma) <= _MAX_ORDER:
+                        return alpha, sigma
+        return (self._fibers.index(name), (0,) * self.p) if name in self._fibers else None
 
     def shifted(self, shift: MultiIndex) -> list[tuple[int, int]]:
         """(index of rho, index of rho + shift) in multi_indices for every
@@ -206,9 +190,6 @@ class JetSpace:
             raise OrderExceeded(
                 f"coordinate u^{alpha}_{sigma} exceeds order {self.order}"
             ) from None
-
-    def info(self, var: int) -> tuple:
-        return self._table[self._names[var]]
 
     def name_of(self, var: int) -> str:
         return self._names[var]
@@ -476,8 +457,8 @@ class Scenario:
          "positivity": [rational exprs required > 0]}      # optional
 
     Base names are single letters, and fiber and free-function names
-    symbols of the expression grammar ([A-Za-z][A-Za-z0-9_]*); no free
-    function takes a base, fiber or jet coordinate's name.  Generator
+    symbols of the expression grammar ([A-Za-z][A-Za-z0-9_]*); no two
+    coordinates, nor a coordinate and a free function, share a name.  Generator
     expressions use base names, order-0 fiber names, and free-function jet
     tokens f, f_x, f_xy, ... (suffix letters are base names); each free
     function belongs to the single generator using it.  They are parsed
@@ -520,11 +501,30 @@ class Scenario:
             raise ValueError(
                 f"scenario {self.id!r} has free functions but an empty base"
             )
-        # every coordinate name up to _MAX_ORDER is one coordinate's, and
-        # no free function's: its tokens would shadow the coordinate
-        coordinates = _coordinates(self.base, self.fiber)
+        # A jet name above order 0 is a prefix and p digits, so the first two
+        # coordinates of J^_MAX_ORDER that share a name, in column order, are
+        # among J^1's and the jets that fiber names read as (u1 beside u)
+        space = self.space(1)
+        describe = lambda kind, i, sigma=(): (
+            f"base {self.base[i]!r}" if kind == "base"
+            else f"the jet {sigma} of fiber {self.fiber[i]!r}" if any(sigma)
+            else f"fiber {self.fiber[i]!r}"
+        )
+        jets = {(alpha, sigma) for alpha in range(self.q) for sigma in space.multi_indices}
+        jets |= set(map(space._jet_index, self.fiber))
+        named = [(name, ("base", i)) for i, name in enumerate(self.base)] + [
+            (_jet_name(self.fiber[alpha], sigma), ("jet", alpha, sigma))
+            for alpha, sigma in sorted(jets, key=lambda j: (sum(j[1]), j[0], [-s for s in j[1]]))
+        ]
+        table: dict[str, tuple] = {}
+        for name, coordinate in named:
+            if table.setdefault(name, coordinate) is not coordinate:
+                raise ValueError(
+                    f"{describe(*table[name])} and {describe(*coordinate)} are both named {name!r}"
+                )
+        # a free function named like a coordinate: its tokens would shadow it
         for name in self.free_functions:
-            if name in coordinates:
+            if name in self.base or space._jet_index(name):
                 kind = "base" if name in self.base else "fiber" if name in self.fiber else "jet"
                 raise ValueError(f"free function name {name!r} is a {kind} coordinate's name")
 
@@ -688,10 +688,10 @@ def stratum_columns(space: JetSpace, stratum: StratumCase) -> tuple[list[int], l
     """(vanishing columns, nonvanishing columns) of a coordinate stratum.
 
     Every name the stratum uses must be a jet coordinate of the space's
-    fibers at some order up to _MAX_ORDER (BadPoint names the stratum and
-    the name).  A condition above the space's order is dropped: the
-    stratum projects onto J^order as the conditions it sets up to that
-    order.
+    fibers at some order up to _MAX_ORDER, as JetSpace._jet_index reads it
+    (BadPoint names the stratum and the name).  A condition above the
+    space's order is dropped: the stratum projects onto J^order as the
+    conditions it sets up to that order.
     """
     for name in stratum.equalities + stratum.inequations:
         if space._jet_index(name) is None:
@@ -882,7 +882,8 @@ class _StratumEngine:
         row . grad, vanishes at _ANNIHILATION_POINTS seeded stratum points.
         The invariant is parsed once and must evaluate at each sampled
         point (the sampler redraws where it divides by zero), where it is
-        evaluated with its gradient."""
+        evaluated with its gradient, once check_tangent has passed."""
+        self.check_tangent(stratum)
         node = parse_expression(invariant)
         rng = random.Random(seed)
         for _ in range(_ANNIHILATION_POINTS):
@@ -925,22 +926,20 @@ def annihilation_check(
     """True iff the invariant's derivative along every generator row vanishes
     at _ANNIHILATION_POINTS seeded random stratum points.
 
-    The invariant is a rational expression in jet coordinates, checked at
-    the order of the highest jet it names (read from the name table; a
-    name that is no coordinate up to _MAX_ORDER is a BadPoint before any
-    engine is built), where stratum_columns drops the stratum's
-    conditions above that order; a sampled point where it divides by zero
-    is resampled (error if that keeps failing).
+    The invariant is a rational expression in coordinates, checked at the
+    order of the highest jet it names (as JetSpace._jet_index reads it; any
+    other name is a BadPoint before an engine is built), on a stratum the
+    generators are tangent to, whose conditions above that order
+    stratum_columns drops; a point where it divides by zero is resampled.
     """
     stratum = scenario.stratum(stratum)
-    coordinates = _coordinates(scenario.base, scenario.fiber)
-    names = symbol_names(invariant)
-    if unknown := sorted(names - coordinates.keys()):
+    decode = scenario.space(0)._jet_index
+    jets = {name: decode(name) for name in symbol_names(invariant) - set(scenario.base)}
+    if unknown := sorted(name for name, jet in jets.items() if jet is None):
         raise BadPoint(
             f"invariant {invariant!r} names {unknown[0]!r}, which is not a jet coordinate"
         )
-    named = [coordinates[name] for name in names]
-    order = max((sum(c[2]) for c in named if c[0] == "jet"), default=0)
+    order = max((sum(sigma) for _, sigma in jets.values()), default=0)
     return _StratumEngine(scenario, order).annihilates(invariant, stratum, seed)
 
 

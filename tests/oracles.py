@@ -7,6 +7,7 @@ instead of the dimension helpers.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import comb
 
@@ -138,6 +139,42 @@ def xreparam_stratum_oracle(index, k_max, seed):
     return best, h
 
 
+# -- jet coordinate names ------------------------------------------------------
+#
+# The eager name table: every coordinate of J^9 named up front, in column
+# order, refusing the first name two coordinates share.  The engine names
+# only its own columns and decodes a name on its own (JetSpace._jet_index),
+# and Scenario refuses clashes from the base and fiber names alone; this
+# table is the reference both are compared with.
+
+
+@cache
+def coordinates(base: tuple[str, ...], fiber: tuple[str, ...]) -> dict[str, tuple]:
+    """{name: ("base", i) | ("jet", alpha, sigma)} for every coordinate of
+    J^_MAX_ORDER, in JetSpace's variable order, each jet named by _jet_name;
+    two coordinates that would share a name raise a ValueError naming both."""
+    from poincount.jetflow import _MAX_ORDER, _jet_name, _multi_indices
+
+    named = [(name, ("base", i)) for i, name in enumerate(base)] + [
+        (_jet_name(fiber[alpha], sigma), ("jet", alpha, sigma))
+        for m in range(_MAX_ORDER + 1)
+        for alpha in range(len(fiber))
+        for sigma in _multi_indices(len(base), m)
+    ]
+    describe = lambda kind, i, sigma=(): (
+        f"base {base[i]!r}" if kind == "base"
+        else f"the jet {sigma} of fiber {fiber[i]!r}" if any(sigma)
+        else f"fiber {fiber[i]!r}"
+    )
+    table: dict[str, tuple] = {}
+    for name, coordinate in named:
+        if table.setdefault(name, coordinate) is not coordinate:
+            raise ValueError(
+                f"{describe(*table[name])} and {describe(*coordinate)} are both named {name!r}"
+            )
+    return table
+
+
 # -- symbolic prolongation oracle ----------------------------------------------
 #
 # The textbook route, independent of the engine's section evaluation: put a
@@ -149,16 +186,27 @@ def xreparam_stratum_oracle(index, k_max, seed):
 # on plain jet polynomials, and evaluate it at the point.
 
 
+def jet_columns(space):
+    """{column: (alpha, sigma)} for every jet column of a JetSpace in column
+    order, read off its `columns` and `multi_indices`; the base columns
+    0..p-1 are absent."""
+    return dict(sorted(
+        (col, (alpha, sigma))
+        for alpha, cols in enumerate(space.columns)
+        for col, sigma in zip(cols, space.multi_indices)
+    ))
+
+
 def total_derivative(space, poly, direction):
     """D_i = d/dx_i + sum u^alpha_{sigma+e_i} d/du^alpha_sigma on jet polynomials."""
     from poincount.jetpoly import Poly
 
     out = poly.diff(direction)
+    jets = jet_columns(space)
     for var in poly.variables():
-        info = space.info(var)
-        if info[0] != "jet":
+        if var not in jets:
             continue
-        _, alpha, sigma = info
+        alpha, sigma = jets[var]
         up = sigma[:direction] + (sigma[direction] + 1,) + sigma[direction + 1 :]
         out = out + Poly.variable(space.jet_var(alpha, up)) * poly.diff(var)
     return out
@@ -205,12 +253,12 @@ def _prolonged_field(space, xi, phi):
     p = space.p
     components = {(alpha, (0,) * p): phi[alpha] for alpha in range(space.q)}
     dxi = [[total_derivative(space, xi[j], i) for j in range(p)] for i in range(p)]
+    jets = jet_columns(space)
     for m in range(1, space.order + 1):
         for var in range(space.dim):
-            info = space.info(var)
-            if info[0] != "jet" or sum(info[2]) != m:
+            if var not in jets or sum(jets[var][1]) != m:
                 continue
-            _, alpha, sigma = info
+            alpha, sigma = jets[var]
             i = next(idx for idx, s in enumerate(sigma) if s > 0)
             tau = sigma[:i] + (sigma[i] - 1,) + sigma[i + 1 :]
             comp = total_derivative(space, components[(alpha, tau)], i)
@@ -220,8 +268,7 @@ def _prolonged_field(space, xi, phi):
             components[(alpha, sigma)] = comp
     field = []
     for var in range(space.dim):
-        info = space.info(var)
-        field.append(xi[info[1]] if info[0] == "base" else components[(info[1], info[2])])
+        field.append(components[jets[var]] if var in jets else xi[var])
     return field
 
 

@@ -1,5 +1,6 @@
 import importlib.util
 import io
+import itertools
 import math
 import random
 import re
@@ -43,7 +44,9 @@ from poincount.cli import run
 from poincount.jetpoly import Poly, _echelon, matrix_rank, rank_profile
 
 from oracles import (
+    coordinates,
     derivative_orders,
+    jet_columns,
     prolonged_fields_oracle,
     prolonged_rows_oracle,
     rational_rank,
@@ -200,11 +203,10 @@ def test_prolong_projection_consistency():
 
 def _generic_point_values(space, rng):
     values = {}
-    for var in range(space.dim):
-        if space.info(var)[0] == "jet":
-            values[space.name_of(var)] = Fraction(
-                rng.randint(1, 19), rng.randint(1, 7)
-            )
+    for var in jet_columns(space):
+        values[space.name_of(var)] = Fraction(
+            rng.randint(1, 19), rng.randint(1, 7)
+        )
     return values
 
 
@@ -368,6 +370,17 @@ def test_annihilation_bad_sample():
     # u10 vanishes identically on sigma1, so 1/u10 cannot be sampled
     with pytest.raises(BadSample):
         annihilation_check(SC, "u01/u10", "sigma1", seed=3)
+
+
+def test_annihilation_needs_tangent_generators():
+    # f d/dx moves u01 = 0 off itself where u10 != 0: an annihilation
+    # verdict on a stratum the action leaves would mean nothing
+    bogus = StratumCase("bogus", ("u01",), ("u10",))
+    refused = "generator not tangent to stratum 'bogus' at coordinate 'u01'"
+    with pytest.raises(InvariantViolation, match=refused):
+        stratum_codim_sequence(SC, bogus, 2, seed=1)
+    with pytest.raises(InvariantViolation, match=refused):
+        annihilation_check(SC, "u02", bogus, seed=1)
 
 
 # -- metric lift -----------------------------------------------------------------
@@ -740,10 +753,91 @@ def test_jet_names_are_distinct_and_read_back(p, fiber):
     names = space.coordinate_names()
     assert len(set(names)) == len(names) == space.dim
     assert [space._jet_index(name) for name in names[:p]] == [None] * p
+    table, jets = coordinates(tuple(base), fiber), jet_columns(space)
     for alpha, cols in enumerate(space.columns):
         for var, sigma in zip(cols, space.multi_indices):
             assert space._jet_index(names[var]) == (alpha, sigma)
-            assert space.info(var) == ("jet", alpha, sigma)
+            assert table[names[var]] == ("jet", *jets[var]) == ("jet", alpha, sigma)
+
+
+_FIBER_ALPHABET = ("u", "v", "uu", "u1", "u1_", "u_1", "u10", "u45", "u55", "g1", "g11", "x")
+
+#: per base dimension p: a plain base (x is also a fiber name above),
+#: then one with a repeated letter and one named like a fiber
+_BASES = {
+    0: [()],
+    1: [("x",), ("u",), ("t",)],
+    2: [("s", "t"), ("t", "t"), ("t", "v")],
+    3: [("x", "y", "z"), ("s", "t", "s"), ("s", "u", "t")],
+}
+
+#: names no scenario of the grid has, each a near miss of some jet name
+#: (u00 is order 0, u55 order 10, u1O has a letter O, u\u0661\u0662 two
+#: Arabic-Indic digits); the last is 10^5 characters long
+_NEAR_MISSES = (
+    "u00", "u100", "u_10", "u1O", "u55", "", "u\u0661\u0662", "u" + "1" * (10**5 - 1)
+)
+
+
+def _verdict(build):
+    """(what build() returns, None), or (None, the text of its ValueError)."""
+    try:
+        return build(), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+@pytest.mark.parametrize("p", sorted(_BASES))
+def test_name_decoder_and_clash_rule_match_the_name_table(p):
+    # the decoder and Scenario's clash rule against the eager J^9 name
+    # table (oracles.coordinates) on a grid of base and fiber names: every
+    # ordered pair of fibers, and every set of three on the plain base,
+    # with two fibers named like jets of u of one order (u10 comes first)
+    pairs = [()] + [
+        names for size in (1, 2) for names in itertools.permutations(_FIBER_ALPHABET, size)
+    ]
+    triples = list(itertools.combinations(_FIBER_ALPHABET, 3)) + [("u", "u01", "u10")]
+    table_of = coordinates.__wrapped__  # a fresh table per case, none kept
+    accepted = 0
+    for base in _BASES[p]:
+        for fiber in pairs + triples if base == _BASES[p][0] else pairs:
+            data = {"id": "grid", "base": list(base), "fiber": list(fiber), "generators": []}
+            table, expected = _verdict(lambda: table_of(base, fiber))
+            scenario, refused = _verdict(lambda: Scenario(data))
+            assert refused == expected, (base, fiber)
+            if refused:
+                continue
+            accepted += 1
+            space = scenario.space(9)
+            assert space.coordinate_names() == list(table)[: space.dim]
+            for name in [*table, *_NEAR_MISSES]:
+                coordinate = table.get(name, ("base",))
+                read = coordinate[1:] if coordinate[0] == "jet" else None
+                assert space._jet_index(name) == read, (base, fiber, name[:20])
+            if not p:
+                continue
+            for name in _FIBER_ALPHABET:
+                kind = "base" if name in base else "fiber" if name in fiber else "jet"
+                shadowed = f"free function name {name!r} is a {kind} coordinate's name"
+                _, verdict = _verdict(lambda: Scenario(dict(data, free_functions=[name])))
+                assert verdict == (shadowed if name in table else None), (base, fiber, name)
+    assert accepted
+
+
+def test_long_digit_names_are_bad_points():
+    # a 10^5-character name is read character by character: a BadPoint
+    # naming it, never the int digit limit's ValueError
+    long = "u" + "1" * (10**5 - 1)
+    for stratum in (StratumCase("long", (long,), ("u10",)), StratumCase("long", (), ("u10", long))):
+        with pytest.raises(BadPoint) as refused:
+            stratum_codim_sequence(SC, stratum, 3, seed=1)
+        assert str(refused.value) == f"stratum 'long' names {long!r}, which is not a jet coordinate"
+    invariant = f"u01 + {long}"
+    with pytest.raises(BadPoint) as refused:
+        annihilation_check(SC, invariant, "sigma0", seed=1)
+    assert str(refused.value) == (
+        f"invariant {invariant!r} names {long!r}, which is not a jet coordinate"
+    )
 
 
 def test_names_above_the_top_order_are_no_coordinates():
@@ -1324,10 +1418,11 @@ def test_self_checks_read_off_the_forms_agree_with_sampled_points(name, lower, m
             engine = exc
         strata = [StratumCase("whole")]
         if not isinstance(engine, InvariantViolation):
+            jets = jet_columns(space)
             strata += list(scenario.strata.values()) + [
                 StratumCase(f"{coordinate} = 0", equalities=(coordinate,))
                 for var, coordinate in enumerate(space.coordinate_names())
-                if var < space.cols_at[min(k, 1)] and space.info(var)[0] == "jet"
+                if var < space.cols_at[min(k, 1)] and var in jets
             ]
         rng = random.Random(k)
         for stratum in strata:

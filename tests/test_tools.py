@@ -1,4 +1,6 @@
+import ast
 import importlib.util
+import sys
 from pathlib import Path
 
 
@@ -38,3 +40,22 @@ def test_summarize_names_the_seeds_with_failed_operations():
     assert (wall["parent_median"], wall["change_median"], wall["wins"]) == (1.15, 1.0, 4)
     clean = [dict(run, parent=_run(1.0, 0, {}), change=_run(1.0, 0, {})) for run in runs]
     assert _bench_pairs().summarize(clean, spec)["failed_seeds"] == {"parent": [], "change": []}
+
+
+def test_the_package_imports_only_the_standard_library():
+    # poincount is a stdlib-only calculator: every module src/poincount
+    # imports is in the standard library, or the package itself (relative
+    # imports included)
+    imported = set()
+    for path in sorted((Path(__file__).parents[1] / "src" / "poincount").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported |= {(path.name, alias.name) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add((path.name, node.module))
+    outside = sorted(
+        (name, module)
+        for name, module in imported
+        if module.partition(".")[0] not in sys.stdlib_module_names | {"poincount"}
+    )
+    assert imported and not outside, outside
