@@ -689,12 +689,13 @@ def stratum_columns(space: JetSpace, stratum: StratumCase) -> tuple[list[int], l
 
     Every name the stratum uses must be a jet coordinate of the space's
     fibers at some order up to _MAX_ORDER, as JetSpace._jet_index reads it
-    (BadPoint names the stratum and the name).  A condition above the
-    space's order is dropped: the stratum projects onto J^order as the
-    conditions it sets up to that order.
+    (BadPoint names the stratum and the name); a name of one of the
+    space's jet columns is one, so only the other names are decoded.  A
+    condition above the space's order is dropped: the stratum projects
+    onto J^order as the conditions it sets up to that order.
     """
     for name in stratum.equalities + stratum.inequations:
-        if space._jet_index(name) is None:
+        if space._by_name.get(name, -1) < space.p and space._jet_index(name) is None:
             raise BadPoint(
                 f"stratum {stratum.label!r} names {name!r}, which is not a jet coordinate"
             )

@@ -18,16 +18,18 @@ jet engine's `prolong` emits: each row is made content 1 and inserted,
 reduced against the pivots already held, so zero entries cost nothing
 and no rational arithmetic is done.  Rows go in by descending leading
 column, and of two rows that meet at a lead the one with fewer entries
-is kept as the pivot.  The number of pivots leading left of a column cut
-is the rank of that leading block.  Everything is exact; these are the
-workhorses of the jet-prolongation engine, where expressions live in a
-few dozen jet coordinates and stay small.
+is kept as the pivot.  The ranks of the leading column blocks, one per
+jet order, come from one echelon per order block, carrying the dependent
+combinations (`rank_profile` gives the argument), so a row is reduced on
+its own block and not along its whole length.  Everything is exact;
+these are the workhorses of the jet-prolongation engine, where
+expressions live in a few dozen jet coordinates and stay small.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -268,16 +270,74 @@ def matrix_rank(rows: Iterable[Mapping[int, int]], width: int) -> int:
 
 def rank_profile(rows: Iterable[Mapping[int, int]], cuts: Sequence[int]) -> list[int]:
     """Exact ranks of the leading column blocks of {column: int} rows, the
-    columns below each cut, cuts ascending.
+    columns below each cut; the cuts must be ascending (equal cuts are
+    allowed and give an empty block).
 
-    `_echelon` gives pivot rows that span the row space of the block below
-    cuts[-1] and lead in distinct columns.  The pivots leading left of a
-    cut are independent on the block below it and the others vanish on
-    it, so the number of pivot columns below each cut is the rank of that
-    block: one pass gives the whole profile.
+    One echelon per order block, carrying the dependent combinations.
+    Block b is the columns from cuts[b-1] (0 for b = 0) up to cuts[b],
+    and a row is placed in the block of its first stored column, which is
+    its leading column unless it stores zeros.  The candidates of block b
+    are the rows placed in it and the rows carried from block b-1, all
+    zero left of it.  `_echelon` reduces them cut to the block, each with
+    a tag column of its own beyond every real column: the pivots leading
+    in the block are as many as its rank, and the tags of those leading
+    in tag columns are a basis of the integer combinations of candidates
+    that vanish on the block.  Each such combination's row right of the
+    block, content divided out, is carried on.  The last block needs no
+    tags.
+
+    Exact: cut below cuts[b], the combinations of rows that vanish left
+    of cuts[b-1] are spanned by the rows placed in block b and the
+    combinations of rows placed earlier that vanish left of it, which
+    block b-1 carried.  Cutting at cuts[b-1] maps the row space below
+    cuts[b] onto the one below cuts[b-1] with those as its kernel, so the
+    rank below cuts[b] is the rank below cuts[b-1] plus the rank of the
+    candidates on block b; and the combinations block b carries span
+    those of every row placed up to block b that vanish left of cuts[b].
     """
-    leads = sorted(_echelon(rows, cuts[-1] if cuts else 0))
-    return [bisect_left(leads, cut) for cut in cuts]
+    width = cuts[-1] if cuts else 0
+    blocks: list[list[Mapping[int, int]]] = [[] for _ in cuts]
+    for row in rows:
+        first = min(row, default=width)
+        if first < width:
+            blocks[bisect_right(cuts, first)].append(row)
+    profile, rank, carried = [], 0, []
+    for block, cut in enumerate(cuts):
+        candidates = carried + blocks[block]
+        if block == len(cuts) - 1:
+            rank += len(_echelon(candidates, cut))
+        else:
+            tagged = [
+                {col: c for col, c in row.items() if col < cut} | {width + tag: 1}
+                for tag, row in enumerate(candidates)
+            ]
+            pivots = _echelon(tagged, width + len(candidates))
+            rank += sum(lead < cut for lead in pivots)
+            carried = [
+                _combination(candidates, pivot, width, cut)
+                for lead, pivot in pivots.items()
+                if lead >= width
+            ]
+            carried = [row for row in carried if row]
+        profile.append(rank)
+    return profile
+
+
+def _combination(
+    rows: Sequence[Mapping[int, int]], tagged: Mapping[int, int], width: int, cut: int
+) -> dict[int, int]:
+    """The combination sum(y * rows[tag - width]) over the tag columns
+    (>= width) of a tagged pivot, cut to the columns from `cut` up to
+    `width`, content divided out; {} when it vanishes there."""
+    out: dict[int, int] = {}
+    for tag, y in tagged.items():
+        if tag >= width:
+            for col, c in rows[tag - width].items():
+                if cut <= col < width:
+                    out[col] = out.get(col, 0) + y * c
+    out = {col: c for col, c in out.items() if c}
+    content = math.gcd(*out.values())
+    return {col: c // content for col, c in out.items()} if content > 1 else out
 
 
 def _echelon(rows: Iterable[Mapping[int, int]], width: int) -> dict[int, dict[int, int]]:

@@ -68,6 +68,19 @@ def rational_rank(rows):
     return rank
 
 
+def one_pass_rank_profile(rows, cuts):
+    """Ranks of the leading column blocks of {column: int} rows from one
+    echelon pass over the full rows: the number of pivots leading below
+    each cut.  jetpoly.rank_profile gets the same profile one order block
+    at a time; this is the reference it is compared with."""
+    from bisect import bisect_left
+
+    from poincount.jetpoly import _echelon
+
+    leads = sorted(_echelon(rows, cuts[-1] if cuts else 0))
+    return [bisect_left(leads, cut) for cut in cuts]
+
+
 # -- closed-form orbit matrix for the x-reparametrization pseudogroup --------
 #
 # Component of the prolonged generator family f(x,y) d/dx on the jet

@@ -38,7 +38,7 @@ from poincount.jetflow import (
     stratum_columns,
     _StratumEngine,
 )
-from poincount import jetflow
+from poincount import jetflow, jetpoly
 from poincount.catalog import hilbert_spec
 from poincount.cli import run
 from poincount.jetpoly import Poly, _echelon, matrix_rank, rank_profile
@@ -47,6 +47,7 @@ from oracles import (
     coordinates,
     derivative_orders,
     jet_columns,
+    one_pass_rank_profile,
     prolonged_fields_oracle,
     prolonged_rows_oracle,
     rational_rank,
@@ -511,27 +512,43 @@ def _rank_cases(draw):
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(_rank_cases())
-@example(([], 0, []))  # no rows, one cut of 0
-@example(([], 4, []))  # no rows, several cuts
-@example(([[0, 2, -3]], 3, [4]))  # one row
-@example(([[0, 0], [0, 0]], 2, [1, 1]))  # zero rows
-@example(([[1, 1, 0], [1, 0, 0]], 3, [1, 3]))  # reducing the second row fills in column 1
-@example(([[2, 0, 4, 6], [3, 5, 0, 0], [1, 5, -4, -6]], 4, [1, 2, 1]))  # dependent via fill-in
-@example(([[0, 3], [2, 1]], 2, [1, 1]))  # padded, a zero leads the first row
-@example(([[1, 1, 1], [1, 1, 0]], 3, [1, 1]))  # the shorter second row displaces the first pivot
-def test_rank_profile_parity(case):
+@given(_rank_cases(), st.lists(st.integers(0, 7), max_size=5))
+@example(([], 0, []), [])  # no rows, one cut of 0
+@example(([], 4, []), [])  # no rows, several cuts
+@example(([[0, 2, -3]], 3, [4]), [])  # one row
+@example(([[0, 0], [0, 0]], 2, [1, 1]), [])  # zero rows
+@example(([[1, 1, 0], [1, 0, 0]], 3, [1, 3]), [])  # reducing the second row fills in column 1
+@example(([[2, 0, 4, 6], [3, 5, 0, 0], [1, 5, -4, -6]], 4, [1, 2, 1]), [])  # dependent via fill-in
+@example(([[0, 3], [2, 1]], 2, [1, 1]), [])  # padded, a zero leads the first row
+@example(([[1, 1, 1], [1, 1, 0]], 3, [1, 1]), [])  # the shorter second row displaces the first pivot
+# twice the first row minus the second vanishes on blocks [0, 1) and
+# [1, 3): it is carried through both into [3, 6), where it is the only row
+@example(([[1, 1, 2, 0, 3, 0], [2, 2, 4, 1, 6, 0], [0, 1, 0, 0, 0, 1]], 6, [1, 2, 3]), [1, 3, 6])
+# four rows lead in the two-column block [0, 2): two dependencies go on,
+# and one combination of them vanishes everywhere
+@example(([[1, 0, 1, 0, 0], [0, 1, 0, 1, 0], [1, 1, 1, 1, 0], [2, 1, 0, 1, 1]], 5, [1, 1, 2, 1]), [2, 5])
+# more rows than columns in block [1, 3), a carried row among them
+@example(([[1, 2, 1, 1], [2, 4, 2, 0], [0, 1, 0, 2], [0, 0, 1, 1], [0, 1, 1, 3]], 4, [1] * 5), [1, 3, 4])
+# repeated cuts: the empty blocks pass their candidates on
+@example(([[1, 1, 0, 2], [2, 2, 1, 4], [0, 0, 3, 1]], 4, [1, 3, 1]), [0, 0, 2, 2, 4, 4])
+# a cut below every column; one row leads after the last cut
+@example(([[0, 0, 0, 5], [0, 3, 0, 0], [0, 6, 0, 0]], 4, [1, 1, 1]), [0, 1, 3])
+def test_rank_profile_parity(case, picks):
     # every prefix rank equals plain fraction elimination, on int rows and
-    # on the same rows scaled by 1/d; the pivots lead where they are keyed
-    # and have content 1; explicit zero entries change nothing
+    # on the same rows scaled by 1/d, both for one cut after each column
+    # and for a sorted draw of cuts, whose blocks are wide, repeated or
+    # empty; the pivots lead where they are keyed and have content 1;
+    # explicit zero entries change nothing
     rows, n_cols, dens = case
     scaled = [[Fraction(x, d) for x in row] for row, d in zip(rows, dens)]
     cuts = list(range(n_cols + 1))
+    drawn = sorted(cut for cut in picks if cut <= n_cols)
     for matrix in (rows, scaled):
         sparse = _sparse(matrix)
-        assert rank_profile(sparse, cuts) == [
-            rational_rank([row[:cut] for row in matrix]) for cut in cuts
-        ]
+        for some in (cuts, drawn):
+            assert rank_profile(sparse, some) == [
+                rational_rank([row[:cut] for row in matrix]) for cut in some
+            ]
         assert rank_profile(sparse, [0]) == [0]
         assert rank_profile(sparse, [0, n_cols]) == [0, rational_rank(matrix)]
         assert matrix_rank(sparse, n_cols) == rational_rank(matrix)
@@ -539,8 +556,42 @@ def test_rank_profile_parity(case):
             assert min(pivot) == lead and all(pivot.values())
             assert math.gcd(*pivot.values()) == 1
         padded = [{col: row.get(col, 0) for col in range(n_cols)} for row in sparse]
-        assert rank_profile(padded, cuts) == rank_profile(sparse, cuts)
+        for some in (cuts, drawn):
+            assert rank_profile(padded, some) == rank_profile(sparse, some)
         assert _echelon(padded, n_cols) == _echelon(sparse, n_cols)
+
+
+def test_rank_profile_on_engine_rows(monkeypatch):
+    # the block-by-block profile equals the one-pass profile on the tangent
+    # rows at seeded points: metric2d at k=6 and the 3D metric at k=3, where
+    # so(n) carries rows through the first blocks, and every x-reparam
+    # stratum at k=7; every carried row has content 1
+    carried = []
+
+    def combination(*args):
+        row = combine(*args)
+        carried.append(row)
+        return row
+
+    combine = jetpoly._combination
+    monkeypatch.setattr(jetpoly, "_combination", combination)
+    cases = [(METRIC2D, ["generic"], 6), (METRIC3D, ["generic"], 3), (X_REPARAM, SC.strata, 7)]
+    for data, labels, k in cases:
+        engine = _StratumEngine(Scenario(data), k)
+        for label in labels:
+            rng = random.Random(2024)
+            for _ in range(2):
+                point = sample_stratum_point(
+                    engine.space, engine.scenario.stratum(label), rng, engine.positivity
+                )
+                rows = list(prolong(engine.plan, point)[1].values())
+                carried.clear()
+                assert rank_profile(rows, engine.cols_at) == one_pass_rank_profile(
+                    rows, engine.cols_at
+                ), (data["id"], label)
+                if data is not X_REPARAM:
+                    assert [row for row in carried if row], data["id"]
+                assert all(math.gcd(*row.values()) == 1 for row in carried if row)
 
 
 @st.composite
@@ -848,6 +899,29 @@ def test_names_above_the_top_order_are_no_coordinates():
         stratum_codim_sequence(SC, StratumCase("high", ("u55",), ("u10",)), 3, seed=1)
     with pytest.raises(BadPoint, match="'u55', which is not a jet coordinate"):
         annihilation_check(SC, "u01 + u55", "sigma0", seed=1)
+
+
+def test_stratum_names_the_space_holds_are_not_decoded(monkeypatch):
+    # sampled_ranks resolves its stratum on every draw; a name of one of the
+    # space's jet columns is read off the space, and only the other names,
+    # base names, names above the order and typos, reach the decoder
+    engine = _StratumEngine(SC, 7)
+    ranks = engine.sampled_ranks(SC.stratum("sigma2"), seed=1)
+    decoded = []
+    decode = JetSpace._jet_index
+    monkeypatch.setattr(
+        JetSpace, "_jet_index", lambda space, name: decoded.append(name) or decode(space, name)
+    )
+    assert engine.sampled_ranks(SC.stratum("sigma2"), seed=1) == ranks
+    assert decoded == []
+    space = engine.space
+    above = StratumCase("above", ("u80", "u10"), ("u11",))
+    assert stratum_columns(space, above) == ([space.var_by_name("u10")], [space.var_by_name("u11")])
+    assert decoded == ["u80"]
+    for name in ("x", "u1O"):
+        with pytest.raises(BadPoint, match=f"names {name!r}, which is not a jet coordinate"):
+            stratum_columns(space, StratumCase("bad", (), ("u10", name)))
+    assert decoded == ["u80", "x", "u1O"]
 
 
 def _perfbench_scenarios():
