@@ -21,7 +21,7 @@ from .algebra import (
     cyclotomic_factors,
     poly_gcd,
 )
-from .analysis import NotPRForm, PoleReport, analyze, asymptotic_check, s_sequence
+from .analysis import PoleReport, analyze, s_sequence
 from .catalog import (
     CATALOG_VERSION,
     CatalogEntry,

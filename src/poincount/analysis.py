@@ -19,15 +19,9 @@ from .algebra import (
     Polynomial,
     RationalFunction,
     Scalar,
-    binomial,
     cyclotomic_factors,
     split_factor,
 )
-from .errors import UsageError
-
-
-class NotPRForm(UsageError):
-    """The function is not of the single-pole R(z)/(1-z)^d shape."""
 
 
 @dataclass(frozen=True)
@@ -67,24 +61,3 @@ def s_sequence(f: RationalFunction, k_max: int) -> list[Scalar]:
     the running sum of one series, so ints while the coefficients are ints."""
     return list(accumulate(f.series(k_max)))
 
-
-#: The K at which asymptotic_check compares s_K with sigma * C(K+d, d).
-_PROBE_K = 200
-
-
-def asymptotic_check(f: RationalFunction) -> bool:
-    """Check s_K ~ sigma * C(K+d, d) at K = _PROBE_K, exactly in rationals.
-
-    The cumulative count of jets of sigma functions of d arguments is
-    sigma*C(K+d, d); the ratio must lie within the factor (1 +/- 10/K) of
-    sigma.  Requires the single-pole form (error otherwise).
-    """
-    report = analyze(f)
-    if not report.conforms_to_pr:
-        raise NotPRForm("denominator is not a power of (1 - z)")
-    d = report.d
-    sigma = report.sigma
-    s_k = s_sequence(f, _PROBE_K)[_PROBE_K]
-    ratio = Fraction(s_k, binomial(_PROBE_K + d, d))
-    tol = Fraction(10, _PROBE_K)
-    return abs(ratio - sigma) <= abs(sigma) * tol

@@ -11,10 +11,13 @@ Each CatalogEntry couples, for one classification problem:
 * the claimed closed-form generating function P(z) = sum h(k) z^k.
 
 The roster is a declarative table (CATALOG, version CATALOG_VERSION); the
-schema is exactly the CatalogEntry dataclass below.  verify_entry checks,
-in exact rational arithmetic, that the two constructions agree and that
-the pole structure respects the base-dimension bound; any discrepancy is
-returned as a structured report, never swallowed.
+schema is exactly the CatalogEntry dataclass below.  A family with the one
+parameter n is declared by _n_family from its n-range and base-dimension
+factor, which give its validity, note, samples and base dimension.
+verify_entry checks, in exact rational arithmetic, that the two
+constructions agree and that the pole structure respects the
+base-dimension bound; any discrepancy is returned as a structured report,
+never swallowed.
 
 Entry ids follow the roster; the normal-form family `poincare-dulac` is a
 single entry with a `case` parameter, reachable also through the id
@@ -487,7 +490,7 @@ _PD_CASES = (
 )
 
 
-def _pd_params(case: str, m: int | None, p: int | None, q: int | None) -> bool:
+def _pd_params(case: str, m=None, p=None, q=None) -> bool:
     if case == "nonresonant" or case == "takens-bogdanov":
         return m is None and p is None and q is None
     if case == "poincare-domain":
@@ -515,9 +518,7 @@ def _p_poincare_dulac(case: str, m=None, p=None, q=None) -> RationalFunction:
         return _RF(
             Polynomial.x() - Polynomial.monomial(m + 1), ONE_MINUS_Z
         ) + _RF(Polynomial.monomial(2 * m + 1))
-    if case == "takens-bogdanov":
-        return _RF(_P((1, 1, 1, 0, -1)) * _Z2, _P((1, 0, 0, -1)))
-    raise OutOfValidity(f"unknown Poincare-Dulac case {case!r}; known: {_PD_CASES}")
+    return _RF(_P((1, 1, 1, 0, -1)) * _Z2, _P((1, 0, 0, -1)))  # takens-bogdanov
 
 
 # ---------------------------------------------------------------------------
@@ -527,16 +528,47 @@ def _p_poincare_dulac(case: str, m=None, p=None, q=None) -> RationalFunction:
 
 @dataclass(frozen=True)
 class _NSamples:
-    """The samples n = n_min..nmax of an entry with the one parameter n."""
+    """The samples n = n_min..min(nmax, n_max) of an entry with the one
+    parameter n."""
 
     n_min: int
+    n_max: int
 
     def __call__(self, nmax: int) -> list[dict]:
-        return [{"n": n} for n in range(self.n_min, nmax + 1)]
+        return [{"n": n} for n in range(self.n_min, min(nmax, self.n_max) + 1)]
 
 
-def _fixed_samples(values: list[dict]):
-    return lambda nmax: list(values)
+def _n_family(
+    id: str,
+    title: str,
+    n_min: int,
+    claimed_p: Callable[[int], RationalFunction],
+    hilbert: Optional[Callable[[int], HilbertSpec]] = None,
+    *,
+    n_max: int = MAX_N,
+    c: int = 1,
+    validity_note: str = "",
+    samples_from: int = 0,
+    **fields,
+) -> CatalogEntry:
+    """An entry with the one parameter n, valid for n_min <= n <= n_max, on
+    a base of real dimension c*n.  Unless given, the validity note reads
+    "n >= n_min", or "n = n_min" for a one-point range, and the samples
+    start at n_min."""
+    if not validity_note:
+        validity_note = f"n = {n_min}" if n_min == n_max else f"n >= {n_min}"
+    return CatalogEntry(
+        id=id,
+        title=title,
+        params=("n",),
+        validity_note=validity_note,
+        validity=lambda n: n_min <= n <= n_max,
+        base_dim=lambda n: c * n,
+        claimed_p=claimed_p,
+        hilbert=hilbert,
+        samples=_NSamples(samples_from or n_min, n_max),
+        **fields,
+    )
 
 
 CATALOG: tuple[CatalogEntry, ...] = (
@@ -547,8 +579,8 @@ CATALOG: tuple[CatalogEntry, ...] = (
         validity_note="no parameters",
         validity=lambda: True,
         base_dim=lambda: 4,
-        hilbert=lambda: _h_ode_general(),
-        claimed_p=lambda: _p_ode_general(),
+        hilbert=_h_ode_general,
+        claimed_p=_p_ode_general,
     ),
     CatalogEntry(
         id="ode-cubic",
@@ -557,8 +589,8 @@ CATALOG: tuple[CatalogEntry, ...] = (
         validity_note="no parameters",
         validity=lambda: True,
         base_dim=lambda: 2,
-        hilbert=lambda: _h_ode_cubic(),
-        claimed_p=lambda: _p_ode_cubic(),
+        hilbert=_h_ode_cubic,
+        claimed_p=_p_ode_cubic,
     ),
     CatalogEntry(
         id="ode-lie-form",
@@ -567,212 +599,83 @@ CATALOG: tuple[CatalogEntry, ...] = (
         validity_note="no parameters",
         validity=lambda: True,
         base_dim=lambda: 2,
-        hilbert=lambda: _h_ode_lie_form(),
-        claimed_p=lambda: _p_ode_lie_form(),
+        hilbert=_h_ode_lie_form,
+        claimed_p=_p_ode_lie_form,
     ),
-    CatalogEntry(
-        id="riemannian",
-        title="Riemannian metrics",
-        params=("n",),
-        validity_note="n >= 2",
-        validity=lambda n: n >= 2,
-        base_dim=lambda n: n,
-        hilbert=_h_riemannian,
-        claimed_p=_p_riemannian,
-        samples=_NSamples(2),
+    _n_family(
+        "riemannian", "Riemannian metrics", 2, _p_riemannian, _h_riemannian,
         note="signature does not affect the count",
     ),
-    CatalogEntry(
-        id="einstein",
-        title="Einstein metrics",
-        params=("n",),
+    _n_family(
+        "einstein", "Einstein metrics", 2, _p_einstein, _h_einstein,
         validity_note="n >= 2; degenerate (single order-2 modulus) for n = 2, 3",
-        validity=lambda n: n >= 2,
-        base_dim=lambda n: n,
-        hilbert=_h_einstein,
-        claimed_p=_p_einstein,
-        samples=_NSamples(4),
+        samples_from=4,
         note="nontrivial moduli only for n >= 4",
     ),
-    CatalogEntry(
-        id="self-dual-metrics",
-        title="Self-dual metrics in 4D",
-        params=("n",),
-        validity_note="n = 4",
-        validity=lambda n: n == 4,
-        base_dim=lambda n: 4,
-        hilbert=_h_self_dual_metrics,
-        claimed_p=_p_self_dual_metrics,
-        samples=_fixed_samples([{"n": 4}]),
+    _n_family(
+        "self-dual-metrics", "Self-dual metrics in 4D", 4,
+        _p_self_dual_metrics, _h_self_dual_metrics, n_max=4,
     ),
-    CatalogEntry(
-        id="kaehler",
-        title="Kaehler metrics (real dimension 2n)",
-        params=("n",),
-        validity_note="n >= 1",
-        validity=lambda n: n >= 1,
-        base_dim=lambda n: 2 * n,
-        hilbert=_h_kaehler,
-        claimed_p=_p_kaehler,
-        samples=_NSamples(1),
-        note="n = 1 coincides with 2D Riemannian metrics",
+    _n_family(
+        "kaehler", "Kaehler metrics (real dimension 2n)", 1, _p_kaehler, _h_kaehler,
+        c=2, note="n = 1 coincides with 2D Riemannian metrics",
     ),
-    CatalogEntry(
-        id="hyper-kaehler",
-        title="Hyper-Kaehler metrics (real dimension 4n)",
-        params=("n",),
-        validity_note="n >= 1",
-        validity=lambda n: n >= 1,
-        base_dim=lambda n: 4 * n,
-        hilbert=_h_hyper_kaehler,
-        claimed_p=_p_hyper_kaehler,
-        samples=_NSamples(1),
+    _n_family(
+        "hyper-kaehler", "Hyper-Kaehler metrics (real dimension 4n)", 1,
+        _p_hyper_kaehler, _h_hyper_kaehler, c=4,
     ),
-    CatalogEntry(
-        id="linear-connections",
-        title="Linear connections",
-        params=("n",),
-        validity_note="n >= 2",
-        validity=lambda n: n >= 2,
-        base_dim=lambda n: n,
-        hilbert=_h_linear_connections,
-        claimed_p=_p_linear_connections,
-        samples=_NSamples(2),
+    _n_family(
+        "linear-connections", "Linear connections", 2,
+        _p_linear_connections, _h_linear_connections,
     ),
-    CatalogEntry(
-        id="symmetric-connections",
-        title="Symmetric linear connections",
-        params=("n",),
-        validity_note="n >= 2",
-        validity=lambda n: n >= 2,
-        base_dim=lambda n: n,
-        hilbert=_h_symmetric_connections,
-        claimed_p=_p_symmetric_connections,
-        samples=_NSamples(2),
+    _n_family(
+        "symmetric-connections", "Symmetric linear connections", 2,
+        _p_symmetric_connections, _h_symmetric_connections,
     ),
-    CatalogEntry(
-        id="metric-connections",
-        title="Metric connections (metric plus compatible connection)",
-        params=("n",),
-        validity_note="n >= 2",
-        validity=lambda n: n >= 2,
-        base_dim=lambda n: n,
-        hilbert=_h_metric_connections,
-        claimed_p=_p_metric_connections,
-        samples=_NSamples(2),
+    _n_family(
+        "metric-connections", "Metric connections (metric plus compatible connection)", 2,
+        _p_metric_connections, _h_metric_connections,
     ),
-    CatalogEntry(
-        id="metric-connections-skew-torsion",
-        title="Metric connections with totally skew torsion",
-        params=("n",),
-        validity_note="n >= 3",
-        validity=lambda n: n >= 3,
-        base_dim=lambda n: n,
-        claimed_p=_p_skew_torsion,
-        samples=_NSamples(3),
+    _n_family(
+        "metric-connections-skew-torsion", "Metric connections with totally skew torsion", 3,
+        _p_skew_torsion,
         note="closed form only; the generic 3-form stabilizer sequence is 3, 3, 2, 0, ...",
     ),
-    CatalogEntry(
-        id="metrizable-connections",
-        title="Metrizable symmetric connections",
-        params=("n",),
-        validity_note="n >= 2",
-        validity=lambda n: n >= 2,
-        base_dim=lambda n: n,
-        hilbert=_h_metrizable,
-        claimed_p=_p_metrizable,
-        samples=_NSamples(2),
+    _n_family(
+        "metrizable-connections", "Metrizable symmetric connections", 2,
+        _p_metrizable, _h_metrizable,
         note="count equals the metric count shifted one order down (P/z)",
     ),
-    CatalogEntry(
-        id="fedosov",
-        title="Fedosov structures (symplectic form plus symplectic connection)",
-        params=("n",),
-        validity_note="n >= 1 (real dimension 2n)",
-        validity=lambda n: n >= 1,
-        base_dim=lambda n: 2 * n,
-        hilbert=_h_fedosov,
-        claimed_p=_p_fedosov,
-        samples=_NSamples(1),
+    _n_family(
+        "fedosov", "Fedosov structures (symplectic form plus symplectic connection)", 1,
+        _p_fedosov, _h_fedosov, c=2, validity_note="n >= 1 (real dimension 2n)",
     ),
-    CatalogEntry(
-        id="projective-connections",
-        title="Projective connections",
-        params=("n",),
-        validity_note="n >= 2",
-        validity=lambda n: n >= 2,
-        base_dim=lambda n: n,
-        hilbert=_h_projective,
-        claimed_p=_p_projective,
-        samples=_NSamples(2),
+    _n_family(
+        "projective-connections", "Projective connections", 2, _p_projective, _h_projective,
         note="n = 2 coincides with cubic 2nd-order ODEs",
     ),
-    CatalogEntry(
-        id="conformal",
-        title="Conformal metric structures",
-        params=("n",),
-        validity_note="n >= 3",
-        validity=lambda n: n >= 3,
-        base_dim=lambda n: n,
-        hilbert=_h_conformal,
-        claimed_p=_p_conformal,
-        samples=_NSamples(3),
+    _n_family("conformal", "Conformal metric structures", 3, _p_conformal, _h_conformal),
+    _n_family("weyl", "Weyl conformal structures", 2, _p_weyl, _h_weyl),
+    _n_family(
+        "einstein-weyl", "Einstein-Weyl structures", 3, _p_einstein_weyl, _h_einstein_weyl,
     ),
-    CatalogEntry(
-        id="weyl",
-        title="Weyl conformal structures",
-        params=("n",),
-        validity_note="n >= 2",
-        validity=lambda n: n >= 2,
-        base_dim=lambda n: n,
-        hilbert=_h_weyl,
-        claimed_p=_p_weyl,
-        samples=_NSamples(2),
+    _n_family(
+        "self-dual-conformal", "Self-dual conformal structures in 4D", 4,
+        _p_self_dual_conformal, _h_self_dual_conformal, n_max=4,
     ),
-    CatalogEntry(
-        id="einstein-weyl",
-        title="Einstein-Weyl structures",
-        params=("n",),
-        validity_note="n >= 3",
-        validity=lambda n: n >= 3,
-        base_dim=lambda n: n,
-        hilbert=_h_einstein_weyl,
-        claimed_p=_p_einstein_weyl,
-        samples=_NSamples(3),
+    _n_family(
+        "almost-complex", "Almost complex structures (real dimension 2n)", 2,
+        _p_almost_complex, _h_almost_complex,
+        c=2, note="infinite-type structure; first nontrivial such count",
     ),
-    CatalogEntry(
-        id="self-dual-conformal",
-        title="Self-dual conformal structures in 4D",
-        params=("n",),
-        validity_note="n = 4",
-        validity=lambda n: n == 4,
-        base_dim=lambda n: 4,
-        hilbert=_h_self_dual_conformal,
-        claimed_p=_p_self_dual_conformal,
-        samples=_fixed_samples([{"n": 4}]),
-    ),
-    CatalogEntry(
-        id="almost-complex",
-        title="Almost complex structures (real dimension 2n)",
-        params=("n",),
-        validity_note="n >= 2",
-        validity=lambda n: n >= 2,
-        base_dim=lambda n: 2 * n,
-        hilbert=_h_almost_complex,
-        claimed_p=_p_almost_complex,
-        samples=_NSamples(2),
-        note="infinite-type structure; first nontrivial such count",
-    ),
-    CatalogEntry(
-        id="hamiltonian-critical",
-        title="Critical linearly-stable Hamiltonians modulo symplectomorphisms",
-        params=("n",),
+    _n_family(
+        "hamiltonian-critical",
+        "Critical linearly-stable Hamiltonians modulo symplectomorphisms",
+        1,
+        _p_hamiltonian_critical,
+        c=2,
         validity_note="n >= 1 (real dimension 2n)",
-        validity=lambda n: n >= 1,
-        base_dim=lambda n: 2 * n,
-        claimed_p=_p_hamiltonian_critical,
         flags=frozenset({OTHER_UNIT_POLES}),
-        samples=_NSamples(1),
         note="closed form only; poles at both z = 1 and z = -1",
     ),
     CatalogEntry(
@@ -783,23 +686,20 @@ CATALOG: tuple[CatalogEntry, ...] = (
             "case in {nonresonant, poincare-domain (m > 1), saddle (p, q >= 1), "
             "saddle-node (m >= 1), takens-bogdanov}"
         ),
-        validity=lambda case, m=None, p=None, q=None: case in _PD_CASES
-        and _pd_params(case, m, p, q),
-        base_dim=lambda case, m=None, p=None, q=None: 2,
+        validity=_pd_params,
+        base_dim=lambda **params: 2,
         claimed_p=_p_poincare_dulac,
         flags=frozenset({OTHER_UNIT_POLES}),
-        samples=_fixed_samples(
-            [
-                {"case": "nonresonant"},
-                {"case": "poincare-domain", "m": 2},
-                {"case": "poincare-domain", "m": 3},
-                {"case": "saddle", "p": 1, "q": 1},
-                {"case": "saddle", "p": 1, "q": 2},
-                {"case": "saddle-node", "m": 1},
-                {"case": "saddle-node", "m": 2},
-                {"case": "takens-bogdanov"},
-            ]
-        ),
+        samples=lambda nmax: [
+            {"case": "nonresonant"},
+            {"case": "poincare-domain", "m": 2},
+            {"case": "poincare-domain", "m": 3},
+            {"case": "saddle", "p": 1, "q": 1},
+            {"case": "saddle", "p": 1, "q": 2},
+            {"case": "saddle-node", "m": 1},
+            {"case": "saddle-node", "m": 2},
+            {"case": "takens-bogdanov"},
+        ],
         note="closed forms only; the takens-bogdanov case has a pole at the cube roots of unity",
     ),
 )
@@ -917,8 +817,6 @@ def verify_entry(entry_id: str, params: Mapping[str, int], k_max: int) -> Verifi
     if mismatch is not None:
         k, expected, got = mismatch
         problems["series_mismatch"] = {"k": k, "expected": expected, "got": str(got)}
-    if p.coefficient(0) != spec.h(0):
-        problems["h0_mismatch"] = {"coeff": str(p.coefficient(0)), "h0": spec.h(0)}
 
     if problems:
         return VerificationReport(entry.id, clean, "mismatch", problems)

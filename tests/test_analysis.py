@@ -1,13 +1,12 @@
 from fractions import Fraction
 
-import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poincount import catalog
 from poincount.algebra import ONE_MINUS_Z, Polynomial, RationalFunction, binomial
-from poincount.analysis import NotPRForm, analyze, asymptotic_check, s_sequence
+from poincount.analysis import analyze, s_sequence
 from poincount.exprs import parse_rational_function
 
 P = Polynomial
@@ -64,11 +63,16 @@ def test_s_sequence_differences_recover_h():
 
 
 def test_asymptotic_check_examples():
-    assert asymptotic_check(catalog.claimed_poincare("kaehler", n=2))
+    # s_K ~ sigma * C(K+d, d): at K = 200 the ratio lies within 1 +/- 10/K of sigma
+    K = 200
+    for f in (catalog.claimed_poincare("kaehler", n=2), RF(1, ONE_MINUS_Z)):
+        report = analyze(f)
+        assert report.conforms_to_pr
+        ratio = Fraction(s_sequence(f, K)[K], binomial(K + report.d, report.d))
+        assert abs(ratio - report.sigma) <= abs(report.sigma) * Fraction(10, K)
     assert analyze(catalog.claimed_poincare("kaehler", n=2)).d == 4
-    assert asymptotic_check(RF(1, ONE_MINUS_Z))
-    with pytest.raises(NotPRForm):
-        asymptotic_check(catalog.claimed_poincare("hamiltonian-critical", n=1))
+    # the single-pole form R(z)/(1-z)^d that the estimate needs
+    assert not analyze(catalog.claimed_poincare("hamiltonian-critical", n=1)).conforms_to_pr
 
 
 def test_pole_order_multiplicative():

@@ -1,9 +1,13 @@
+import dataclasses
+
 import pytest
 
 from poincount import catalog
 from poincount.algebra import ONE_MINUS_Z, Polynomial, RationalFunction
 from poincount.analysis import analyze
-from poincount.hilbert import gf_from_hilbert
+from poincount.errors import UsageError
+from poincount.exprs import MAX_NMAX
+from poincount.hilbert import HilbertSpec, gf_from_hilbert
 
 P = Polynomial
 RF = RationalFunction
@@ -102,6 +106,10 @@ def test_unknown_entry_and_bad_params():
         catalog.hilbert_spec("nonsense")
     with pytest.raises(catalog.OutOfValidity):
         catalog.hilbert_spec("riemannian", n=1)
+    with pytest.raises(catalog.OutOfValidity, match=r"riemannian: unknown parameters \['m'\]"):
+        catalog.claimed_poincare("riemannian", n=2, m=3)
+    with pytest.raises(catalog.OutOfValidity, match=r"unknown parameters \['n'\]"):
+        catalog.claimed_poincare("ode-general", n=2)
     with pytest.raises(catalog.OutOfValidity):
         catalog.claimed_poincare("self-dual-metrics", n=5)
     with pytest.raises(catalog.OutOfValidity):
@@ -212,3 +220,139 @@ def test_alias_resolution():
 
 def test_skew_torsion_stabilizer_sequence():
     assert [catalog.skew_torsion_stabilizer(n) for n in range(3, 8)] == [3, 3, 2, 0, 0]
+
+
+#: (first n, last n or None, factor c of the base dimension c*n) of every
+#: entry with the one parameter n, as the survey states them
+N_FAMILIES = {
+    "riemannian": (2, None, 1),
+    "einstein": (2, None, 1),
+    "self-dual-metrics": (4, 4, 1),
+    "kaehler": (1, None, 2),
+    "hyper-kaehler": (1, None, 4),
+    "linear-connections": (2, None, 1),
+    "symmetric-connections": (2, None, 1),
+    "metric-connections": (2, None, 1),
+    "metric-connections-skew-torsion": (3, None, 1),
+    "metrizable-connections": (2, None, 1),
+    "fedosov": (1, None, 2),
+    "projective-connections": (2, None, 1),
+    "conformal": (3, None, 1),
+    "weyl": (2, None, 1),
+    "einstein-weyl": (3, None, 1),
+    "self-dual-conformal": (4, 4, 1),
+    "almost-complex": (2, None, 2),
+    "hamiltonian-critical": (1, None, 2),
+}
+
+
+def test_every_sample_is_valid_and_within_nmax():
+    for entry in catalog.list_entries():
+        for nmax in range(MAX_NMAX + 1):
+            for sample in entry.samples(nmax):
+                assert entry.check_params(sample) == sample, (entry.id, sample)
+                assert sample.get("n", 0) <= nmax, (entry.id, nmax, sample)
+
+
+def test_n_families_accept_their_range_and_refuse_outside_it():
+    families = [e for e in catalog.list_entries() if e.params == ("n",)]
+    assert [e.id for e in families] == list(N_FAMILIES)
+    for entry in families:
+        first, last, c = N_FAMILIES[entry.id]
+        assert entry.validity_note.startswith(f"n = {first}" if last else f"n >= {first}")
+        assert entry.check_params({"n": first}) == {"n": first}
+        assert catalog.base_dimension(entry.id, n=first) == c * first
+        refused = [first - 1] + ([last + 1] if last else [])
+        for n in refused:
+            with pytest.raises(catalog.OutOfValidity) as info:
+                catalog.claimed_poincare(entry.id, n=n)
+            assert str(info.value) == (
+                f"{entry.id}: parameters {{'n': {n}}} outside validity ({entry.validity_note})"
+            )
+
+
+def test_select_samples_empty_selection_names_the_smallest_n():
+    for entry_id, smallest in (("einstein", 4), ("self-dual-metrics", 4), ("conformal", 3)):
+        with pytest.raises(UsageError) as info:
+            catalog.select_samples(entry_id, smallest - 1)
+        assert str(info.value) == (
+            f"{entry_id} has no sample with n <= {smallest - 1}; "
+            f"the smallest n with a sample is {smallest}"
+        )
+        entry, samples = catalog.select_samples(entry_id, smallest)
+        assert samples == [{"n": smallest}]
+    # fixed samples ignore nmax, and an alias keeps only its own case
+    entry, samples = catalog.select_samples("poincare-dulac-saddle", 0)
+    assert samples == [{"case": "saddle", "p": 1, "q": 1}, {"case": "saddle", "p": 1, "q": 2}]
+
+
+# ---------------------------------------------------------------------------
+# verify_entry findings, each provoked by a doctored roster entry
+# ---------------------------------------------------------------------------
+
+
+def _doctor(monkeypatch, entry_id, **changes):
+    entry = dataclasses.replace(catalog.get_entry(entry_id), **changes)
+    monkeypatch.setitem(catalog._BY_ID, entry_id, entry)
+    return entry
+
+
+def _bump(spec, k):
+    """The spec with h(k) raised by one and every other value kept."""
+    values = spec.values(k)
+    values[k] += 1
+    return HilbertSpec(dict(enumerate(values)), k + 1, spec.tail)
+
+
+def test_verify_entry_reports_a_pole_at_the_origin(monkeypatch):
+    _doctor(monkeypatch, "metric-connections-skew-torsion", claimed_p=lambda n: RF(1, P((0, 1))))
+    report = catalog.verify_entry("metric-connections-skew-torsion", {"n": 3}, 10)
+    assert report.status == "mismatch"
+    assert report.detail["problems"]["pole_at_origin"] == "z"
+
+
+def test_verify_entry_reports_a_pole_order_above_the_base_dimension(monkeypatch):
+    _doctor(monkeypatch, "riemannian", base_dim=lambda n: n - 1)
+    report = catalog.verify_entry("riemannian", {"n": 3}, 10)
+    assert report.status == "mismatch"
+    assert report.detail == {"pole_order_exceeds_base_dim": {"d": 3, "base_dim": 2}}
+
+
+def test_verify_entry_reports_unexpected_unit_poles(monkeypatch):
+    _doctor(monkeypatch, "hamiltonian-critical", flags=frozenset())
+    report = catalog.verify_entry("hamiltonian-critical", {"n": 2}, 10)
+    assert report.status == "mismatch"
+    assert report.detail["problems"] == {"unexpected_unit_poles": [("1 + z", 2)]}
+
+
+def test_verify_entry_closed_form_only_problem_is_a_mismatch(monkeypatch):
+    _doctor(monkeypatch, "metric-connections-skew-torsion", base_dim=lambda n: 1)
+    report = catalog.verify_entry("metric-connections-skew-torsion", {"n": 4}, 10)
+    assert report.status == "mismatch"
+    assert report.detail == {
+        "reason": "no-hilbert-data",
+        "pole_order": 4,
+        "pole_factors": [("-1 + z", 4)],
+        "problems": {"pole_order_exceeds_base_dim": {"d": 4, "base_dim": 1}},
+    }
+
+
+def test_verify_entry_reports_gf_and_series_mismatches(monkeypatch):
+    spec = catalog.hilbert_spec("riemannian", n=3)
+    _doctor(monkeypatch, "riemannian", hilbert=lambda n: _bump(spec, 40))
+    claimed = str(catalog.claimed_poincare("riemannian", n=3))
+    # below k = 40 the series agree, and only the generating functions differ
+    report = catalog.verify_entry("riemannian", {"n": 3}, 39)
+    assert report.status == "mismatch"
+    assert list(report.detail) == ["gf_mismatch"]
+    assert report.detail["gf_mismatch"]["claimed"] == claimed
+    assert report.detail["gf_mismatch"]["from_hilbert"] != claimed
+    report = catalog.verify_entry("riemannian", {"n": 3}, 50)
+    assert list(report.detail) == ["gf_mismatch", "series_mismatch"]
+    h40 = spec.h(40)
+    assert report.detail["series_mismatch"] == {"k": 40, "expected": h40 + 1, "got": str(h40)}
+    # a wrong h(0) is a series mismatch at k = 0
+    _doctor(monkeypatch, "riemannian", hilbert=lambda n: _bump(spec, 0))
+    report = catalog.verify_entry("riemannian", {"n": 3}, 0)
+    assert list(report.detail) == ["gf_mismatch", "series_mismatch"]
+    assert report.detail["series_mismatch"] == {"k": 0, "expected": 1, "got": "0"}

@@ -104,8 +104,15 @@ def test_exit_codes_for_errors():
         code, out, err = capture(argv)
         assert code == 2 and out == "", argv[:2]
         assert err.startswith("poincount: error:") and err.count("\n") == 1
-    err = capture(["verify", "--id", "einstein", "--nmax", "3"])[2]
-    assert err == "poincount: error: einstein has no sample with n <= 3; the smallest n with a sample is 4\n"
+    for entry_id in ("einstein", "self-dual-metrics", "self-dual-conformal"):
+        err = capture(["verify", "--id", entry_id, "--nmax", "3"])[2]
+        assert err == (
+            f"poincount: error: {entry_id} has no sample with n <= 3; "
+            "the smallest n with a sample is 4\n"
+        )
+    # --nmax 0 checks only the entries without n: 3 ODEs and 8 normal forms
+    code, out, err = capture(["--format", "json", "verify", "--nmax", "0"])
+    assert (code, json.loads(out)["fields"]["reports"]) == (0, 11)
     assert capture(["verify", "--nmax", "-5"])[2] == "poincount: error: --nmax must be >= 0, got -5\n"
     err = capture(["strata-demo", "--kmax", "0"])[2]
     assert "'sigma1'" in err and "'u10'" in err and "jet order 0" in err
@@ -219,6 +226,20 @@ PINNED_STDOUT = {
         "6bc4e8871ab102d1ba427d544b75214802688e2249f1fa2b8acb712d968d7425",
     ("json", "analyze", "--expr", "1/(2-z)", "--kmax", "10"):
         "18265c412a8b3a983e1b8d07255056827405137e4cc28449bac0dcd5deab9076",
+    # recorded at 91387ac: the roster's notes, validity ranges and base
+    # dimensions (kaehler n=2 has base dimension 2n = 4)
+    ("markdown", "list"):
+        "de1a8333c937d81fd6dc1a12010f934252322dbd02b9bdb8da8d8641dd5c77cc",
+    ("csv", "list"):
+        "c16dfc40dc3636185b0c2976d2c0787f009bb4e94aa6e991cfa976f65f84d7c5",
+    ("json", "list"):
+        "1d4aa5434193aaecb8da9f1094a2bd62f7eda521058a0e583453354154f075e1",
+    ("markdown", "show", "einstein", "--n", "5"):
+        "03200e51f4e60107f062b995f042c732af846c15f4652e494f8a75ef796ee810",
+    ("json", "show", "self-dual-conformal", "--n", "4"):
+        "e8003a7f67918e57200176aaec24845c29315c7f77cf742e76ba8902e54ce368",
+    ("csv", "show", "kaehler", "--n", "2"):
+        "c4ab19bfeed7e9f4ac0d4106b50cc2a96487581f554dcacef50a0d60f4818b48",
 }
 
 
