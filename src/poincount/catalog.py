@@ -481,25 +481,47 @@ def _p_hamiltonian_critical(n: int) -> RationalFunction:
     return _RF(1, _P((1, 0, -1)) ** n)
 
 
-_PD_CASES = (
-    "nonresonant",
-    "poincare-domain",
-    "saddle",
-    "saddle-node",
-    "takens-bogdanov",
-)
+@dataclass(frozen=True)
+class _PDCase:
+    """One Poincare-Dulac case: the parameters it takes, the rule they
+    meet, that rule as the validity note states it, and its samples."""
+
+    params: tuple[str, ...]
+    rule: Callable[..., bool]
+    phrase: str
+    samples: tuple[dict, ...]
+
+
+#: The Poincare-Dulac cases, in the order the note and the samples list
+#: them; the validity check, the note, the samples and the id aliases are
+#: read off this table.
+_PD_CASES = {
+    "nonresonant": _PDCase((), lambda: True, "", ({},)),
+    "poincare-domain": _PDCase(("m",), lambda m: m > 1, "m > 1", ({"m": 2}, {"m": 3})),
+    "saddle": _PDCase(
+        ("p", "q"), lambda p, q: p >= 1 and q >= 1, "p, q >= 1",
+        ({"p": 1, "q": 1}, {"p": 1, "q": 2}),
+    ),
+    "saddle-node": _PDCase(("m",), lambda m: m >= 1, "m >= 1", ({"m": 1}, {"m": 2})),
+    "takens-bogdanov": _PDCase((), lambda: True, "", ({},)),
+}
 
 
 def _pd_params(case: str, m=None, p=None, q=None) -> bool:
-    if case == "nonresonant" or case == "takens-bogdanov":
-        return m is None and p is None and q is None
-    if case == "poincare-domain":
-        return m is not None and m > 1 and p is None and q is None
-    if case == "saddle":
-        return p is not None and q is not None and p >= 1 and q >= 1 and m is None
-    if case == "saddle-node":
-        return m is not None and m >= 1 and p is None and q is None
-    return False
+    """A known case, given exactly its parameters, which meet its rule."""
+    if case not in _PD_CASES:
+        return False
+    given = {name: v for name, v in (("m", m), ("p", p), ("q", q)) if v is not None}
+    return set(given) == set(_PD_CASES[case].params) and _PD_CASES[case].rule(**given)
+
+
+def _pd_note() -> str:
+    cases = (f"{case} ({pd.phrase})" if pd.phrase else case for case, pd in _PD_CASES.items())
+    return "case in {" + ", ".join(cases) + "}"
+
+
+def _pd_samples(nmax: int) -> list[dict]:
+    return [{"case": case, **s} for case, pd in _PD_CASES.items() for s in pd.samples]
 
 
 def _p_poincare_dulac(case: str, m=None, p=None, q=None) -> RationalFunction:
@@ -682,24 +704,12 @@ CATALOG: tuple[CatalogEntry, ...] = (
         id="poincare-dulac",
         title="Poincare-Dulac normal forms of planar vector fields",
         params=("case", "m", "p", "q"),
-        validity_note=(
-            "case in {nonresonant, poincare-domain (m > 1), saddle (p, q >= 1), "
-            "saddle-node (m >= 1), takens-bogdanov}"
-        ),
+        validity_note=_pd_note(),
         validity=_pd_params,
         base_dim=lambda **params: 2,
         claimed_p=_p_poincare_dulac,
         flags=frozenset({OTHER_UNIT_POLES}),
-        samples=lambda nmax: [
-            {"case": "nonresonant"},
-            {"case": "poincare-domain", "m": 2},
-            {"case": "poincare-domain", "m": 3},
-            {"case": "saddle", "p": 1, "q": 1},
-            {"case": "saddle", "p": 1, "q": 2},
-            {"case": "saddle-node", "m": 1},
-            {"case": "saddle-node", "m": 2},
-            {"case": "takens-bogdanov"},
-        ],
+        samples=_pd_samples,
         note="closed forms only; the takens-bogdanov case has a pole at the cube roots of unity",
     ),
 )

@@ -15,7 +15,9 @@ coefficients of the free functions, and one parameter per generator for
 its function-free part (a fixed generator).  Each parameter gives one
 row.  A ProlongPlan, built once per engine by Scenario.instantiate,
 holds every row as integer forms in the jets, and `prolong` evaluates
-them at a point over the base origin; ProlongPlan derives the rows.
+them at a point over the base origin; ProlongPlan derives the rows and
+builds the forms by expanding each generator term into its entries,
+with no polynomial substitution, product or derivative.
 Ranks and annihilation read the integer rows at sampled points, a
 positive multiple of the true rows.  The sentinel and tangency checks
 read the forms themselves, once per engine and once per stratum.
@@ -43,9 +45,11 @@ from .algebra import RationalFunction
 from .errors import UsageError
 from .exprs import ExpressionError, Node, evaluate_node, parse_expression, symbol_names
 from .hilbert import HilbertSpec, gf_from_hilbert, hilbert_values_spec
-from .jetpoly import Monomial, NonConstantDivisor, Poly, _mul_monomials, rank_profile
+from .jetpoly import NonConstantDivisor, Poly, rank_profile
 
 MultiIndex = tuple[int, ...]
+#: A jet monomial: the sorted tuple of its jet columns, one per factor.
+Jet = tuple[int, ...]
 
 
 class OrderExceeded(UsageError):
@@ -77,15 +81,16 @@ class UnknownScenario(UsageError):
     """No built-in scenario with that id."""
 
 
-def _multi_indices(p: int, total: int) -> list[MultiIndex]:
+@cache
+def _multi_indices(p: int, total: int) -> tuple[MultiIndex, ...]:
     """All multi-indices of given total order, descending lexicographic."""
     if p == 0:
-        return [()] if total == 0 else []
-    out = []
-    for first in range(total, -1, -1):
-        for rest in _multi_indices(p - 1, total - first):
-            out.append((first,) + rest)
-    return out
+        return ((),) if total == 0 else ()
+    return tuple(
+        (first,) + rest
+        for first in range(total, -1, -1)
+        for rest in _multi_indices(p - 1, total - first)
+    )
 
 
 #: Highest supported jet order.
@@ -117,8 +122,8 @@ class JetSpace:
     of any order up to _MAX_ORDER back.  `multi_indices` lists the multi-indices
     of orders 0..order in that order, `columns[alpha]` the column of fiber
     alpha at each of them, and `cols_at[m]` is the column count of the
-    order-m block J^m, a prefix of the columns.  `shifted` pairs the
-    multi-indices rho and rho + shift that both lie within the order.
+    order-m block J^m, a prefix of the columns.  `plus(rho)` adds the
+    multi-index rho to every tau with rho + tau within the order.
     """
 
     def __init__(self, order: int, base_names: Sequence[str], fiber_names: Sequence[str]):
@@ -145,12 +150,8 @@ class JetSpace:
             self.cols_at.append(var)
         self._by_name = {name: var for var, name in enumerate(self._names)}
         self._index = {sigma: j for j, sigma in enumerate(self.multi_indices)}
-        # per multi-index sigma: x^sigma as a monomial in the base variables, and sigma!
-        self._monomials = [
-            tuple((i, e) for i, e in enumerate(sigma) if e) for sigma in self.multi_indices
-        ]
         self._factorials = [_factorial(sigma) for sigma in self.multi_indices]
-        self._shifted: dict[MultiIndex, list[tuple[int, int]]] = {}
+        self._plus: list[dict[int, int] | None] = [None] * len(self.multi_indices)
 
     def _jet_index(self, name: str) -> tuple[int, MultiIndex] | None:
         """(fiber index, multi-index) of the jet named `name` at any order up
@@ -166,18 +167,20 @@ class JetSpace:
                         return alpha, sigma
         return (self._fibers.index(name), (0,) * self.p) if name in self._fibers else None
 
-    def shifted(self, shift: MultiIndex) -> list[tuple[int, int]]:
-        """(index of rho, index of rho + shift) in multi_indices for every
-        rho with |rho + shift| <= order; built once per shift."""
-        pairs = self._shifted.get(shift)
-        if pairs is None:
-            room = self.order - sum(shift)
-            pairs = self._shifted[shift] = [
-                (j, self._index[tuple(map(add, rho, shift))])
-                for j, rho in enumerate(self.multi_indices)
-                if sum(rho) <= room
-            ]
-        return pairs
+    def plus(self, rho: int) -> dict[int, int]:
+        """{tau: rho + tau} over every tau with |rho + tau| <= order, each
+        multi-index given by its index in multi_indices, tau ascending;
+        built once per rho."""
+        table = self._plus[rho]
+        if table is None:
+            added = self.multi_indices[rho]
+            room = self.order - sum(added)
+            table = self._plus[rho] = {
+                j: self._index[tuple(map(add, tau, added))]
+                for j, tau in enumerate(self.multi_indices)
+                if sum(tau) <= room
+            }
+        return table
 
     @property
     def dim(self) -> int:
@@ -222,6 +225,20 @@ def _times(value: int | Fraction, multiple: int) -> int:
     return value.numerator * (multiple // value.denominator)
 
 
+def _with(jet: Jet, col: int) -> Jet:
+    """The jet monomial times the jet on column col."""
+    return tuple(sorted((*jet, col))) if jet and jet[-1] > col else (*jet, col)
+
+
+def _add(acc: dict, key, value: int) -> None:
+    """acc[key] += value, dropping the key when the sum is zero."""
+    total = acc.get(key, 0) + value
+    if total:
+        acc[key] = total
+    else:
+        acc.pop(key, None)
+
+
 class ProlongPlan:
     """The point-independent part of `prolong`: a scenario's generators on
     one space as integer row forms in the jets, built once per engine by
@@ -257,8 +274,8 @@ class ProlongPlan:
 
     with the jets of order k + 1, which cancel between the two terms,
     taken as zero.  Only [x^rho] Q_alpha with |rho| <= k and the degree-0
-    part of xi are read, and no product lowers the degree in x, so the
-    substitution is truncated at degree k in the base variables.
+    part of xi are read, and no product lowers the degree in x, so every
+    product is truncated at degree k in the base variables.
 
     Everything is integral.  With J the lcm of the jet values'
     denominators and D = J k!, the section U = D u has the integer
@@ -276,13 +293,28 @@ class ProlongPlan:
     D, homogeneous of degree M, and the true row is the integer row over
     the one scale L D^M.
 
-    None of that depends on the point.  The plan runs the truncated
-    substitution once, with each jet column a variable of its own and D
-    left out, and reads every coefficient of Q_alpha, the coefficient of
-    x^rho times a token times a jet monomial, into the entries of that
-    token's slices: a slice with shift beta - gamma and factor c gives the
-    column of u^alpha_sigma, sigma = rho + shift with |sigma| <= k, times
-    c sigma!.  The power of D is M less the jet degree.
+    None of that depends on the point.  The plan expands each term
+    c x^a u_{alpha_1} ... u_{alpha_e} t of L times a component (t its one
+    token) straight into the terms
+
+        c prod_j (k!/tau_j!) x^(a + sum_j tau_j) t prod_j y_{alpha_j, tau_j},
+
+    kept where |a + sum_j tau_j| <= k, with each jet column a factor of its
+    own and D left out; the tau_j of one fiber run over multisets, each
+    counted by the number of its orderings.  A sum rho + tau of
+    multi-indices is one lookup in the space's table `plus(rho)`, built
+    once for each rho that occurs.  The transport -xi_i d_i U_alpha comes
+    from each term (rho, t, jet, v) of xi_i as the terms (rho + sigma - e_i,
+    t, jet y_{alpha, sigma}, -v (k!/sigma!) sigma_i).  A token and a shift
+    fix beta, and so the slot: one table per token maps each shift
+    beta - gamma within the order to its (slot, c).  Every coefficient of
+    Q_alpha, of x^rho times a token times a jet monomial, gives for each of
+    the token's shifts the entry on the column of u^alpha_sigma,
+    sigma = rho + shift with |sigma| <= k, times c sigma!; the base-column
+    and transport entries come from the terms of xi_i at rho = 0, through
+    the token's zero shift.  The power of D is M less the jet degree.  The
+    terms are met in the order a truncated polynomial substitution of the
+    section would give them, and the forms keep that order.
 
     `monomials` lists the distinct jet monomials, each a sorted tuple of
     columns, one per factor.  A slot's row form is {column: [(jet
@@ -314,64 +346,111 @@ class ProlongPlan:
             + [fiber(mono) + 1 for comp in xi for mono in comp.terms]
             + [fiber(mono) for comp in phi for mono in comp.terms]
         )
-        # the jet on column col is the variable offset + col, after every token
-        offset = 1 + max([p + q] + [mono[-1][0] for comp in (*xi, *phi) for mono in comp.terms])
-        k_factorial = factorial(k)
-        section = {
-            cols[0]: Poly({
-                mono + ((offset + col, 1),): k_factorial // f
-                for mono, col, f in zip(space._monomials, cols, space._factorials)
-            })
-            for cols in space.columns
-        }
-        integral = [(comp * self.denominator).substitute(section, p, k) for comp in (*xi, *phi)]
-        # per x^rho * token: [(slot, sigma, c sigma!)], sigma an index into
-        # space.multi_indices
-        slices: dict[Monomial, list[tuple[int, int, int]]] = {}
+        k_factorial, factorials, plus = factorial(k), space._factorials, space.plus
+        # per token: {shift: (slot, c)}; a shift past the order reaches no column
+        slots: dict[int, dict[int, tuple[int, int]]] = {}
         for slot, spec in enumerate(self.specs):
-            for var, c, shift in spec:
-                for rho, sigma in space.shifted(shift):
-                    key = space._monomials[rho] + ((var, 1),)
-                    slices.setdefault(key, []).append((slot, sigma, c * space._factorials[sigma]))
+            for token, c, shift in spec:
+                if sum(shift) <= k:
+                    slots.setdefault(token, {})[space._index[shift]] = slot, c
+        # {(alpha, m): the terms of U_alpha^m}, U_alpha = sum (k!/sigma!) x^sigma y_sigma
+        powers: dict[tuple[int, int], list[tuple[Jet, int, int]]] = {}
 
-        def split(mono: Monomial) -> tuple[list[tuple[int, int, int]], Monomial]:
-            """(slices of x^rho * token, jets) of x^rho * token * jets."""
-            n = 0
-            while mono[n][0] < p:
-                n += 1
-            return slices.get(mono[: n + 1], ()), mono[n + 1 :]
+        def power(alpha: int, m: int) -> list[tuple[Jet, int, int]]:
+            """The terms of U_alpha^m, up to degree k in x, as (jet, sum,
+            int): one per multiset sigma_1 <= ... <= sigma_m of multi-indices
+            with |sum| <= k, lexicographic, its int prod(k!/sigma_j!) times
+            the number of its orderings."""
+            if not m:
+                return [((), 0, 1)]
+            if (alpha, m) not in powers:
+                cols = space.columns[alpha]
+                # the m-th factor, repeated r times: the orderings grow by m / r
+                powers[alpha, m] = [
+                    (jet + (col,), up, c * (k_factorial // factorials[tau]) * m // r)
+                    for jet, s, c in power(alpha, m - 1)
+                    for tau, up in plus(s).items()
+                    for col in (cols[tau],)
+                    if not jet or col >= jet[-1]
+                    for r in (1 + jet.count(col),)
+                ]
+            return powers[alpha, m]
 
-        # per slot: {(column, jet monomial in the jet variables): int}
-        sums: list[dict[tuple[int, Monomial], int]] = [{} for _ in self.specs]
-        for i, xi_i in enumerate(integral[:p]):
-            shifted = space.shifted(tuple(int(i == b) for b in range(p)))
-            for mono, coeff in xi_i.terms.items():
-                if mono[0][0] < p:
-                    continue  # only xi_i(0) is read
-                at, jet = split(mono)
-                # xi_i(0) acts through the token's unshifted slices (sigma =
-                # rho = 0): on base column i times D, and on each u^alpha_rho
-                # times k! y_{rho + e_i}
-                for slot, sigma, c in at:
-                    if sigma:
-                        continue
-                    value, acc = c * coeff, sums[slot]
-                    acc[i, jet] = acc.get((i, jet), 0) + value
-                    for cols in space.columns:
-                        for rho, up in shifted:
-                            key = cols[rho], _mul_monomials(jet, ((offset + cols[up], 1),))
-                            acc[key] = acc.get(key, 0) + value * k_factorial
+        def expand(comp: Poly) -> dict[tuple[int, int, Jet], int]:
+            """{(rho, token, jet): int}: L comp with each u^alpha replaced by
+            U_alpha, up to degree k in x, as the coefficients of x^rho times
+            a token times a jet monomial, in the order of the truncated
+            substitution (comp's terms, and the powers of U_alpha by
+            ascending alpha)."""
+            out = {}
+            for mono, coeff in comp.terms.items():
+                *factors, (token, _) = mono
+                a, groups = [0] * p, []
+                for var, e in factors:
+                    if var < p:
+                        a[var] = e
+                    else:
+                        groups.append((var - p, e))
+                if sum(a) > k:
+                    continue
+                terms = [(space._index[tuple(a)], (), _times(coeff, self.denominator))]
+                for alpha, m in groups:
+                    grown = []
+                    for rho, jet, v in terms:
+                        at = plus(rho)
+                        for factor, s, c in power(alpha, m):
+                            if s in at:
+                                grown.append((at[s], jet + factor, v * c))
+                    terms = grown
+                for rho, jet, v in terms:
+                    out[rho, token, tuple(sorted(jet)) if len(groups) > 1 else jet] = v
+            return out
+
+        xis = [expand(comp) for comp in xi]
+        # per i: (sigma - e_i, sigma, k!/sigma! sigma_i), d_i of U's term at
+        # sigma; e_i is multi-index 1 + i, and J^0 has none
+        derivatives = [
+            [
+                (down, sigma, k_factorial // factorials[sigma] * space.multi_indices[sigma][i])
+                for down, sigma in (plus(1 + i).items() if k else ())
+            ]
+            for i in range(p)
+        ]
+        # per slot: {(column, jet monomial): int}
+        sums: list[dict[tuple[int, Jet], int]] = [{} for _ in self.specs]
+        for i, xi_i in enumerate(xis):
+            for (rho, token, jet), v in xi_i.items():
+                if rho or 0 not in slots.get(token, {}):
+                    continue  # only xi_i(0) is read, through the token's unshifted slot
+                # on base column i times D, and on each u^alpha_rho times k! y_{rho + e_i}
+                slot, c = slots[token][0]
+                value, acc = c * v, sums[slot]
+                acc[i, jet] = acc.get((i, jet), 0) + value
+                for cols in space.columns:
+                    for down, sigma, _ in derivatives[i]:
+                        key = cols[down], _with(jet, cols[sigma])
+                        acc[key] = acc.get(key, 0) + value * k_factorial
         for alpha, cols in enumerate(space.columns):
-            q_alpha = integral[p + alpha]
-            u = section[cols[0]]
-            for i in range(p):
-                q_alpha = q_alpha - integral[i].truncated_mul(u.diff(i), p, k)
-            for mono, coeff in q_alpha.terms.items():
-                at, jet = split(mono)
-                for slot, sigma, multiplier in at:
-                    acc, key = sums[slot], (cols[sigma], jet)
-                    acc[key] = acc.get(key, 0) + multiplier * coeff
-        index: dict[Monomial, int] = {}  # jet monomial: its index in monomials
+            q_alpha = expand(phi[alpha])
+            for i, xi_i in enumerate(xis):
+                # the transport -xi_i d_i U_alpha, as truncated products
+                product: dict[tuple[int, int, Jet], int] = {}
+                for (rho, token, jet), v in xi_i.items():
+                    at = plus(rho)
+                    for down, sigma, d in derivatives[i]:
+                        if down in at:
+                            key = at[down], token, _with(jet, cols[sigma])
+                            _add(product, key, v * d)
+                for key, v in product.items():
+                    _add(q_alpha, key, -v)
+            for (rho, token, jet), v in q_alpha.items():
+                to = slots.get(token, {})
+                for shift, sigma in plus(rho).items():
+                    if shift in to:
+                        slot, c = to[shift]
+                        acc, key = sums[slot], (cols[sigma], jet)
+                        acc[key] = acc.get(key, 0) + c * factorials[sigma] * v
+        index: dict[Jet, int] = {}  # jet monomial: its index in monomials
         forms = []
         for slot, acc in enumerate(sums):
             form = [
@@ -380,9 +459,7 @@ class ProlongPlan:
             if form:
                 cols = {col for col, _, _ in form}
                 forms.append((slot, *zip(*form), len(cols) == len(form)))
-        self.monomials = tuple(
-            tuple(var - offset for var, e in jet for _ in range(e)) for jet in index
-        )
+        self.monomials = tuple(index)
         self.forms = tuple(forms)
 
 
@@ -622,14 +699,17 @@ class Scenario:
             xi_sum = [a + marked(b) for a, b in zip(xi_sum, xi)]
             phi_sum = [a + marked(b) for a, b in zip(phi_sum, phi)]
             orders = _derivative_orders(tokens.values())
+            by_function: dict[str, list[tuple[int, MultiIndex]]] = {}
+            for var, fname, gamma in tokens.values():
+                by_function.setdefault(fname, []).append((var, gamma))
             for fname in self.free_functions:
                 if fname not in orders:
                     continue
                 cutoff = space.order + orders[fname]
                 for beta in (b for m in range(cutoff + 2) for b in _multi_indices(self.p, m)):
                     spec = []
-                    for var, f, gamma in tokens.values():
-                        if f == fname and all(g <= b for g, b in zip(gamma, beta)):
+                    for var, gamma in by_function[fname]:
+                        if all(g <= b for g, b in zip(gamma, beta)):
                             shift = tuple(b - g for b, g in zip(beta, gamma))
                             spec.append((var, _factorial(beta) // _factorial(shift), shift))
                     specs.append(tuple(spec))

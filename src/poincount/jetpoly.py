@@ -10,8 +10,8 @@ and scalar products and quotients store an integral value as an int.
 constants only (a negative power is one over the positive power, under
 the same rule), so parsing a generator component into it rejects any
 non-constant divisor.  Products and substitution can drop every monomial
-above a degree in the leading (base) variables, which is all the jet
-engine reads.
+above a degree in the leading (base) variables; the jet engine builds its
+row forms without them, and only the test oracles use that truncation.
 
 Rank is a sparse integer echelon over {column: int} rows, the format the
 jet engine's `prolong` emits: each row is made content 1 and inserted,

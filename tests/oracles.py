@@ -81,6 +81,111 @@ def one_pass_rank_profile(rows, cuts):
     return [bisect_left(leads, cut) for cut in cuts]
 
 
+# -- the row forms by truncated substitution -----------------------------------
+#
+# ProlongPlan's build before it expanded each generator term directly: the
+# Taylor section as Polys, one truncated substitution per component, and
+# each Q_alpha formed by truncated_mul and diff, its monomials looked up in
+# a table of (x^rho, token) slices.  The plan is compared with it.
+
+
+def substitution_plan(space, xi, phi, specs):
+    """(denominator, degree, monomials, forms) of the ProlongPlan of the
+    components xi, phi (Polys) and the slot specs on a JetSpace, built by
+    the truncated substitution of the Taylor section."""
+    from math import factorial, lcm
+
+    from poincount.jetpoly import Poly, _mul_monomials
+
+    p, q, k = space.p, space.q, space.order
+    fiber = lambda mono: sum(e for var, e in mono if p <= var < p + q)
+    specs = tuple(specs)
+    denominator = lcm(
+        *[c.denominator for comp in (*xi, *phi) for c in comp.terms.values()]
+    )
+    degree = max(
+        [1]
+        + [fiber(mono) + 1 for comp in xi for mono in comp.terms]
+        + [fiber(mono) for comp in phi for mono in comp.terms]
+    )
+    # the jet on column col is the variable offset + col, after every token
+    offset = 1 + max([p + q] + [mono[-1][0] for comp in (*xi, *phi) for mono in comp.terms])
+    k_factorial = factorial(k)
+    # per multi-index sigma: x^sigma as a monomial in the base variables
+    x_powers = [tuple((i, e) for i, e in enumerate(sigma) if e) for sigma in space.multi_indices]
+    # (index of rho, index of rho + shift) for every rho with |rho + shift| <= k
+    pairs = lambda shift: (
+        space.plus(space.multi_indices.index(shift)).items() if sum(shift) <= k else ()
+    )
+    section = {
+        cols[0]: Poly({
+            mono + ((offset + col, 1),): k_factorial // f
+            for mono, col, f in zip(x_powers, cols, space._factorials)
+        })
+        for cols in space.columns
+    }
+    integral = [(comp * denominator).substitute(section, p, k) for comp in (*xi, *phi)]
+    # per x^rho * token: [(slot, sigma, c sigma!)], sigma an index into
+    # space.multi_indices
+    slices = {}
+    for slot, spec in enumerate(specs):
+        for var, c, shift in spec:
+            for rho, sigma in pairs(shift):
+                key = x_powers[rho] + ((var, 1),)
+                slices.setdefault(key, []).append((slot, sigma, c * space._factorials[sigma]))
+
+    def split(mono):
+        """(slices of x^rho * token, jets) of x^rho * token * jets."""
+        n = 0
+        while mono[n][0] < p:
+            n += 1
+        return slices.get(mono[: n + 1], ()), mono[n + 1 :]
+
+    # per slot: {(column, jet monomial in the jet variables): int}
+    sums = [{} for _ in specs]
+    for i, xi_i in enumerate(integral[:p]):
+        shifted = pairs(tuple(int(i == b) for b in range(p)))
+        for mono, coeff in xi_i.terms.items():
+            if mono[0][0] < p:
+                continue  # only xi_i(0) is read
+            at, jet = split(mono)
+            # xi_i(0) acts through the token's unshifted slices (sigma =
+            # rho = 0): on base column i times D, and on each u^alpha_rho
+            # times k! y_{rho + e_i}
+            for slot, sigma, c in at:
+                if sigma:
+                    continue
+                value, acc = c * coeff, sums[slot]
+                acc[i, jet] = acc.get((i, jet), 0) + value
+                for cols in space.columns:
+                    for rho, up in shifted:
+                        key = cols[rho], _mul_monomials(jet, ((offset + cols[up], 1),))
+                        acc[key] = acc.get(key, 0) + value * k_factorial
+    for alpha, cols in enumerate(space.columns):
+        q_alpha = integral[p + alpha]
+        u = section[cols[0]]
+        for i in range(p):
+            q_alpha = q_alpha - integral[i].truncated_mul(u.diff(i), p, k)
+        for mono, coeff in q_alpha.terms.items():
+            at, jet = split(mono)
+            for slot, sigma, multiplier in at:
+                acc, key = sums[slot], (cols[sigma], jet)
+                acc[key] = acc.get(key, 0) + multiplier * coeff
+    index = {}  # jet monomial: its index in monomials
+    forms = []
+    for slot, acc in enumerate(sums):
+        form = [
+            (col, index.setdefault(jet, len(index)), c) for (col, jet), c in acc.items() if c
+        ]
+        if form:
+            cols = {col for col, _, _ in form}
+            forms.append((slot, *zip(*form), len(cols) == len(form)))
+    monomials = tuple(
+        tuple(var - offset for var, e in jet for _ in range(e)) for jet in index
+    )
+    return denominator, degree, monomials, tuple(forms)
+
+
 # -- closed-form orbit matrix for the x-reparametrization pseudogroup --------
 #
 # Component of the prolonged generator family f(x,y) d/dx on the jet

@@ -218,6 +218,21 @@ def test_alias_resolution():
         catalog.claimed_poincare("poincare-dulac-nonresonant", m=2)
 
 
+def test_poincare_dulac_cases_give_samples_note_and_aliases():
+    # the case table is the one statement of the cases: each case has an
+    # alias, its samples pass the validity check and the note names it
+    entry = catalog.get_entry("poincare-dulac")
+    samples = entry.samples(0)
+    assert {s["case"] for s in samples} == set(catalog._PD_CASES)
+    for sample in samples:
+        assert entry.check_params(sample) == sample
+    for case, pd in catalog._PD_CASES.items():
+        assert catalog.resolve(f"poincare-dulac-{case}") == (entry, {"case": case})
+        assert case in entry.validity_note and pd.phrase in entry.validity_note
+        with pytest.raises(catalog.OutOfValidity):
+            catalog.claimed_poincare("poincare-dulac", case=case, m=0, p=0, q=0)
+
+
 def test_skew_torsion_stabilizer_sequence():
     assert [catalog.skew_torsion_stabilizer(n) for n in range(3, 8)] == [3, 3, 2, 0, 0]
 

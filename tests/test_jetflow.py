@@ -52,6 +52,7 @@ from oracles import (
     prolonged_rows_oracle,
     rational_rank,
     rows_at,
+    substitution_plan,
     total_derivative,
     xreparam_stratum_oracle,
 )
@@ -1326,6 +1327,52 @@ def test_prolong_does_no_poly_arithmetic(name, k, monkeypatch):
     monkeypatch.undo()
     exact = [{col: Fraction(c, scale) for col, c in row.items()} for row in rows.values()]
     assert sorted(_dense(row, engine.space.dim) for row in exact) == sorted(expected)
+
+
+@pytest.mark.parametrize("name, k", [("metric2d", 4), ("riccati-mixed", 3), ("x-reparam", 4)])
+def test_plan_build_does_no_substitution(name, k, monkeypatch):
+    # the plan expands each generator term into its row-form entries: the
+    # build substitutes and differentiates no polynomial (the generator
+    # parse still adds, multiplies and divides Polys)
+    scenario = _scenario(name)
+
+    def refuse(*args):
+        raise AssertionError("Poly substitution or derivative inside the plan build")
+
+    for op in ("substitute", "diff"):
+        monkeypatch.setattr(Poly, op, refuse)
+    engine = _StratumEngine(scenario, k)
+    assert engine.plan.forms
+
+
+#: Every local scenario and the three built-in ones at orders 0..3, and the
+#: two plane scenarios at the top order.
+SUBSTITUTION_CASES = [
+    (name, k)
+    for name in (*LOCAL_SCENARIOS, "x-reparam", "metric2d", "distribution3d")
+    for k in range(4)
+] + [("metric2d", 9), ("x-reparam", 9)]
+
+
+@pytest.mark.parametrize("name, k", SUBSTITUTION_CASES)
+def test_plan_equals_the_substitution_build(name, k, monkeypatch):
+    # the direct term expansion gives the plan the truncated substitution
+    # of the Taylor section gave, term order included
+    built = []
+
+    class Recording(ProlongPlan):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(jetflow, "ProlongPlan", Recording)
+    scenario = _scenario(name)
+    plan, _ = scenario.instantiate(scenario.space(k))
+    (args,) = built
+    got = (plan.denominator, plan.degree, plan.monomials, plan.forms)
+    assert got == substitution_plan(*args)
 
 
 #: Two orders of every local scenario and of the three built-in ones:
