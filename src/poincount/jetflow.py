@@ -20,7 +20,13 @@ builds the forms by expanding each generator term into its entries,
 with no polynomial substitution, product or derivative.
 Ranks and annihilation read the integer rows at sampled points, a
 positive multiple of the true rows.  The sentinel and tangency checks
-read the forms themselves, once per engine and once per stratum.
+read the forms themselves, once per engine and once per stratum; the
+walk that checks tangency also counts M_k, the parameters that act on
+the stratum up to order k.  Rank is lower semicontinuous, so the rank at
+any point of the stratum is at most the generic rank, which is at most
+min(M_k, d_k), d_k the stratum's dimension in J^k.  A sampled point that
+reaches that bound at an order settles the order exactly; only the
+orders it leaves open need three seeded points that agree.
 
 Free-function truncation is read off the generators: with r_f the highest
 derivative order among a free function's tokens, order-k components read
@@ -70,7 +76,9 @@ class InvariantViolation(RuntimeError):
 
 class GenericityFailure(RuntimeError):
     """The ranks at a round's sampled stratum points disagreed, also after
-    the retry round."""
+    the retry round, at the orders its first point left below the bound
+    min(M_k, d_k); the message names the disagreeing profiles and the
+    bound."""
 
 
 class BadSample(RuntimeError):
@@ -894,11 +902,12 @@ class _StratumEngine:
         self.cols_at = self.space.cols_at
         self.positivity = [parse_expression(text) for text in scenario.positivity]
 
-    def check_tangent(self, stratum: StratumCase) -> None:
-        """Raise InvariantViolation where a row entry on a vanishing column
-        of the stratum is not identically zero on it, naming the first such
-        column in the stratum's order; read off the plan's forms, with no
-        point drawn.
+    def acting_counts(self, stratum: StratumCase) -> list[int]:
+        """M_k for k = 0..k_max: the number of parameters that act on the
+        stratum up to order k, read off the plan's forms with no point
+        drawn; raise InvariantViolation where a row entry on a vanishing
+        column of the stratum is not identically zero on it, naming the
+        first such column in the stratum's order.
 
         The true entry is sum_m c_m u^m / (L k!^|m|) over its terms, one
         per jet monomial m (ProlongPlan).  On the stratum a term whose
@@ -906,38 +915,72 @@ class _StratumEngine:
         monomials are distinct, hence independent, polynomials in the free
         jets.  So an entry vanishes on the whole stratum exactly when none
         of its terms remains; otherwise it is nonzero on a dense open part
-        of the stratum, where a sampled point would see it.
+        of the stratum, where a sampled point would see it.  A remaining
+        term on a vanishing column is a generator leaving the stratum.  On
+        a tangent stratum a parameter's row, cut to J^k, is nonzero
+        somewhere on it exactly when a term remains on a column of J^k, so
+        a slot counts from the lowest column that keeps a term.  At every
+        point of the stratum the rank at order k is at most M_k, and at
+        most d_k, the columns of J^k less the vanishing ones.
         """
         zeros, _ = stratum_columns(self.space, stratum)
         vanishing, monomials = set(zeros), self.plan.monomials
-        acting = {
-            col
-            for _, cols, jets, _, _ in self.plan.forms
-            for col, jet in zip(cols, jets)
-            if col in vanishing and vanishing.isdisjoint(monomials[jet])
-        }
+        acting, lowest, past = set(), [], self.space.dim
+        for _, cols, jets, _, _ in self.plan.forms:
+            kept = [col for col, jet in zip(cols, jets) if vanishing.isdisjoint(monomials[jet])]
+            acting.update(vanishing.intersection(kept))
+            lowest.append(min((col for col in kept if col not in vanishing), default=past))
         for col in zeros:
             if col in acting:
                 raise InvariantViolation(
                     f"generator not tangent to stratum {stratum.label!r} "
                     f"at coordinate {self.space.name_of(col)!r}"
                 )
+        return [sum(col < cut for col in lowest) for cut in self.cols_at]
+
+    def _dims(self, stratum: StratumCase) -> list[int]:
+        """d_k for k = 0..k_max: the columns of J^k less the stratum's
+        vanishing ones."""
+        zeros, _ = stratum_columns(self.space, stratum)
+        return [cut - sum(col < cut for col in zeros) for cut in self.cols_at]
 
     def sampled_ranks(self, stratum: StratumCase, seed: int) -> list[int]:
-        """Orbit rank at each order 0..k_max, agreed on by one seeded round
-        of three stratum points (one retry round, then GenericityFailure),
-        once check_tangent has passed."""
-        self.check_tangent(stratum)
+        """Orbit rank at each order 0..k_max on the stratum, once
+        acting_counts has found the generators tangent to it.
+
+        The rank at any point of the stratum is at most the generic rank
+        (rank is lower semicontinuous, so it is largest on a dense open
+        part of the stratum), and the generic rank is at most the bound
+        min(M_k, d_k) of acting_counts.  So an order where the first point
+        of a seeded round reaches the bound is settled exactly by that
+        point, and a round that settles every order ends there.
+        Otherwise the round draws two more points from the same stream,
+        whose ranks must agree with the first point's up to the last order
+        it leaves open (ranks below that order are compared too, and those
+        above it are not computed).  One retry round, then
+        GenericityFailure, which names the disagreeing profiles and the
+        bound.
+        """
+        bound = list(map(min, self.acting_counts(stratum), self._dims(stratum)))
         rng = random.Random(seed)
+
+        def ranks(cuts: Sequence[int]) -> list[int]:
+            point = sample_stratum_point(self.space, stratum, rng, self.positivity)
+            return rank_profile(prolong(self.plan, point)[1].values(), cuts)
+
         for _ in range(2):
-            trials = []
-            for _ in range(3):
-                point = sample_stratum_point(self.space, stratum, rng, self.positivity)
-                trials.append(rank_profile(prolong(self.plan, point)[1].values(), self.cols_at))
-            if all(t == trials[0] for t in trials):
-                return trials[0]
+            first = ranks(self.cols_at)
+            open_orders = [k for k, (r, b) in enumerate(zip(first, bound)) if r != b]
+            if not open_orders:
+                return first
+            cuts = self.cols_at[: open_orders[-1] + 1]
+            others = [ranks(cuts) for _ in range(2)]
+            disagree = [other for other in others if other != first[: len(cuts)]]
+            if not disagree:
+                return first
         raise GenericityFailure(
-            f"ranks inconsistent across samples for stratum {stratum.label!r}"
+            f"ranks inconsistent across samples for stratum {stratum.label!r}: "
+            f"{first[: len(cuts)]} vs {disagree[0]}; bound {bound[: len(cuts)]}"
         )
 
     def codim_sequence(
@@ -945,7 +988,7 @@ class _StratumEngine:
     ) -> tuple[list[int], list[int]]:
         """(s_k, h_k) for one stratum; see stratum_codim_sequence."""
         stratum = self.scenario.stratum(stratum)
-        zeros, _ = stratum_columns(self.space, stratum)  # every name is a jet
+        dims = self._dims(stratum)  # checks that every name is a jet
         for name in stratum.equalities:
             if sum(self.space._jet_index(name)[1]) > self.k_max:
                 raise OrderExceeded(
@@ -953,7 +996,6 @@ class _StratumEngine:
                     f"which is not a coordinate of jet order {self.k_max}"
                 )
         rank_k = self.sampled_ranks(stratum, seed)
-        dims = [cut - sum(col < cut for col in zeros) for cut in self.cols_at]
         s = [dim - rank for dim, rank in zip(dims, rank_k)]
         h = [s[0]] + [s[k] - s[k - 1] for k in range(1, self.k_max + 1)]
         return s, h
@@ -963,8 +1005,9 @@ class _StratumEngine:
         row . grad, vanishes at _ANNIHILATION_POINTS seeded stratum points.
         The invariant is parsed once and must evaluate at each sampled
         point (the sampler redraws where it divides by zero), where it is
-        evaluated with its gradient, once check_tangent has passed."""
-        self.check_tangent(stratum)
+        evaluated with its gradient, once acting_counts has found the
+        generators tangent to the stratum."""
+        self.acting_counts(stratum)
         node = parse_expression(invariant)
         rng = random.Random(seed)
         for _ in range(_ANNIHILATION_POINTS):
@@ -989,11 +1032,16 @@ def stratum_codim_sequence(
 ) -> tuple[list[int], list[int]]:
     """Orbit codimensions s_k inside the stratum and increments h_k, k = 0..k_max.
 
-    Three seeded sample points per round; the per-order ranks must agree
-    across the round (one retry round, then genericity-failure).  The
-    engine checks that no sentinel acts and that the generators are
-    tangent to the stratum, each once off the plan's forms, before any
-    point is drawn.  A vanishing condition above k_max raises OrderExceeded.
+    The rank at any point of the stratum is at most the generic rank
+    (rank is lower semicontinuous), and the generic rank is at most
+    min(M_k, d_k): M_k the parameters acting on the stratum up to order
+    k, d_k its dimension in J^k.  So each seeded round's first point
+    settles every order where its rank reaches that bound.  Two more
+    points of the round must agree with it at the orders it leaves open,
+    and only there (one retry round, then GenericityFailure).  The engine
+    checks that no sentinel acts and that the generators are tangent to
+    the stratum, each once off the plan's forms, before any point is
+    drawn.  A vanishing condition above k_max raises OrderExceeded.
     """
     return _StratumEngine(scenario, k_max).codim_sequence(stratum, seed)
 

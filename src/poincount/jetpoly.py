@@ -9,9 +9,9 @@ and scalar products and quotients store an integral value as an int.
 `Poly` is the one polynomial class of the jet leg; it divides by nonzero
 constants only (a negative power is one over the positive power, under
 the same rule), so parsing a generator component into it rejects any
-non-constant divisor.  Products and substitution can drop every monomial
-above a degree in the leading (base) variables; the jet engine builds its
-row forms without them, and only the test oracles use that truncation.
+non-constant divisor.  The jet engine builds its row forms by expanding
+the parsed components term by term, with no polynomial product,
+substitution or derivative.
 
 Rank is a sparse integer echelon over {column: int} rows, the format the
 jet engine's `prolong` emits: each row is made content 1 and inserted,
@@ -123,20 +123,9 @@ class Poly:
             return Poly({mono: other * coeff for mono, coeff in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.truncated_mul(other, 0, 0)
-
-    __rmul__ = __mul__
-
-    def truncated_mul(self, other: "Poly", base: int, degree: int) -> "Poly":
-        """self * other without the monomials whose degree in the variables
-        below `base` exceeds `degree` (base 0 drops nothing)."""
-        right = [(m, c, _base_degree(m, base)) for m, c in other.terms.items()]
         out: dict[Monomial, Scalar] = {}
         for m1, c1 in self.terms.items():
-            room = degree - _base_degree(m1, base)
-            for m2, c2, d2 in right:
-                if d2 > room:
-                    continue
+            for m2, c2 in other.terms.items():
                 mono = _mul_monomials(m1, m2)
                 acc = out.get(mono, 0) + c1 * c2
                 if acc:
@@ -144,6 +133,8 @@ class Poly:
                 else:
                     out.pop(mono, None)
         return _wrap(out)
+
+    __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Poly":
         """Division by a nonzero constant; other divisors are refused."""
@@ -170,47 +161,6 @@ class Poly:
             base = base * base
             e >>= 1
         return result
-
-    def diff(self, var: int) -> "Poly":
-        out: dict[Monomial, Scalar] = {}
-        for mono, coeff in self.terms.items():
-            for idx, (v, e) in enumerate(mono):
-                if v == var:
-                    if e == 1:
-                        new = mono[:idx] + mono[idx + 1 :]
-                    else:
-                        new = mono[:idx] + ((v, e - 1),) + mono[idx + 1 :]
-                    acc = out.get(new, 0) + coeff * e
-                    if acc:
-                        out[new] = acc
-                    else:
-                        out.pop(new, None)
-                    break
-        return _wrap(out)
-
-    def substitute(self, values: Mapping[int, "Poly"], base: int, degree: int) -> "Poly":
-        """Replace the given variables by polynomials, keeping the rest, up to
-        degree `degree` in the variables below `base`.
-
-        Exponents are nonnegative, so no product lowers that degree: each
-        multiplication drops the monomials above it, and the result is the
-        full substitution with exactly those monomials removed.
-        """
-        powers = {var: [Poly.constant(1)] for var in values}
-        out: dict[Monomial, Scalar] = {}
-        for mono, coeff in self.terms.items():
-            kept = tuple((v, e) for v, e in mono if v not in values)
-            if _base_degree(kept, base) > degree:
-                continue
-            term = _wrap({kept: coeff})
-            for var, exp in mono:
-                if var in values:
-                    cached = powers[var]
-                    while len(cached) <= exp:
-                        cached.append(cached[-1].truncated_mul(values[var], base, degree))
-                    term = term.truncated_mul(cached[exp], base, degree)
-            _accumulate(out, term.terms)
-        return _wrap(out)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -245,10 +195,6 @@ def _accumulate(out: dict[Monomial, Scalar], terms: Mapping[Monomial, Scalar]) -
             out[mono] = acc
         else:
             out.pop(mono, None)
-
-
-def _base_degree(mono: Monomial, base: int) -> int:
-    return sum(e for v, e in mono if v < base)
 
 
 def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:

@@ -85,8 +85,79 @@ def one_pass_rank_profile(rows, cuts):
 #
 # ProlongPlan's build before it expanded each generator term directly: the
 # Taylor section as Polys, one truncated substitution per component, and
-# each Q_alpha formed by truncated_mul and diff, its monomials looked up in
-# a table of (x^rho, token) slices.  The plan is compared with it.
+# each Q_alpha formed by truncated_mul and poly_diff, its monomials looked
+# up in a table of (x^rho, token) slices.  The plan is compared with it.
+# The polynomial derivative, truncated product and truncated substitution
+# are this oracle's own: the package's Poly has none of them.
+
+
+def poly_diff(poly, var):
+    """The derivative of a Poly along variable `var`."""
+    from poincount.jetpoly import Poly
+
+    out = {}
+    for mono, coeff in poly.terms.items():
+        for idx, (v, e) in enumerate(mono):
+            if v == var:
+                new = mono[:idx] + (((v, e - 1),) if e > 1 else ()) + mono[idx + 1 :]
+                _add_term(out, new, coeff * e)
+                break
+    return Poly(out)
+
+
+def _add_term(out, mono, coeff):
+    """out[mono] += coeff, dropping the monomial when the sum is zero, so a
+    monomial that cancels and comes back goes last, as in Poly's sums."""
+    acc = out.get(mono, 0) + coeff
+    if acc:
+        out[mono] = acc
+    else:
+        out.pop(mono, None)
+
+
+def _base_degree(mono, base):
+    return sum(e for v, e in mono if v < base)
+
+
+def truncated_mul(left, right, base, degree):
+    """left * right without the monomials whose degree in the variables
+    below `base` exceeds `degree`."""
+    from poincount.jetpoly import Poly, _mul_monomials
+
+    out = {}
+    for m1, c1 in left.terms.items():
+        room = degree - _base_degree(m1, base)
+        for m2, c2 in right.terms.items():
+            if _base_degree(m2, base) <= room:
+                _add_term(out, _mul_monomials(m1, m2), c1 * c2)
+    return Poly(out)
+
+
+def substitute(poly, values, base, degree):
+    """Replace the given variables of a Poly by Polys, keeping the rest, up
+    to degree `degree` in the variables below `base`.
+
+    Exponents are nonnegative, so no product lowers that degree: each
+    multiplication drops the monomials above it, and the result is the
+    full substitution with exactly those monomials removed.
+    """
+    from poincount.jetpoly import Poly
+
+    powers = {var: [Poly.constant(1)] for var in values}
+    out = Poly.zero()
+    for mono, coeff in poly.terms.items():
+        kept = tuple((v, e) for v, e in mono if v not in values)
+        if _base_degree(kept, base) > degree:
+            continue
+        term = Poly({kept: coeff})
+        for var, exp in mono:
+            if var in values:
+                cached = powers[var]
+                while len(cached) <= exp:
+                    cached.append(truncated_mul(cached[-1], values[var], base, degree))
+                term = truncated_mul(term, cached[exp], base, degree)
+        out = out + term
+    return out
 
 
 def substitution_plan(space, xi, phi, specs):
@@ -124,7 +195,7 @@ def substitution_plan(space, xi, phi, specs):
         })
         for cols in space.columns
     }
-    integral = [(comp * denominator).substitute(section, p, k) for comp in (*xi, *phi)]
+    integral = [substitute(comp * denominator, section, p, k) for comp in (*xi, *phi)]
     # per x^rho * token: [(slot, sigma, c sigma!)], sigma an index into
     # space.multi_indices
     slices = {}
@@ -165,7 +236,7 @@ def substitution_plan(space, xi, phi, specs):
         q_alpha = integral[p + alpha]
         u = section[cols[0]]
         for i in range(p):
-            q_alpha = q_alpha - integral[i].truncated_mul(u.diff(i), p, k)
+            q_alpha = q_alpha - truncated_mul(integral[i], poly_diff(u, i), p, k)
         for mono, coeff in q_alpha.terms.items():
             at, jet = split(mono)
             for slot, sigma, multiplier in at:
@@ -319,14 +390,14 @@ def total_derivative(space, poly, direction):
     """D_i = d/dx_i + sum u^alpha_{sigma+e_i} d/du^alpha_sigma on jet polynomials."""
     from poincount.jetpoly import Poly
 
-    out = poly.diff(direction)
+    out = poly_diff(poly, direction)
     jets = jet_columns(space)
     for var in poly.variables():
         if var not in jets:
             continue
         alpha, sigma = jets[var]
         up = sigma[:direction] + (sigma[direction] + 1,) + sigma[direction + 1 :]
-        out = out + Poly.variable(space.jet_var(alpha, up)) * poly.diff(var)
+        out = out + Poly.variable(space.jet_var(alpha, up)) * poly_diff(poly, var)
     return out
 
 
@@ -347,7 +418,7 @@ def _concrete_component(scenario, space, text, functions):
             raise KeyError(name)
         poly = functions.get(fname, Poly.zero())
         for ch in suffix:
-            poly = poly.diff(scenario.base.index(ch))
+            poly = poly_diff(poly, scenario.base.index(ch))
         return poly
 
     return evaluate_node(parse_expression(text), Poly.constant, resolve)
@@ -405,6 +476,25 @@ def derivative_orders(scenario, gen):
     return orders
 
 
+def acting_parameter_count(scenario, k):
+    """N_k, the parameters that act on J^k, in closed form: C(p + k + r_f,
+    p) for each free function f a generator names (r_f read off its
+    text by derivative_orders), plus one per generator whose
+    function-free part, with every free function set to zero, is nonzero."""
+    space = scenario.space(0)
+    count = 0
+    for gen in scenario.generators:
+        fixed = [
+            _concrete_component(scenario, space, text, {})
+            for text in [*gen["xi"], *gen["phi"]]
+        ]
+        count += any(fixed) + sum(
+            comb(scenario.p + k + r, scenario.p)
+            for r in derivative_orders(scenario, gen).values()
+        )
+    return count
+
+
 def prolonged_fields_oracle(scenario, k):
     """The prolonged fields of J^k, one polynomial per coordinate each: for
     each generator its function-free part, and the difference made by
@@ -453,6 +543,28 @@ def rows_at(fields, point):
 def prolonged_rows_oracle(scenario, k, point):
     """Nonzero tangent rows at a jet point: prolonged_fields_oracle at it."""
     return rows_at(prolonged_fields_oracle(scenario, k), point)
+
+
+def three_point_ranks(engine, stratum, seed):
+    """The rank profile of a _StratumEngine on a stratum as sampled_ranks
+    found it before it read the acting counts: each round draws three
+    seeded stratum points and ranks each at every order, and the three
+    must agree (one retry round, then GenericityFailure)."""
+    import random
+
+    from poincount import jetflow
+    from poincount.jetpoly import rank_profile
+
+    rng = random.Random(seed)
+    for _ in range(2):
+        trials = []
+        for _ in range(3):
+            point = jetflow.sample_stratum_point(engine.space, stratum, rng, engine.positivity)
+            rows = jetflow.prolong(engine.plan, point)[1].values()
+            trials.append(rank_profile(rows, engine.cols_at))
+        if all(t == trials[0] for t in trials):
+            return trials[0]
+    raise jetflow.GenericityFailure(f"ranks inconsistent across samples for {stratum.label!r}")
 
 
 # -- the rational-function core on Fraction arithmetic -------------------------

@@ -163,7 +163,7 @@ def test_engine_invariant_violation_exits_three(monkeypatch):
     def broken(self, stratum):
         raise jetflow.InvariantViolation("generator not tangent to stratum 'generic'")
 
-    monkeypatch.setattr(jetflow._StratumEngine, "check_tangent", broken)
+    monkeypatch.setattr(jetflow._StratumEngine, "acting_counts", broken)
     code, out, err = capture(["metric2d", "--kmax", "1"])
     assert code == 3 and out == ""
     assert err.startswith("poincount: engine invariant violated:") and err.count("\n") == 1

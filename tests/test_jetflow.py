@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import io
 import itertools
@@ -44,16 +45,21 @@ from poincount.cli import run
 from poincount.jetpoly import Poly, _echelon, matrix_rank, rank_profile
 
 from oracles import (
+    acting_parameter_count,
     coordinates,
     derivative_orders,
     jet_columns,
     one_pass_rank_profile,
+    poly_diff,
     prolonged_fields_oracle,
     prolonged_rows_oracle,
     rational_rank,
     rows_at,
+    substitute,
     substitution_plan,
+    three_point_ranks,
     total_derivative,
+    truncated_mul,
     xreparam_stratum_oracle,
 )
 
@@ -629,19 +635,19 @@ def test_truncated_substitution_drops_only_high_base_degrees(case):
             if v in values:
                 term = term * values[v] ** e
         full = full + term
-    assert poly.substitute(values, base, degree) == _base_truncation(full, base, degree)
+    assert substitute(poly, values, base, degree) == _base_truncation(full, base, degree)
     for value in values.values():
-        assert poly.truncated_mul(value, base, degree) == _base_truncation(
+        assert truncated_mul(poly, value, base, degree) == _base_truncation(
             poly * value, base, degree
         )
 
 
 def _poly_results(poly, values, base, degree):
     out = [poly, -poly, poly + poly, poly - 1, 3 * poly, poly * poly]
-    out += [poly.diff(var) for var in range(6)]
-    out.append(poly.substitute(values, base, degree))
+    out += [poly_diff(poly, var) for var in range(6)]
+    out.append(substitute(poly, values, base, degree))
     for value in values.values():
-        out += [poly + value, poly * value, poly.truncated_mul(value, base, degree)]
+        out += [poly + value, poly * value, truncated_mul(poly, value, base, degree)]
     return out
 
 
@@ -1310,7 +1316,9 @@ def test_prolong_does_no_fraction_arithmetic(name, k, monkeypatch):
 @pytest.mark.parametrize("name, k", [("metric2d", 4), ("riccati-mixed", 3), ("x-reparam", 4)])
 def test_prolong_does_no_poly_arithmetic(name, k, monkeypatch):
     # the engine's plan holds the row forms: prolong evaluates them at the
-    # point and substitutes, multiplies or differentiates no polynomial
+    # point and adds, subtracts or multiplies no polynomial; Poly has no
+    # substitution, truncated product or derivative left to call
+    assert not any(hasattr(Poly, op) for op in ("substitute", "truncated_mul", "diff"))
     scenario = _scenario(name)
     engine = _StratumEngine(scenario, k)
     point = sample_stratum_point(
@@ -1321,7 +1329,7 @@ def test_prolong_does_no_poly_arithmetic(name, k, monkeypatch):
     def refuse(*args):
         raise AssertionError("Poly arithmetic inside prolong")
 
-    for op in ("substitute", "truncated_mul", "diff", "__add__", "__sub__"):
+    for op in ("__add__", "__sub__", "__mul__"):
         monkeypatch.setattr(Poly, op, refuse)
     scale, rows = prolong(engine.plan, point)
     monkeypatch.undo()
@@ -1330,18 +1338,15 @@ def test_prolong_does_no_poly_arithmetic(name, k, monkeypatch):
 
 
 @pytest.mark.parametrize("name, k", [("metric2d", 4), ("riccati-mixed", 3), ("x-reparam", 4)])
-def test_plan_build_does_no_substitution(name, k, monkeypatch):
+def test_plan_build_does_no_substitution(name, k):
     # the plan expands each generator term into its row-form entries: the
-    # build substitutes and differentiates no polynomial (the generator
-    # parse still adds, multiplies and divides Polys)
-    scenario = _scenario(name)
-
-    def refuse(*args):
-        raise AssertionError("Poly substitution or derivative inside the plan build")
-
-    for op in ("substitute", "diff"):
-        monkeypatch.setattr(Poly, op, refuse)
-    engine = _StratumEngine(scenario, k)
+    # build substitutes and differentiates no polynomial, and Poly has no
+    # substitution, truncated product or derivative to do it with (the
+    # generator parse still adds, multiplies and divides Polys); the oracle
+    # substitution_plan keeps its own copies of them
+    for op in ("substitute", "truncated_mul", "diff"):
+        assert not hasattr(Poly, op), op
+    engine = _StratumEngine(_scenario(name), k)
     assert engine.plan.forms
 
 
@@ -1416,7 +1421,15 @@ def test_metric3d_point_past_sixty_draws_is_sampled():
     assert h == [0, 0, 3, 15] == hilbert_spec("riemannian", n=3).values(3)
 
 
-@pytest.mark.parametrize("name, k", [("x-reparam", 4), ("riccati-mixed", 3), ("metric3d", 2)])
+#: Points one codim_sequence draws: one where the first point reaches the
+#: bound min(M_k, d_k) at every order, three on metric2d, whose order 2
+#: stays below it (19 against 20, the so(2) isotropy).
+POINTS_PER_SEQUENCE = {"x-reparam": 1, "riccati-mixed": 1, "metric3d": 1, "metric2d": 3}
+
+
+@pytest.mark.parametrize(
+    "name, k", [("x-reparam", 4), ("riccati-mixed", 3), ("metric3d", 2), ("metric2d", 3)]
+)
 def test_one_plan_per_engine(name, k, monkeypatch):
     # the generators are instantiated and planned once per engine, however
     # many points that engine samples
@@ -1443,7 +1456,7 @@ def test_one_plan_per_engine(name, k, monkeypatch):
     scenario = _scenario(name)
     engine = _StratumEngine(scenario, k)
     engine.codim_sequence(next(iter(scenario.strata)), seed=k)
-    assert len(points) >= 3
+    assert len(points) == POINTS_PER_SEQUENCE[name]
     assert len(instantiations) == 1 and builds == [engine.plan]
     assert len(engine.plan.specs) == len(engine.params)
     # prolong hands its rows in parameter order
@@ -1504,7 +1517,7 @@ def _form_verdict(engine_or_error, stratum):
         assert "sentinel" in str(engine_or_error)
         return "sentinel"
     try:
-        engine_or_error.check_tangent(stratum)
+        engine_or_error.acting_counts(stratum)
     except InvariantViolation as exc:
         found = re.fullmatch(rf"generator not tangent to stratum {re.escape(repr(stratum.label))} "
                              r"at coordinate ('.*')", str(exc))
@@ -1568,21 +1581,31 @@ def test_tangency_is_decided_before_any_point_is_drawn(monkeypatch):
 
 
 def test_one_tangency_check_per_codim_sequence(monkeypatch):
-    # however many points a sequence draws, its stratum is checked once,
-    # also when the ranks disagree and the retry round draws three more
+    # however many points a sequence draws, its stratum is checked once:
+    # sigma2 is settled by its first point, metric2d draws three points
+    # (order 2 is not settled), and when the ranks disagree the retry
+    # round draws three more, six in all
     checks, points = [], []
-    check, sample = _StratumEngine.check_tangent, jetflow.sample_stratum_point
-    monkeypatch.setattr(_StratumEngine, "check_tangent",
+    check, sample = _StratumEngine.acting_counts, jetflow.sample_stratum_point
+    monkeypatch.setattr(_StratumEngine, "acting_counts",
                         lambda self, stratum: checks.append(stratum) or check(self, stratum))
     monkeypatch.setattr(jetflow, "sample_stratum_point",
                         lambda *args: points.append(1) or sample(*args))
     engine = _StratumEngine(SC, 4)
     engine.codim_sequence("sigma2", seed=3)
-    assert (len(checks), len(points)) == (1, 3)
+    assert (len(checks), len(points)) == (1, 1)
+    for k in (2, 4):
+        checks.clear()
+        points.clear()
+        _StratumEngine(get_scenario("metric2d"), k).codim_sequence("generic", seed=3)
+        assert (len(checks), len(points)) == (1, 3)
     checks.clear()
     points.clear()
-    monkeypatch.setattr(jetflow, "rank_profile", lambda rows, cuts: [len(points)])
-    with pytest.raises(jetflow.GenericityFailure):
+    # every rank the count of points drawn so far: no order is settled
+    # and no two points agree
+    monkeypatch.setattr(jetflow, "rank_profile", lambda rows, cuts: [len(points)] * len(cuts))
+    evidence = r"for stratum 'sigma2': \[4, 4, 4, 4, 4\] vs \[5, 5, 5, 5, 5\]; bound \[3, 3, 5, 8, 12\]$"
+    with pytest.raises(jetflow.GenericityFailure, match=evidence):
         engine.codim_sequence("sigma2", seed=3)
     assert (len(checks), len(points)) == (1, 6)
 
@@ -1601,3 +1624,107 @@ def test_non_tangent_stratum_with_unmet_positivity_is_a_violation():
 def test_metric2d_seed_independent():
     results = {tuple(metric2d_h(3, seed=s)) for s in (5, 6, 7)}
     assert results == {(0, 0, 1, 1)}
+
+
+# -- the acting counts and the one-point certificate ---------------------------
+
+
+@pytest.mark.parametrize("name, k", [("metric2d", 6), ("metric3d", 3), ("x-reparam", 7)])
+def test_acting_counts_on_the_whole_space_are_the_closed_form(name, k):
+    # with nothing vanishing, every parameter that acts on J^k keeps a term
+    # there: M_k is the closed form N_k read off the generator texts
+    scenario = _scenario(name)
+    counts = _StratumEngine(scenario, k).acting_counts(StratumCase("whole"))
+    assert counts == [acting_parameter_count(scenario, j) for j in range(k + 1)]
+
+
+def test_acting_counts_on_the_x_reparam_strata_are_shifted_closed_forms():
+    # on sigma_j the parameters acting up to order k are those acting on
+    # the whole space up to order k - s_j: M_k(sigma_j) = N_max(k - s_j, 0)
+    n = [acting_parameter_count(SC, k) for k in range(8)]
+    engine = _StratumEngine(SC, 7)
+    for label, shift in zip(SC.strata, (0, 1, 1, 2, 2, 2, 3)):
+        counts = engine.acting_counts(SC.stratum(label))
+        assert counts == [n[max(k - shift, 0)] for k in range(8)], label
+
+
+#: Every built-in and local scenario, at an order its engine builds quickly.
+BOUND_ORDERS = {
+    "x-reparam": 5, "metric2d": 4, "distribution3d": 0, "line-affine": 3,
+    "riccati-mixed": 3, "metric3d": 2, "fiber-degrees": 3, "mixed-orders": 3,
+}
+BOUND_CASES = [(name, label) for name in BOUND_ORDERS for label in _scenario(name).strata]
+
+
+@functools.cache
+def _bound_engine(name):
+    return _StratumEngine(_scenario(name), BOUND_ORDERS[name])
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(BOUND_CASES), st.booleans(), st.data())
+def test_no_point_ranks_above_the_bound(case, degenerate, data):
+    # at a seeded rational point of the stratum, and at a degenerate
+    # integer point (jets drawn from -1..1, the vanishing ones 0, the open
+    # conditions ignored), the rank at every order is at most min(M_k, d_k)
+    name, label = case
+    engine = _bound_engine(name)
+    stratum = engine.scenario.stratum(label)
+    space = engine.space
+    if degenerate:
+        zeros, _ = stratum_columns(space, stratum)
+        jets = data.draw(st.lists(st.integers(-1, 1), min_size=space.dim, max_size=space.dim))
+        point = {
+            var: Fraction(0 if var < space.p or var in zeros else jet)
+            for var, jet in enumerate(jets)
+        }
+    else:
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        point = sample_stratum_point(space, stratum, rng, engine.positivity)
+    bound = list(map(min, engine.acting_counts(stratum), engine._dims(stratum)))
+    ranks = rank_profile(prolong(engine.plan, point)[1].values(), engine.cols_at)
+    assert all(rank <= most for rank, most in zip(ranks, bound)), (ranks, bound)
+
+
+def test_a_degenerate_first_point_falls_back_to_the_three_point_round(monkeypatch):
+    # the first point drawn is made the all-zero jet, which leaves orders
+    # below the bound: its round draws three points and disagrees, and the
+    # retry round still gives the generic profile, settled by its first
+    # point on sigma2 and agreed by three on metric2d
+    sample, points = jetflow.sample_stratum_point, []
+
+    def zero_first(*args):
+        point = sample(*args)
+        points.append(point if points else dict.fromkeys(point, Fraction(0)))
+        return points[-1]
+
+    monkeypatch.setattr(jetflow, "sample_stratum_point", zero_first)
+    for name, label, k, generic, drawn in [
+        ("x-reparam", "sigma2", 4, [3, 3, 5, 8, 12], 4),
+        ("metric2d", "generic", 3, [5, 11, 19, 30], 6),
+    ]:
+        points.clear()
+        engine = _StratumEngine(_scenario(name), k)
+        assert engine.sampled_ranks(engine.scenario.stratum(label), seed=5) == generic
+        assert len(points) == drawn
+
+
+def test_sampled_ranks_draw_the_three_point_rounds_points(monkeypatch):
+    # metric2d leaves order 2 open, so every round draws the three points
+    # the three-point rounds draw; an x-reparam stratum is settled by the
+    # first of them.  Both give the profile the three-point rounds give.
+    sample, drawn = jetflow.sample_stratum_point, []
+    monkeypatch.setattr(jetflow, "sample_stratum_point",
+                        lambda *args: drawn.append(sample(*args)) or drawn[-1])
+    for engine, label, seeds, first in [
+        (_StratumEngine(get_scenario("metric2d"), 3), "generic", range(1, 31), 3),
+        *[(_StratumEngine(SC, 5), label, range(1, 4), 1) for label in SC.strata],
+    ]:
+        stratum = engine.scenario.stratum(label)
+        for seed in seeds:
+            drawn.clear()
+            ranks = engine.sampled_ranks(stratum, seed)
+            ours = drawn[:]
+            drawn.clear()
+            assert ranks == three_point_ranks(engine, stratum, seed), (label, seed)
+            assert len(ours) in (first, 6) and ours == drawn[: len(ours)], (label, seed)
