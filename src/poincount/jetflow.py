@@ -26,14 +26,19 @@ the stratum up to order k.  Rank is lower semicontinuous, so the rank at
 any point of the stratum is at most the generic rank, which is at most
 min(M_k, d_k), d_k the stratum's dimension in J^k.  A sampled point that
 reaches that bound at an order settles the order exactly; only the
-orders it leaves open need three seeded points that agree.
+orders it leaves open need three seeded points that agree.  On an open
+stratum, stratum_codim_sequence certifies freeness at one probe order k*
+instead of ranking every order: a point of rank N_k* there (N_k below)
+is free at every higher order too, so s_k = d_k - N_k above k* is read
+off the closed form and the engine is built at k* only.
 
 Free-function truncation is read off the generators: with r_f the highest
 derivative order among a free function's tokens, order-k components read
 the jets of f up to order k + r_f, so f is truncated at degree k + r_f,
 and each coefficient of degree k + r_f + 1 is a sentinel, which the engine
 checks has no row form.  The non-sentinel parameters are the N_k
-parameters that act on J^k.
+parameters that act on J^k, counted by _Field.acting_count off the same
+truncation rule.
 """
 
 from __future__ import annotations
@@ -43,9 +48,9 @@ import re
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import comb, factorial, lcm, prod
 from operator import add, mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .algebra import RationalFunction
 from .errors import UsageError
@@ -529,6 +534,33 @@ class StratumCase:
             raise ValueError(f"coordinates {sorted(overlap)} both zero and nonzero")
 
 
+class _Field(NamedTuple):
+    """A scenario's generators parsed once (Scenario.field): the summed
+    components xi (base) and phi (fiber), with exactly one token in each
+    monomial (ProlongPlan), and the parameter blocks in parameter order,
+    each (name, r, tokens) with tokens its (variable, gamma) pairs: a
+    fixed generator is ("fixed[i]", None, ((marker, zero),)), a free
+    function f of a generator (f, r_f, its jet tokens d^gamma f)."""
+
+    xi: tuple[Poly, ...]
+    phi: tuple[Poly, ...]
+    blocks: tuple[tuple[str, int | None, tuple[tuple[int, MultiIndex], ...]], ...]
+
+    def cutoffs(self, order: int) -> list[int]:
+        """The degree each block is truncated at on J^order, the one rule
+        that `instantiate` and `acting_count` read: k + r_f for a free
+        function (order-k components read its jets up to order k + r_f),
+        0 for a fixed generator, whose one parameter is the constant 1 on
+        its marker token."""
+        return [0 if r is None else order + r for _, r, _ in self.blocks]
+
+    def acting_count(self, order: int) -> int:
+        """N_order, the non-sentinel parameters on J^order: the C(p + c, p)
+        monomials x^beta with |beta| <= c per block cut at degree c."""
+        p = len(self.xi)
+        return sum(comb(p + cutoff, p) for cutoff in self.cutoffs(order))
+
+
 class Scenario:
     """Declarative description of a pseudogroup action on a trivial bundle.
 
@@ -629,26 +661,21 @@ class Scenario:
 
     # -- generator instantiation ----------------------------------------
 
-    def instantiate(self, space: JetSpace) -> tuple[ProlongPlan, list[ParamInfo]]:
-        """Parse the generators once into one ProlongPlan on `space`,
-        truncating each free function at the order its tokens read.
+    def field(self) -> _Field:
+        """Parse the generators once into the one field they sum to and
+        its parameter blocks (_Field), for `instantiate` at any order.
 
-        The parameters go generator by generator.  A generator's
-        function-free part, when it is nonzero, is one parameter (a fixed
-        generator, marked by a token of its own).  The monomial
-        coefficients of each free function f the generator mentions
-        follow, up to degree k + r_f (k the space's order, r_f the highest
-        |gamma| among f's tokens d^gamma f there), and then those of
-        degree k + r_f + 1, every one a sentinel, which must act trivially:
-        the engine checks that it has no row form.  Each free function
-        belongs to the one generator that mentions it.  Components may use
-        known symbols only, must be linear in the jet tokens and may divide
-        by constants only.
+        The blocks go generator by generator.  A generator's function-free
+        part, when it is nonzero, is one block (a fixed generator, marked
+        by a token of its own); each free function f the generator mentions
+        follows, with r_f the highest |gamma| among f's tokens d^gamma f
+        there.  Each free function belongs to the one generator that
+        mentions it.  Components may use known symbols only, must be linear
+        in the jet tokens and may divide by constants only.
         """
         first_token = self.p + self.q
         zero = (0,) * self.p
-        params: list[ParamInfo] = []
-        specs: list[tuple[tuple[int, int, MultiIndex], ...]] = []
+        blocks: list[tuple[str, int | None, tuple[tuple[int, MultiIndex], ...]]] = []
         xi_sum, phi_sum = [Poly.zero()] * self.p, [Poly.zero()] * self.q
         first = first_token  # the next generator's first token variable
         for index, gen in enumerate(self.generators):
@@ -698,8 +725,7 @@ class Scenario:
             # a monomial without a token (the token sorts last) gets the marker
             fixed = lambda mono: not mono or mono[-1][0] < first_token
             if any(fixed(mono) for comp in (*xi, *phi) for mono in comp.terms):
-                specs.append(((marker, 1, zero),))
-                params.append(ParamInfo(name=f"fixed[{index}]", sentinel=False))
+                blocks.append((f"fixed[{index}]", None, ((marker, zero),)))
             marked = lambda comp: Poly({
                 mono + ((marker, 1),) if fixed(mono) else mono: c
                 for mono, c in comp.terms.items()
@@ -707,24 +733,41 @@ class Scenario:
             xi_sum = [a + marked(b) for a, b in zip(xi_sum, xi)]
             phi_sum = [a + marked(b) for a, b in zip(phi_sum, phi)]
             orders = _derivative_orders(tokens.values())
-            by_function: dict[str, list[tuple[int, MultiIndex]]] = {}
-            for var, fname, gamma in tokens.values():
-                by_function.setdefault(fname, []).append((var, gamma))
             for fname in self.free_functions:
-                if fname not in orders:
-                    continue
-                cutoff = space.order + orders[fname]
-                for beta in (b for m in range(cutoff + 2) for b in _multi_indices(self.p, m)):
-                    spec = []
-                    for var, gamma in by_function[fname]:
-                        if all(g <= b for g, b in zip(gamma, beta)):
-                            shift = tuple(b - g for b, g in zip(beta, gamma))
-                            spec.append((var, _factorial(beta) // _factorial(shift), shift))
-                    specs.append(tuple(spec))
-                    sentinel = sum(beta) > cutoff
-                    name = f"{fname}[{beta}]" + ("#sentinel" if sentinel else "")
-                    params.append(ParamInfo(name=name, sentinel=sentinel))
-        return ProlongPlan(space, xi_sum, phi_sum, specs), params
+                if fname in orders:
+                    named = tuple((var, gamma) for var, f, gamma in tokens.values() if f == fname)
+                    blocks.append((fname, orders[fname], named))
+        return _Field(tuple(xi_sum), tuple(phi_sum), tuple(blocks))
+
+    def instantiate(
+        self, space: JetSpace, field: _Field | None = None
+    ) -> tuple[ProlongPlan, list[ParamInfo]]:
+        """The field, parsed here unless it is given (`field`), as one
+        ProlongPlan on `space`, each free function truncated at the order
+        its tokens read.
+
+        The parameters go block by block, each cut at _Field.cutoffs.  A
+        fixed generator is one parameter.  A free function f gives its
+        monomial coefficients up to degree k + r_f (k the space's order),
+        and then those of degree k + r_f + 1, every one a sentinel, which
+        must act trivially: the engine checks that it has no row form.
+        """
+        field = field or self.field()
+        params: list[ParamInfo] = []
+        specs: list[tuple[tuple[int, int, MultiIndex], ...]] = []
+        for (name, r, tokens), cutoff in zip(field.blocks, field.cutoffs(space.order)):
+            top = cutoff if r is None else cutoff + 1  # a fixed generator has no sentinel
+            for beta in (b for m in range(top + 1) for b in _multi_indices(self.p, m)):
+                spec = []
+                for var, gamma in tokens:
+                    if all(g <= b for g, b in zip(gamma, beta)):
+                        shift = tuple(b - g for b, g in zip(beta, gamma))
+                        spec.append((var, _factorial(beta) // _factorial(shift), shift))
+                specs.append(tuple(spec))
+                sentinel = sum(beta) > cutoff
+                label = name if r is None else f"{name}[{beta}]" + ("#sentinel" if sentinel else "")
+                params.append(ParamInfo(name=label, sentinel=sentinel))
+        return ProlongPlan(space, field.xi, field.phi, specs), params
 
     def _token(self, name: str) -> tuple[str, MultiIndex] | None:
         """(function, gamma) of a free-function jet token f, f_x, f_xy, ..."""
@@ -889,14 +932,15 @@ class _StratumEngine:
     (InvariantViolation, whatever the stratum).  A form keeps only its
     nonzero sums, one term per (column, jet monomial), so a sentinel's
     form is a nonzero polynomial in the jets and acts at generic points.
-    The engine holds no random state: each caller seeds its own generator.
+    The engine holds no random state: each caller seeds its own generator;
+    `field` is the scenario's parsed generators, when the caller has them.
     """
 
-    def __init__(self, scenario: Scenario, k_max: int):
+    def __init__(self, scenario: Scenario, k_max: int, field: _Field | None = None):
         self.scenario = scenario
         self.k_max = k_max
         self.space = scenario.space(k_max)
-        self.plan, self.params = scenario.instantiate(self.space)
+        self.plan, self.params = scenario.instantiate(self.space, field)
         if any(self.params[slot].sentinel for slot, *_ in self.plan.forms):
             raise InvariantViolation("sentinel parameter acts nontrivially: truncated too low")
         self.cols_at = self.space.cols_at
@@ -944,7 +988,9 @@ class _StratumEngine:
         zeros, _ = stratum_columns(self.space, stratum)
         return [cut - sum(col < cut for col in zeros) for cut in self.cols_at]
 
-    def sampled_ranks(self, stratum: StratumCase, seed: int) -> list[int]:
+    def sampled_ranks(
+        self, stratum: StratumCase, seed: int, free: int | None = None
+    ) -> list[int] | None:
         """Orbit rank at each order 0..k_max on the stratum, once
         acting_counts has found the generators tangent to it.
 
@@ -959,7 +1005,8 @@ class _StratumEngine:
         it leaves open (ranks below that order are compared too, and those
         above it are not computed).  One retry round, then
         GenericityFailure, which names the disagreeing profiles and the
-        bound.
+        bound.  With `free` given, the first point is a probe: unless its
+        rank at k_max is `free`, None is returned after that one point.
         """
         bound = list(map(min, self.acting_counts(stratum), self._dims(stratum)))
         rng = random.Random(seed)
@@ -970,6 +1017,9 @@ class _StratumEngine:
 
         for _ in range(2):
             first = ranks(self.cols_at)
+            if free is not None and first[-1] != free:
+                return None
+            free = None
             open_orders = [k for k, (r, b) in enumerate(zip(first, bound)) if r != b]
             if not open_orders:
                 return first
@@ -986,7 +1036,8 @@ class _StratumEngine:
     def codim_sequence(
         self, stratum: StratumCase | str, seed: int
     ) -> tuple[list[int], list[int]]:
-        """(s_k, h_k) for one stratum; see stratum_codim_sequence."""
+        """(s_k, h_k) for one stratum, every order ranked on this engine;
+        see stratum_codim_sequence."""
         stratum = self.scenario.stratum(stratum)
         dims = self._dims(stratum)  # checks that every name is a jet
         for name in stratum.equalities:
@@ -995,10 +1046,7 @@ class _StratumEngine:
                     f"stratum {stratum.label!r} sets {name!r} to zero, "
                     f"which is not a coordinate of jet order {self.k_max}"
                 )
-        rank_k = self.sampled_ranks(stratum, seed)
-        s = [dim - rank for dim, rank in zip(dims, rank_k)]
-        h = [s[0]] + [s[k] - s[k - 1] for k in range(1, self.k_max + 1)]
-        return s, h
+        return _codims(dims, self.sampled_ranks(stratum, seed))
 
     def annihilates(self, invariant: str, stratum: StratumCase, seed: int) -> bool:
         """True iff the derivative of the invariant along every tangent row,
@@ -1024,6 +1072,13 @@ class _StratumEngine:
         return True
 
 
+def _codims(dims: Sequence[int], ranks: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(s_k, h_k) from the stratum's dimensions d_k and orbit ranks:
+    s_k = d_k - rank_k, h_0 = s_0 and h_k = s_k - s_(k-1)."""
+    s = [dim - rank for dim, rank in zip(dims, ranks)]
+    return s, s[:1] + [b - a for a, b in zip(s, s[1:])]
+
+
 def stratum_codim_sequence(
     scenario: Scenario,
     stratum: StratumCase | str,
@@ -1042,8 +1097,41 @@ def stratum_codim_sequence(
     checks that no sentinel acts and that the generators are tangent to
     the stratum, each once off the plan's forms, before any point is
     drawn.  A vanishing condition above k_max raises OrderExceeded.
+
+    On an open stratum (no equalities) freeness is certified at one probe
+    order k*, the first k in 1..k_max - 1 with N_k < d_k, N_k the
+    non-sentinel parameters on J^k (_Field.acting_count), and no lower
+    than the highest jet the positivity names.  The engine is built at
+    k*, and when its round's first point has rank N_k* there the round is
+    finished on it and s_k = d_k - N_k for every k > k*; otherwise the
+    order-k_max engine runs from the same seed, as without the probe.
+    This is exact, the persistence of freeness (Olver and Pohjanpelto,
+    "Moving frames for Lie pseudogroups", Canad. J. Math. 2008):
+      1. A parameter of degree m + r_f, m >= 1, vanishes to order m at the
+         base origin, so it first acts on the order-m jets, and there only
+         through its symbol s_m(P)_sigma = s_0(d_sigma P), whose
+         coefficients are fixed by the point's jets of order <= 1.
+      2. Let rank = N at order k0 >= 1.  Then s_k0 is injective.  A
+         combination P of the parameters acting on J^k, k > k0, with zero
+         row has zero projection to J^k0, which kills every parameter of
+         order <= k0; for the lowest remaining order m, d_tau P lies in
+         ker s_k0 for every |tau| = m - k0, so P = 0.
+      3. So rank_k = N_k, for every k > k0, at every point over the probe
+         point, and that is the generic rank on the open stratum.
+    No float, modular or probabilistic step is used.
     """
-    return _StratumEngine(scenario, k_max).codim_sequence(stratum, seed)
+    space = scenario.space(k_max)  # refuses an order outside 0..9 first
+    field = scenario.field()
+    stratum = scenario.stratum(stratum)
+    counts = [field.acting_count(k) for k in range(k_max + 1)]
+    named = [space._jet_index(name) for text in scenario.positivity for name in symbol_names(text)]
+    lowest = max([1] + [sum(jet[1]) for jet in named if jet])
+    probe = next((k for k in range(lowest, k_max) if counts[k] < space.cols_at[k]), None)
+    if probe is not None and not stratum.equalities:
+        ranks = _StratumEngine(scenario, probe, field).sampled_ranks(stratum, seed, counts[probe])
+        if ranks is not None:
+            return _codims(space.cols_at, ranks + counts[probe + 1 :])
+    return _StratumEngine(scenario, k_max, field).codim_sequence(stratum, seed)
 
 
 def annihilation_check(

@@ -331,9 +331,9 @@ def test_lie_example_table_rows(monkeypatch):
     instantiations = []
     instantiate = Scenario.instantiate
 
-    def counted(self, space):
+    def counted(self, space, field=None):
         instantiations.append(self.id)
-        return instantiate(self, space)
+        return instantiate(self, space, field)
 
     monkeypatch.setattr(Scenario, "instantiate", counted)
     rows = {row.label: row for row in lie_example_table(7, 2024)}
@@ -755,6 +755,7 @@ def test_non_sentinel_parameters_are_n_k():
             fixed = sum(info.name.startswith("fixed[") for info in params)
             n_k = fixed + sum(math.comb(p + k + r, p) for r in orders)
             assert sum(not info.sentinel for info in params) == n_k, (name, k)
+            assert scenario.field().acting_count(k) == n_k, (name, k)
             assert sum(info.sentinel for info in params) == sum(
                 math.comb(p + k + r, p - 1) for r in orders
             ), (name, k)
@@ -1414,10 +1415,11 @@ def test_metric3d_order_three_matches_catalog():
 
 def test_metric3d_point_past_sixty_draws_is_sampled():
     # the positivity g11 > 0, g11 g22 > g12^2 accepts about 12 % of the
-    # draws; at this seed the first point takes 65 draws, past a budget of
-    # 60 draws (a 4.5e-4 chance per point) but well within _SAMPLE_TRIES
+    # draws; at this seed the first J^3 point takes 65 draws, past a budget
+    # of 60 draws (a 4.5e-4 chance per point) but well within _SAMPLE_TRIES.
+    # The order-3 engine draws it: stratum_codim_sequence probes at order 2
     assert jetflow._SAMPLE_TRIES >= 65
-    h = stratum_codim_sequence(Scenario(METRIC3D), "generic", 3, seed=436609)[1]
+    h = _StratumEngine(Scenario(METRIC3D), 3).codim_sequence("generic", seed=436609)[1]
     assert h == [0, 0, 3, 15] == hilbert_spec("riemannian", n=3).values(3)
 
 
@@ -1438,9 +1440,9 @@ def test_one_plan_per_engine(name, k, monkeypatch):
     build = ProlongPlan.__init__
     sample = jetflow.sample_stratum_point
 
-    def counted_instantiate(self, space):
+    def counted_instantiate(self, space, field=None):
         instantiations.append(space)
-        return instantiate(self, space)
+        return instantiate(self, space, field)
 
     def counted_build(self, *args):
         builds.append(self)
@@ -1728,3 +1730,131 @@ def test_sampled_ranks_draw_the_three_point_rounds_points(monkeypatch):
             drawn.clear()
             assert ranks == three_point_ranks(engine, stratum, seed), (label, seed)
             assert len(ours) in (first, 6) and ours == drawn[: len(ours)], (label, seed)
+
+
+# -- the freeness certificate at one probe order -------------------------------
+
+
+#: k*, the first order k >= 1 with N_k < d_k, of each scenario that has one;
+#: riccati-mixed is not free at order 4, so its probe fails
+PROBE_ORDERS = {"metric2d": 3, "metric3d": 2, "line-affine": 2, "riccati-mixed": 4,
+                "distribution3d": 1}
+
+CERTIFY_CASES = (
+    [("metric2d", k) for k in range(10)]
+    + [("metric3d", k) for k in range(1, 5)]
+    + [(name, k) for name in ("line-affine", "fyy", "mixed-orders", "riccati-mixed",
+                              "fiber-degrees", "distribution3d", "x-reparam") for k in range(6)]
+)
+
+
+def _built_orders(monkeypatch) -> list:
+    """The order of every engine instantiated from here on, in order."""
+    built, instantiate = [], Scenario.instantiate
+    monkeypatch.setattr(Scenario, "instantiate", lambda self, space, field=None: (
+        built.append(space.order) or instantiate(self, space, field)))
+    return built
+
+
+@pytest.mark.parametrize("name, k_max", CERTIFY_CASES)
+def test_certified_sequence_equals_the_order_k_engine(name, k_max, monkeypatch):
+    # on every open stratum, at several seeds, the sequence read off the
+    # probe engine and the closed form equals the one the order-k_max
+    # engine ranks; the probe engine is the only one built where it
+    # certifies, and a failed probe is followed by the order-k_max engine
+    scenario = Scenario(FYY) if name == "fyy" else _scenario(name)
+    built = _built_orders(monkeypatch)
+    probe = PROBE_ORDERS.get(name, k_max)
+    expected_builds = (
+        [k_max] if probe >= k_max else [probe, k_max] if name == "riccati-mixed" else [probe]
+    )
+    for label, stratum in scenario.strata.items():
+        if stratum.equalities:
+            continue
+        for seed in (1, 2, 3):
+            built.clear()
+            got = stratum_codim_sequence(scenario, label, k_max, seed)
+            assert built == expected_builds, (label, seed)
+            assert got == _StratumEngine(scenario, k_max).codim_sequence(label, seed), (label, seed)
+
+
+@pytest.mark.parametrize("name, k_max", [("metric2d", 7), ("metric3d", 4)])
+def test_freeness_persists_above_the_probe_point(name, k_max, monkeypatch):
+    # the probe's certifying point, a J^k* point, with its higher jets all
+    # zero or drawn at random, has rank N_k at every order k >= k* on the
+    # order-k_max engine
+    scenario, probe = _scenario(name), PROBE_ORDERS[name]
+    sample, drawn = jetflow.sample_stratum_point, []
+    monkeypatch.setattr(jetflow, "sample_stratum_point",
+                        lambda *args: drawn.append(sample(*args)) or drawn[-1])
+    stratum_codim_sequence(scenario, "generic", k_max, seed=5)
+    engine = _StratumEngine(scenario, k_max)
+    point, higher = drawn[0], range(engine.cols_at[probe], engine.space.dim)
+    assert list(point) == list(range(engine.cols_at[probe]))
+    n = [acting_parameter_count(scenario, k) for k in range(k_max + 1)]
+    rng = random.Random(k_max)
+    lifts = [dict.fromkeys(higher, Fraction(0))] + [
+        {var: rng.choice(jetflow._VALUES) for var in higher} for _ in range(3)
+    ]
+    for lift in lifts:
+        ranks = rank_profile(prolong(engine.plan, point | lift)[1].values(), engine.cols_at)
+        assert ranks[probe:] == n[probe:]
+
+
+@pytest.mark.parametrize("name, k_max", [("metric2d", 6), ("metric3d", 3), ("line-affine", 4)])
+def test_a_failed_probe_runs_the_order_k_engine_draw_for_draw(name, k_max, monkeypatch):
+    # the probe's rank, the first one taken, made to miss N_k* by one: the
+    # order-k_max engine then runs from the same seed, drawing and ranking
+    # what it draws without the probe, with one more engine built
+    scenario = _scenario(name)
+    sample, rank = jetflow.sample_stratum_point, jetflow.rank_profile
+    drawn, ranked = [], []
+
+    def missed(rows, cuts):
+        ranked.append(rank(rows, cuts))
+        return ranked[-1][:-1] + [ranked[-1][-1] - 1] if len(ranked) == 1 else ranked[-1]
+
+    monkeypatch.setattr(jetflow, "sample_stratum_point",
+                        lambda *args: drawn.append(sample(*args)) or drawn[-1])
+    monkeypatch.setattr(jetflow, "rank_profile", missed)
+    built = _built_orders(monkeypatch)
+    got = stratum_codim_sequence(scenario, "generic", k_max, seed=4)
+    assert built == [PROBE_ORDERS[name], k_max]
+    assert ranked[0][-1] == acting_parameter_count(scenario, PROBE_ORDERS[name])
+    after, rank_after = drawn[1:], ranked[1:]
+    monkeypatch.setattr(jetflow, "rank_profile", lambda rows, cuts: ranked.append(rank(rows, cuts))
+                        or ranked[-1])
+    for seen in (drawn, ranked, built):
+        seen.clear()
+    assert _StratumEngine(scenario, k_max).codim_sequence("generic", seed=4) == got
+    assert drawn == after and ranked == rank_after and built == [k_max]
+
+
+def test_one_engine_per_sequence(monkeypatch):
+    # one engine when the probe certifies, at k*; the order-k_max engine
+    # alone for every stratum with equalities, also where a probe order
+    # exists (distribution3d, k* = 1)
+    built = _built_orders(monkeypatch)
+    for scenario, label, k_max, engines in [
+        (get_scenario("metric2d"), "generic", 6, [3]),
+        (Scenario(METRIC3D), "generic", 3, [2]),
+        *[(SC, f"sigma{j}", 7, [7]) for j in range(1, 7)],
+        (get_scenario("distribution3d"), "r != 0", 3, [1]),
+        (get_scenario("distribution3d"), "r = 0, s != 0", 3, [3]),
+        (get_scenario("distribution3d"), "r = s = 0", 3, [3]),
+    ]:
+        built.clear()
+        stratum_codim_sequence(scenario, label, k_max, seed=2)
+        assert built == engines, (scenario.id, label)
+
+
+def test_the_probe_order_is_no_lower_than_the_positivity_reads(monkeypatch):
+    # a positivity condition on u3 holds the probe at order 3, where the
+    # engine can evaluate it, though N_2 < d_2 already
+    built = _built_orders(monkeypatch)
+    expected = stratum_codim_sequence(Scenario(LINE_AFFINE), "generic", 5, seed=5)
+    assert built == [2]
+    built.clear()
+    scenario = Scenario(dict(LINE_AFFINE, positivity=["u3"]))
+    assert stratum_codim_sequence(scenario, "generic", 5, seed=5) == expected
+    assert built == [3]

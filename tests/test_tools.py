@@ -1,7 +1,11 @@
 import ast
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 
 def _bench_pairs():
@@ -40,6 +44,24 @@ def test_summarize_names_the_seeds_with_failed_operations():
     assert (wall["parent_median"], wall["change_median"], wall["wins"]) == (1.15, 1.0, 4)
     clean = [dict(run, parent=_run(1.0, 0, {}), change=_run(1.0, 0, {})) for run in runs]
     assert _bench_pairs().summarize(clean, spec)["failed_seeds"] == {"parent": [], "change": []}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read in KiB, as on Linux")
+def test_a_launched_run_reports_its_own_peak_rss():
+    # ru_maxrss, which perfbench reports as peak_rss_mb, is inherited
+    # across exec from the process a child is started from: after this
+    # process holds 60 MB, a run started by the launcher still reads a
+    # peak below that, while one started from here directly does not
+    peak = [sys.executable, "-c",
+            "import resource; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"]
+    bench_pairs = _bench_pairs()
+    held = b"\1" * (60 << 20)
+    with bench_pairs.Launcher() as launcher:
+        done = launcher.run(peak, Path.cwd(), dict(os.environ))
+    assert done.returncode == 0 and len(held) == 60 << 20
+    assert int(done.stdout) < 60 << 10  # KiB
+    direct = subprocess.run(peak, capture_output=True, text=True, check=True)
+    assert int(direct.stdout) >= 60 << 10
 
 
 def test_the_package_imports_only_the_standard_library():

@@ -13,7 +13,9 @@ each tree, one process at a time, with T the ``run_seconds`` of
 BENCHMARK.json, the same seed on both sides (the first seed is --seed,
 then one more per pair) and the order alternating from pair to pair
 (parent first in even pairs), so a drift of the host's speed falls on
-both sides alike.  Every workload gets --pairs pairs (at least 10, the
+both sides alike.  Every run is started by one small launcher process,
+itself started before the parent's archive is read, so that each run's
+peak_rss_mb is its own and not this harness's (Launcher).  Every workload gets --pairs pairs (at least 10, the
 fewest that can back a claim); without --workload, every workload of
 BENCHMARK.json is run.
 
@@ -61,18 +63,63 @@ def export(rev: str, into: Path) -> str:
     return commit
 
 
-def bench(tree: Path, cache: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run in `tree`, with its bytecode cache in
-    `cache` (PYTHONPYCACHEPREFIX, which its subprocesses inherit): its final
-    line and details."""
+#: The launcher's loop: one JSON request [argv, cwd, env] per input line,
+#: one JSON reply [returncode, stdout, stderr] per output line.
+_LAUNCHER = """
+import json, subprocess, sys
+for line in sys.stdin:
+    argv, cwd, env = json.loads(line)
+    done = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True)
+    print(json.dumps([done.returncode, done.stdout, done.stderr]), flush=True)
+"""
+
+
+class Launcher:
+    """A small process that starts commands on request, one at a time.
+
+    perfbench reads its peak_rss_mb from getrusage's ru_maxrss, and on
+    Linux a child started by subprocess keeps the high-water RSS of the
+    process it was started from across exec.  Started from this harness,
+    which holds the parent's archive in memory, every run would read the
+    harness's peak instead of its own; started from the launcher, whose
+    own peak is a bare interpreter's, it reads its own.
+    """
+
+    def __init__(self):
+        self._process = subprocess.Popen(
+            [sys.executable, "-c", _LAUNCHER], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            text=True,
+        )
+
+    def run(self, argv: list, cwd: Path, env: dict) -> subprocess.CompletedProcess:
+        """Run argv in cwd with env to its end, capturing its output."""
+        self._process.stdin.write(json.dumps([argv, str(cwd), env]) + "\n")
+        self._process.stdin.flush()
+        code, out, err = json.loads(self._process.stdout.readline())
+        return subprocess.CompletedProcess(argv, code, out, err)
+
+    def __enter__(self) -> "Launcher":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._process.stdin.close()
+        self._process.wait()
+
+
+def bench(
+    launcher: Launcher, tree: Path, cache: Path, workload: str, seed: int, seconds: float
+) -> dict:
+    """One untraced perfbench run in `tree`, started by `launcher`, with
+    its bytecode cache in `cache` (PYTHONPYCACHEPREFIX, which its
+    subprocesses inherit): its final line and details."""
     env = {**os.environ, "PYTHONPYCACHEPREFIX": str(cache)}
     # written, so the cache warms as in plain use instead of every import
     # (the standard library's too) compiling from source
     env.pop("PYTHONDONTWRITEBYTECODE", None)
-    done = subprocess.run(
+    done = launcher.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, env=env,
+        tree, env,
     )
     if done.returncode != 0:
         raise SystemExit(f"bench_pairs: perfbench failed in {tree}: {done.stderr.strip()[-500:]}")
@@ -154,7 +201,8 @@ def main(argv=None) -> int:
         "seconds": seconds,
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+    # the launcher starts before the archive is read: see Launcher
+    with Launcher() as launcher, tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         parent_tree = Path(tmp) / "parent"
         # each side's own fresh bytecode cache: neither reads one left in its tree
         caches = {side: Path(tmp) / f"pycache-{side}" for side in ("parent", "change")}
@@ -175,7 +223,7 @@ def main(argv=None) -> int:
                 pair = {"seed": seed, "order": list(order)}
                 for side in order:
                     tree = parent_tree if side == "parent" else ROOT
-                    pair[side] = bench(tree, caches[side], workload, seed, seconds)
+                    pair[side] = bench(launcher, tree, caches[side], workload, seed, seconds)
                     print(f"bench_pairs: {workload} seed={seed} {side} "
                           f"wall_s={pair[side]['metrics']['wall_s']:.4f}", file=sys.stderr)
                 runs.append(pair)
