@@ -7,7 +7,10 @@ Each CatalogEntry couples, for one classification problem:
 * the base-manifold dimension, which bounds the pole order of the
   counting function at z = 1,
 * a HilbertSpec constructor for the number h(k) of independent invariants
-  of pure order k (absent for the entries that ship only a closed form),
+  of pure order k (absent for the entries that ship only a closed form);
+  it gives the polynomial tail by its integer values at tail_start, ...,
+  tail_start + deg, each an integer combination of binomials C(k + s, r),
+  so no Fraction polynomial is built,
 * the claimed closed-form generating function P(z) = sum h(k) z^k.
 
 The roster is a declarative table (CATALOG, version CATALOG_VERSION); the
@@ -27,7 +30,6 @@ aliases poincare-dulac-<case> and takens-bogdanov.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
 from .algebra import (
@@ -35,7 +37,6 @@ from .algebra import (
     Polynomial,
     RationalFunction,
     binomial,
-    binom_in_k,
     cyclotomic,
 )
 from .analysis import analyze
@@ -117,92 +118,111 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 
 
+def _tail_points(start: int, deg: int) -> range:
+    """The deg + 1 points k = start, ..., start + deg whose values fix a
+    tail of degree at most deg."""
+    return range(start, start + deg + 1)
+
+
 def _h_ode_general() -> HilbertSpec:
-    return HilbertSpec({5: 3}, 6, binom_in_k(0, 2) - 4)
+    return HilbertSpec({5: 3}, 6, [binomial(k, 2) - 4 for k in _tail_points(6, 2)])
 
 
 def _h_ode_cubic() -> HilbertSpec:
-    return HilbertSpec({}, 4, _P((-2, 2)))
+    return HilbertSpec({}, 4, [2 * k - 2 for k in _tail_points(4, 1)])
 
 
 def _h_ode_lie_form() -> HilbertSpec:
-    return HilbertSpec({4: 2}, 5, _P((-1, 1)))
+    return HilbertSpec({4: 2}, 5, [k - 1 for k in _tail_points(5, 1)])
 
 
 def _h_riemannian(n: int) -> HilbertSpec:
     if n == 2:
-        return HilbertSpec({2: 1, 3: 1}, 4, _P((-1, 1)))
-    tail = binomial(n + 1, 2) * binom_in_k(n - 1, n - 1) - n * binom_in_k(n, n - 1)
+        return HilbertSpec({2: 1, 3: 1}, 4, [k - 1 for k in _tail_points(4, 1)])
+    c = binomial(n + 1, 2)
+    tail = [
+        c * binomial(k + n - 1, n - 1) - n * binomial(k + n, n - 1)
+        for k in _tail_points(3, n - 1)
+    ]
     return HilbertSpec({2: binomial(n, 3) * (n + 3) // 2}, 3, tail)
 
 
 def _h_einstein(n: int) -> HilbertSpec:
     if n <= 3:
         return HilbertSpec({2: 1}, 3, 0)
-    # tail = n (k-1)(n+k-1)(n+2k-2) / (2(k+1)(n-2)) * C(n+k-4, k); the (k+1)
-    # always divides the product exactly
-    poly = (
-        _P((-1, 1))
-        * _P((n - 1, 1))
-        * _P((n - 2, 2))
-        * binom_in_k(n - 4, n - 4)
-        * Fraction(n, 2 * (n - 2))
-    )
-    tail, rem = divmod(poly, _P((1, 1)))
-    assert rem.is_zero()
+    # tail = n (k-1)(n+k-1)(n+2k-2) / (2(k+1)(n-2)) * C(n+k-4, k), a
+    # polynomial of degree n - 2: the (k+1) divides the product exactly
+    tail = []
+    for k in _tail_points(3, n - 2):
+        value, rem = divmod(
+            n * (k - 1) * (n + k - 1) * (n + 2 * k - 2) * binomial(k + n - 4, n - 4),
+            2 * (k + 1) * (n - 2),
+        )
+        assert rem == 0
+        tail.append(value)
     return HilbertSpec({2: (n * n - 1) * (n * n - 12) // 12}, 3, tail)
 
 
 def _h_self_dual_metrics(n: int) -> HilbertSpec:
-    tail = _P((-1, 1)) * _P((36, 25, 1)) * Fraction(1, 6)
+    tail = [(k - 1) * (k * k + 25 * k + 36) // 6 for k in _tail_points(3, 3)]
     return HilbertSpec({2: 9}, 3, tail)
 
 
 def _h_kaehler(n: int) -> HilbertSpec:
     if n == 1:
         return _h_riemannian(2)
-    tail = (
-        binom_in_k(2 * n + 1, 2 * n - 1)
-        - 2 * binom_in_k(n + 1, n - 1)
-        - 2 * n * binom_in_k(n, n - 1)
-    )
+    tail = [
+        binomial(k + 2 * n + 1, 2 * n - 1)
+        - 2 * binomial(k + n + 1, n - 1)
+        - 2 * n * binomial(k + n, n - 1)
+        for k in _tail_points(3, 2 * n - 1)
+    ]
     return HilbertSpec({2: n * n * (n - 1) * (n + 3) // 4}, 3, tail)
 
 
 def _h_hyper_kaehler(n: int) -> HilbertSpec:
-    tail = Polynomial.zero()
-    for i in range(n + 1):
-        tail = tail + 2 * (n - i) * binom_in_k(2 * n - i, 2 * n - i)
-    tail = tail - binom_in_k(2 * n + 1, 2 * n - 1) - 2 * binom_in_k(n + 1, n - 1)
+    tail = [
+        sum(2 * (n - i) * binomial(k + 2 * n - i, 2 * n - i) for i in range(n))
+        - binomial(k + 2 * n + 1, 2 * n - 1)
+        - 2 * binomial(k + n + 1, n - 1)
+        for k in _tail_points(3, 2 * n)
+    ]
     return HilbertSpec({2: n * (n + 3) * (2 * n - 1) * (2 * n + 1) // 6}, 3, tail)
 
 
 def _h_linear_connections(n: int) -> HilbertSpec:
     if n == 2:
-        return HilbertSpec({1: 6}, 2, _P((2, 6)))
-    tail = n**3 * binom_in_k(n - 1, n - 1) - n * binom_in_k(n + 1, n - 1)
+        return HilbertSpec({1: 6}, 2, [6 * k + 2 for k in _tail_points(2, 1)])
+    tail = [
+        n**3 * binomial(k + n - 1, n - 1) - n * binomial(k + n + 1, n - 1)
+        for k in _tail_points(1, n - 1)
+    ]
     return HilbertSpec({0: n * n * (n - 3) // 2}, 1, tail)
 
 
 def _h_symmetric_connections(n: int) -> HilbertSpec:
-    tail = n * binomial(n + 1, 2) * binom_in_k(n - 1, n - 1) - n * binom_in_k(
-        n + 1, n - 1
-    )
     h1 = n * n * (n * n - 4) // 3 + (1 if n == 2 else 0)
     exc = {1: h1}
     start = 2
     if n == 2:
         exc[2] = n * binomial(n + 1, 2) ** 2 - n * binomial(n + 3, 4) - 1
         start = 3
+    c = n * binomial(n + 1, 2)
+    tail = [
+        c * binomial(k + n - 1, n - 1) - n * binomial(k + n + 1, n - 1)
+        for k in _tail_points(start, n - 1)
+    ]
     return HilbertSpec(exc, start, tail)
 
 
 def _h_metric_connections(n: int) -> HilbertSpec:
-    tail = (
-        binomial(n + 1, 2) * binom_in_k(n, n - 1)
-        + n * binomial(n, 2) * binom_in_k(n - 1, n - 1)
-        - n * binom_in_k(n + 1, n - 1)
-    )
+    c1, c2 = binomial(n + 1, 2), n * binomial(n, 2)
+    tail = [
+        c1 * binomial(k + n, n - 1)
+        + c2 * binomial(k + n - 1, n - 1)
+        - n * binomial(k + n + 1, n - 1)
+        for k in _tail_points(1, n - 1)
+    ]
     return HilbertSpec({0: n * (n - 1) ** 2 // 2}, 1, tail)
 
 
@@ -212,7 +232,11 @@ def _h_metrizable(n: int) -> HilbertSpec:
 
 def _h_fedosov(n: int) -> HilbertSpec:
     N = 2 * n
-    tail = binomial(N + 2, 3) * binom_in_k(N - 1, N - 1) - binom_in_k(N + 2, N - 1)
+    c = binomial(N + 2, 3)
+    tail = [
+        c * binomial(k + N - 1, N - 1) - binomial(k + N + 2, N - 1)
+        for k in _tail_points(3, N - 1)
+    ]
     h1 = (n - 1) * n * (2 * n + 1) * (2 * n + 3) // 2 + (1 if n == 1 else 0)
     h2 = n * (n + 1) * (3 * n + 2) * (4 * n * n - 1) // 5 - (1 if n == 1 else 0)
     return HilbertSpec({1: h1, 2: h2}, 3, tail)
@@ -221,9 +245,11 @@ def _h_fedosov(n: int) -> HilbertSpec:
 def _h_projective(n: int) -> HilbertSpec:
     if n == 2:
         return _h_ode_cubic()
-    tail = (n - 1) * n * (n + 2) // 2 * binom_in_k(n - 1, n - 1) - n * binom_in_k(
-        n + 1, n - 1
-    )
+    c = (n - 1) * n * (n + 2) // 2
+    tail = [
+        c * binomial(k + n - 1, n - 1) - n * binomial(k + n + 1, n - 1)
+        for k in _tail_points(3, n - 1)
+    ]
     exc = {
         1: n * n * (n * n - 7) // 3,
         2: n * (n - 2) * (5 * n**3 + 16 * n * n + 15 * n + 12) // 24,
@@ -233,10 +259,12 @@ def _h_projective(n: int) -> HilbertSpec:
 
 def _h_conformal(n: int) -> HilbertSpec:
     if n == 3:
-        return HilbertSpec({3: 1, 4: 9}, 5, _P((-4, 0, 1)))
-    tail = (binomial(n + 1, 2) - 1) * binom_in_k(n - 1, n - 1) - n * binom_in_k(
-        n, n - 1
-    )
+        return HilbertSpec({3: 1, 4: 9}, 5, [k * k - 4 for k in _tail_points(5, 2)])
+    c = binomial(n + 1, 2) - 1
+    tail = [
+        c * binomial(k + n - 1, n - 1) - n * binomial(k + n, n - 1)
+        for k in _tail_points(4, n - 1)
+    ]
     exc = {
         2: n * n * (n * n - 1) // 12 - n * n - 1,
         3: n * (n**4 + 2 * n**3 - 5 * n * n - 14 * n - 32) // 24,
@@ -245,11 +273,13 @@ def _h_conformal(n: int) -> HilbertSpec:
 
 
 def _h_weyl(n: int) -> HilbertSpec:
-    tail = (
-        (binomial(n + 1, 2) - 1) * binom_in_k(n, n - 1)
-        + n * binom_in_k(n - 1, n - 1)
-        - n * binom_in_k(n + 1, n - 1)
-    )
+    c = binomial(n + 1, 2) - 1
+    tail = [
+        c * binomial(k + n, n - 1)
+        + n * binomial(k + n - 1, n - 1)
+        - n * binomial(k + n + 1, n - 1)
+        for k in _tail_points(3, n - 1)
+    ]
     d2 = 1 if n == 2 else 0
     exc = {
         1: (n * n - 4) * (n * n + 3) // 12 + d2,
@@ -260,12 +290,13 @@ def _h_weyl(n: int) -> HilbertSpec:
 
 def _h_einstein_weyl(n: int) -> HilbertSpec:
     conf = binomial(n + 1, 2) - 1
-    tail = (
-        conf * binom_in_k(n, n - 1)
-        + n * binom_in_k(n - 1, n - 1)
-        - conf * binom_in_k(n - 2, n - 1)
-        - n * binom_in_k(n + 1, n - 1)
-    )
+    tail = [
+        conf * binomial(k + n, n - 1)
+        + n * binomial(k + n - 1, n - 1)
+        - conf * binomial(k + n - 2, n - 1)
+        - n * binomial(k + n + 1, n - 1)
+        for k in _tail_points(3, n - 1)
+    ]
     d3 = 1 if n == 3 else 0
     exc = {
         1: (n - 3) * n * (n + 1) * (n + 2) // 12 + d3,
@@ -275,23 +306,25 @@ def _h_einstein_weyl(n: int) -> HilbertSpec:
 
 
 def _h_self_dual_conformal(n: int) -> HilbertSpec:
-    return HilbertSpec({2: 1, 3: 13}, 4, _P((-7, 0, 3)))
+    return HilbertSpec({2: 1, 3: 13}, 4, [3 * k * k - 7 for k in _tail_points(4, 2)])
 
 
 def _h_almost_complex(n: int) -> HilbertSpec:
     N = 2 * n
     if n == 2:
-        tail = 8 * binom_in_k(3, 3) - 4 * binom_in_k(4, 3) + 4
+        tail = [
+            8 * binomial(k + 3, 3) - 4 * binomial(k + 4, 3) + 4 for k in _tail_points(3, 3)
+        ]
         return HilbertSpec({2: 2}, 3, tail)
-    tail = (
-        2 * n * n * binom_in_k(N - 1, N - 1)
-        - 2 * n * binom_in_k(N, N - 1)
-        + 2 * n * binom_in_k(n, n - 1)
-        - 2 * n * binom_in_k(n - 1, n - 1)
-    )
-    if n == 3:
-        return HilbertSpec({1: 2, 2: 64}, 3, tail)
-    return HilbertSpec({}, 1, tail)
+    exc, start = ({1: 2, 2: 64}, 3) if n == 3 else ({}, 1)
+    tail = [
+        2 * n * n * binomial(k + N - 1, N - 1)
+        - 2 * n * binomial(k + N, N - 1)
+        + 2 * n * binomial(k + n, n - 1)
+        - 2 * n * binomial(k + n - 1, n - 1)
+        for k in _tail_points(start, N - 1)
+    ]
+    return HilbertSpec(exc, start, tail)
 
 
 # ---------------------------------------------------------------------------

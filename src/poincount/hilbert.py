@@ -9,7 +9,10 @@ low-order values.  Both directions of the dictionary are exact:
   is at z = 1, by finite-difference stabilization of the Taylor coefficients.
 
 Specs are kept canonical (minimal tail_start, exceptions only where they
-differ from zero), so equality of specs is plain structural equality.
+differ from zero), so equality of specs is plain structural equality.  A
+spec's tail is held as its integer Newton row at tail_start, which every
+value, the generating function and equality read; the tail as a Polynomial
+is derived from the row only when it is read, for display.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ from .algebra import (
     Polynomial,
     RationalFunction,
     Scalar,
+    _add,
+    _div,
     _integral,
     _mul,
-    binom_in_k,
     split_factor,
 )
 from .errors import UsageError
@@ -48,13 +52,36 @@ def finite_differences(values: Sequence, order: int) -> list:
 
 
 def _newton_row(values: Sequence[int]) -> list[int]:
-    """[Delta^j values at 0 for j = 0..len(values) - 1], from one pass down
-    the difference table."""
+    """[Delta^j values at 0 for j = 0..len(values) - 1] without its trailing
+    zeros, from one pass down the difference table."""
     row, out = list(values), []
     while row:
         out.append(row[0])
         row = [b - a for a, b in zip(row, row[1:])]
+    while out and not out[-1]:
+        out.pop()
     return out
+
+
+def _is_count_type(v) -> bool:
+    """v is an int and not a bool, which Python counts as an int."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _probe_values(tail: Polynomial, tail_start: int) -> list[int]:
+    """tail(k) for k = tail_start..tail_start + deg, by Horner over the
+    integers; a value that is not an integer raises ValueError."""
+    scale, ints = _integral(tail.coeffs)  # tail = ints / scale
+    values = []
+    for k in range(tail_start, tail_start + tail.degree + 1):
+        value = 0
+        for c in reversed(ints):
+            value = value * k + c
+        if value % scale:
+            value = Fraction(value, scale)
+            raise ValueError(f"tail({k}) = {value} is not a nonnegative integer")
+        values.append(value // scale)
+    return values
 
 
 class HilbertSpec:
@@ -64,10 +91,15 @@ class HilbertSpec:
     Construction canonicalizes: tail_start is pulled down as far as the values
     allow and exceptions store only nonzero values below it.
 
-    The tail is also kept in Newton form, the integers
-    c_j = Delta^j tail(tail_start) for j = 0..deg (a zero tail keeps
-    c_0 = 0), so that tail(k) = sum_j c_j C(k - tail_start, j) and
-    `values` rolls the difference row forward by integer additions alone.
+    The tail may be given as a Polynomial, as an integer (a constant tail),
+    or as the list of its integer values at tail_start, tail_start + 1, ...,
+    which gives the polynomial of degree below the list's length through
+    them.  Every form is reduced to values and then to the one datum the
+    spec keeps, the Newton row of integers c_j = Delta^j tail(tail_start)
+    for j = 0..deg, without trailing zeros (the zero tail keeps c_0 = 0).
+    So tail(k) = sum_j c_j C(k - tail_start, j), `values` rolls the row
+    forward by integer additions alone, and the Polynomial `tail` is built
+    from the row only when it is read.
 
     Every tail value is certified a nonnegative integer at construction.
     Integer values at deg + 1 consecutive points make the tail
@@ -78,35 +110,34 @@ class HilbertSpec:
     positive one makes every entry positive.
     """
 
-    __slots__ = ("exceptions", "tail_start", "tail", "_newton")
+    __slots__ = ("exceptions", "tail_start", "_newton", "_tail")
 
     def __init__(
         self,
         exceptions: Mapping[int, int] | None = None,
         tail_start: int = 0,
-        tail: Polynomial | int = 0,
+        tail: Polynomial | int | Sequence[int] = 0,
     ):
-        if not isinstance(tail, Polynomial):
-            tail = Polynomial.constant(tail)
         if tail_start < 0:
             raise ValueError("tail_start must be >= 0")
         exc = dict(exceptions or {})
         for k, v in exc.items():
             if k < 0 or k >= tail_start:
                 raise ValueError(f"exceptional index {k} must lie in [0, tail_start)")
-            if not isinstance(v, int) or v < 0:
+            if not _is_count_type(v) or v < 0:
                 raise ValueError(f"h({k}) = {v!r} is not a nonnegative integer")
-        scale, ints = _integral(tail.coeffs)  # tail = ints / scale
-        probes = []
-        for k in range(tail_start, tail_start + tail.degree + 1):
-            value = 0
-            for c in reversed(ints):
-                value = value * k + c
-            if value % scale:
-                value = Fraction(value, scale)
-                raise ValueError(f"tail({k}) = {value} is not a nonnegative integer")
-            probes.append(value // scale)
-        newton = _newton_row(probes) or [0]
+        if isinstance(tail, (list, tuple)):
+            values = tail
+        elif isinstance(tail, int):
+            values = (tail,)
+        else:
+            if not isinstance(tail, Polynomial):
+                tail = Polynomial.constant(tail)
+            values = _probe_values(tail, tail_start)
+        for k, v in enumerate(values, tail_start):
+            if not _is_count_type(v):
+                raise ValueError(f"tail({k}) = {v} is not a nonnegative integer")
+        newton = _newton_row(values) or [0]
         row, k = newton[:], tail_start
         while min(row) < 0:
             if row[0] < 0:
@@ -130,11 +161,30 @@ class HilbertSpec:
 
         object.__setattr__(self, "exceptions", cleaned)
         object.__setattr__(self, "tail_start", start)
-        object.__setattr__(self, "tail", tail)
         object.__setattr__(self, "_newton", tuple(newton))
+        object.__setattr__(self, "_tail", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("HilbertSpec is immutable")
+
+    @property
+    def tail(self) -> Polynomial:
+        """The tail polynomial sum_j c_j C(k - tail_start, j), built from the
+        Newton row on the first read, then kept.  With D = deg(tail), the
+        sum D! tail = sum_j c_j (D!/j!) prod_{i<j} (k - tail_start - i) is
+        taken over the integers and divided by D! once."""
+        tail = self._tail
+        if tail is None:
+            scale = math.factorial(len(self._newton) - 1)
+            acc, falling, weight = [], [1], scale
+            for j, c in enumerate(self._newton):
+                if j:
+                    falling = _mul(falling, [1 - j - self.tail_start, 1])
+                    weight //= j
+                acc = _add(acc, [c * weight * f for f in falling])
+            tail = Polynomial([_div(a, scale) for a in acc])
+            object.__setattr__(self, "_tail", tail)
+        return tail
 
     def h(self, k: int) -> int:
         """The sequence value at k >= 0."""
@@ -163,17 +213,16 @@ class HilbertSpec:
         if m < 0:
             raise ValueError("shift must be >= 0")
         exc = {k - m: v for k, v in self.exceptions.items() if k >= m}
-        tail, step = Polynomial.zero(), Polynomial((m, 1))  # tail(k + m) by Horner
-        for c in reversed(self.tail.coeffs):
-            tail = tail * step + c
-        return HilbertSpec(exc, max(self.tail_start - m, 0), tail)
+        start = max(self.tail_start - m, 0)
+        first = start + m  # >= tail_start, so h(first), ... are tail values
+        return HilbertSpec(exc, start, self.values(first + len(self._newton) - 1)[first:])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, HilbertSpec):
             return (
                 self.exceptions == other.exceptions
                 and self.tail_start == other.tail_start
-                and self.tail == other.tail
+                and self._newton == other._newton
             )
         return NotImplemented
 
@@ -183,7 +232,7 @@ class HilbertSpec:
                 "HilbertSpec",
                 tuple(sorted(self.exceptions.items())),
                 self.tail_start,
-                self.tail.coeffs,
+                self._newton,
             )
         )
 
@@ -197,14 +246,15 @@ class HilbertSpec:
 def gf_from_hilbert(spec: HilbertSpec) -> RationalFunction:
     """The exact rational function sum_k h(k) z^k.
 
-    With D = deg(tail) + 1, the D-th differences of the tail vanish, so
+    With D the length of the tail's Newton row (deg(tail) + 1), or 0 for
+    the zero tail, the D-th differences of the tail vanish, so
     N(z) = (1-z)^D sum_k h(k) z^k is a polynomial of degree below
     tail_start + D with the integer coefficients
     N_i = sum_{j <= min(i, D)} (-1)^j C(D, j) h(i - j).  The result is
     N / (1-z)^D, built from the two integer lists and reduced, like any
     RationalFunction, when it is first read.
     """
-    D = spec.tail.degree + 1
+    D = len(spec._newton) if spec._newton[-1] else 0
     h = spec.values(spec.tail_start + D - 1)
     den = [(-1) ** j * math.comb(D, j) for j in range(D + 1)]
     num = _mul(den, h)[: len(h)]
@@ -215,10 +265,11 @@ def hilbert_values_spec(values: Sequence[int], confirm: int = 3) -> HilbertSpec:
     """Fit an eventually-polynomial spec to explicit sequence values.
 
     Finds the smallest difference order d whose d-th differences vanish on a
-    suffix of length at least d + confirm, interpolates the degree <= d-1
-    tail from the onset, and canonicalizes.  The default confirm = 3 serves
-    catalog and plan data; confirm = 1 accepts a constant tail once three
-    equal trailing values show it, the rule of the jet strata table.
+    suffix of length at least d + confirm, hands the d values from the onset
+    to HilbertSpec as the tail of degree <= d-1 through them, and
+    canonicalizes.  The default confirm = 3 serves catalog and plan data;
+    confirm = 1 accepts a constant tail once three equal trailing values
+    show it, the rule of the jet strata table.
     Raises HorizonTooShort when no order stabilizes within the data.
     """
     n = len(values)
@@ -229,11 +280,8 @@ def hilbert_values_spec(values: Sequence[int], confirm: int = 3) -> HilbertSpec:
             j -= 1
         if len(diffs) - j >= d + confirm:
             onset = j
-            tail = Polynomial.zero()
-            for jj, c in enumerate(_newton_row(values[onset : onset + d])):
-                tail = tail + binom_in_k(-onset, jj) * c
             exc = {k: values[k] for k in range(onset) if values[k] != 0}
-            spec = HilbertSpec(exc, onset, tail)
+            spec = HilbertSpec(exc, onset, list(values[onset : onset + d]))
             if spec.values(n - 1) != list(values):  # pragma: no cover - fit is exact
                 raise HorizonTooShort("tail fit fails to reproduce the data")
             return spec

@@ -732,6 +732,20 @@ def horner_h(spec, k):
     return int(value)
 
 
+def shift_down_horner(spec, m):
+    """The spec of k -> h(k + m) with the tail shifted by Horner's rule,
+    tail(k + m) = (...(c_d (k + m) + c_(d-1))(k + m) + ...) + c_0, on the
+    tail Polynomial."""
+    from poincount.algebra import Polynomial
+    from poincount.hilbert import HilbertSpec
+
+    exc = {k - m: v for k, v in spec.exceptions.items() if k >= m}
+    tail, step = Polynomial.zero(), Polynomial((m, 1))
+    for c in reversed(spec.tail.coeffs):
+        tail = tail * step + c
+    return HilbertSpec(exc, max(spec.tail_start - m, 0), tail)
+
+
 # -- the power by binary squaring ------------------------------------------------
 #
 # Polynomial ** before every power took the Miller recurrence: square and

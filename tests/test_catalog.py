@@ -2,12 +2,12 @@ import dataclasses
 
 import pytest
 
-from poincount import catalog
+from poincount import catalog, hilbert
 from poincount.algebra import ONE_MINUS_Z, Polynomial, RationalFunction
 from poincount.analysis import analyze
 from poincount.errors import UsageError
 from poincount.exprs import MAX_NMAX
-from poincount.hilbert import HilbertSpec, gf_from_hilbert
+from poincount.hilbert import HilbertSpec, gf_from_hilbert, spec_from_gf
 
 P = Polynomial
 RF = RationalFunction
@@ -207,6 +207,58 @@ def test_gf_equals_claimed_for_all_hilbert_entries():
                 entry.id,
                 sample,
             )
+
+
+def _hilbert_cases():
+    """(entry, params) for every Hilbert entry's samples with n <= 8, and
+    n = 9..16 for every one-parameter family valid there."""
+    for entry in catalog.list_entries():
+        if entry.hilbert is None:
+            continue
+        for sample in entry.samples(8):
+            yield entry, sample
+        if entry.params == ("n",):
+            for n in range(9, 17):
+                if entry.validity(n=n):
+                    yield entry, {"n": n}
+
+
+def test_every_catalog_spec_equals_the_spec_fitted_to_its_closed_form():
+    cases = 0
+    for entry, params in _hilbert_cases():
+        spec = entry.hilbert(**params)
+        deg = spec.tail.degree
+        assert deg == len(spec._newton) - 1, (entry.id, params)
+        oracle = spec_from_gf(entry.claimed_p(**params), spec.tail_start + 2 * deg + 12)
+        assert spec == oracle, (entry.id, params)
+        # the tail derived from the Newton row takes the spec's values
+        for k in range(spec.tail_start, spec.tail_start + deg + 6):
+            assert spec.tail.evaluate(k) == spec.h(k), (entry.id, params, k)
+        cases += 1
+    assert cases == 102 + 112
+
+
+def test_verify_all_builds_no_fraction_polynomial_and_no_polynomial_tail(monkeypatch):
+    """The catalog hands every tail over as integer values, so the verify
+    path neither evaluates a tail Polynomial nor builds a Polynomial with a
+    Fraction coefficient (binom_in_k's 1/r! scale makes those)."""
+    built, probed = [], []
+    init, probe = Polynomial.__init__, hilbert._probe_values
+
+    def counting_init(self, coeffs=()):
+        init(self, coeffs)
+        if any(type(c) is not int for c in self.coeffs):
+            built.append(self)
+
+    def counting_probe(tail, tail_start):
+        probed.append(tail)
+        return probe(tail, tail_start)
+
+    monkeypatch.setattr(Polynomial, "__init__", counting_init)
+    monkeypatch.setattr(hilbert, "_probe_values", counting_probe)
+    reports = catalog.verify_all(50, 8)
+    assert len(reports) == 124
+    assert built == [] and probed == []
 
 
 def test_alias_resolution():

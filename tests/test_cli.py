@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import poincount
+from poincount import catalog
 from poincount.cli import _render, run
 
 
@@ -248,6 +249,29 @@ def test_pinned_stdout_bytes():
         code, out, err = capture(["--format", fmt] + argv)
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (fmt, argv[0])
+
+
+#: sha256 of the concatenated `--format json show ID [--n N] --kmax 30`
+#: stdout of every catalog sample with h(k) data and n <= 8, in roster
+#: order, recorded at 6e0c399.  `tail_polynomial_in_k` is read off the tail
+#: a spec derives from its Newton row, so this pins that derivation's
+#: formatting too.
+SHOW_HILBERT_SAMPLES_DIGEST = "f4c9abe96881eebcee6c2f39a12e0d2cedcbfc5f2df4fd4b3e92cbc8b23739a1"
+
+
+def test_show_bytes_of_every_hilbert_sample():
+    digest, shown = hashlib.sha256(), 0
+    for entry in catalog.list_entries():
+        if entry.hilbert is None:
+            continue
+        for sample in entry.samples(8):
+            params = [arg for key, value in sample.items() for arg in (f"--{key}", str(value))]
+            code, out, err = capture(["--format", "json", "show", entry.id, *params, "--kmax", "30"])
+            assert code == 0, err
+            digest.update(out.encode())
+            shown += 1
+    assert shown == 102
+    assert digest.hexdigest() == SHOW_HILBERT_SAMPLES_DIGEST
 
 
 #: Text with the characters JSON escapes: quotes, backslashes, control

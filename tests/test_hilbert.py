@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, reject, settings
@@ -17,7 +19,7 @@ from poincount.hilbert import (
     spec_from_gf,
 )
 
-from oracles import fit_constant_tail, gf_from_hilbert_termwise, horner_h
+from oracles import fit_constant_tail, gf_from_hilbert_termwise, horner_h, shift_down_horner
 
 P = Polynomial
 RF = RationalFunction
@@ -152,6 +154,42 @@ def test_invalid_specs_rejected():
         HilbertSpec({}, 0, P((Fraction(1, 2),)))  # non-integer tail
 
 
+def _raises_not_a_count(named):
+    """pytest.raises for the constructor's ValueError on the value `named`."""
+    return pytest.raises(ValueError, match=f"^{re.escape(named)} is not a nonnegative integer$")
+
+
+def test_every_tail_form_names_the_value_it_refuses():
+    # the same tail k - 2 from k = 0, as a Polynomial and as values
+    with _raises_not_a_count("tail(0) = -2"):
+        HilbertSpec({}, 0, P((-2, 1)))
+    with _raises_not_a_count("tail(0) = -2"):
+        HilbertSpec({}, 0, [-2, -1])
+    with _raises_not_a_count("tail(1) = -1"):
+        HilbertSpec({}, 0, [1, -1])  # negative from the second value on
+    with _raises_not_a_count("tail(2) = -3"):
+        HilbertSpec({}, 2, -3)
+    with _raises_not_a_count("tail(3) = 1/2"):
+        HilbertSpec({}, 3, P((Fraction(1, 2),)))
+    with _raises_not_a_count("tail(3) = 1/2"):
+        HilbertSpec({}, 3, Fraction(1, 2))
+    with _raises_not_a_count("tail(4) = 1/2"):
+        HilbertSpec({}, 3, [1, Fraction(1, 2)])
+
+
+def test_bool_is_not_an_integer_value():
+    # True is an int to Python, and would print as `true` in JSON
+    with _raises_not_a_count("h(1) = True"):
+        HilbertSpec({1: True}, 3, 1)
+    with _raises_not_a_count("h(0) = False"):
+        HilbertSpec({0: False}, 3, 1)
+    with _raises_not_a_count("tail(3) = True"):
+        HilbertSpec({}, 3, True)
+    with _raises_not_a_count("tail(4) = False"):
+        HilbertSpec({}, 3, [1, False])
+    assert HilbertSpec({1: 1}, 3, 1).values(4) == [0, 1, 0, 1, 1]
+
+
 def test_shift_down():
     spec = riemannian2_spec()
     shifted = spec.shift_down(1)
@@ -172,17 +210,28 @@ def test_finite_differences_and_shift_helpers():
     assert [q.tail.evaluate(k) for k in range(4)] == q.values(3) == [4, 9, 16, 25]
 
 
+def _basis_tail(tail_start, basis, as_values):
+    """The tail sum_j basis[j] C(k - tail_start, j): a Polynomial, or with
+    as_values its integer values at k = tail_start, ..., tail_start +
+    len(basis) - 1."""
+    if as_values:
+        return [sum(c * comb(i, j) for j, c in enumerate(basis)) for i in range(len(basis))]
+    tail = P.zero()
+    for j, c in enumerate(basis):
+        tail = tail + binom_in_k(-tail_start, j) * c
+    return tail
+
+
 @st.composite
 def hilbert_specs(draw):
     """Specs with up to 8 exceptional values (zeros allowed), any onset from 0,
     and a tail of degree -1 (zero) to 8 with nonnegative binomial-basis
-    coefficients at the onset, so every tail value is a nonnegative integer."""
+    coefficients at the onset, so every tail value is a nonnegative integer;
+    the tail is given as a Polynomial or by its values."""
     tail_start = draw(st.integers(0, 8))
     values = draw(st.lists(st.integers(0, 50), min_size=tail_start, max_size=tail_start))
     basis = draw(st.lists(st.integers(0, 30), max_size=9))
-    tail = P.zero()
-    for j, c in enumerate(basis):
-        tail = tail + binom_in_k(-tail_start, j) * c
+    tail = _basis_tail(tail_start, basis, draw(st.booleans()))
     return HilbertSpec(dict(enumerate(values)), tail_start, tail)
 
 
@@ -192,6 +241,10 @@ def hilbert_specs(draw):
 @example(HilbertSpec({0: 3, 2: 1}, 4, 0))  # zero tail: a polynomial
 @example(HilbertSpec({}, 0, binom_in_k(0, 8)))  # onset 0, degree 8
 @example(HilbertSpec({1: 7}, 3, 2 * binom_in_k(-3, 8) + 1))
+@example(HilbertSpec({}, 0, []))  # the zero tail by its values
+@example(HilbertSpec({0: 3, 2: 1}, 4, [0, 0]))  # trailing zeros of the row dropped
+@example(HilbertSpec({}, 0, [comb(k, 8) for k in range(9)]))
+@example(HilbertSpec({1: 7}, 3, [2 * comb(i, 8) + 1 for i in range(9)]))
 def test_gf_from_hilbert_matches_termwise_oracle_and_is_canonical(spec):
     gf = gf_from_hilbert(spec)
     oracle = gf_from_hilbert_termwise(spec)
@@ -209,9 +262,7 @@ def signed_hilbert_specs(draw):
     values = draw(st.lists(st.integers(0, 50), min_size=tail_start, max_size=tail_start))
     basis = draw(st.lists(st.integers(0, 60), max_size=8))
     basis.append(draw(st.integers(-3, 3)))
-    tail = P.zero()
-    for j, c in enumerate(basis):
-        tail = tail + binom_in_k(-tail_start, j) * c
+    tail = _basis_tail(tail_start, basis, draw(st.booleans()))
     try:
         return HilbertSpec(dict(enumerate(values)), tail_start, tail)
     except ValueError:
@@ -243,11 +294,58 @@ def _assert_matches_oracle(spec, k_max):
 @example(  # degree 41
     HilbertSpec({0: 2}, 3, binom_in_k(0, 41) + 5 * binom_in_k(-3, 40) + 1), 60, 4
 )
+@example(HilbertSpec({}, 0, []), 5, 2)  # the examples above, tails given by values
+@example(HilbertSpec({0: 3, 2: 1}, 4, [0]), 6, 1)
+@example(HilbertSpec({}, 0, [comb(k, 8) for k in range(9)]), 30, 3)
+@example(HilbertSpec({1: 7}, 3, [2 * comb(i, 8) + 1 for i in range(9)]), 25, 5)
+@example(HilbertSpec({}, 0, [30, 21, 14]), 15, 2)
+@example(HilbertSpec({3: 2}, 4, [3, 4]), 10, 0)
+@example(
+    HilbertSpec({0: 2}, 3, [comb(k, 41) + 5 * comb(k - 3, 40) + 1 for k in range(3, 45)]), 60, 4
+)
 def test_values_and_h_match_fraction_horner_oracle(spec, k_max, m):
     _assert_matches_oracle(spec, k_max)
     shifted = spec.shift_down(m)  # the shift of a certified tail is certified
     _assert_matches_oracle(shifted, k_max)
     assert _oracle_values(shifted, k_max) == _oracle_values(spec, k_max, shift=m)
+    assert shifted == shift_down_horner(spec, m)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    st.integers(0, 8),
+    st.lists(st.integers(0, 50), max_size=8),
+    st.lists(st.integers(-3, 30), max_size=9),
+    st.integers(0, 3),
+)
+@example(0, [], [], 0)  # the zero tail
+@example(4, [3, 0, 1], [], 2)  # zero values past the exceptions
+@example(0, [], [0] * 8 + [1], 0)  # C(k, 8)
+@example(3, [0, 7], [1] + [0] * 7 + [2], 1)
+@example(0, [], [30, -9, 2], 0)  # k^2 - 10 k + 30, certified after rolling to k = 5
+@example(0, [], [100, -1, -2], 0)  # 100 - k^2, refused at k = 11
+@example(4, [0, 0, 0, 2], [3, 1], 0)  # onset pulled down to 3
+def test_values_form_gives_the_polynomial_forms_spec(tail_start, head, basis, extra):
+    """A tail given by values, `extra` of them past its degree, makes the
+    spec the Polynomial form makes, or the same refusal."""
+    exceptions = dict(enumerate(head[:tail_start]))
+    poly = _basis_tail(tail_start, basis, False)
+    values = _basis_tail(tail_start, basis + [0] * extra, True)
+    try:
+        want = HilbertSpec(exceptions, tail_start, poly)
+    except ValueError as refused:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refused))}$"):
+            HilbertSpec(exceptions, tail_start, values)
+        return
+    got = HilbertSpec(exceptions, tail_start, values)
+    assert got == want and hash(got) == hash(want)
+    assert got.values(40) == want.values(40)
+    g, w = gf_from_hilbert(got), gf_from_hilbert(want)
+    assert (g.num.coeffs, g.den.coeffs) == (w.num.coeffs, w.den.coeffs)
+    assert repr(got) == repr(want)
+    assert got.tail == want.tail == poly  # read off the Newton row: the tail given
+    if len(basis) <= 1:
+        assert HilbertSpec(exceptions, tail_start, basis[0] if basis else 0) == got
 
 
 def test_a_tail_that_turns_negative_is_refused_at_construction():
