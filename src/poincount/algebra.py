@@ -390,21 +390,6 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(_gcd(a.coeffs, b.coeffs)).monic()
 
 
-def binom_in_k(shift: int, r: int) -> Polynomial:
-    """C(k + shift, r) as a polynomial in k: prod_{i=0}^{r-1}(k + shift - i) / r!.
-
-    For r < 0 returns the zero polynomial (empty product convention matches
-    the binomial(m, k) = 0 for k < 0 rule).
-    """
-    if r < 0:
-        return Polynomial.zero()
-    coeffs = [1]
-    for i in range(r):
-        coeffs = _mul(coeffs, [shift - i, 1])
-    r_factorial = math.factorial(r)
-    return Polynomial([_div(c, r_factorial) for c in coeffs])
-
-
 class RationalFunction:
     """Quotient of two Polynomials, read in canonical (reduced, normalized) form.
 

@@ -149,7 +149,7 @@ def _h_riemannian(n: int) -> HilbertSpec:
 
 def _h_einstein(n: int) -> HilbertSpec:
     if n <= 3:
-        return HilbertSpec({2: 1}, 3, 0)
+        return HilbertSpec({2: 1}, 3, [0])
     # tail = n (k-1)(n+k-1)(n+2k-2) / (2(k+1)(n-2)) * C(n+k-4, k), a
     # polynomial of degree n - 2: the (k+1) divides the product exactly
     tail = []

@@ -21,7 +21,8 @@ validity errors (a verify that selects no sample is one: it would check
 nothing; so is a result with an integer longer than Python's
 int-to-text digit limit, 4300 by default, an integer in EXPR or a
 --param value longer than the text-to-int limit, an n or other integer
-catalog parameter above 64 and an --nmax above 32), 3 a broken
+catalog parameter above 64, an --nmax above 32 and a --kmax above 10000
+for show, verify, analyze and rederive), 3 a broken
 jet-engine invariant (a sentinel parameter acts, or a generator leaves
 its stratum; both are read off the engine's plan once, before any point
 is drawn).  An error is one line, each echoed word cut to 40 characters.
@@ -51,7 +52,7 @@ from . import analysis, catalog, jetflow
 from .algebra import RationalFunction, UnsupportedArgument
 from .counting import SHIPPED_PLANS, plan_values, shipped_plan
 from .errors import UsageError
-from .exprs import MAX_NMAX, _read_int, parse_rational_function
+from .exprs import MAX_KMAX, MAX_NMAX, _read_int, parse_rational_function
 from .hilbert import gf_from_hilbert
 
 SCHEMA = "poincount.output/1"
@@ -220,6 +221,13 @@ def _parse_extra_params(pairs: list[str]) -> dict:
     return params
 
 
+def _check_kmax(args) -> None:
+    """Refuse a --kmax above MAX_KMAX; a negative one is the series'
+    own refusal."""
+    if args.kmax > MAX_KMAX:
+        raise UsageError(f"--kmax is above the limit {MAX_KMAX}")
+
+
 def _is_int(text: str) -> bool:
     """An optional sign and ASCII digits, as int() reads them."""
     return re.fullmatch(r"\s*[+-]?[0-9]+\s*", text) is not None
@@ -254,6 +262,7 @@ def cmd_list(args) -> tuple[int, dict]:
 
 
 def cmd_show(args) -> tuple[int, dict]:
+    _check_kmax(args)
     params = _parse_extra_params(args.param)
     if args.n is not None:
         params["n"] = args.n
@@ -294,6 +303,7 @@ def cmd_verify(args) -> tuple[int, dict]:
         raise UsageError(f"--nmax must be >= 0, got {args.nmax}")
     if args.nmax > MAX_NMAX:
         raise UsageError(f"--nmax is above the limit {MAX_NMAX}")
+    _check_kmax(args)
     if args.id:
         entry, samples = catalog.select_samples(args.id, args.nmax)
         reports = [
@@ -341,6 +351,7 @@ def cmd_verify(args) -> tuple[int, dict]:
 
 
 def cmd_analyze(args) -> tuple[int, dict]:
+    _check_kmax(args)
     f = parse_rational_function(args.expr)
     fields = {"expr": args.expr}
     fields.update(_gf_fields(f))
@@ -407,6 +418,7 @@ def cmd_metric2d(args) -> tuple[int, dict]:
 
 
 def cmd_rederive(args) -> tuple[int, dict]:
+    _check_kmax(args)
     if args.kmax < 0:
         raise UnsupportedArgument("series order must be >= 0")
     got = plan_values(shipped_plan(args.id, args.n), args.kmax)

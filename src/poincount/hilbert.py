@@ -8,17 +8,17 @@ low-order values.  Both directions of the dictionary are exact:
 * spec_from_gf recovers the spec from a rational function whose only pole
   is at z = 1, by finite-difference stabilization of the Taylor coefficients.
 
-Specs are kept canonical (minimal tail_start, exceptions only where they
-differ from zero), so equality of specs is plain structural equality.  A
-spec's tail is held as its integer Newton row at tail_start, which every
-value, the generating function and equality read; the tail as a Polynomial
-is derived from the row only when it is read, for display.
+A spec's tail is given by its integer values at tail_start, tail_start + 1,
+..., and held as its integer Newton row at tail_start, which every value,
+the generating function and equality read.  Specs are kept canonical
+(minimal tail_start, exceptions only where they differ from zero), so
+equality of specs is plain structural equality.  The tail as a Polynomial
+is derived from the row each time it is read, for display.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -28,7 +28,6 @@ from .algebra import (
     Scalar,
     _add,
     _div,
-    _integral,
     _mul,
     split_factor,
 )
@@ -41,14 +40,6 @@ class NotEventuallyPolynomial(UsageError):
 
 class HorizonTooShort(UsageError):
     """Tail stabilization was not observed within the confirmation horizon."""
-
-
-def finite_differences(values: Sequence, order: int) -> list:
-    """Apply the forward difference operator `order` times."""
-    out = list(values)
-    for _ in range(order):
-        out = [out[i + 1] - out[i] for i in range(len(out) - 1)]
-    return out
 
 
 def _newton_row(values: Sequence[int]) -> list[int]:
@@ -68,22 +59,6 @@ def _is_count_type(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _probe_values(tail: Polynomial, tail_start: int) -> list[int]:
-    """tail(k) for k = tail_start..tail_start + deg, by Horner over the
-    integers; a value that is not an integer raises ValueError."""
-    scale, ints = _integral(tail.coeffs)  # tail = ints / scale
-    values = []
-    for k in range(tail_start, tail_start + tail.degree + 1):
-        value = 0
-        for c in reversed(ints):
-            value = value * k + c
-        if value % scale:
-            value = Fraction(value, scale)
-            raise ValueError(f"tail({k}) = {value} is not a nonnegative integer")
-        values.append(value // scale)
-    return values
-
-
 class HilbertSpec:
     """Eventually-polynomial sequence: exceptional values plus a tail polynomial.
 
@@ -91,15 +66,15 @@ class HilbertSpec:
     Construction canonicalizes: tail_start is pulled down as far as the values
     allow and exceptions store only nonzero values below it.
 
-    The tail may be given as a Polynomial, as an integer (a constant tail),
-    or as the list of its integer values at tail_start, tail_start + 1, ...,
-    which gives the polynomial of degree below the list's length through
-    them.  Every form is reduced to values and then to the one datum the
-    spec keeps, the Newton row of integers c_j = Delta^j tail(tail_start)
-    for j = 0..deg, without trailing zeros (the zero tail keeps c_0 = 0).
-    So tail(k) = sum_j c_j C(k - tail_start, j), `values` rolls the row
+    The tail is given as the list (or tuple) of its integer values at
+    tail_start, tail_start + 1, ..., which gives the polynomial of degree
+    below the list's length through them; the empty list is the zero tail.
+    The values are reduced to the one datum the spec keeps, the Newton row
+    of integers c_j = Delta^j tail(tail_start) for j = 0..deg, without
+    trailing zeros (the zero tail keeps c_0 = 0).  So
+    tail(k) = sum_j c_j C(k - tail_start, j), `values` rolls the row
     forward by integer additions alone, and the Polynomial `tail` is built
-    from the row only when it is read.
+    from the row each time it is read.
 
     Every tail value is certified a nonnegative integer at construction.
     Integer values at deg + 1 consecutive points make the tail
@@ -110,13 +85,13 @@ class HilbertSpec:
     positive one makes every entry positive.
     """
 
-    __slots__ = ("exceptions", "tail_start", "_newton", "_tail")
+    __slots__ = ("exceptions", "tail_start", "_newton")
 
     def __init__(
         self,
         exceptions: Mapping[int, int] | None = None,
         tail_start: int = 0,
-        tail: Polynomial | int | Sequence[int] = 0,
+        tail: Sequence[int] = (),
     ):
         if tail_start < 0:
             raise ValueError("tail_start must be >= 0")
@@ -126,18 +101,14 @@ class HilbertSpec:
                 raise ValueError(f"exceptional index {k} must lie in [0, tail_start)")
             if not _is_count_type(v) or v < 0:
                 raise ValueError(f"h({k}) = {v!r} is not a nonnegative integer")
-        if isinstance(tail, (list, tuple)):
-            values = tail
-        elif isinstance(tail, int):
-            values = (tail,)
-        else:
-            if not isinstance(tail, Polynomial):
-                tail = Polynomial.constant(tail)
-            values = _probe_values(tail, tail_start)
-        for k, v in enumerate(values, tail_start):
+        if not isinstance(tail, (list, tuple)):
+            raise TypeError(
+                f"tail must be a list or tuple of its integer values, not {type(tail).__name__}"
+            )
+        for k, v in enumerate(tail, tail_start):
             if not _is_count_type(v):
                 raise ValueError(f"tail({k}) = {v} is not a nonnegative integer")
-        newton = _newton_row(values) or [0]
+        newton = _newton_row(tail) or [0]
         row, k = newton[:], tail_start
         while min(row) < 0:
             if row[0] < 0:
@@ -162,7 +133,6 @@ class HilbertSpec:
         object.__setattr__(self, "exceptions", cleaned)
         object.__setattr__(self, "tail_start", start)
         object.__setattr__(self, "_newton", tuple(newton))
-        object.__setattr__(self, "_tail", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("HilbertSpec is immutable")
@@ -170,32 +140,17 @@ class HilbertSpec:
     @property
     def tail(self) -> Polynomial:
         """The tail polynomial sum_j c_j C(k - tail_start, j), built from the
-        Newton row on the first read, then kept.  With D = deg(tail), the
-        sum D! tail = sum_j c_j (D!/j!) prod_{i<j} (k - tail_start - i) is
-        taken over the integers and divided by D! once."""
-        tail = self._tail
-        if tail is None:
-            scale = math.factorial(len(self._newton) - 1)
-            acc, falling, weight = [], [1], scale
-            for j, c in enumerate(self._newton):
-                if j:
-                    falling = _mul(falling, [1 - j - self.tail_start, 1])
-                    weight //= j
-                acc = _add(acc, [c * weight * f for f in falling])
-            tail = Polynomial([_div(a, scale) for a in acc])
-            object.__setattr__(self, "_tail", tail)
-        return tail
-
-    def h(self, k: int) -> int:
-        """The sequence value at k >= 0."""
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        if k in self.exceptions:
-            return self.exceptions[k]
-        if k < self.tail_start:
-            return 0
-        m = k - self.tail_start
-        return sum(c * math.comb(m, j) for j, c in enumerate(self._newton))
+        Newton row on each read.  With D = deg(tail), the sum
+        D! tail = sum_j c_j (D!/j!) prod_{i<j} (k - tail_start - i) is taken
+        over the integers and divided by D! once."""
+        scale = math.factorial(len(self._newton) - 1)
+        acc, falling, weight = [], [1], scale
+        for j, c in enumerate(self._newton):
+            if j:
+                falling = _mul(falling, [1 - j - self.tail_start, 1])
+                weight //= j
+            acc = _add(acc, [c * weight * f for f in falling])
+        return Polynomial([_div(a, scale) for a in acc])
 
     def values(self, k_max: int) -> list[int]:
         """h(0), ..., h(k_max)."""
@@ -265,8 +220,9 @@ def hilbert_values_spec(values: Sequence[int], confirm: int = 3) -> HilbertSpec:
     """Fit an eventually-polynomial spec to explicit sequence values.
 
     Finds the smallest difference order d whose d-th differences vanish on a
-    suffix of length at least d + confirm, hands the d values from the onset
-    to HilbertSpec as the tail of degree <= d-1 through them, and
+    suffix of length at least d + confirm (one forward difference of the
+    data per order), and hands the d values from the onset to HilbertSpec as
+    its tail values: they fix the tail of degree <= d-1, and HilbertSpec
     canonicalizes.  The default confirm = 3 serves catalog and plan data;
     confirm = 1 accepts a constant tail once three equal trailing values
     show it, the rule of the jet strata table.
@@ -285,7 +241,7 @@ def hilbert_values_spec(values: Sequence[int], confirm: int = 3) -> HilbertSpec:
             if spec.values(n - 1) != list(values):  # pragma: no cover - fit is exact
                 raise HorizonTooShort("tail fit fails to reproduce the data")
             return spec
-        d, diffs = d + 1, finite_differences(diffs, 1)
+        d, diffs = d + 1, [b - a for a, b in zip(diffs, diffs[1:])]
     raise HorizonTooShort(
         f"no difference order stabilizes within {n} values; extend k_max"
     )

@@ -575,7 +575,8 @@ class Scenario:
 
     Base names are single letters, and fiber and free-function names
     symbols of the expression grammar ([A-Za-z][A-Za-z0-9_]*); no two
-    coordinates, nor a coordinate and a free function, share a name.  Generator
+    coordinates, nor a coordinate and a free function, share a name, no
+    free function is named twice and no two strata share a label.  Generator
     expressions use base names, order-0 fiber names, and free-function jet
     tokens f, f_x, f_xy, ... (suffix letters are base names); each free
     function belongs to the single generator using it.  They are parsed
@@ -598,6 +599,8 @@ class Scenario:
                 equalities=tuple(raw.get("equalities", ())),
                 inequations=tuple(raw.get("inequations", ())),
             )
+            if case.label in self.strata:
+                raise ValueError(f"scenario {self.id!r} has two strata labelled {case.label!r}")
             self.strata[case.label] = case
         self.invariants: dict[str, tuple[str, ...]] = {
             label: tuple(exprs)
@@ -639,8 +642,11 @@ class Scenario:
                 raise ValueError(
                     f"{describe(*table[name])} and {describe(*coordinate)} are both named {name!r}"
                 )
-        # a free function named like a coordinate: its tokens would shadow it
+        # a free function named like a coordinate: its tokens would shadow
+        # it; one named twice would give two parameter blocks
         for name in self.free_functions:
+            if self.free_functions.count(name) > 1:
+                raise ValueError(f"free function name {name!r} is repeated")
             if name in self.base or space._jet_index(name):
                 kind = "base" if name in self.base else "fiber" if name in self.fiber else "jet"
                 raise ValueError(f"free function name {name!r} is a {kind} coordinate's name")
@@ -1305,7 +1311,7 @@ def lie_example_table(k_max: int = 7, seed: int = 2024) -> list[StratumRow]:
                 note=f"fit verified to k_max={k_max} only",
             )
         )
-    inf_spec = HilbertSpec({}, 1, 1)
+    inf_spec = HilbertSpec({}, 1, [1])
     rows.append(
         StratumRow(
             label="sigma-infinity",

@@ -6,6 +6,7 @@ matrices instead of the prolongation recursion, plain comb() counting
 instead of the dimension helpers.
 """
 
+import math
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -567,6 +568,49 @@ def three_point_ranks(engine, stratum, seed):
     raise jetflow.GenericityFailure(f"ranks inconsistent across samples for {stratum.label!r}")
 
 
+# -- the tail polynomial in the binomial basis ----------------------------------
+#
+# A HilbertSpec takes its tail by integer values; these build the reference
+# tail as a Fraction polynomial from binomials C(k + shift, r), take its
+# differences, and turn it into the values the spec is given.
+
+
+def finite_differences(values, order):
+    """Apply the forward difference operator `order` times."""
+    out = list(values)
+    for _ in range(order):
+        out = [out[i + 1] - out[i] for i in range(len(out) - 1)]
+    return out
+
+
+def binom_in_k(shift, r):
+    """C(k + shift, r) as a polynomial in k: prod_{i=0}^{r-1}(k + shift - i) / r!.
+
+    For r < 0 returns the zero polynomial (empty product convention matches
+    the binomial(m, k) = 0 for k < 0 rule).
+    """
+    from poincount.algebra import Polynomial, _div, _mul
+
+    if r < 0:
+        return Polynomial.zero()
+    coeffs = [1]
+    for i in range(r):
+        coeffs = _mul(coeffs, [shift - i, 1])
+    r_factorial = math.factorial(r)
+    return Polynomial([_div(c, r_factorial) for c in coeffs])
+
+
+def tail_values(tail, tail_start, extra=0):
+    """The values of the tail Polynomial at k = tail_start, ...,
+    tail_start + deg + extra by Polynomial.evaluate, each an int where it is
+    an integer (a HilbertSpec refuses any other value)."""
+    out = []
+    for k in range(tail_start, tail_start + tail.degree + 1 + extra):
+        value = tail.evaluate(k)
+        out.append(int(value) if value.denominator == 1 else value)
+    return out
+
+
 # -- the rational-function core on Fraction arithmetic -------------------------
 #
 # The term-by-term generating-function builder, the Euclid gcd and the
@@ -599,9 +643,10 @@ def gf_from_hilbert_termwise(spec):
     d_j z^(k0+j) / (1-z)^(j+1) = sum_{k >= k0} d_j C(k - k0, j) z^k, each sum
     reduced before the next term is added."""
     from poincount.algebra import ONE_MINUS_Z, Polynomial, RationalFunction
-    from poincount.hilbert import finite_differences
 
-    result = RationalFunction(Polynomial([spec.h(k) for k in range(spec.tail_start)]))
+    result = RationalFunction(
+        Polynomial([spec.exceptions.get(k, 0) for k in range(spec.tail_start)])
+    )
     tail = spec.tail
     if tail.is_zero():
         return result
@@ -634,7 +679,7 @@ def fit_constant_tail(h):
     onset = len(h) - 1
     while onset > 0 and h[onset - 1] == h[-1]:
         onset -= 1
-    return HilbertSpec({k: h[k] for k in range(onset) if h[k] != 0}, onset, h[-1])
+    return HilbertSpec({k: h[k] for k in range(onset) if h[k] != 0}, onset, [h[-1]])
 
 
 # -- the parse and the pole split on Fraction arithmetic -------------------------
@@ -710,7 +755,7 @@ def divmod_split_factor(poly, factor):
 
 # -- the tail by Fraction Horner -------------------------------------------------
 #
-# HilbertSpec.h before the tail was kept in Newton form: every value comes
+# A spec's value before the tail was kept in Newton form: every value comes
 # from evaluating the tail polynomial afresh in Fraction arithmetic.
 
 
@@ -735,7 +780,7 @@ def horner_h(spec, k):
 def shift_down_horner(spec, m):
     """The spec of k -> h(k + m) with the tail shifted by Horner's rule,
     tail(k + m) = (...(c_d (k + m) + c_(d-1))(k + m) + ...) + c_0, on the
-    tail Polynomial."""
+    tail Polynomial, which is then evaluated at the shifted tail points."""
     from poincount.algebra import Polynomial
     from poincount.hilbert import HilbertSpec
 
@@ -743,7 +788,8 @@ def shift_down_horner(spec, m):
     tail, step = Polynomial.zero(), Polynomial((m, 1))
     for c in reversed(spec.tail.coeffs):
         tail = tail * step + c
-    return HilbertSpec(exc, max(spec.tail_start - m, 0), tail)
+    start = max(spec.tail_start - m, 0)
+    return HilbertSpec(exc, start, tail_values(tail, start))
 
 
 # -- the power by binary squaring ------------------------------------------------

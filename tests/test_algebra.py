@@ -15,7 +15,6 @@ from poincount.algebra import (
     RationalFunction,
     UnsupportedArgument,
     binomial,
-    binom_in_k,
     cyclotomic,
     cyclotomic_factors,
     poly_gcd,
@@ -23,6 +22,7 @@ from poincount.algebra import (
 )
 
 from oracles import (
+    binom_in_k,
     divmod_split_factor,
     euclid_gcd,
     fraction_series,

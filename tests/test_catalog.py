@@ -2,12 +2,14 @@ import dataclasses
 
 import pytest
 
-from poincount import catalog, hilbert
+from poincount import catalog
 from poincount.algebra import ONE_MINUS_Z, Polynomial, RationalFunction
 from poincount.analysis import analyze
 from poincount.errors import UsageError
 from poincount.exprs import MAX_NMAX
 from poincount.hilbert import HilbertSpec, gf_from_hilbert, spec_from_gf
+
+from oracles import tail_values
 
 P = Polynomial
 RF = RationalFunction
@@ -78,7 +80,7 @@ def test_hilbert_spec_kaehler_n1_equals_riemannian_n2():
 
 def test_hilbert_spec_conformal_3d():
     spec = catalog.hilbert_spec("conformal", n=3)
-    assert [spec.h(k) for k in (3, 4, 5)] == [1, 9, 21]
+    assert [spec.values(k)[k] for k in (3, 4, 5)] == [1, 9, 21]
 
 
 def test_claimed_poincare_weyl_2d():
@@ -194,7 +196,7 @@ def test_h0_equals_constant_coefficient():
             p = entry.claimed_p(**sample)
             assert p.den.coefficient(0) != 0
             spec = entry.hilbert(**sample)
-            assert p.coefficient(0) == spec.h(0)
+            assert p.coefficient(0) == spec.values(0)[0]
 
 
 def test_gf_equals_claimed_for_all_hilbert_entries():
@@ -233,32 +235,28 @@ def test_every_catalog_spec_equals_the_spec_fitted_to_its_closed_form():
         assert spec == oracle, (entry.id, params)
         # the tail derived from the Newton row takes the spec's values
         for k in range(spec.tail_start, spec.tail_start + deg + 6):
-            assert spec.tail.evaluate(k) == spec.h(k), (entry.id, params, k)
+            assert spec.tail.evaluate(k) == spec.values(k)[k], (entry.id, params, k)
         cases += 1
     assert cases == 102 + 112
 
 
 def test_verify_all_builds_no_fraction_polynomial_and_no_polynomial_tail(monkeypatch):
-    """The catalog hands every tail over as integer values, so the verify
-    path neither evaluates a tail Polynomial nor builds a Polynomial with a
-    Fraction coefficient (binom_in_k's 1/r! scale makes those)."""
-    built, probed = [], []
-    init, probe = Polynomial.__init__, hilbert._probe_values
+    """The catalog hands every tail over as integer values, the one form a
+    HilbertSpec takes, so the verify path builds no Polynomial with a
+    Fraction coefficient (a tail built from binomials C(k + s, r) as
+    polynomials in k, with their 1/r! scale, makes those)."""
+    built = []
+    init = Polynomial.__init__
 
     def counting_init(self, coeffs=()):
         init(self, coeffs)
         if any(type(c) is not int for c in self.coeffs):
             built.append(self)
 
-    def counting_probe(tail, tail_start):
-        probed.append(tail)
-        return probe(tail, tail_start)
-
     monkeypatch.setattr(Polynomial, "__init__", counting_init)
-    monkeypatch.setattr(hilbert, "_probe_values", counting_probe)
     reports = catalog.verify_all(50, 8)
     assert len(reports) == 124
-    assert built == [] and probed == []
+    assert built == []
 
 
 def test_alias_resolution():
@@ -368,7 +366,7 @@ def _bump(spec, k):
     """The spec with h(k) raised by one and every other value kept."""
     values = spec.values(k)
     values[k] += 1
-    return HilbertSpec(dict(enumerate(values)), k + 1, spec.tail)
+    return HilbertSpec(dict(enumerate(values)), k + 1, tail_values(spec.tail, k + 1))
 
 
 def test_verify_entry_reports_a_pole_at_the_origin(monkeypatch):
@@ -416,7 +414,7 @@ def test_verify_entry_reports_gf_and_series_mismatches(monkeypatch):
     assert report.detail["gf_mismatch"]["from_hilbert"] != claimed
     report = catalog.verify_entry("riemannian", {"n": 3}, 50)
     assert list(report.detail) == ["gf_mismatch", "series_mismatch"]
-    h40 = spec.h(40)
+    h40 = spec.values(40)[40]
     assert report.detail["series_mismatch"] == {"k": 40, "expected": h40 + 1, "got": str(h40)}
     # a wrong h(0) is a series mismatch at k = 0
     _doctor(monkeypatch, "riemannian", hilbert=lambda n: _bump(spec, 0))

@@ -457,6 +457,32 @@ def test_oversized_catalog_sizes_are_refused_before_any_work(monkeypatch):
         assert (code, out, err) == (2, "", f"poincount: error: {text}\n"), argv[:2]
 
 
+def test_an_oversized_kmax_is_refused_before_any_work(monkeypatch):
+    # the bound itself is accepted; one more is refused with one line,
+    # before a series or a counting plan is computed
+    from poincount import cli, counting
+    from poincount.algebra import RationalFunction
+    from poincount.exprs import MAX_KMAX
+
+    assert MAX_KMAX == 10_000
+    assert capture(["analyze", "--expr", "z", "--kmax", str(MAX_KMAX)])[0] == 0
+
+    def reached(*args, **kwargs):
+        raise AssertionError("the bound was not checked first")
+
+    monkeypatch.setattr(RationalFunction, "series", reached)
+    monkeypatch.setattr(counting, "plan_values", reached)
+    monkeypatch.setattr(cli, "plan_values", reached)
+    for argv in (
+        ["show", "riemannian", "--n", "4"],
+        ["verify"],
+        ["analyze", "--expr", "z"],
+        ["rederive", "--id", "fedosov", "--n", "2"],
+    ):
+        code, out, err = capture(argv + ["--kmax", str(MAX_KMAX + 1)])
+        assert (code, out, err) == (2, "", "poincount: error: --kmax is above the limit 10000\n"), argv
+
+
 def test_other_value_errors_propagate(monkeypatch):
     # only the int-to-text digit limit is a usage error; any other ValueError,
     # from a command or from a renderer, is a fault of the program

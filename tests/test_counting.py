@@ -62,14 +62,14 @@ def test_linear_connections_override_values():
 
 def test_fedosov_small_dimension_values():
     spec = assemble_hilbert(shipped_plan("fedosov", 1))
-    assert spec.h(2) == 5
+    assert spec.values(2)[2] == 5
     for k in range(3, 20):
-        assert spec.h(k) == 3 * k
+        assert spec.values(k)[k] == 3 * k
 
 
 def test_einstein_lorentzian_values():
     spec = assemble_hilbert(shipped_plan("einstein", 4))
-    assert [spec.h(k) for k in (2, 3, 4)] == [5, 24, 42]
+    assert [spec.values(k)[k] for k in (2, 3, 4)] == [5, 24, 42]
 
 
 @pytest.mark.parametrize("structure_id", sorted(SHIPPED_PLANS))
@@ -125,9 +125,9 @@ def test_einstein_weyl_closed_form_matches_mechanistic_row():
     # catalog h_2 closed form vs the plan's generic row, through n = 12
     for n in range(4, 13):
         plan = shipped_plan("einstein-weyl", n)
-        closed = catalog.hilbert_spec("einstein-weyl", n=n).h(2)
+        closed = catalog.hilbert_spec("einstein-weyl", n=n).values(2)[2]
         assert plan.row(2) == closed
     # and the delta-corrected n = 3 override
     assert shipped_plan("einstein-weyl", 3).row(2) == catalog.hilbert_spec(
         "einstein-weyl", n=3
-    ).h(2)
+    ).values(2)[2]

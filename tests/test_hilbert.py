@@ -7,42 +7,44 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from poincount import catalog
-from poincount.algebra import ONE_MINUS_Z, Polynomial, RationalFunction, binom_in_k
+from poincount.algebra import ONE_MINUS_Z, Polynomial, RationalFunction
 from poincount.hilbert import (
     HilbertSpec,
     HorizonTooShort,
     NotEventuallyPolynomial,
     equal_series,
-    finite_differences,
     gf_from_hilbert,
     hilbert_values_spec,
     spec_from_gf,
 )
 
-from oracles import fit_constant_tail, gf_from_hilbert_termwise, horner_h, shift_down_horner
+from oracles import (
+    binom_in_k,
+    finite_differences,
+    fit_constant_tail,
+    gf_from_hilbert_termwise,
+    horner_h,
+    shift_down_horner,
+    tail_values,
+)
 
 P = Polynomial
 RF = RationalFunction
 
 
 def riemannian2_spec():
-    return HilbertSpec({2: 1, 3: 1}, 4, P((-1, 1)))
+    return HilbertSpec({2: 1, 3: 1}, 4, [3, 4])  # k - 1 from k = 4
 
 
 def test_h_value_examples():
     spec = riemannian2_spec()
-    assert spec.h(3) == 1
-    assert spec.h(0) == 0  # gap below the tail defaults to zero
+    assert spec.values(3)[3] == 1
+    assert spec.values(0)[0] == 0  # gap below the tail defaults to zero
     self_dual = catalog.hilbert_spec("self-dual-metrics", n=4)
     # tail (1/6)(k-1)(k^2+25k+36) at k=4, cross-checked against the series
-    assert self_dual.h(4) == 76
+    assert self_dual.values(4)[4] == 76
     p = catalog.claimed_poincare("self-dual-metrics", n=4)
     assert p.coefficient(4) == 76
-
-
-def test_h_value_negative_index_rejected():
-    with pytest.raises(ValueError):
-        riemannian2_spec().h(-1)
 
 
 def test_gf_from_hilbert_riemannian2():
@@ -51,11 +53,11 @@ def test_gf_from_hilbert_riemannian2():
 
 
 def test_gf_from_hilbert_zero():
-    assert gf_from_hilbert(HilbertSpec({}, 0, 0)) == RF.zero()
+    assert gf_from_hilbert(HilbertSpec({}, 0, [])) == RF.zero()
 
 
 def test_gf_from_hilbert_cubic_tail():
-    spec = HilbertSpec({}, 4, P((-2, 2)))  # 2(k-1) from k = 4
+    spec = HilbertSpec({}, 4, [6, 8])  # 2(k-1) from k = 4
     assert gf_from_hilbert(spec) == RF(2 * P((0, 0, 0, 0, 3, -2)), ONE_MINUS_Z**2)
 
 
@@ -75,7 +77,7 @@ def test_spec_from_gf_rejects_other_poles():
 
 def test_spec_from_gf_zero():
     spec = spec_from_gf(RF.zero(), 10)
-    assert spec == HilbertSpec({}, 0, 0)
+    assert spec == HilbertSpec({}, 0, [])
 
 
 def test_spec_from_gf_short_horizon():
@@ -91,9 +93,9 @@ def test_equal_series_full_match():
 
 
 def test_equal_series_first_mismatch():
-    assert equal_series(RF(1, ONE_MINUS_Z), HilbertSpec({}, 0, 0), 10) == (0, 0, 1)
+    assert equal_series(RF(1, ONE_MINUS_Z), HilbertSpec({}, 0, []), 10) == (0, 0, 1)
     # the first of several mismatches, as (k, h(k), coefficient)
-    spec = HilbertSpec({0: 1, 1: 2}, 2, 3)  # 1, 2, 3, 3, ... against 1, 2, 3, 4, ...
+    spec = HilbertSpec({0: 1, 1: 2}, 2, [3])  # 1, 2, 3, 3, ... against 1, 2, 3, 4, ...
     assert equal_series(RF(1, ONE_MINUS_Z**2), spec, 10) == (3, 3, 4)
 
 
@@ -127,31 +129,31 @@ def test_h_values_match_coefficients_to_60():
         spec = catalog.hilbert_spec(entry_id, n=n)
         series = gf_from_hilbert(spec).series(60)
         for k in range(61):
-            assert series[k] == spec.h(k)
+            assert series[k] == spec.values(k)[k]
 
 
 def test_canonicalization_minimizes_tail_start():
     # value at k = 3 agrees with the tail, so the onset pulls down to 3
-    spec = HilbertSpec({3: 2}, 4, P((-1, 1)))
+    spec = HilbertSpec({3: 2}, 4, [3, 4])  # k - 1 from k = 4
     assert spec.tail_start == 3
     assert spec.exceptions == {}
 
 
 def test_exception_equal_to_zero_is_dropped():
-    spec = HilbertSpec({1: 0, 2: 5}, 3, P((7,)))
+    spec = HilbertSpec({1: 0, 2: 5}, 3, [7])
     assert spec.exceptions == {2: 5}
-    assert spec.h(1) == 0
+    assert spec.values(1)[1] == 0
 
 
 def test_invalid_specs_rejected():
     with pytest.raises(ValueError):
-        HilbertSpec({5: 1}, 3, P((1,)))  # exception beyond tail_start
+        HilbertSpec({5: 1}, 3, [1])  # exception beyond tail_start
     with pytest.raises(ValueError):
-        HilbertSpec({1: -2}, 3, P((1,)))  # negative value
+        HilbertSpec({1: -2}, 3, [1])  # negative value
     with pytest.raises(ValueError):
-        HilbertSpec({}, 0, P((0, 1, -1)))  # tail negative for large k
+        HilbertSpec({}, 0, [0, 0, -2])  # tail k - k^2, negative for large k
     with pytest.raises(ValueError):
-        HilbertSpec({}, 0, P((Fraction(1, 2),)))  # non-integer tail
+        HilbertSpec({}, 0, [Fraction(1, 2)])  # non-integer tail
 
 
 def _raises_not_a_count(named):
@@ -160,19 +162,14 @@ def _raises_not_a_count(named):
 
 
 def test_every_tail_form_names_the_value_it_refuses():
-    # the same tail k - 2 from k = 0, as a Polynomial and as values
     with _raises_not_a_count("tail(0) = -2"):
-        HilbertSpec({}, 0, P((-2, 1)))
-    with _raises_not_a_count("tail(0) = -2"):
-        HilbertSpec({}, 0, [-2, -1])
+        HilbertSpec({}, 0, [-2, -1])  # k - 2 from k = 0
     with _raises_not_a_count("tail(1) = -1"):
         HilbertSpec({}, 0, [1, -1])  # negative from the second value on
     with _raises_not_a_count("tail(2) = -3"):
-        HilbertSpec({}, 2, -3)
+        HilbertSpec({}, 2, (-3,))
     with _raises_not_a_count("tail(3) = 1/2"):
-        HilbertSpec({}, 3, P((Fraction(1, 2),)))
-    with _raises_not_a_count("tail(3) = 1/2"):
-        HilbertSpec({}, 3, Fraction(1, 2))
+        HilbertSpec({}, 3, [Fraction(1, 2)])
     with _raises_not_a_count("tail(4) = 1/2"):
         HilbertSpec({}, 3, [1, Fraction(1, 2)])
 
@@ -180,21 +177,29 @@ def test_every_tail_form_names_the_value_it_refuses():
 def test_bool_is_not_an_integer_value():
     # True is an int to Python, and would print as `true` in JSON
     with _raises_not_a_count("h(1) = True"):
-        HilbertSpec({1: True}, 3, 1)
+        HilbertSpec({1: True}, 3, [1])
     with _raises_not_a_count("h(0) = False"):
-        HilbertSpec({0: False}, 3, 1)
+        HilbertSpec({0: False}, 3, [1])
     with _raises_not_a_count("tail(3) = True"):
-        HilbertSpec({}, 3, True)
+        HilbertSpec({}, 3, [True])
     with _raises_not_a_count("tail(4) = False"):
         HilbertSpec({}, 3, [1, False])
-    assert HilbertSpec({1: 1}, 3, 1).values(4) == [0, 1, 0, 1, 1]
+    assert HilbertSpec({1: 1}, 3, [1]).values(4) == [0, 1, 0, 1, 1]
+
+
+def test_a_tail_not_given_by_its_values_is_refused():
+    for tail, kind in [(1, "int"), (P((1,)), "Polynomial"), (Fraction(1), "Fraction"), ("1", "str")]:
+        with pytest.raises(
+            TypeError, match=f"^tail must be a list or tuple of its integer values, not {kind}$"
+        ):
+            HilbertSpec({}, 3, tail)
 
 
 def test_shift_down():
     spec = riemannian2_spec()
     shifted = spec.shift_down(1)
     for k in range(0, 30):
-        assert shifted.h(k) == spec.h(k + 1)
+        assert shifted.values(k)[k] == spec.values(k + 1)[k + 1]
 
 
 def test_hilbert_values_spec_fits_polynomial_tail():
@@ -205,17 +210,13 @@ def test_hilbert_values_spec_fits_polynomial_tail():
 
 def test_finite_differences_and_shift_helpers():
     assert finite_differences([1, 4, 9, 16], 1) == [3, 5, 7]
-    q = HilbertSpec({}, 0, P((0, 0, 1))).shift_down(2)  # k^2 -> (k+2)^2
+    q = HilbertSpec({}, 0, [0, 1, 4]).shift_down(2)  # k^2 -> (k+2)^2
     assert q.tail == P((4, 4, 1))
     assert [q.tail.evaluate(k) for k in range(4)] == q.values(3) == [4, 9, 16, 25]
 
 
-def _basis_tail(tail_start, basis, as_values):
-    """The tail sum_j basis[j] C(k - tail_start, j): a Polynomial, or with
-    as_values its integer values at k = tail_start, ..., tail_start +
-    len(basis) - 1."""
-    if as_values:
-        return [sum(c * comb(i, j) for j, c in enumerate(basis)) for i in range(len(basis))]
+def _basis_tail(tail_start, basis):
+    """The tail sum_j basis[j] C(k - tail_start, j) as an oracle Polynomial."""
     tail = P.zero()
     for j, c in enumerate(basis):
         tail = tail + binom_in_k(-tail_start, j) * c
@@ -227,23 +228,19 @@ def hilbert_specs(draw):
     """Specs with up to 8 exceptional values (zeros allowed), any onset from 0,
     and a tail of degree -1 (zero) to 8 with nonnegative binomial-basis
     coefficients at the onset, so every tail value is a nonnegative integer;
-    the tail is given as a Polynomial or by its values."""
+    the tail is given by its values, with up to 3 past its degree."""
     tail_start = draw(st.integers(0, 8))
     values = draw(st.lists(st.integers(0, 50), min_size=tail_start, max_size=tail_start))
     basis = draw(st.lists(st.integers(0, 30), max_size=9))
-    tail = _basis_tail(tail_start, basis, draw(st.booleans()))
+    tail = tail_values(_basis_tail(tail_start, basis), tail_start, draw(st.integers(0, 3)))
     return HilbertSpec(dict(enumerate(values)), tail_start, tail)
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(hilbert_specs())
-@example(HilbertSpec({}, 0, 0))
-@example(HilbertSpec({0: 3, 2: 1}, 4, 0))  # zero tail: a polynomial
-@example(HilbertSpec({}, 0, binom_in_k(0, 8)))  # onset 0, degree 8
-@example(HilbertSpec({1: 7}, 3, 2 * binom_in_k(-3, 8) + 1))
-@example(HilbertSpec({}, 0, []))  # the zero tail by its values
-@example(HilbertSpec({0: 3, 2: 1}, 4, [0, 0]))  # trailing zeros of the row dropped
-@example(HilbertSpec({}, 0, [comb(k, 8) for k in range(9)]))
+@example(HilbertSpec())  # the default tail (), the zero tail
+@example(HilbertSpec({0: 3, 2: 1}, 4, [0, 0]))  # zero tail: a polynomial; zeros of the row dropped
+@example(HilbertSpec({}, 0, [comb(k, 8) for k in range(9)]))  # onset 0, degree 8
 @example(HilbertSpec({1: 7}, 3, [2 * comb(i, 8) + 1 for i in range(9)]))
 def test_gf_from_hilbert_matches_termwise_oracle_and_is_canonical(spec):
     gf = gf_from_hilbert(spec)
@@ -262,7 +259,7 @@ def signed_hilbert_specs(draw):
     values = draw(st.lists(st.integers(0, 50), min_size=tail_start, max_size=tail_start))
     basis = draw(st.lists(st.integers(0, 60), max_size=8))
     basis.append(draw(st.integers(-3, 3)))
-    tail = _basis_tail(tail_start, basis, draw(st.booleans()))
+    tail = tail_values(_basis_tail(tail_start, basis), tail_start, draw(st.integers(0, 3)))
     try:
         return HilbertSpec(dict(enumerate(values)), tail_start, tail)
     except ValueError:
@@ -280,27 +277,19 @@ def _assert_matches_oracle(spec, k_max):
     got = spec.values(k_max)
     assert got == want and all(type(v) is int for v in got)
     for k, value in enumerate(want):
-        assert spec.h(k) == value and type(spec.h(k)) is int
+        at_k = spec.values(k)[k]
+        assert at_k == value and type(at_k) is int
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(st.one_of(hilbert_specs(), signed_hilbert_specs()), st.integers(0, 40), st.integers(0, 6))
-@example(HilbertSpec({}, 0, 0), 5, 2)  # zero tail
-@example(HilbertSpec({0: 3, 2: 1}, 4, 0), 6, 1)  # zero tail after exceptions
-@example(HilbertSpec({}, 0, binom_in_k(0, 8)), 30, 3)  # onset 0, degree 8
-@example(HilbertSpec({1: 7}, 3, 2 * binom_in_k(-3, 8) + 1), 25, 5)
-@example(HilbertSpec({}, 0, P((30, -10, 1))), 15, 2)  # certified after rolling to k = 5
-@example(HilbertSpec({3: 2}, 4, P((-1, 1))), 10, 0)  # onset pulled down to 3
-@example(  # degree 41
-    HilbertSpec({0: 2}, 3, binom_in_k(0, 41) + 5 * binom_in_k(-3, 40) + 1), 60, 4
-)
-@example(HilbertSpec({}, 0, []), 5, 2)  # the examples above, tails given by values
-@example(HilbertSpec({0: 3, 2: 1}, 4, [0]), 6, 1)
-@example(HilbertSpec({}, 0, [comb(k, 8) for k in range(9)]), 30, 3)
+@example(HilbertSpec({}, 0, []), 5, 2)  # zero tail
+@example(HilbertSpec({0: 3, 2: 1}, 4, [0]), 6, 1)  # zero tail after exceptions
+@example(HilbertSpec({}, 0, [comb(k, 8) for k in range(9)]), 30, 3)  # onset 0, degree 8
 @example(HilbertSpec({1: 7}, 3, [2 * comb(i, 8) + 1 for i in range(9)]), 25, 5)
-@example(HilbertSpec({}, 0, [30, 21, 14]), 15, 2)
-@example(HilbertSpec({3: 2}, 4, [3, 4]), 10, 0)
-@example(
+@example(HilbertSpec({}, 0, [30, 21, 14]), 15, 2)  # k^2 - 10 k + 30, certified at k = 5
+@example(HilbertSpec({3: 2}, 4, [3, 4]), 10, 0)  # onset pulled down to 3
+@example(  # degree 41
     HilbertSpec({0: 2}, 3, [comb(k, 41) + 5 * comb(k - 3, 40) + 1 for k in range(3, 45)]), 60, 4
 )
 def test_values_and_h_match_fraction_horner_oracle(spec, k_max, m):
@@ -309,6 +298,9 @@ def test_values_and_h_match_fraction_horner_oracle(spec, k_max, m):
     _assert_matches_oracle(shifted, k_max)
     assert _oracle_values(shifted, k_max) == _oracle_values(spec, k_max, shift=m)
     assert shifted == shift_down_horner(spec, m)
+
+
+_REFUSAL = re.compile(r"tail\((\d+)\) = (-\d+) is not a nonnegative integer")
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -326,36 +318,39 @@ def test_values_and_h_match_fraction_horner_oracle(spec, k_max, m):
 @example(0, [], [100, -1, -2], 0)  # 100 - k^2, refused at k = 11
 @example(4, [0, 0, 0, 2], [3, 1], 0)  # onset pulled down to 3
 def test_values_form_gives_the_polynomial_forms_spec(tail_start, head, basis, extra):
-    """A tail given by values, `extra` of them past its degree, makes the
-    spec the Polynomial form makes, or the same refusal."""
+    """A tail given by the values of the oracle polynomial, `extra` of them
+    past its degree, makes the spec with that tail polynomial and the same
+    spec as deg + 1 values; or both refuse it at its first negative value."""
     exceptions = dict(enumerate(head[:tail_start]))
-    poly = _basis_tail(tail_start, basis, False)
-    values = _basis_tail(tail_start, basis + [0] * extra, True)
+    poly = _basis_tail(tail_start, basis)
     try:
-        want = HilbertSpec(exceptions, tail_start, poly)
+        want = HilbertSpec(exceptions, tail_start, tail_values(poly, tail_start))
     except ValueError as refused:
+        found = _REFUSAL.fullmatch(str(refused))
+        assert found, refused
+        k, value = int(found[1]), int(found[2])
+        assert poly.evaluate(k) == value
+        assert all(poly.evaluate(i) >= 0 for i in range(tail_start, k))
         with pytest.raises(ValueError, match=f"^{re.escape(str(refused))}$"):
-            HilbertSpec(exceptions, tail_start, values)
+            HilbertSpec(exceptions, tail_start, tail_values(poly, tail_start, extra))
         return
-    got = HilbertSpec(exceptions, tail_start, values)
-    assert got == want and hash(got) == hash(want)
-    assert got.values(40) == want.values(40)
-    g, w = gf_from_hilbert(got), gf_from_hilbert(want)
+    got = HilbertSpec(exceptions, tail_start, tail_values(poly, tail_start, extra))
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    oracle = [exceptions.get(k, 0) if k < tail_start else poly.evaluate(k) for k in range(41)]
+    assert got.values(40) == oracle
+    g, w = gf_from_hilbert(got), gf_from_hilbert_termwise(got)
     assert (g.num.coeffs, g.den.coeffs) == (w.num.coeffs, w.den.coeffs)
-    assert repr(got) == repr(want)
-    assert got.tail == want.tail == poly  # read off the Newton row: the tail given
-    if len(basis) <= 1:
-        assert HilbertSpec(exceptions, tail_start, basis[0] if basis else 0) == got
+    assert got.tail == poly  # read off the Newton row: the tail given
 
 
 def test_a_tail_that_turns_negative_is_refused_at_construction():
     # negative from k = 11, past the deg + 1 points that show it integral
     with pytest.raises(ValueError, match=r"^tail\(11\) = -21 is not a nonnegative integer$"):
-        HilbertSpec({}, 0, P((100, 0, -1)))
+        HilbertSpec({}, 0, [100, 99, 96])  # 100 - k^2
     with pytest.raises(ValueError, match=r"^tail\(13\) = -1 is not a nonnegative integer$"):
-        HilbertSpec({}, 0, P((12, -1)))
+        HilbertSpec({}, 0, [12, 11])  # 12 - k
     # k^2 - 10 k + 30 dips to 5 at k = 5 and stays nonnegative
-    assert HilbertSpec({}, 0, P((30, -10, 1))).values(7) == [30, 21, 14, 9, 6, 5, 6, 9]
+    assert HilbertSpec({}, 0, [30, 21, 14]).values(7) == [30, 21, 14, 9, 6, 5, 6, 9]
 
 
 # -- one tail-fitting rule: confirm = 1 is the strata table's constant-tail fit --
@@ -407,7 +402,7 @@ def test_confirm_one_short_horizon(row):
 
 def test_default_confirm_is_three():
     row = [0, 1, 1, 0, 2, 2, 2, 2]  # the sigma5 row at k_max = 7
-    assert hilbert_values_spec(row, confirm=1) == HilbertSpec({1: 1, 2: 1}, 4, 2)
+    assert hilbert_values_spec(row, confirm=1) == HilbertSpec({1: 1, 2: 1}, 4, [2])
     with pytest.raises(HorizonTooShort):
         hilbert_values_spec(row)  # a constant tail needs d + 3 = 4 zero differences
-    assert hilbert_values_spec(row + [2]) == HilbertSpec({1: 1, 2: 1}, 4, 2)
+    assert hilbert_values_spec(row + [2]) == HilbertSpec({1: 1, 2: 1}, 4, [2])

@@ -991,6 +991,31 @@ def test_free_functions_named_like_coordinates_are_refused(name, refused):
     Scenario(dict(data, free_functions=["f"]))
 
 
+def test_a_repeated_stratum_label_is_refused():
+    # the second stratum labelled g silently replaced the first
+    data = {
+        "id": "twice", "base": ["x"], "fiber": ["u"],
+        "generators": [{"xi": ["1"], "phi": ["0"]}],
+        "strata": [{"label": "g", "equalities": ["u"]}, {"label": "g"}],
+    }
+    with pytest.raises(ValueError, match="^scenario 'twice' has two strata labelled 'g'$"):
+        Scenario(data)
+    Scenario(dict(data, strata=[{"label": "g", "equalities": ["u"]}, {"label": "h"}]))
+
+
+def test_a_repeated_free_function_name_is_refused():
+    # f twice gave two identical parameter blocks, so N_k read 2, 4, 6, 8
+    # where it is 1, 2, 3, 4 and the freeness probe compared a wrong N_k
+    data = {
+        "id": "twice", "base": ["x"], "fiber": ["u"], "free_functions": ["f", "f"],
+        "generators": [{"xi": ["f"], "phi": ["0"]}],
+    }
+    with pytest.raises(ValueError, match="^free function name 'f' is repeated$"):
+        Scenario(data)
+    once = Scenario(dict(data, free_functions=["f"]))
+    assert [once.field().acting_count(k) for k in range(4)] == [1, 2, 3, 4]
+
+
 def test_scenario_errors():
     with pytest.raises(UnknownScenario):
         get_scenario("nope")
