@@ -561,6 +561,14 @@ class _Field(NamedTuple):
         return sum(comb(p + cutoff, p) for cutoff in self.cutoffs(order))
 
 
+def _required(data: Mapping, key: str, where: str):
+    """data[key], or a ValueError naming the key and `where` it is missing."""
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f"{where} has no {key!r}") from None
+
+
 class Scenario:
     """Declarative description of a pseudogroup action on a trivial bundle.
 
@@ -573,7 +581,11 @@ class Scenario:
          "invariants": {label: [rational exprs]},          # optional
          "positivity": [rational exprs required > 0]}      # optional
 
-    Base names are single letters, and fiber and free-function names
+    "id", "base", "fiber", "generators", each generator's "xi" and "phi"
+    and each stratum's "label" are required: a missing one is a
+    ValueError naming it and where it is missing.  "free_functions" and
+    "strata" may be left out; other keys are ignored.  Base names are
+    single letters, and fiber and free-function names
     symbols of the expression grammar ([A-Za-z][A-Za-z0-9_]*); no two
     coordinates, nor a coordinate and a free function, share a name, no
     free function is named twice and no two strata share a label.  Generator
@@ -583,24 +595,29 @@ class Scenario:
     into polynomials and may divide by constants only.
     Invariants and positivity conditions are rational expressions in jet
     coordinates, evaluated exactly at each sampled point; a sample where
-    one of them divides by zero is redrawn.
+    one of them divides by zero is redrawn.  A positivity symbol must be
+    a base name or a jet coordinate's name (of any order up to 9).
     """
 
     def __init__(self, data: Mapping):
-        self.id: str = data["id"]
-        self.base: tuple[str, ...] = tuple(data["base"])
-        self.fiber: tuple[str, ...] = tuple(data["fiber"])
+        self.id: str = _required(data, "id", "the scenario")
+        where = f"scenario {self.id!r}"
+        self.base: tuple[str, ...] = tuple(_required(data, "base", where))
+        self.fiber: tuple[str, ...] = tuple(_required(data, "fiber", where))
         self.free_functions: tuple[str, ...] = tuple(data.get("free_functions", ()))
-        self.generators: tuple[Mapping, ...] = tuple(data["generators"])
+        self.generators: tuple[Mapping, ...] = tuple(_required(data, "generators", where))
+        for index, gen in enumerate(self.generators):
+            for key in ("xi", "phi"):
+                _required(gen, key, f"generator {index} of {where}")
         self.strata: dict[str, StratumCase] = {}
-        for raw in data.get("strata", ()):
+        for index, raw in enumerate(data.get("strata", ())):
             case = StratumCase(
-                label=raw["label"],
+                label=_required(raw, "label", f"stratum {index} of {where}"),
                 equalities=tuple(raw.get("equalities", ())),
                 inequations=tuple(raw.get("inequations", ())),
             )
             if case.label in self.strata:
-                raise ValueError(f"scenario {self.id!r} has two strata labelled {case.label!r}")
+                raise ValueError(f"{where} has two strata labelled {case.label!r}")
             self.strata[case.label] = case
         self.invariants: dict[str, tuple[str, ...]] = {
             label: tuple(exprs)
@@ -618,9 +635,7 @@ class Scenario:
                 if not re.fullmatch(form, name):
                     raise ValueError(f"{kind} name {name!r} is not of the form {form}")
         if self.free_functions and not self.base:
-            raise ValueError(
-                f"scenario {self.id!r} has free functions but an empty base"
-            )
+            raise ValueError(f"{where} has free functions but an empty base")
         # A jet name above order 0 is a prefix and p digits, so the first two
         # coordinates of J^_MAX_ORDER that share a name, in column order, are
         # among J^1's and the jets that fiber names read as (u1 beside u)
@@ -650,6 +665,14 @@ class Scenario:
             if name in self.base or space._jet_index(name):
                 kind = "base" if name in self.base else "fiber" if name in self.fiber else "jet"
                 raise ValueError(f"free function name {name!r} is a {kind} coordinate's name")
+        # the sampler evaluates positivity at points of jet coordinates
+        for text in self.positivity:
+            for name in sorted(symbol_names(text)):
+                if name not in self.base and not space._jet_index(name):
+                    raise ValueError(
+                        f"positivity {text!r} of {where} names {name!r}, "
+                        "which is neither a base name nor a jet coordinate"
+                    )
 
     def space(self, order: int) -> JetSpace:
         return JetSpace(order, self.base, self.fiber)

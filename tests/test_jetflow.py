@@ -39,7 +39,7 @@ from poincount.jetflow import (
     stratum_columns,
     _StratumEngine,
 )
-from poincount import jetflow, jetpoly
+from poincount import jetflow
 from poincount.catalog import hilbert_spec
 from poincount.cli import run
 from poincount.jetpoly import Poly, _echelon, matrix_rank, rank_profile
@@ -49,7 +49,6 @@ from oracles import (
     coordinates,
     derivative_orders,
     jet_columns,
-    one_pass_rank_profile,
     poly_diff,
     prolonged_fields_oracle,
     prolonged_rows_oracle,
@@ -528,15 +527,16 @@ def _rank_cases(draw):
 @example(([[2, 0, 4, 6], [3, 5, 0, 0], [1, 5, -4, -6]], 4, [1, 2, 1]), [])  # dependent via fill-in
 @example(([[0, 3], [2, 1]], 2, [1, 1]), [])  # padded, a zero leads the first row
 @example(([[1, 1, 1], [1, 1, 0]], 3, [1, 1]), [])  # the shorter second row displaces the first pivot
-# twice the first row minus the second vanishes on blocks [0, 1) and
-# [1, 3): it is carried through both into [3, 6), where it is the only row
+# twice the first row minus the second vanishes below column 3, and no
+# other combination leads at or after it
 @example(([[1, 1, 2, 0, 3, 0], [2, 2, 4, 1, 6, 0], [0, 1, 0, 0, 0, 1]], 6, [1, 2, 3]), [1, 3, 6])
-# four rows lead in the two-column block [0, 2): two dependencies go on,
-# and one combination of them vanishes everywhere
+# four rows lead in the two columns [0, 2): two combinations vanish
+# there, and one combination of them vanishes everywhere
 @example(([[1, 0, 1, 0, 0], [0, 1, 0, 1, 0], [1, 1, 1, 1, 0], [2, 1, 0, 1, 1]], 5, [1, 1, 2, 1]), [2, 5])
-# more rows than columns in block [1, 3), a carried row among them
+# three rows lead in the two columns [1, 3), and twice the first row
+# minus the second vanishes below column 3
 @example(([[1, 2, 1, 1], [2, 4, 2, 0], [0, 1, 0, 2], [0, 0, 1, 1], [0, 1, 1, 3]], 4, [1] * 5), [1, 3, 4])
-# repeated cuts: the empty blocks pass their candidates on
+# repeated cuts: empty blocks between equal cuts
 @example(([[1, 1, 0, 2], [2, 2, 1, 4], [0, 0, 3, 1]], 4, [1, 3, 1]), [0, 0, 2, 2, 4, 4])
 # a cut below every column; one row leads after the last cut
 @example(([[0, 0, 0, 5], [0, 3, 0, 0], [0, 6, 0, 0]], 4, [1, 1, 1]), [0, 1, 3])
@@ -568,37 +568,23 @@ def test_rank_profile_parity(case, picks):
         assert _echelon(padded, n_cols) == _echelon(sparse, n_cols)
 
 
-def test_rank_profile_on_engine_rows(monkeypatch):
-    # the block-by-block profile equals the one-pass profile on the tangent
-    # rows at seeded points: metric2d at k=6 and the 3D metric at k=3, where
-    # so(n) carries rows through the first blocks, and every x-reparam
-    # stratum at k=7; every carried row has content 1
-    carried = []
-
-    def combination(*args):
-        row = combine(*args)
-        carried.append(row)
-        return row
-
-    combine = jetpoly._combination
-    monkeypatch.setattr(jetpoly, "_combination", combination)
-    cases = [(METRIC2D, ["generic"], 6), (METRIC3D, ["generic"], 3), (X_REPARAM, SC.strata, 7)]
+def test_rank_profile_on_engine_rows():
+    # the profile equals plain fraction elimination on every prefix of the
+    # tangent rows at a seeded point: metric2d at k=3 and the 3D metric at
+    # k=2, where so(n) makes rows dependent in the first blocks, and every
+    # x-reparam stratum at k=7
+    cases = [(METRIC2D, ["generic"], 3), (METRIC3D, ["generic"], 2), (X_REPARAM, SC.strata, 7)]
     for data, labels, k in cases:
         engine = _StratumEngine(Scenario(data), k)
         for label in labels:
-            rng = random.Random(2024)
-            for _ in range(2):
-                point = sample_stratum_point(
-                    engine.space, engine.scenario.stratum(label), rng, engine.positivity
-                )
-                rows = list(prolong(engine.plan, point)[1].values())
-                carried.clear()
-                assert rank_profile(rows, engine.cols_at) == one_pass_rank_profile(
-                    rows, engine.cols_at
-                ), (data["id"], label)
-                if data is not X_REPARAM:
-                    assert [row for row in carried if row], data["id"]
-                assert all(math.gcd(*row.values()) == 1 for row in carried if row)
+            point = sample_stratum_point(
+                engine.space, engine.scenario.stratum(label), random.Random(2024), engine.positivity
+            )
+            rows = list(prolong(engine.plan, point)[1].values())
+            dense = [_dense(row, engine.space.dim) for row in rows]
+            assert rank_profile(rows, engine.cols_at) == [
+                rational_rank([row[:cut] for row in dense]) for cut in engine.cols_at
+            ], (data["id"], label)
 
 
 @st.composite
@@ -1014,6 +1000,46 @@ def test_a_repeated_free_function_name_is_refused():
         Scenario(data)
     once = Scenario(dict(data, free_functions=["f"]))
     assert [once.field().acting_count(k) for k in range(4)] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize(
+    "positivity, name",
+    [(["g1l"], "g1l"), (["g11", "g11*g22 - g1l^2"], "g1l"), (["g11*w"], "w")],
+)
+def test_a_positivity_name_that_is_no_coordinate_is_refused(positivity, name):
+    # refused at construction, before an engine is built and the sampler
+    # meets the name
+    refused = re.escape(f"positivity {positivity[-1]!r} of scenario 'metric2d' names {name!r}")
+    with pytest.raises(ValueError, match=f"^{refused}, which is neither"):
+        Scenario({**METRIC2D, "positivity": positivity})
+    # base names and jets of any order up to 9 are coordinates
+    Scenario({**METRIC2D, "positivity": ["g11 + x", "1 + g11_09^2", "g22_20*y + 1"]})
+
+
+@pytest.mark.parametrize(
+    "drop, refused",
+    [
+        (lambda d: d.pop("id"), "the scenario has no 'id'"),
+        (lambda d: d.pop("base"), "scenario 'keys' has no 'base'"),
+        (lambda d: d.pop("fiber"), "scenario 'keys' has no 'fiber'"),
+        (lambda d: d.pop("generators"), "scenario 'keys' has no 'generators'"),
+        (lambda d: d["strata"][1].pop("label"), "stratum 1 of scenario 'keys' has no 'label'"),
+        (lambda d: d["generators"][1].pop("phi"), "generator 1 of scenario 'keys' has no 'phi'"),
+        (lambda d: d["generators"][0].pop("xi"), "generator 0 of scenario 'keys' has no 'xi'"),
+    ],
+)
+def test_a_missing_required_key_is_refused_by_name(drop, refused):
+    # refused at construction, with the key and where it is missing; a
+    # missing phi would otherwise surface only in field()
+    data = {
+        "id": "keys", "base": ["x"], "fiber": ["u"],
+        "generators": [{"xi": ["1"], "phi": ["0"]}, {"xi": ["0"], "phi": ["u"]}],
+        "strata": [{"label": "g"}, {"label": "zero", "equalities": ["u"]}],
+    }
+    Scenario(dict(data, lift_order=1))  # a key the scenario does not read is ignored
+    drop(data)
+    with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+        Scenario(data)
 
 
 def test_scenario_errors():
