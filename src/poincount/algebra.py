@@ -250,33 +250,6 @@ class Polynomial:
         den = scale**exponent
         return Polynomial([_div(c, den) for c in _pow(ints, exponent)])
 
-    def __divmod__(self, other: "Polynomial"):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Polynomial.zero(), self
-        quot = [0] * (dq + 1)
-        lead = other.leading()
-        for i in range(dq, -1, -1):
-            c = _div(rem[i + other.degree], lead)
-            if c != 0:
-                quot[i] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] -= c * b
-        return Polynomial(quot), Polynomial(rem)
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        q, _ = divmod(self, other)
-        return q
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        _, r = divmod(self, other)
-        return r
-
     def monic(self) -> "Polynomial":
         if self.is_zero():
             return self
@@ -668,14 +641,16 @@ def split_factor(poly: Polynomial, factor: Polynomial) -> tuple[int, Polynomial]
 
 @lru_cache(maxsize=None)
 def cyclotomic(m: int) -> Polynomial:
-    """The m-th cyclotomic polynomial (monic, integer coefficients)."""
+    """The m-th cyclotomic polynomial (monic, integer coefficients): z^m - 1
+    over the Phi_d of the proper divisors d of m, each monic and so
+    primitive, divided out over the integers by _exact_quotient."""
     if m < 1:
         raise UnsupportedArgument("cyclotomic index must be >= 1")
-    result = Polynomial((-1,) + (0,) * (m - 1) + (1,))  # z^m - 1
+    result = [-1] + [0] * (m - 1) + [1]  # z^m - 1
     for d in range(1, m):
         if m % d == 0:
-            result = result // cyclotomic(d)
-    return result
+            result = _exact_quotient(result, cyclotomic(d).coeffs)
+    return Polynomial(result)
 
 
 def _euler_phi(m: int) -> int:

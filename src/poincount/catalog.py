@@ -777,9 +777,14 @@ def get_entry(entry_id: str) -> CatalogEntry:
 
 
 def _prepare(entry_id: str, params: Mapping[str, int]) -> tuple[CatalogEntry, dict]:
+    """The entry and its checked parameters; one an alias sets must agree."""
     entry, implied = resolve(entry_id)
-    merged = {**implied, **dict(params)}
-    return entry, entry.check_params(merged)
+    for key, value in params.items():
+        if implied.setdefault(key, value) != value:
+            raise OutOfValidity(
+                f"parameter {key} is given twice, as {implied[key]!r} by {entry_id} and {value!r}"
+            )
+    return entry, entry.check_params(implied)
 
 
 def select_samples(entry_id: str, nmax: int) -> tuple[CatalogEntry, list[dict]]:

@@ -20,9 +20,11 @@ success / all consistent, 1 mismatch findings present, 2 usage or
 validity errors (a verify that selects no sample is one: it would check
 nothing; so is a result with an integer longer than Python's
 int-to-text digit limit, 4300 by default, an integer in EXPR or a
---param value longer than the text-to-int limit, an n or other integer
-catalog parameter above 64, an --nmax above 32 and a --kmax above 10000
-for show, verify, analyze and rederive), 3 a broken
+--param value longer than the text-to-int limit, an EXPR whose unreduced
+numerator or denominator would pass degree 10000, a catalog parameter
+given twice with different values by --n, --param or an id alias, an n
+or other integer catalog parameter above 64, an --nmax above 32 and a
+--kmax above 10000 for show, verify, analyze and rederive), 3 a broken
 jet-engine invariant (a sentinel parameter acts, or a generator leaves
 its stratum; both are read off the engine's plan once, before any point
 is drawn).  An error is one line, each echoed word cut to 40 characters.
@@ -210,14 +212,19 @@ def _series_rows(p: RationalFunction, kmax: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _parse_extra_params(pairs: list[str]) -> dict:
-    params = {}
+def _parse_extra_params(pairs: list[str], n: int | None) -> dict:
+    """{key: value} of --n and the --param pairs; a repeat must agree."""
+    params = {} if n is None else {"n": n}
     for pair in pairs:
         if "=" not in pair:
             raise catalog.OutOfValidity(f"--param needs key=value, got {pair!r}")
         key, _, raw = pair.partition("=")
         key = key.strip()
-        params[key] = _read_int(raw, f"--param {key}") if _is_int(raw) else raw.strip()
+        value = _read_int(raw, f"--param {key}") if _is_int(raw) else raw.strip()
+        if params.setdefault(key, value) != value:
+            raise catalog.OutOfValidity(
+                f"parameter {key} is given twice, as {params[key]!r} and {value!r}"
+            )
     return params
 
 
@@ -263,9 +270,7 @@ def cmd_list(args) -> tuple[int, dict]:
 
 def cmd_show(args) -> tuple[int, dict]:
     _check_kmax(args)
-    params = _parse_extra_params(args.param)
-    if args.n is not None:
-        params["n"] = args.n
+    params = _parse_extra_params(args.param, args.n)
     p = catalog.claimed_poincare(args.id, **params)
     entry, clean = catalog.resolve(args.id)
     fields = {

@@ -13,7 +13,8 @@ distribution sub-example is such a scenario, run through the same engine.
 The generators are one field, linear in its parameters: the Taylor
 coefficients of the free functions, and one parameter per generator for
 its function-free part (a fixed generator).  Each parameter gives one
-row.  A ProlongPlan, built once per engine by Scenario.instantiate,
+row.  A Scenario parses its generators and positivity once, when built.
+A ProlongPlan, built once per engine by Scenario.instantiate,
 holds every row as integer forms in the jets, and `prolong` evaluates
 them at a point over the base origin; ProlongPlan derives the rows and
 builds the forms by expanding each generator term into its entries,
@@ -37,8 +38,8 @@ derivative order among a free function's tokens, order-k components read
 the jets of f up to order k + r_f, so f is truncated at degree k + r_f,
 and each coefficient of degree k + r_f + 1 is a sentinel, which the engine
 checks has no row form.  The non-sentinel parameters are the N_k
-parameters that act on J^k, counted by _Field.acting_count off the same
-truncation rule.
+parameters that act on J^k, counted by Scenario.acting_count off the
+same truncation rule.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from functools import cache
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
 from operator import add, mul
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .algebra import RationalFunction
 from .errors import UsageError
@@ -534,33 +535,6 @@ class StratumCase:
             raise ValueError(f"coordinates {sorted(overlap)} both zero and nonzero")
 
 
-class _Field(NamedTuple):
-    """A scenario's generators parsed once (Scenario.field): the summed
-    components xi (base) and phi (fiber), with exactly one token in each
-    monomial (ProlongPlan), and the parameter blocks in parameter order,
-    each (name, r, tokens) with tokens its (variable, gamma) pairs: a
-    fixed generator is ("fixed[i]", None, ((marker, zero),)), a free
-    function f of a generator (f, r_f, its jet tokens d^gamma f)."""
-
-    xi: tuple[Poly, ...]
-    phi: tuple[Poly, ...]
-    blocks: tuple[tuple[str, int | None, tuple[tuple[int, MultiIndex], ...]], ...]
-
-    def cutoffs(self, order: int) -> list[int]:
-        """The degree each block is truncated at on J^order, the one rule
-        that `instantiate` and `acting_count` read: k + r_f for a free
-        function (order-k components read its jets up to order k + r_f),
-        0 for a fixed generator, whose one parameter is the constant 1 on
-        its marker token."""
-        return [0 if r is None else order + r for _, r, _ in self.blocks]
-
-    def acting_count(self, order: int) -> int:
-        """N_order, the non-sentinel parameters on J^order: the C(p + c, p)
-        monomials x^beta with |beta| <= c per block cut at degree c."""
-        p = len(self.xi)
-        return sum(comb(p + cutoff, p) for cutoff in self.cutoffs(order))
-
-
 def _required(data: Mapping, key: str, where: str):
     """data[key], or a ValueError naming the key and `where` it is missing."""
     try:
@@ -591,12 +565,23 @@ class Scenario:
     free function is named twice and no two strata share a label.  Generator
     expressions use base names, order-0 fiber names, and free-function jet
     tokens f, f_x, f_xy, ... (suffix letters are base names); each free
-    function belongs to the single generator using it.  They are parsed
-    into polynomials and may divide by constants only.
-    Invariants and positivity conditions are rational expressions in jet
-    coordinates, evaluated exactly at each sampled point; a sample where
-    one of them divides by zero is redrawn.  A positivity symbol must be
-    a base name or a jet coordinate's name (of any order up to 9).
+    function belongs to the single generator using it.  They are
+    polynomials and may divide by constants only.  Invariants and
+    positivity conditions are rational expressions in jet coordinates,
+    evaluated exactly at each sampled point; a sample where one of them
+    divides by zero is redrawn.  A positivity symbol must be a base name
+    or a jet coordinate's name (of any order up to 9).
+
+    After those checks the generators and positivity are parsed, once,
+    and their errors raised here (a positivity syntax error names its
+    text).  The generators sum to one field, `xi` (base) and `phi`
+    (fiber), with one token in each monomial (ProlongPlan).  Its parameter
+    `blocks` go generator by generator, each (name, r, (variable, gamma)
+    tokens): a nonzero function-free part is ("fixed[i]", None), read off
+    a marker token of its own, and each free function f it names follows
+    as (f, r_f), r_f the highest |gamma| among f's tokens.  `positivity`
+    holds the parsed conditions, `positivity_order` the highest jet order
+    they name.
     """
 
     def __init__(self, data: Mapping):
@@ -606,9 +591,6 @@ class Scenario:
         self.fiber: tuple[str, ...] = tuple(_required(data, "fiber", where))
         self.free_functions: tuple[str, ...] = tuple(data.get("free_functions", ()))
         self.generators: tuple[Mapping, ...] = tuple(_required(data, "generators", where))
-        for index, gen in enumerate(self.generators):
-            for key in ("xi", "phi"):
-                _required(gen, key, f"generator {index} of {where}")
         self.strata: dict[str, StratumCase] = {}
         for index, raw in enumerate(data.get("strata", ())):
             case = StratumCase(
@@ -623,7 +605,7 @@ class Scenario:
             label: tuple(exprs)
             for label, exprs in dict(data.get("invariants", {})).items()
         }
-        self.positivity: tuple[str, ...] = tuple(data.get("positivity", ()))
+        positivity = tuple(data.get("positivity", ()))
         self.p = len(self.base)
         self.q = len(self.fiber)
         for kind, names, form in (
@@ -666,44 +648,17 @@ class Scenario:
                 kind = "base" if name in self.base else "fiber" if name in self.fiber else "jet"
                 raise ValueError(f"free function name {name!r} is a {kind} coordinate's name")
         # the sampler evaluates positivity at points of jet coordinates
-        for text in self.positivity:
+        self.positivity_order = 0
+        for text in positivity:
             for name in sorted(symbol_names(text)):
-                if name not in self.base and not space._jet_index(name):
+                jet = space._jet_index(name)
+                if name not in self.base and not jet:
                     raise ValueError(
                         f"positivity {text!r} of {where} names {name!r}, "
                         "which is neither a base name nor a jet coordinate"
                     )
-
-    def space(self, order: int) -> JetSpace:
-        return JetSpace(order, self.base, self.fiber)
-
-    def stratum(self, stratum: StratumCase | str) -> StratumCase:
-        """The stratum of that label; a StratumCase is returned as it is."""
-        if isinstance(stratum, StratumCase):
-            return stratum
-        try:
-            return self.strata[stratum]
-        except KeyError:
-            raise UnknownScenario(
-                f"scenario {self.id!r} has no stratum {stratum!r}"
-            ) from None
-
-    # -- generator instantiation ----------------------------------------
-
-    def field(self) -> _Field:
-        """Parse the generators once into the one field they sum to and
-        its parameter blocks (_Field), for `instantiate` at any order.
-
-        The blocks go generator by generator.  A generator's function-free
-        part, when it is nonzero, is one block (a fixed generator, marked
-        by a token of its own); each free function f the generator mentions
-        follows, with r_f the highest |gamma| among f's tokens d^gamma f
-        there.  Each free function belongs to the one generator that
-        mentions it.  Components may use known symbols only, must be linear
-        in the jet tokens and may divide by constants only.
-        """
+                self.positivity_order = max(self.positivity_order, sum(jet[1]) if jet else 0)
         first_token = self.p + self.q
-        zero = (0,) * self.p
         blocks: list[tuple[str, int | None, tuple[tuple[int, MultiIndex], ...]]] = []
         xi_sum, phi_sum = [Poly.zero()] * self.p, [Poly.zero()] * self.q
         first = first_token  # the next generator's first token variable
@@ -722,31 +677,26 @@ class Scenario:
                 elif name in self.fiber:
                     var = self.p + self.fiber.index(name)
                 else:
-                    raise ExpressionError(
-                        f"unknown symbol {name!r} in a generator of scenario {self.id!r}"
-                    )
+                    raise ExpressionError(f"unknown symbol {name!r} in a generator of {where}")
                 return Poly.variable(var)
 
             def component(text: str) -> Poly:
                 try:
                     poly = evaluate_node(parse_expression(text), Poly.constant, resolve)
                 except ZeroDivisionError as exc:
-                    raise ExpressionError(
-                        f"{exc} in a generator of scenario {self.id!r}"
-                    ) from None
+                    raise ExpressionError(f"{exc} in a generator of {where}") from None
                 except NonConstantDivisor:
                     raise NonlinearParameters(
                         "division by a non-constant polynomial in a field component"
                     ) from None
                 for mono in poly.terms:
                     if sum(e for var, e in mono if var >= first_token) > 1:
-                        raise NonlinearParameters(
-                            "product of two parameter-carrying expressions"
-                        )
+                        raise NonlinearParameters("product of two parameter-carrying expressions")
                 return poly
 
-            xi = tuple(component(text) for text in gen["xi"])
-            phi = tuple(component(text) for text in gen["phi"])
+            entry = f"generator {index} of {where}"
+            xi = tuple(map(component, _required(gen, "xi", entry)))
+            phi = tuple(map(component, _required(gen, "phi", entry)))
             if len(xi) != self.p or len(phi) != self.q:
                 raise ValueError("generator component count must match p and q")
             marker = first + len(tokens)
@@ -754,7 +704,7 @@ class Scenario:
             # a monomial without a token (the token sorts last) gets the marker
             fixed = lambda mono: not mono or mono[-1][0] < first_token
             if any(fixed(mono) for comp in (*xi, *phi) for mono in comp.terms):
-                blocks.append((f"fixed[{index}]", None, ((marker, zero),)))
+                blocks.append((f"fixed[{index}]", None, ((marker, (0,) * self.p),)))
             marked = lambda comp: Poly({
                 mono + ((marker, 1),) if fixed(mono) else mono: c
                 for mono, c in comp.terms.items()
@@ -766,25 +716,56 @@ class Scenario:
                 if fname in orders:
                     named = tuple((var, gamma) for var, f, gamma in tokens.values() if f == fname)
                     blocks.append((fname, orders[fname], named))
-        return _Field(tuple(xi_sum), tuple(phi_sum), tuple(blocks))
+        self.xi, self.phi, self.blocks = tuple(xi_sum), tuple(phi_sum), tuple(blocks)
+        self.positivity: tuple[Node, ...] = ()
+        for text in positivity:
+            try:
+                self.positivity += (parse_expression(text),)
+            except ExpressionError as exc:
+                raise ExpressionError(f"positivity {text!r} of {where}: {exc}") from None
 
-    def instantiate(
-        self, space: JetSpace, field: _Field | None = None
-    ) -> tuple[ProlongPlan, list[ParamInfo]]:
-        """The field, parsed here unless it is given (`field`), as one
-        ProlongPlan on `space`, each free function truncated at the order
-        its tokens read.
+    def space(self, order: int) -> JetSpace:
+        return JetSpace(order, self.base, self.fiber)
 
-        The parameters go block by block, each cut at _Field.cutoffs.  A
-        fixed generator is one parameter.  A free function f gives its
-        monomial coefficients up to degree k + r_f (k the space's order),
-        and then those of degree k + r_f + 1, every one a sentinel, which
-        must act trivially: the engine checks that it has no row form.
+    def stratum(self, stratum: StratumCase | str) -> StratumCase:
+        """The stratum of that label; a StratumCase is returned as it is."""
+        if isinstance(stratum, StratumCase):
+            return stratum
+        try:
+            return self.strata[stratum]
+        except KeyError:
+            raise UnknownScenario(
+                f"scenario {self.id!r} has no stratum {stratum!r}"
+            ) from None
+
+    # -- generator instantiation ----------------------------------------
+
+    def cutoffs(self, order: int) -> list[int]:
+        """The degree each block is truncated at on J^order, the one rule
+        that `instantiate` and `acting_count` read: k + r_f for a free
+        function (order-k components read its jets up to order k + r_f),
+        0 for a fixed generator, whose one parameter is the constant 1 on
+        its marker token."""
+        return [0 if r is None else order + r for _, r, _ in self.blocks]
+
+    def acting_count(self, order: int) -> int:
+        """N_order, the non-sentinel parameters on J^order: the C(p + c, p)
+        monomials x^beta with |beta| <= c per block cut at degree c."""
+        return sum(comb(self.p + cutoff, self.p) for cutoff in self.cutoffs(order))
+
+    def instantiate(self, space: JetSpace) -> tuple[ProlongPlan, list[ParamInfo]]:
+        """The parsed field as one ProlongPlan on `space`, each free
+        function truncated at the order its tokens read.
+
+        The parameters go block by block, each cut at `cutoffs`.  A fixed
+        generator is one parameter.  A free function f gives its monomial
+        coefficients up to degree k + r_f (k the space's order), and then
+        those of degree k + r_f + 1, every one a sentinel, which must act
+        trivially: the engine checks that it has no row form.
         """
-        field = field or self.field()
         params: list[ParamInfo] = []
         specs: list[tuple[tuple[int, int, MultiIndex], ...]] = []
-        for (name, r, tokens), cutoff in zip(field.blocks, field.cutoffs(space.order)):
+        for (name, r, tokens), cutoff in zip(self.blocks, self.cutoffs(space.order)):
             top = cutoff if r is None else cutoff + 1  # a fixed generator has no sentinel
             for beta in (b for m in range(top + 1) for b in _multi_indices(self.p, m)):
                 spec = []
@@ -796,7 +777,7 @@ class Scenario:
                 sentinel = sum(beta) > cutoff
                 label = name if r is None else f"{name}[{beta}]" + ("#sentinel" if sentinel else "")
                 params.append(ParamInfo(name=label, sentinel=sentinel))
-        return ProlongPlan(space, field.xi, field.phi, specs), params
+        return ProlongPlan(space, self.xi, self.phi, specs), params
 
     def _token(self, name: str) -> tuple[str, MultiIndex] | None:
         """(function, gamma) of a free-function jet token f, f_x, f_xy, ..."""
@@ -952,28 +933,27 @@ class _Dual:
 class _StratumEngine:
     """The one route from a scenario to tangent rows and ranks at one order.
 
-    The generators are instantiated once here, into one ProlongPlan;
-    every stratum, sample point and invariant check of the scenario at
-    this order reuses it, `prolong` evaluates its rows at each
+    The scenario's parsed generators are instantiated once here, into one
+    ProlongPlan; the sampler evaluates its parsed positivity.  Every
+    stratum, sample point and invariant check of the scenario at this
+    order reuses the plan, `prolong` evaluates its rows at each
     {column: value} point, and stratum_columns gives each stratum's
     columns.  The sentinel parameters must act trivially, which is read
     off the plan once, here: no sentinel may have a row form
     (InvariantViolation, whatever the stratum).  A form keeps only its
     nonzero sums, one term per (column, jet monomial), so a sentinel's
     form is a nonzero polynomial in the jets and acts at generic points.
-    The engine holds no random state: each caller seeds its own generator;
-    `field` is the scenario's parsed generators, when the caller has them.
+    The engine holds no random state: each caller seeds its own generator.
     """
 
-    def __init__(self, scenario: Scenario, k_max: int, field: _Field | None = None):
+    def __init__(self, scenario: Scenario, k_max: int):
         self.scenario = scenario
         self.k_max = k_max
         self.space = scenario.space(k_max)
-        self.plan, self.params = scenario.instantiate(self.space, field)
+        self.plan, self.params = scenario.instantiate(self.space)
         if any(self.params[slot].sentinel for slot, *_ in self.plan.forms):
             raise InvariantViolation("sentinel parameter acts nontrivially: truncated too low")
         self.cols_at = self.space.cols_at
-        self.positivity = [parse_expression(text) for text in scenario.positivity]
 
     def acting_counts(self, stratum: StratumCase) -> list[int]:
         """M_k for k = 0..k_max: the number of parameters that act on the
@@ -1041,7 +1021,7 @@ class _StratumEngine:
         rng = random.Random(seed)
 
         def ranks(cuts: Sequence[int]) -> list[int]:
-            point = sample_stratum_point(self.space, stratum, rng, self.positivity)
+            point = sample_stratum_point(self.space, stratum, rng, self.scenario.positivity)
             return rank_profile(prolong(self.plan, point)[1].values(), cuts)
 
         for _ in range(2):
@@ -1088,7 +1068,9 @@ class _StratumEngine:
         node = parse_expression(invariant)
         rng = random.Random(seed)
         for _ in range(_ANNIHILATION_POINTS):
-            point = sample_stratum_point(self.space, stratum, rng, self.positivity, (node,))
+            point = sample_stratum_point(
+                self.space, stratum, rng, self.scenario.positivity, (node,)
+            )
 
             def coordinate(name: str) -> _Dual:
                 var = self.space.var_by_name(name)
@@ -1129,8 +1111,8 @@ def stratum_codim_sequence(
 
     On an open stratum (no equalities) freeness is certified at one probe
     order k*, the first k in 1..k_max - 1 with N_k < d_k, N_k the
-    non-sentinel parameters on J^k (_Field.acting_count), and no lower
-    than the highest jet the positivity names.  The engine is built at
+    non-sentinel parameters on J^k (Scenario.acting_count), and no lower
+    than the highest jet the positivity names (Scenario.positivity_order).  The engine is built at
     k*, and when its round's first point has rank N_k* there the round is
     finished on it and s_k = d_k - N_k for every k > k*; otherwise the
     order-k_max engine runs from the same seed, as without the probe.
@@ -1150,17 +1132,15 @@ def stratum_codim_sequence(
     No float, modular or probabilistic step is used.
     """
     space = scenario.space(k_max)  # refuses an order outside 0..9 first
-    field = scenario.field()
     stratum = scenario.stratum(stratum)
-    counts = [field.acting_count(k) for k in range(k_max + 1)]
-    named = [space._jet_index(name) for text in scenario.positivity for name in symbol_names(text)]
-    lowest = max([1] + [sum(jet[1]) for jet in named if jet])
-    probe = next((k for k in range(lowest, k_max) if counts[k] < space.cols_at[k]), None)
+    counts = [scenario.acting_count(k) for k in range(k_max + 1)]
+    orders = range(max(1, scenario.positivity_order), k_max)
+    probe = next((k for k in orders if counts[k] < space.cols_at[k]), None)
     if probe is not None and not stratum.equalities:
-        ranks = _StratumEngine(scenario, probe, field).sampled_ranks(stratum, seed, counts[probe])
+        ranks = _StratumEngine(scenario, probe).sampled_ranks(stratum, seed, counts[probe])
         if ranks is not None:
             return _codims(space.cols_at, ranks + counts[probe + 1 :])
-    return _StratumEngine(scenario, k_max, field).codim_sequence(stratum, seed)
+    return _StratumEngine(scenario, k_max).codim_sequence(stratum, seed)
 
 
 def annihilation_check(

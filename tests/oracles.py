@@ -547,7 +547,7 @@ def three_point_ranks(engine, stratum, seed):
     for _ in range(2):
         trials = []
         for _ in range(3):
-            point = jetflow.sample_stratum_point(engine.space, stratum, rng, engine.positivity)
+            point = jetflow.sample_stratum_point(engine.space, stratum, rng, engine.scenario.positivity)
             rows = jetflow.prolong(engine.plan, point)[1].values()
             trials.append(rank_profile(rows, engine.cols_at))
         if all(t == trials[0] for t in trials):
@@ -600,15 +600,30 @@ def tail_values(tail, tail_start, extra=0):
 
 # -- the rational-function core on Fraction arithmetic -------------------------
 #
-# The term-by-term generating-function builder, the Euclid gcd and the
-# dividing series recurrence that the integer core replaced; the tests
-# compare the core with them.
+# The term-by-term generating-function builder, the Euclid gcd on
+# schoolbook long division and the dividing series recurrence that the
+# integer core replaced; the tests compare the core with them.
+
+
+def fraction_divmod(a, b):
+    """(quotient, remainder) of the polynomials a by b (nonzero), by
+    schoolbook long division over Fraction coefficients."""
+    from poincount.algebra import Polynomial
+
+    rem = [Fraction(c) for c in a.coeffs]
+    lead, db = Fraction(b.leading()), b.degree
+    quot = [Fraction(0)] * max(len(rem) - db, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = quot[i] = rem[i + db] / lead
+        for j, x in enumerate(b.coeffs):
+            rem[i + j] -= c * x
+    return Polynomial(quot), Polynomial(rem)
 
 
 def euclid_gcd(a, b):
     """Monic gcd over the rationals by Fraction Euclid; gcd(0, 0) = 0."""
     while not b.is_zero():
-        a, b = b, a % b
+        a, b = b, fraction_divmod(a, b)[1]
     return a.monic()
 
 
@@ -728,12 +743,12 @@ def ratfun_parse(text):
 
 def divmod_split_factor(poly, factor):
     """(m, residual) with poly = factor^m * residual, by repeated Fraction
-    divmod; the zero polynomial gives (0, 0)."""
+    long division (fraction_divmod); the zero polynomial gives (0, 0)."""
     if poly.is_zero():
         return 0, poly
     count = 0
     while True:
-        q, r = divmod(poly, factor)
+        q, r = fraction_divmod(poly, factor)
         if not r.is_zero():
             return count, poly
         poly = q

@@ -421,3 +421,15 @@ def test_verify_entry_reports_gf_and_series_mismatches(monkeypatch):
     report = catalog.verify_entry("riemannian", {"n": 3}, 0)
     assert list(report.detail) == ["gf_mismatch", "series_mismatch"]
     assert report.detail["series_mismatch"] == {"k": 0, "expected": 1, "got": "0"}
+
+
+def test_an_alias_parameter_is_not_overridden():
+    # poincare-dulac-saddle implies case=saddle: a different case is
+    # refused, naming the parameter, where it once gave the nonresonant 2*z
+    with pytest.raises(catalog.OutOfValidity, match="^parameter case is given twice, as 'saddle' "
+                       "by poincare-dulac-saddle and 'nonresonant'$"):
+        catalog.claimed_poincare("poincare-dulac-saddle", case="nonresonant")
+    # the same value again is accepted
+    assert catalog.claimed_poincare("poincare-dulac-saddle", case="saddle", p=1, q=1) == (
+        catalog.claimed_poincare("poincare-dulac", case="saddle", p=1, q=1)
+    )

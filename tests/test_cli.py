@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from math import comb
 from pathlib import Path
 
@@ -126,6 +127,50 @@ def test_exit_codes_for_errors():
         assert capture(argv)[2] == "poincount: error: series order must be >= 0\n", argv[0]
     code, out, err = capture(["no-such-command"])
     assert code == 2
+
+
+def test_expression_degree_is_bounded_before_evaluation():
+    # every exponent is within MAX_EXPONENT, but the nested powers build
+    # degree 22,500 and 10^6 (the first took 10.8 s, then failed on the
+    # digit limit); the degree walk refuses them before any arithmetic
+    refused = "poincount: error: expression degree is above the limit 10000\n"
+    for expr in ("((1-z)^150)^150", "((1-z)^1000)^1000"):
+        start = time.perf_counter()
+        assert capture(["analyze", "--expr", expr, "--kmax", "3"]) == (2, "", refused)
+        assert time.perf_counter() - start < 0.1, expr
+    assert capture(["analyze", "--expr", "z^5000*z^5001"]) == (2, "", refused)
+    for expr in ("z^10000", "(1-z)^300/(1-z)^299"):  # at or below the limit
+        assert capture(["analyze", "--expr", expr, "--kmax", "3"])[0] == 0, expr
+
+
+def test_n_and_param_n_must_agree():
+    # --n 3 --param n=4 once printed n = 3
+    assert capture(["show", "riemannian", "--n", "3", "--param", "n=4"]) == (
+        2, "", "poincount: error: parameter n is given twice, as 3 and 4\n"
+    )
+    assert capture(["show", "riemannian", "--n", "3", "--param", "n=3"]) == capture(
+        ["show", "riemannian", "--n", "3"]
+    )
+
+
+def test_a_repeated_param_must_agree():
+    # a second p=2 once silently replaced p=1
+    base = ["show", "poincare-dulac", "--param", "case=saddle", "--param", "p=1", "--param", "q=1"]
+    assert capture(base + ["--param", "p=2"]) == (
+        2, "", "poincount: error: parameter p is given twice, as 1 and 2\n"
+    )
+    assert capture(base + ["--param", "p=1"]) == capture(base)
+
+
+def test_an_alias_case_must_agree():
+    # the nonresonant 2*z was once printed under the saddle alias
+    assert capture(["show", "poincare-dulac-saddle", "--param", "case=nonresonant"]) == (
+        2, "", "poincount: error: parameter case is given twice, as 'saddle' by "
+        "poincare-dulac-saddle and 'nonresonant'\n"
+    )
+    saddle = ["show", "poincare-dulac-saddle", "--param", "p=1", "--param", "q=1"]
+    code, out, _ = capture(saddle + ["--param", "case=saddle"])
+    assert code == 0 and (code, out, "") == capture(saddle)
 
 
 def test_usage_errors_exit_two_and_internal_errors_propagate(monkeypatch):

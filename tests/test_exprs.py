@@ -8,9 +8,12 @@ from poincount.exprs import (
     Num,
     Pow,
     Sym,
+    _degrees,
+    evaluate_node,
     parse_expression,
     parse_rational_function,
 )
+from poincount.algebra import RationalFunction
 
 from oracles import ratfun_parse
 
@@ -91,3 +94,21 @@ def test_render_round_trips(node):
 
 def test_high_power_quotient_cancels():
     assert parse_rational_function("(1-z)^300/(1-z)^299") == parse_rational_function("1 - z")
+
+
+def _degree(coeffs) -> int:
+    return max((i for i, c in enumerate(coeffs) if c), default=-1)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_ASTS.filter(lambda node: degree_bound(node) <= 40))
+def test_degree_walk_bounds_the_unreduced_quotient(node):
+    # the walk that refuses a closed form before it is evaluated bounds the
+    # degrees of the numerator and denominator that the arithmetic builds
+    try:
+        value = evaluate_node(node, RationalFunction.from_scalar, lambda _: RationalFunction.z())
+    except ZeroDivisionError:
+        return
+    num, den, _ = value._q
+    n, d = _degrees(node)
+    assert _degree(num) <= n and _degree(den) <= d

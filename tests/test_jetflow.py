@@ -330,9 +330,9 @@ def test_lie_example_table_rows(monkeypatch):
     instantiations = []
     instantiate = Scenario.instantiate
 
-    def counted(self, space, field=None):
+    def counted(self, space):
         instantiations.append(self.id)
-        return instantiate(self, space, field)
+        return instantiate(self, space)
 
     monkeypatch.setattr(Scenario, "instantiate", counted)
     rows = {row.label: row for row in lie_example_table(7, 2024)}
@@ -578,7 +578,8 @@ def test_rank_profile_on_engine_rows():
         engine = _StratumEngine(Scenario(data), k)
         for label in labels:
             point = sample_stratum_point(
-                engine.space, engine.scenario.stratum(label), random.Random(2024), engine.positivity
+                engine.space, engine.scenario.stratum(label), random.Random(2024),
+                engine.scenario.positivity,
             )
             rows = list(prolong(engine.plan, point)[1].values())
             dense = [_dense(row, engine.space.dim) for row in rows]
@@ -699,7 +700,7 @@ def test_sentinel_violation_detected_when_cutoff_too_small(monkeypatch):
 
     truncate_lower(1)
     with pytest.raises(InvariantViolation, match="sentinel"):
-        _StratumEngine(SC, 3)
+        _StratumEngine(Scenario(X_REPARAM), 3)
     for by in (1, 2):
         truncate_lower(by)
         with pytest.raises(InvariantViolation, match="sentinel"):
@@ -741,7 +742,7 @@ def test_non_sentinel_parameters_are_n_k():
             fixed = sum(info.name.startswith("fixed[") for info in params)
             n_k = fixed + sum(math.comb(p + k + r, p) for r in orders)
             assert sum(not info.sentinel for info in params) == n_k, (name, k)
-            assert scenario.field().acting_count(k) == n_k, (name, k)
+            assert scenario.acting_count(k) == n_k, (name, k)
             assert sum(info.sentinel for info in params) == sum(
                 math.comb(p + k + r, p - 1) for r in orders
             ), (name, k)
@@ -756,7 +757,7 @@ def test_non_sentinel_parameters_are_n_k():
         ours, theirs = _StratumEngine(_scenario("metric3d"), k), _StratumEngine(bench, k)
         assert ours.params == theirs.params and ours.plan.specs == theirs.plan.specs
         point = sample_stratum_point(
-            ours.space, bench.stratum("generic"), random.Random(k), ours.positivity
+            ours.space, bench.stratum("generic"), random.Random(k), ours.scenario.positivity
         )
         assert prolong(ours.plan, point) == prolong(theirs.plan, point)
 
@@ -999,7 +1000,7 @@ def test_a_repeated_free_function_name_is_refused():
     with pytest.raises(ValueError, match="^free function name 'f' is repeated$"):
         Scenario(data)
     once = Scenario(dict(data, free_functions=["f"]))
-    assert [once.field().acting_count(k) for k in range(4)] == [1, 2, 3, 4]
+    assert [once.acting_count(k) for k in range(4)] == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize(
@@ -1042,6 +1043,17 @@ def test_a_missing_required_key_is_refused_by_name(drop, refused):
         Scenario(data)
 
 
+def test_generator_and_positivity_errors_are_raised_by_the_scenario():
+    # both are parsed when the Scenario is built, before any engine; a
+    # positivity syntax error names its text and the scenario
+    refused = "positivity 'g11 +' of scenario 'metric2d': unexpected end of expression"
+    with pytest.raises(ExpressionError, match=f"^{re.escape(refused)}$"):
+        Scenario({**METRIC2D, "positivity": ["g11 +"]})
+    unknown = dict(X_REPARAM, generators=[{"xi": ["f", "w"], "phi": ["0"]}])
+    with pytest.raises(ExpressionError, match="unknown symbol 'w' in a generator of scenario"):
+        Scenario(unknown)
+
+
 def test_scenario_errors():
     with pytest.raises(UnknownScenario):
         get_scenario("nope")
@@ -1049,40 +1061,39 @@ def test_scenario_errors():
         SC.stratum("sigma9")
     with pytest.raises(ValueError):
         StratumCase("bad", equalities=("u10",), inequations=("u10",))
-    bad = Scenario(
-        {
-            "id": "bad-symbols",
-            "base": ["x"],
-            "fiber": ["u"],
-            "generators": [{"xi": ["w"], "phi": ["0"]}],
-            "strata": [],
-        }
-    )
+    # the generators are parsed when the Scenario is built, so their
+    # errors are raised there
     with pytest.raises(ExpressionError):
-        bad.instantiate(bad.space(2))
-    zero_divisor = Scenario(
-        {
-            "id": "zero-divisor",
-            "base": ["x"],
-            "fiber": ["u"],
-            "generators": [{"xi": ["x/0"], "phi": ["0"]}],
-            "strata": [],
-        }
-    )
+        Scenario(
+            {
+                "id": "bad-symbols",
+                "base": ["x"],
+                "fiber": ["u"],
+                "generators": [{"xi": ["w"], "phi": ["0"]}],
+                "strata": [],
+            }
+        )
     with pytest.raises(ExpressionError, match="zero-divisor"):
-        zero_divisor.instantiate(zero_divisor.space(2))
-    nonlinear = Scenario(
-        {
-            "id": "nonlinear",
-            "base": ["x"],
-            "fiber": ["u"],
-            "free_functions": ["f"],
-            "generators": [{"xi": ["f*f"], "phi": ["0"]}],
-            "strata": [],
-        }
-    )
+        Scenario(
+            {
+                "id": "zero-divisor",
+                "base": ["x"],
+                "fiber": ["u"],
+                "generators": [{"xi": ["x/0"], "phi": ["0"]}],
+                "strata": [],
+            }
+        )
     with pytest.raises(NonlinearParameters):
-        nonlinear.instantiate(nonlinear.space(2))
+        Scenario(
+            {
+                "id": "nonlinear",
+                "base": ["x"],
+                "fiber": ["u"],
+                "free_functions": ["f"],
+                "generators": [{"xi": ["f*f"], "phi": ["0"]}],
+                "strata": [],
+            }
+        )
 
     def first_xi(text):
         """The plan (forms, monomials, denominator) of the field (text, 0)."""
@@ -1237,7 +1248,7 @@ def test_rows_match_symbolic_prolongation_oracle():
         engine = _StratumEngine(scenario, k)
         rng = random.Random(70 + k)
         point = sample_stratum_point(
-            engine.space, scenario.stratum(label), rng, engine.positivity
+            engine.space, scenario.stratum(label), rng, engine.scenario.positivity
         )
         expected = prolonged_rows_oracle(scenario, k, point)
         assert sorted(_engine_rows(engine, point)) == sorted(expected), (scenario.id, label)
@@ -1339,7 +1350,7 @@ def test_prolong_parity_with_oracle(name, label, k):
     engine = _StratumEngine(scenario, k)
     seed = 1000 + PARITY_CASES.index((name, label, k))
     point = sample_stratum_point(
-        engine.space, scenario.stratum(label), random.Random(seed), engine.positivity
+        engine.space, scenario.stratum(label), random.Random(seed), engine.scenario.positivity
     )
     expected = prolonged_rows_oracle(scenario, k, point)
     assert sorted(_engine_rows(engine, point)) == sorted(expected)
@@ -1491,9 +1502,9 @@ def test_one_plan_per_engine(name, k, monkeypatch):
     build = ProlongPlan.__init__
     sample = jetflow.sample_stratum_point
 
-    def counted_instantiate(self, space, field=None):
+    def counted_instantiate(self, space):
         instantiations.append(space)
-        return instantiate(self, space, field)
+        return instantiate(self, space)
 
     def counted_build(self, *args):
         builds.append(self)
@@ -1733,7 +1744,7 @@ def test_no_point_ranks_above_the_bound(case, degenerate, data):
         }
     else:
         rng = random.Random(data.draw(st.integers(0, 2**32)))
-        point = sample_stratum_point(space, stratum, rng, engine.positivity)
+        point = sample_stratum_point(space, stratum, rng, engine.scenario.positivity)
     bound = list(map(min, engine.acting_counts(stratum), engine._dims(stratum)))
     ranks = rank_profile(prolong(engine.plan, point)[1].values(), engine.cols_at)
     assert all(rank <= most for rank, most in zip(ranks, bound)), (ranks, bound)
@@ -1802,8 +1813,8 @@ CERTIFY_CASES = (
 def _built_orders(monkeypatch) -> list:
     """The order of every engine instantiated from here on, in order."""
     built, instantiate = [], Scenario.instantiate
-    monkeypatch.setattr(Scenario, "instantiate", lambda self, space, field=None: (
-        built.append(space.order) or instantiate(self, space, field)))
+    monkeypatch.setattr(Scenario, "instantiate", lambda self, space: (
+        built.append(space.order) or instantiate(self, space)))
     return built
 
 
@@ -1897,6 +1908,31 @@ def test_one_engine_per_sequence(monkeypatch):
         built.clear()
         stratum_codim_sequence(scenario, label, k_max, seed=2)
         assert built == engines, (scenario.id, label)
+
+
+def test_engines_and_sequences_parse_nothing(monkeypatch):
+    # a Scenario parses its generators and positivity once, when it is
+    # built: engines at several orders, a probe that misses (riccati-mixed
+    # at K = 5 builds the order-4 probe engine and then the order-5 one) and
+    # every x-reparam stratum's sequence read that one parse
+    metric2d, riccati, x_reparam = map(_scenario, ("metric2d", "riccati-mixed", "x-reparam"))
+    parse = jetflow.parse_expression
+    calls = []
+    monkeypatch.setattr(jetflow, "parse_expression", lambda text: calls.append(text) or parse(text))
+    built = _built_orders(monkeypatch)
+    for k in range(4):
+        _StratumEngine(metric2d, k)
+    stratum_codim_sequence(metric2d, "generic", 5, seed=1)
+    built.clear()
+    stratum_codim_sequence(riccati, "generic", 5, seed=1)
+    assert built == [4, 5]
+    engine = _StratumEngine(x_reparam, 4)
+    for label in x_reparam.strata:
+        engine.codim_sequence(label, seed=1)
+        stratum_codim_sequence(x_reparam, label, 4, seed=1)
+    assert calls == []
+    Scenario(METRIC2D)  # the counter counts: 5 generator and 2 positivity texts
+    assert len(calls) == 7
 
 
 def test_the_probe_order_is_no_lower_than_the_positivity_reads(monkeypatch):
